@@ -204,17 +204,8 @@ def _infidelity_point(cfg: ExperimentConfig, gamma: float, dt: float, order: int
 
 def _tasks(cfg: ExperimentConfig) -> list[dict]:
     kind = cfg.experiment
-    if kind in ("trotter_sweep", "noise_sweep"):
-        gammas = cfg.gamma_list or (cfg.gamma,)
-        return [
-            {"order": o, "gamma": g, "xi": xi, "dt": dt}
-            for o in cfg.orders
-            for g in gammas
-            for xi in cfg.xi_list
-            for dt in cfg.dt_grid
-        ]
-    if kind == "infidelity_vs_time":
-        gammas = cfg.gamma_list or (cfg.gamma,)
+    gammas = cfg.gamma_list or (cfg.gamma,)
+    if kind in ("trotter_sweep", "noise_sweep", "infidelity_vs_time"):
         return [
             {"order": o, "gamma": g, "xi": xi, "dt": dt}
             for o in cfg.orders
@@ -223,11 +214,12 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
             for dt in cfg.dt_grid
         ]
     if kind == "gamma_sweep":
+        # xi outside gamma: each xi's rows trace one curve over gamma
         return [
             {"order": o, "gamma": g, "xi": xi, "dt": dt}
             for o in cfg.orders
             for xi in cfg.xi_list
-            for g in (cfg.gamma_list or (cfg.gamma,))
+            for g in gammas
             for dt in cfg.dt_grid
         ]
     if kind in ("observables", "correlations"):
@@ -269,16 +261,30 @@ def _eval_task(cfg: ExperimentConfig, task: dict) -> list[tuple]:
             cfg, task["gamma"], task["dt"], task["order"], task["xi"]
         )
         return [(task["order"], task["dt"], task["xi"], task["gamma"], avg, final)]
-    if kind == "observables":
+    if kind in ("observables", "correlations"):
         return _observable_rows(cfg, task)
-    if kind == "correlations":
-        return _correlation_rows(cfg, task)
     if kind == "gate_counts":
         return _gate_count_rows(cfg, task)
     raise ValueError(f"unknown experiment {kind!r}")
 
 
+def _state_values(cfg: ExperimentConfig, params: ModelParams, rho) -> tuple[float, float]:
+    """(boson_occupation, spin_z) for observables, (czz, cxx) for correlations."""
+    if cfg.experiment == "observables":
+        number = metrics.ObservableSpec(metrics.BOSON_NUMBER)
+        spin_z = metrics.ObservableSpec(metrics.SIGMA_Z, 0)
+        return (
+            metrics.expectation(rho, number, params, cfg.code),
+            metrics.expectation(rho, spin_z, params, cfg.code),
+        )
+    return (
+        metrics.connected_correlation(rho, "ZZ", params),
+        metrics.connected_correlation(rho, "XX", params),
+    )
+
+
 def _observable_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
+    """Circuit rows (source="circuit") for observables/correlations."""
     params = cfg.model_params()
     dt = task["dt"]
     n_steps = steps_for(cfg.t_final, dt)
@@ -290,18 +296,13 @@ def _observable_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
     rows = []
     for k, snap in enumerate(simulated):
         if cfg.shots is None:
-            occupation = metrics.expectation(
-                snap.rho, metrics.ObservableSpec(metrics.BOSON_NUMBER), params, cfg.code
-            )
-            spin_z = metrics.expectation(
-                snap.rho, metrics.ObservableSpec(metrics.SIGMA_Z, 0), params, cfg.code
-            )
+            values = _state_values(cfg, params, snap.rho)
         else:
             seed = np.random.SeedSequence(
                 [cfg.seed, task["order"], int(round(task["xi"] * 10**6)), k]
             ).generate_state(1)[0]
-            occupation, spin_z = _sampled_observables(cfg, params, snap.rho, confusions, int(seed))
-        rows.append(("circuit", task["order"], task["xi"], snap.t, occupation, spin_z))
+            values = _sampled_observables(cfg, params, snap.rho, confusions, int(seed))
+        rows.append(("circuit", task["order"], task["xi"], snap.t, *values))
     return rows
 
 
@@ -330,40 +331,13 @@ def _sampled_observables(
     return occupation, spin_z
 
 
-def _correlation_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
-    params = cfg.model_params()
-    dt = task["dt"]
-    n_steps = steps_for(cfg.t_final, dt)
-    simulated = _simulated_trajectory(cfg, cfg.gamma, dt, n_steps, task["order"], task["xi"])
-    rows = []
-    for snap in simulated:
-        czz = metrics.connected_correlation(snap.rho, "ZZ", params)
-        cxx = metrics.connected_correlation(snap.rho, "XX", params)
-        rows.append(("circuit", task["order"], task["xi"], snap.t, czz, cxx))
-    return rows
-
-
 def _exact_value_rows(cfg: ExperimentConfig) -> list[tuple]:
     """Reference rows (source="exact") for observables/correlations."""
     params = cfg.model_params()
     dt = cfg.dt_grid[0]
     n_steps = steps_for(cfg.t_final, dt)
     exact = _exact_trajectory(cfg, cfg.gamma, dt, n_steps)
-    rows = []
-    for snap in exact:
-        if cfg.experiment == "observables":
-            occupation = metrics.expectation(
-                snap.rho, metrics.ObservableSpec(metrics.BOSON_NUMBER), params, cfg.code
-            )
-            spin_z = metrics.expectation(
-                snap.rho, metrics.ObservableSpec(metrics.SIGMA_Z, 0), params, cfg.code
-            )
-            rows.append(("exact", 0, 0.0, snap.t, occupation, spin_z))
-        else:
-            czz = metrics.connected_correlation(snap.rho, "ZZ", params)
-            cxx = metrics.connected_correlation(snap.rho, "XX", params)
-            rows.append(("exact", 0, 0.0, snap.t, czz, cxx))
-    return rows
+    return [("exact", 0, 0.0, snap.t, *_state_values(cfg, params, snap.rho)) for snap in exact]
 
 
 def _gate_count_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:

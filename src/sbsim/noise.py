@@ -207,9 +207,7 @@ def identity_channel(n_qubits: int = 1) -> QuantumChannel:
     return QuantumChannel((np.eye(2**n_qubits, dtype=complex),))
 
 
-def thermal_relaxation_channel(
-    t1: float, t2: float, t_gate: float, excited_population: float = 0.0
-) -> QuantumChannel:
+def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> QuantumChannel:
     """Single-qubit thermal relaxation acting for ``t_gate`` (same unit as T1/T2).
 
     For T2 <= T1 the channel is the mixture {identity, phase flip, reset}
@@ -221,8 +219,6 @@ def thermal_relaxation_channel(
         raise ValueError("relaxation times must be positive")
     if t2 > 2 * t1:
         raise ValueError(f"T2={t2} > 2 T1={2 * t1} is unphysical")
-    if excited_population != 0.0:
-        raise ValueError("only zero-temperature relaxation is modeled")
     if t_gate < 0:
         raise ValueError("gate time must be nonnegative")
     if t_gate == 0:
@@ -345,29 +341,33 @@ class NoiseModel:
         return [self.readout[q] for q in qubits]
 
 
-def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:
-    """Compose thermal relaxation then depolarizing per gate entry, scaled by xi.
+def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> QuantumChannel:
+    """Thermal relaxation of a gate entry's operands for the gate's duration.
 
     Two-qubit thermal error is the tensor product of the operands'
     single-qubit channels.  Wildcard gate entries use the processor-average
     qubit parameters.
     """
+    n_q = 2 if entry.kind == "cx" else 1
+    if entry.qubits is None:
+        qcals = [cal.mean_qubit()] * n_q
+    else:
+        if len(entry.qubits) != n_q:
+            raise ValueError(f"{entry.kind} entry with {len(entry.qubits)} operands")
+        qcals = [cal.qubits[q] for q in entry.qubits]
+    t_us = entry.time_ns * 1e-3
+    singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]
+    return singles[0] if n_q == 1 else singles[0].tensor(singles[1])
+
+
+def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:
+    """Compose thermal relaxation then depolarizing per gate entry, scaled by xi."""
     scaled = scale_calibration(cal, xi)
-    mean_q = scaled.mean_qubit()
     channels = {}
     for entry in scaled.gates:
-        n_q = 2 if entry.kind == "cx" else 1
-        if entry.qubits is None:
-            qcals = [mean_q] * n_q
-        else:
-            if len(entry.qubits) != n_q:
-                raise ValueError(f"{entry.kind} entry with {len(entry.qubits)} operands")
-            qcals = [scaled.qubits[q] for q in entry.qubits]
-        t_us = entry.time_ns * 1e-3
-        singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]
-        thermal = singles[0] if n_q == 1 else singles[0].tensor(singles[1])
+        thermal = _gate_thermal_channel(scaled, entry)
         p_depol = depolarizing_probability(entry.error, thermal)
-        channel = thermal.then(depolarizing_channel(p_depol, n_q)).compressed()
+        channel = thermal.then(depolarizing_channel(p_depol, thermal.n_qubits)).compressed()
         if not channel.is_cptp():
             raise RuntimeError(f"constructed channel for {entry.kind} is not CPTP")
         channels[(entry.kind, entry.qubits)] = channel
@@ -382,19 +382,13 @@ def error_source_ratio(cal: CalibrationData, kinds: tuple[str, ...] = ("cx", "sx
 
     Virtual gates (zero duration and zero error) are skipped.
     """
-    mean_q = cal.mean_qubit()
     per_kind = []
     for kind in kinds:
         ratios = []
         for entry in cal.gates:
             if entry.kind != kind or (entry.time_ns == 0 and entry.error == 0):
                 continue
-            n_q = 2 if kind == "cx" else 1
-            qcals = [mean_q] * n_q if entry.qubits is None else [cal.qubits[q] for q in entry.qubits]
-            t_us = entry.time_ns * 1e-3
-            singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]
-            thermal = singles[0] if n_q == 1 else singles[0].tensor(singles[1])
-            i_thermal = 1.0 - average_gate_fidelity(thermal)
+            i_thermal = 1.0 - average_gate_fidelity(_gate_thermal_channel(cal, entry))
             i_depol = entry.error - i_thermal
             if i_depol <= 0:
                 raise ValueError(f"thermal error exceeds calibrated error for {kind}")

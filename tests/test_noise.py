@@ -81,11 +81,6 @@ def test_unphysical_t2_rejected():
         QubitCalibration(100.0, 201.0, 5.0, 0.01, 0.01)
 
 
-def test_nonzero_temperature_rejected():
-    with pytest.raises(ValueError):
-        thermal_relaxation_channel(100.0, 50.0, 0.1, excited_population=0.1)
-
-
 def test_average_gate_fidelity_identity():
     assert average_gate_fidelity(identity_channel(1)) == pytest.approx(1.0, abs=1e-12)
 

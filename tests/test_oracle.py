@@ -1,16 +1,32 @@
-"""Reference integrator against closed-form open-system solutions."""
+"""Reference propagator against scipy's expm and closed-form open-system solutions."""
+
+import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sbsim import metrics, noise, sim, transpile
+from sbsim.circuits import assemble_evolution
+from sbsim.experiments import make_config, run
 from sbsim.model import (
     EQ2_LITERAL,
     PAPER_COLLISION,
     InitialStateSpec,
     ModelParams,
+    dense_hamiltonian,
     initial_density_matrix,
+    lindblad_operators,
 )
 from sbsim.oracle import evolve_exact, liouvillian
+
+
+def _expm_reference(rho0, params, t, convention=PAPER_COLLISION):
+    """exp(L t) rho0 from scipy, on an independently built generator."""
+    jumps = lindblad_operators(params, convention) if params.gamma > 0 else []
+    gen = liouvillian(dense_hamiltonian(params), jumps)
+    vec = scipy.linalg.expm(gen * t) @ rho0.astype(complex).flatten(order="F")
+    return vec.reshape(rho0.shape, order="F")
 
 
 def test_unitary_limit_preserves_purity():
@@ -47,19 +63,50 @@ def test_zero_hamiltonian_coherence_decay():
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     gen = liouvillian(h, [(lower, gamma)])
     plus = np.full((2, 2), 0.5, dtype=complex)
-    vec = plus.flatten(order="F")
-    dt = 1e-3
-    # one RK4 trajectory by hand through the generator
-    t, steps = 0.0, 1500
-    for _ in range(steps):
-        k1 = gen @ vec
-        k2 = gen @ (vec + dt / 2 * k1)
-        k3 = gen @ (vec + dt / 2 * k2)
-        k4 = gen @ (vec + dt * k3)
-        vec = vec + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    rho = vec.reshape(2, 2, order="F")
-    assert abs(rho[0, 1] - 0.5 * np.exp(-gamma * t / 2)) < 1e-8
+    for t in (0.3, 1.5, 4.0):
+        rho = (scipy.linalg.expm(gen * t) @ plus.flatten(order="F")).reshape(2, 2, order="F")
+        assert abs(rho[0, 1] - 0.5 * np.exp(-gamma * t / 2)) < 1e-12
+        assert abs(rho[1, 1] - 0.5 * np.exp(-gamma * t)) < 1e-12
+
+
+@pytest.mark.parametrize("n_spins", [1, 2])
+@pytest.mark.parametrize("convention", [PAPER_COLLISION, EQ2_LITERAL])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "grid", [[0.2 * k for k in range(11)], [0.0, 0.5, 1.0, 2.0]], ids=["uniform", "nonuniform"]
+)
+def test_matches_scipy_expm(n_spins, convention, gamma, grid):
+    params = ModelParams(gamma=gamma, n_spins=n_spins)
+    spins = ("up",) if n_spins == 1 else ("up", "down")
+    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
+    traj = evolve_exact(rho0, params, grid, convention)
+    assert [snap.t for snap in traj] == grid
+    for snap in traj:
+        expected = _expm_reference(rho0, params, snap.t, convention)
+        assert np.max(np.abs(snap.rho - expected)) < 1e-12
+
+
+def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
+    # gamma = 0 keeps the reference pure; spurious eigenvalues of an
+    # approximate reference are amplified by the square roots in the fidelity
+    cfg = make_config(
+        "gamma_sweep",
+        overrides={"gamma_list": (0.0,), "xi_list": (0.01,), "out_dir": str(tmp_path)},
+    )
+    csv_path, _ = run(cfg)
+    with open(csv_path) as fh:
+        (row,) = csv.DictReader(fh)
+    params = cfg.model_params(0.0)
+    dt = cfg.dt_grid[0]
+    n_steps = round(cfg.t_final / dt)
+    circuit = assemble_evolution(
+        params, cfg.initial_state(), n_steps, dt, cfg.orders[0], cfg.code, cfg.convention
+    )
+    model = noise.build_noise_model(cfg.load_calibration(), 0.01)
+    simulated = sim.simulate(transpile.decompose_native(circuit), noise=model).snapshots[-1]
+    rho0 = initial_density_matrix(cfg.initial_state(), params)
+    expected = metrics.infidelity(simulated, _expm_reference(rho0, params, n_steps * dt))
+    assert abs(float(row["final_infidelity"]) - expected) < 1e-10
 
 
 def test_grid_validation():
@@ -71,20 +118,15 @@ def test_grid_validation():
         evolve_exact(rho0, params, [0.0, 0.4, 0.2])
 
 
-def test_step_halving_changes_little():
+def test_drift_checks_reject_unphysical_states():
     params = ModelParams()
     rho0 = initial_density_matrix(InitialStateSpec(), params)
-    grid = [0.0, 1.0, 2.0]
-    coarse = evolve_exact(rho0, params, grid, max_step=1e-3, refine=False)
-    fine = evolve_exact(rho0, params, grid, max_step=5e-4, refine=False)
-    assert np.max(np.abs(coarse[-1].rho - fine[-1].rho)) < 1e-7
-
-
-def test_refinement_accepts_default_step():
-    params = ModelParams()
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
-    traj = evolve_exact(rho0, params, [0.0, 0.3], refine=True)
-    assert abs(np.trace(traj[-1].rho).real - 1.0) < 1e-9
+    with pytest.raises(RuntimeError, match="trace drift"):
+        evolve_exact(2 * rho0, params, [0.0, 0.1])
+    skew = np.zeros_like(rho0)
+    skew[0, 1] = 1e-3
+    with pytest.raises(RuntimeError, match="Hermiticity drift"):
+        evolve_exact(rho0 + skew, params, [0.0, 0.1])
 
 
 def test_dimension_mismatch():
