@@ -52,8 +52,12 @@ def main(argv: list[str] | None = None) -> int:
     config_path = values.pop("config", None)
     file_values = {}
     if config_path:
-        with open(config_path) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                file_values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read config {config_path!r}: {exc}", file=sys.stderr)
+            return 2
     try:
         cfg = make_config(experiment, file_values, values)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, metrics, noise, sim, transpile
-from .circuits import assemble_evolution
+from .circuits import assemble_evolution, evolution_layout
 from .encoding import GRAY, STANDARD_BINARY, BitCode, TruncationSpec
 from .encoding import code_index as encoding_code_index
 from .model import (
@@ -84,16 +84,14 @@ class ExperimentConfig:
             problems.append(f"unknown rate convention {self.convention!r}")
         if not self.orders or any(o not in (1, 2) for o in self.orders):
             problems.append(f"orders must be a non-empty subset of (1, 2), got {self.orders}")
-        if not self.dt_grid or any(dt <= 0 for dt in self.dt_grid):
-            problems.append(f"dt grid must be non-empty and positive, got {self.dt_grid}")
-        if self.t_final <= 0:
-            problems.append("t_final must be positive")
-        if any(x < 0 or x > 1 for x in self.xi_list) or not self.xi_list:
+        if not self.dt_grid or not all(0 < dt < np.inf for dt in self.dt_grid):
+            problems.append(f"dt grid must be non-empty, positive and finite, got {self.dt_grid}")
+        if not 0 < self.t_final < np.inf:
+            problems.append("t_final must be positive and finite")
+        if not self.xi_list or not all(0 <= x <= 1 for x in self.xi_list):
             problems.append(f"xi values must lie in [0, 1], got {self.xi_list}")
-        if any(g < 0 for g in self.gamma_list):
-            problems.append("gamma values must be nonnegative")
-        if self.gamma < 0:
-            problems.append("gamma must be nonnegative")
+        if not all(0 <= g < np.inf for g in self.gamma_list):
+            problems.append("gamma values must be nonnegative and finite")
         if self.shots is not None and self.shots < 1:
             problems.append("shots must be at least 1 when given")
         if self.shots is not None and self.experiment != "observables":
@@ -102,10 +100,21 @@ class ExperimentConfig:
             problems.append("observables/correlations need a single dt (exact rows share its grid)")
         if self.experiment == "correlations" and self.n_spins != 2:
             problems.append("correlations need n_spins = 2")
-        if self.n_spins not in (1, 2) and self.experiment != "gate_counts":
-            problems.append("assembled circuits support one or two spins")
         if self.workers < 1:
             problems.append("workers must be at least 1")
+        try:
+            params = self.model_params()
+            if self.experiment != "gate_counts":
+                width = len(evolution_layout(params)[0])
+                if width > sim.MAX_SIM_WIDTH:
+                    problems.append(f"{width}-qubit circuit exceeds the engine limit {sim.MAX_SIM_WIDTH}")
+        except ValueError as exc:
+            problems.append(str(exc))
+        if self.calibration is not None:
+            try:
+                self.load_calibration()
+            except (OSError, ValueError) as exc:
+                problems.append(f"cannot load calibration {self.calibration!r}: {exc}")
         return problems
 
     def model_params(self, gamma: float | None = None) -> ModelParams:

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import encoding
 from .encoding import GRAY, BitCode, TruncationSpec
+from .pauli import embed_operator
 
 BOSON_NUMBER = "boson_number"
 SIGMA_Z = "sigma_z"
@@ -70,12 +71,6 @@ def time_averaged_infidelity(traj_sim, traj_exact, grid_tol: float = 1e-9) -> fl
     return float(np.mean(values))
 
 
-def _embed_single(op: np.ndarray, pos: int, width: int) -> np.ndarray:
-    left = np.eye(2**pos, dtype=complex)
-    right = np.eye(2 ** (width - pos - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
-
-
 def observable_matrix(obs: ObservableSpec, params, code_kind: str = GRAY) -> np.ndarray:
     """Dense observable on the spin+boson register."""
     width = params.register_width
@@ -83,14 +78,12 @@ def observable_matrix(obs: ObservableSpec, params, code_kind: str = GRAY) -> np.
         spec = TruncationSpec(params.d_ho)
         code = BitCode(code_kind, spec.n_qubits)
         number = encoding.encode_boson_operator("number", spec, code).to_dense()
-        left = np.eye(2 ** params.boson_positions[0], dtype=complex)
-        right = np.eye(2 ** (width - params.boson_positions[-1] - 1), dtype=complex)
-        return np.kron(np.kron(left, number), right)
+        return embed_operator(number, params.boson_positions, width)
     if obs.kind in (SIGMA_Z, SIGMA_X):
         if not 0 <= obs.spin < params.n_spins:
             raise ValueError(f"spin index {obs.spin} out of range")
         op = _SZ_PHYS if obs.kind == SIGMA_Z else _X
-        return _embed_single(op, params.spin_positions[obs.spin], width)
+        return embed_operator(op, (params.spin_positions[obs.spin],), width)
     raise ValueError(f"no single-operator realization for {obs.kind!r}")
 
 
@@ -113,8 +106,8 @@ def connected_correlation(rho: np.ndarray, pair: str, params) -> float:
     op = _SZ_PHYS if pair == "ZZ" else _X
     width = params.register_width
     p1, p2 = params.spin_positions
-    o1 = _embed_single(op, p1, width)
-    o2 = _embed_single(op, p2, width)
+    o1 = embed_operator(op, (p1,), width)
+    o2 = embed_operator(op, (p2,), width)
     e1 = float(np.trace(rho @ o1).real)
     e2 = float(np.trace(rho @ o2).real)
     e12 = float(np.trace(rho @ (o1 @ o2)).real)

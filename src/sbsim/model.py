@@ -26,7 +26,7 @@ import numpy as np
 
 from . import encoding
 from .encoding import GRAY, BitCode, TruncationSpec
-from .pauli import PauliSum
+from .pauli import PauliSum, embed_operator
 
 PAPER_COLLISION = "paper-collision"
 EQ2_LITERAL = "eq2-literal"
@@ -116,12 +116,7 @@ def lindblad_operators(
     """One lowering operator per spin on the full register, with its rate."""
     rate = gamma_eff(params.gamma, convention)
     width = params.register_width
-    ops = []
-    for sq in params.spin_positions:
-        left = np.eye(2**sq, dtype=complex)
-        right = np.eye(2 ** (width - sq - 1), dtype=complex)
-        ops.append((np.kron(np.kron(left, _LOWER), right), rate))
-    return ops
+    return [(embed_operator(_LOWER, (sq,), width), rate) for sq in params.spin_positions]
 
 
 def initial_density_matrix(

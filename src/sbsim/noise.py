@@ -27,6 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .metrics import fidelity
+from .pauli import kron_all
 
 CPTP_TOL = 1e-10
 
@@ -254,17 +255,10 @@ def depolarizing_channel(p: float, n_qubits: int) -> QuantumChannel:
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
     d2 = 4**n_qubits
-    paulis = [_kron_all(c) for c in itertools.product(_PAULIS_1Q, repeat=n_qubits)]
+    paulis = [kron_all(c) for c in itertools.product(_PAULIS_1Q, repeat=n_qubits)]
     kraus = [math.sqrt(1.0 - p * (d2 - 1) / d2) * paulis[0]]
     kraus += [math.sqrt(p / d2) * m for m in paulis[1:]]
     return QuantumChannel(tuple(kraus))
-
-
-def _kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
 
 
 def process_fidelity(channel: QuantumChannel, target: np.ndarray | None = None) -> float:

@@ -64,10 +64,7 @@ class PauliString:
         return PauliString(self.letters, self.coefficient.conjugate())
 
     def to_dense(self) -> np.ndarray:
-        out = np.array([[self.coefficient]], dtype=complex)
-        for c in self.letters:
-            out = np.kron(out, PAULI_MATRICES[c])
-        return out
+        return self.coefficient * kron_all(PAULI_MATRICES[c] for c in self.letters)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -168,6 +165,28 @@ def to_dense(s: PauliSum, max_width: int = 8) -> np.ndarray:
     for t in s.terms:
         out += t.to_dense()
     return out
+
+
+def kron_all(mats) -> np.ndarray:
+    """Kronecker product of the matrices in order (the first is leftmost)."""
+    out = np.ones((1, 1))
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def embed_operator(op: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
+    """Expand a k-qubit operator to the full register (qubit 0 leftmost)."""
+    k = len(qubits)
+    if op.shape != (2**k, 2**k):
+        raise ValueError("operator shape does not match operand count")
+    rest = [q for q in range(width) if q not in qubits]
+    full = np.kron(op, np.eye(2 ** (width - k), dtype=complex))
+    order = list(qubits) + rest
+    perm = [order.index(q) for q in range(width)]
+    tensor = full.reshape((2,) * (2 * width))
+    tensor = tensor.transpose(perm + [width + p for p in perm])
+    return np.ascontiguousarray(tensor.reshape(2**width, 2**width))
 
 
 def _fmt_coeff(c: complex) -> str:

@@ -1,9 +1,10 @@
 """Density-matrix execution engine.
 
-Applies gate unitaries, per-gate noise channels, resets, and measurement
-sampling on registers of up to six qubits (dense 64 x 64 states).  States
-marked by barriers are reduced to the spin+boson register (auxiliaries
-traced out) whenever the circuit carries a model-register map.
+Applies every gate, noisy gate and reset as a local superoperator on its
+operands (no full-register operators), plus measurement sampling and readout
+mitigation, on registers of up to six qubits.  States marked by barriers are
+reduced to the spin+boson register (auxiliaries traced out) whenever the
+circuit carries a model-register map.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, Gate
+from .pauli import kron_all
 
 MAX_SIM_WIDTH = 6
 _TRACE_TOL = 1e-9
@@ -59,20 +61,6 @@ def gate_unitary(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"gate kind {kind!r} has no unitary")
 
 
-def embed_operator(op: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Expand a k-qubit operator to the full register (qubit 0 leftmost)."""
-    k = len(qubits)
-    if op.shape != (2**k, 2**k):
-        raise ValueError("operator shape does not match operand count")
-    rest = [q for q in range(width) if q not in qubits]
-    full = np.kron(op, np.eye(2 ** (width - k), dtype=complex))
-    order = list(qubits) + rest
-    perm = [order.index(q) for q in range(width)]
-    tensor = full.reshape((2,) * (2 * width))
-    tensor = tensor.transpose(perm + [width + p for p in perm])
-    return np.ascontiguousarray(tensor.reshape(2**width, 2**width))
-
-
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndarray:
     """Reduced state on ``keep``, reordered to the order given there."""
     tensor = rho.reshape((2,) * (2 * width))
@@ -112,46 +100,47 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
     if rho.shape != (2**width, 2**width):
         raise ValueError("initial state does not match the register")
 
-    unitary_cache: dict[tuple, np.ndarray] = {}
-    kraus_cache: dict[tuple, list[np.ndarray]] = {}
+    compiled: dict[Gate, tuple[np.ndarray, np.ndarray]] = {}
     snapshots: list[np.ndarray] = []
-
-    def full_unitary(kind, qubits, angle):
-        key = (kind, qubits, angle)
-        if key not in unitary_cache:
-            unitary_cache[key] = embed_operator(gate_unitary(kind, angle), qubits, width)
-        return unitary_cache[key]
-
-    def full_kraus(kind, qubits):
-        key = (kind, qubits)
-        if key not in kraus_cache:
-            channel = noise.channel_for(kind, qubits)
-            kraus_cache[key] = [embed_operator(k, qubits, width) for k in channel.kraus]
-        return kraus_cache[key]
-
     for g in circuit.gates:
         if g.kind == "barrier":
             snapshots.append(_snapshot(rho, circuit))
             continue
         if g.kind == "measure":
             continue
-        if g.kind == "reset":
-            ks = [embed_operator(k, g.qubits, width) for k in _RESET_KRAUS]
-            rho = sum(k @ rho @ k.conj().T for k in ks)
-            continue
-        if noise is not None and g.kind in ("ry", "cry"):
-            raise ValueError("noisy simulation requires a native circuit; transpile first")
-        u = full_unitary(g.kind, g.qubits, g.angle)
-        rho = u @ rho @ u.conj().T
+        if g not in compiled:
+            compiled[g] = _compile(g, noise, width)
+        superop, idx = compiled[g]
+        out = np.empty(rho.size, dtype=complex)
+        out[idx] = superop @ rho.ravel()[idx]
+        rho = out.reshape(rho.shape)
         if noise is not None:
-            out = np.zeros_like(rho)
-            for k in full_kraus(g.kind, g.qubits):
-                out += k @ rho @ k.conj().T
-            rho = out
             drift = abs(np.trace(rho).real - 1.0)
             if drift > _TRACE_TOL:
                 raise RuntimeError(f"trace drift {drift:.2e} after {g.kind}; engine invariant broken")
     return SimulationResult(snapshots, rho)
+
+
+def _compile(gate: Gate, noise, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Superoperator sum_k (K_k U) x conj(K_k U) of a gate, and its index array.
+
+    Row l of the index array lists the flat entries of rho whose operand row
+    and column bits, read as one 2k-bit word, equal l.
+    """
+    if gate.kind == "reset":
+        kraus = _RESET_KRAUS
+    else:
+        if noise is not None and gate.kind in ("ry", "cry"):
+            raise ValueError("noisy simulation requires a native circuit; transpile first")
+        u = gate_unitary(gate.kind, gate.angle)
+        kraus = [u]
+        if noise is not None:
+            kraus = [k @ u for k in noise.channel_for(gate.kind, gate.qubits).kraus]
+    superop = sum(np.kron(k, k.conj()) for k in kraus)
+    operand_axes = list(gate.qubits) + [width + q for q in gate.qubits]
+    axes = operand_axes + [a for a in range(2 * width) if a not in operand_axes]
+    idx = np.arange(4**width).reshape((2,) * (2 * width)).transpose(axes)
+    return superop, idx.reshape(superop.shape[0], -1)
 
 
 def _snapshot(rho: np.ndarray, circuit: Circuit) -> np.ndarray:
@@ -193,19 +182,12 @@ def sample_counts(
     probs = np.clip(np.diag(marginal).real, 0.0, None)
     probs = probs / probs.sum()
     if readout is not None:
-        probs = probs @ _joint_confusion(readout)
+        probs = probs @ kron_all(readout)
     rng = np.random.default_rng(seed)
     drawn = rng.multinomial(shots, probs)
     n_bits = len(qubits)
     counts = {format(i, f"0{n_bits}b"): int(c) for i, c in enumerate(drawn) if c > 0}
     return CountsTable(counts, shots)
-
-
-def _joint_confusion(mats: list[np.ndarray]) -> np.ndarray:
-    joint = np.array([[1.0]])
-    for m in mats:
-        joint = np.kron(joint, m)
-    return joint
 
 
 def mitigate_readout(
@@ -219,7 +201,7 @@ def mitigate_readout(
     """
     n_bits = len(confusions)
     freq = counts.vector(n_bits) / counts.shots
-    joint = _joint_confusion(confusions)
+    joint = kron_all(confusions)
     quasi = np.linalg.solve(joint.T, freq)
     return _project_simplex(quasi) if project else quasi
 

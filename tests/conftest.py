@@ -8,7 +8,7 @@ unitaries and channels are checked against an independent construction.
 import numpy as np
 import pytest
 
-from sbsim.sim import gate_unitary
+from sbsim.sim import gate_unitary, partial_trace
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,6 +59,41 @@ def circuit_unitary(circuit) -> np.ndarray:
             raise ValueError("circuit is not unitary")
         total = embed_bruteforce(gate_unitary(g.kind, g.angle), g.qubits, circuit.width) @ total
     return total
+
+
+def simulate_bruteforce(circuit, noise=None):
+    """Full-width reference engine: (snapshots, final state) of the circuit.
+
+    Each gate embeds its unitary, then each Kraus operator of its noise
+    channel, onto the whole register; resets stay ideal and barriers record
+    the state, reduced to the model register when the circuit maps one.
+    """
+    width = circuit.width
+    rho = np.zeros((2**width, 2**width), dtype=complex)
+    rho[0, 0] = 1.0
+    embedded = {}
+
+    def full(op, qubits):
+        key = (op.tobytes(), qubits)
+        if key not in embedded:
+            embedded[key] = embed_bruteforce(op, qubits, width)
+        return embedded[key]
+
+    def apply(ops, qubits):
+        return sum(full(k, qubits) @ rho @ full(k, qubits).conj().T for k in ops)
+
+    snapshots = []
+    for g in circuit.gates:
+        if g.kind == "barrier":
+            reduce = circuit.model_register is not None
+            snapshots.append(partial_trace(rho, circuit.model_register, width) if reduce else rho)
+        elif g.kind == "reset":
+            rho = apply([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])], g.qubits)
+        elif g.kind != "measure":
+            rho = apply([gate_unitary(g.kind, g.angle)], g.qubits)
+            if noise is not None:
+                rho = apply(noise.channel_for(g.kind, g.qubits).kraus, g.qubits)
+    return snapshots, rho
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -218,3 +218,25 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
     code = main(["noise_sweep", "--xi", "7.0", "--out", str(tmp_path)])
     assert code == 2
     assert "xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--calibration", "{tmp}/missing.json"], "calibration"),
+        (["--calibration", "{tmp}/truncated.json"], "calibration"),
+        (["--config", "{tmp}/missing.json"], "config"),
+        (["--config", "{tmp}/truncated.json"], "config"),
+        (["--omega", "nan"], "omega must be finite"),
+        (["--dt", "nan"], "dt grid must be non-empty, positive and finite"),
+        (["--xi", "nan"], "xi values must lie in [0, 1]"),
+        (["--n-spins", "2", "--d-ho", "8"], "7-qubit circuit exceeds"),
+    ],
+)
+def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
+    (tmp_path / "truncated.json").write_text('{"qubits": [')
+    out = tmp_path / "out"
+    argv = ["noise_sweep", *[a.format(tmp=tmp_path) for a in args], "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import embed_bruteforce, kron_all, random_density_matrix
+from conftest import embed_bruteforce, kron_all, random_density_matrix, simulate_bruteforce
 from sbsim.circuits import Circuit, Gate, assemble_evolution, collision_block, trotter_step
 from sbsim.metrics import fidelity, time_averaged_infidelity
 from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
 from sbsim.noise import build_noise_model, jakarta_average_calibration
 from sbsim.oracle import TrajectorySnapshot, evolve_exact
+from sbsim.pauli import embed_operator
 from sbsim.sim import (
     CountsTable,
-    embed_operator,
     ground_state,
     mitigate_readout,
     partial_trace,
@@ -113,16 +113,48 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
     assert worst < 1e-12
 
 
-def test_noisy_simulation_preserves_trace_and_hermiticity():
-    params = ModelParams()
-    circuit = decompose_native(assemble_evolution(params, InitialStateSpec(), 5, 0.2))
-    model = build_noise_model(jakarta_average_calibration(), 1.0)
+def _native_evolution(n_spins: int, order: int, n_steps: int):
+    params = ModelParams(n_spins=n_spins, omega=6.0 if n_spins == 2 else 4.0)
+    spec = InitialStateSpec(("up", "down")[:n_spins])
+    return decompose_native(assemble_evolution(params, spec, n_steps, 0.2, order))
+
+
+def _assert_matches_bruteforce(circuit, xi):
+    model = build_noise_model(jakarta_average_calibration(), xi) if xi > 0 else None
     result = simulate(circuit, noise=model)
-    assert abs(np.trace(result.final).real - 1.0) < 1e-10
-    assert np.max(np.abs(result.final - result.final.conj().T)) < 1e-10
-    for snap in result.snapshots:
-        assert abs(np.trace(snap).real - 1.0) < 1e-10
-        assert np.min(np.linalg.eigvalsh((snap + snap.conj().T) / 2)) > -1e-9
+    snapshots, final = simulate_bruteforce(circuit, noise=model)
+    assert len(result.snapshots) == len(snapshots)
+    for got, want in zip(result.snapshots + [result.final], snapshots + [final]):
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_simulate_matches_bruteforce_engine(n_spins, order, xi):
+    _assert_matches_bruteforce(_native_evolution(n_spins, order, 3), xi)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1.0])
+def test_reversed_operands_and_mid_circuit_reset_match_bruteforce(xi):
+    gates = (
+        Gate("sx", (0,)), Gate("x", (3,)), Gate("sx", (2,)), Gate("cx", (3, 0)),
+        Gate("rz", (0,), 0.7), Gate("cx", (2, 1)), Gate("barrier"), Gate("reset", (3,)),
+        Gate("sx", (3,)), Gate("cx", (1, 3)), Gate("cx", (0, 2)), Gate("id", (1,)),
+        Gate("barrier"),
+    )
+    _assert_matches_bruteforce(Circuit(4, gates), xi)
+
+
+def test_noisy_simulation_preserves_trace_and_hermiticity():
+    model = build_noise_model(jakarta_average_calibration(), 1.0)
+    for n_spins in (1, 2):
+        result = simulate(_native_evolution(n_spins, 2, 5), noise=model)
+        assert abs(np.trace(result.final).real - 1.0) < 1e-10
+        assert np.max(np.abs(result.final - result.final.conj().T)) < 1e-10
+        for snap in result.snapshots:
+            assert abs(np.trace(snap).real - 1.0) < 1e-10
+            assert np.min(np.linalg.eigvalsh((snap + snap.conj().T) / 2)) > -1e-9
 
 
 def test_noise_requires_native_circuit():
