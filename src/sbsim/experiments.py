@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -151,18 +152,44 @@ _KIND_DEFAULTS: dict[str, dict] = {
 
 def make_config(experiment: str, file_values: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Config from kind defaults, then a JSON document, then explicit overrides."""
+    if file_values is not None and not isinstance(file_values, dict):
+        raise ValueError(f"invalid config:\n  config must be a JSON object, got {type(file_values).__name__}")
     values: dict = dict(_KIND_DEFAULTS.get(experiment, {}))
     for source in (file_values or {}), (overrides or {}):
         values.update({k: v for k, v in source.items() if v is not None})
     values.pop("experiment", None)
-    for key in ("orders", "dt_grid", "xi_list", "gamma_list"):
-        if key in values and values[key] is not None:
-            values[key] = tuple(values[key])
+    annotations = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "experiment"}
+    problems = []
+    for key, value in list(values.items()):
+        problem = _entry_problem(key, value, annotations.get(key))
+        if problem:
+            problems.append(problem)
+            del values[key]
+        elif annotations[key].startswith("tuple["):
+            values[key] = tuple(value)
     cfg = ExperimentConfig(experiment=experiment, **values)
-    problems = cfg.validate()
+    problems += cfg.validate()
     if problems:
         raise ValueError("invalid config:\n  " + "\n  ".join(problems))
     return cfg
+
+
+_ITEM_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _entry_problem(key: str, value, annotation: str | None) -> str | None:
+    """Why a config entry does not fit its ExperimentConfig field, or None if it does."""
+    if annotation is None:
+        return f"unknown config key {key!r}"
+    item = annotation.removesuffix(" | None")
+    many = item.startswith("tuple[")
+    if many:
+        item = item[len("tuple["):-len(", ...]")]
+    items = value if many else (value,)
+    ok = isinstance(items, (list, tuple)) and all(
+        isinstance(v, _ITEM_TYPES[item]) and not isinstance(v, bool) for v in items
+    )
+    return None if ok else f"{key} must be {'a list of ' + item if many else item}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

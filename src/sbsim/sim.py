@@ -1,10 +1,14 @@
 """Density-matrix execution engine.
 
-Applies every gate, noisy gate and reset as a local superoperator on its
-operands (no full-register operators), plus measurement sampling and readout
-mitigation, on registers of up to six qubits.  States marked by barriers are
-reduced to the spin+boson register (auxiliaries traced out) whenever the
-circuit carries a model-register map.
+Splits each circuit into runs of consecutive gates (unitary, noisy or
+reset) whose operands together cover at most two qubits, the width of the
+widest native gate; barriers and measurements end a run.  Each distinct run
+is compiled once per call into one local superoperator on its qubits (no
+full-register operators) and applied by one gather, matrix product and
+scatter.  Also measurement sampling and readout mitigation, on registers of
+up to six qubits.  States marked by barriers are reduced to the spin+boson
+register (auxiliaries traced out) whenever the circuit carries a
+model-register map.
 """
 
 from __future__ import annotations
@@ -21,10 +25,7 @@ MAX_SIM_WIDTH = 6
 _TRACE_TOL = 1e-9
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-_RESET_KRAUS = (
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    np.array([[0, 1], [0, 0]], dtype=complex),
-)
+_RESET_KRAUS = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -92,6 +93,11 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
     With a noise model the circuit must be native (no ry/cry); channels are
     applied on the gate operands right after the ideal unitary, and resets
     stay ideal.  Barriers record snapshots.
+
+    Consecutive gates whose operands together cover at most two qubits form
+    a run, and barriers and measurements end one.  Each distinct run is
+    compiled once per call into one local superoperator and applied to the
+    state by one gather, matrix product and scatter.
     """
     width = circuit.width
     if width > MAX_SIM_WIDTH:
@@ -100,47 +106,100 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
     if rho.shape != (2**width, 2**width):
         raise ValueError("initial state does not match the register")
 
-    compiled: dict[Gate, tuple[np.ndarray, np.ndarray]] = {}
+    dim = 2**width
+    vec = rho.ravel()
+    embedded: dict[tuple, np.ndarray] = {}
+    compiled: dict[tuple[Gate, ...], tuple[np.ndarray, np.ndarray]] = {}
     snapshots: list[np.ndarray] = []
-    for g in circuit.gates:
-        if g.kind == "barrier":
-            snapshots.append(_snapshot(rho, circuit))
+    for run in _runs(circuit.gates):
+        if run[0].kind == "barrier":
+            snapshots.append(_snapshot(vec.reshape(dim, dim), circuit))
             continue
-        if g.kind == "measure":
+        if run[0].kind == "measure":
             continue
-        if g not in compiled:
-            compiled[g] = _compile(g, noise, width)
-        superop, idx = compiled[g]
-        out = np.empty(rho.size, dtype=complex)
-        out[idx] = superop @ rho.ravel()[idx]
-        rho = out.reshape(rho.shape)
+        entry = compiled.get(run)
+        if entry is None:
+            entry = compiled[run] = _compile(run, noise, width, embedded)
+        superop, idx = entry
+        vec = _apply(superop, idx, vec)
         if noise is not None:
-            drift = abs(np.trace(rho).real - 1.0)
+            drift = abs(vec[:: dim + 1].sum().real - 1.0)
             if drift > _TRACE_TOL:
-                raise RuntimeError(f"trace drift {drift:.2e} after {g.kind}; engine invariant broken")
-    return SimulationResult(snapshots, rho)
+                kinds = "/".join(g.kind for g in run)
+                raise RuntimeError(f"trace drift {drift:.2e} after {kinds}; engine invariant broken")
+    return SimulationResult(snapshots, vec.reshape(dim, dim))
 
 
-def _compile(gate: Gate, noise, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Superoperator sum_k (K_k U) x conj(K_k U) of a gate, and its index array.
+def _runs(gates: tuple[Gate, ...]):
+    """Maximal runs of consecutive gates on at most two qubits; markers stand alone."""
+    run: list[Gate] = []
+    covered: set[int] = set()
+    for g in gates:
+        marker = g.kind in ("barrier", "measure")
+        if run and (marker or len(covered.union(g.qubits)) > 2):
+            yield tuple(run)
+            run, covered = [], set()
+        if marker:
+            yield (g,)
+        else:
+            run.append(g)
+            covered.update(g.qubits)
+    if run:
+        yield tuple(run)
 
-    Row l of the index array lists the flat entries of rho whose operand row
-    and column bits, read as one 2k-bit word, equal l.
+
+def _operand_index(qubits: tuple[int, ...], width: int) -> np.ndarray:
+    """Flat entries of a width-qubit rho, grouped by their operand bits.
+
+    Block l of the result (of ``4**len(qubits)`` equal blocks) lists the
+    entries whose operand row and column bits, read as one 2k-bit word,
+    equal l.
     """
+    operand_axes = list(qubits) + [width + q for q in qubits]
+    axes = operand_axes + [a for a in range(2 * width) if a not in operand_axes]
+    return np.arange(4**width).reshape((2,) * (2 * width)).transpose(axes).ravel()
+
+
+def _apply(superop: np.ndarray, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Apply a local superoperator to flat density matrices stacked along axis 0."""
+    out = np.empty_like(vecs)
+    out[idx] = (superop @ vecs[idx].reshape(superop.shape[0], -1)).reshape(vecs.shape)
+    return out
+
+
+def _compile(run: tuple[Gate, ...], noise, width: int, embedded: dict) -> tuple[np.ndarray, np.ndarray]:
+    """One superoperator for a run on the run's qubits, and its index array.
+
+    The run's local register orders its qubits by first appearance.  Each
+    gate's superoperator is placed on that register once per call (cached
+    in ``embedded``), and the run's superoperator is their product.
+    """
+    local: list[int] = []
+    for g in run:
+        local += [q for q in g.qubits if q not in local]
+    n = len(local)
+    superop = np.eye(4**n, dtype=complex)
+    for g in run:
+        key = (g, tuple(local.index(q) for q in g.qubits), n)
+        if key not in embedded:
+            identity = np.eye(4**n, dtype=complex)
+            embedded[key] = _apply(_gate_superop(g, noise), _operand_index(key[1], n), identity)
+        superop = embedded[key] @ superop
+    return superop, _operand_index(tuple(local), width)
+
+
+def _gate_superop(gate: Gate, noise) -> np.ndarray:
+    """Superoperator sum_k (K_k U) x conj(K_k U) of one gate on its operands."""
     if gate.kind == "reset":
         kraus = _RESET_KRAUS
     else:
         if noise is not None and gate.kind in ("ry", "cry"):
             raise ValueError("noisy simulation requires a native circuit; transpile first")
-        u = gate_unitary(gate.kind, gate.angle)
-        kraus = [u]
+        kraus = gate_unitary(gate.kind, gate.angle)[None]
         if noise is not None:
-            kraus = [k @ u for k in noise.channel_for(gate.kind, gate.qubits).kraus]
-    superop = sum(np.kron(k, k.conj()) for k in kraus)
-    operand_axes = list(gate.qubits) + [width + q for q in gate.qubits]
-    axes = operand_axes + [a for a in range(2 * width) if a not in operand_axes]
-    idx = np.arange(4**width).reshape((2,) * (2 * width)).transpose(axes)
-    return superop, idx.reshape(superop.shape[0], -1)
+            kraus = np.stack(noise.channel_for(gate.kind, gate.qubits).kraus) @ kraus
+    d = kraus.shape[1]
+    return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
 
 
 def _snapshot(rho: np.ndarray, circuit: Circuit) -> np.ndarray:

@@ -231,10 +231,16 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--dt", "nan"], "dt grid must be non-empty, positive and finite"),
         (["--xi", "nan"], "xi values must lie in [0, 1]"),
         (["--n-spins", "2", "--d-ho", "8"], "7-qubit circuit exceeds"),
+        (["--config", "{tmp}/list.json"], "config must be a JSON object, got list"),
+        (["--config", "{tmp}/bogus.json"], "unknown config key 'bogus'"),
+        (["--config", "{tmp}/mistyped.json"], "xi_list must be a list of float, got 'abc'"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
     (tmp_path / "truncated.json").write_text('{"qubits": [')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "bogus.json").write_text('{"bogus": 1}')
+    (tmp_path / "mistyped.json").write_text('{"xi_list": "abc"}')
     out = tmp_path / "out"
     argv = ["noise_sweep", *[a.format(tmp=tmp_path) for a in args], "--out", str(out)]
     assert main(argv) == 2

@@ -1,0 +1,66 @@
+"""Golden CSVs: a tiny config of each experiment, checked cell by cell at 1e-10.
+
+The goldens in ``tests/golden/`` pin the numbers, so an engine, oracle or
+harness change that drifts any CSV value shows here.  Regenerate them only
+on purpose, with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import os
+import shutil
+import sys
+import tempfile
+
+import pytest
+
+from sbsim.experiments import EXPERIMENT_KINDS, make_config, run
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+TOL = 1e-10
+
+_SHORT = {"dt_grid": (0.5,), "t_final": 1.0}
+TINY_CONFIGS = {
+    "trotter_sweep": {**_SHORT, "gamma_list": (0.0, 1.0), "xi_list": (0.0, 0.1)},
+    "noise_sweep": {**_SHORT, "xi_list": (0.01, 1.0)},
+    "infidelity_vs_time": {**_SHORT, "orders": (1,), "xi_list": (0.1,)},
+    "gamma_sweep": {**_SHORT, "xi_list": (0.0, 0.1), "gamma_list": (0.0, 1.0)},
+    "observables": {**_SHORT, "orders": (2,), "xi_list": (0.1, 1.0)},
+    "correlations": {**_SHORT, "orders": (1,), "xi_list": (0.1,)},
+    "gate_counts": {},
+}
+
+
+def _run_tiny(experiment: str, out_dir: str) -> str:
+    cfg = make_config(experiment, overrides={**TINY_CONFIGS[experiment], "out_dir": out_dir})
+    return run(cfg)[0]
+
+
+def _cells(path: str) -> list[list[str]]:
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines()]
+
+
+def test_every_experiment_has_a_tiny_config():
+    assert set(TINY_CONFIGS) == set(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)
+def test_csv_matches_golden(experiment, tmp_path):
+    got = _cells(_run_tiny(experiment, str(tmp_path)))
+    want = _cells(os.path.join(GOLDEN_DIR, f"{experiment}.csv"))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row_got, row_want in zip(got[1:], want[1:]):
+        assert len(row_got) == len(row_want)
+        for a, b in zip(row_got, row_want):
+            try:
+                assert abs(float(a) - float(b)) <= TOL, (row_got, row_want)
+            except ValueError:
+                assert a == b
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for kind in EXPERIMENT_KINDS:
+            shutil.copy(_run_tiny(kind, out_dir), GOLDEN_DIR)
+            print(f"wrote {kind}.csv", file=sys.stderr)

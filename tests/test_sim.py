@@ -9,11 +9,19 @@ from conftest import embed_bruteforce, kron_all, random_density_matrix, simulate
 from sbsim.circuits import Circuit, Gate, assemble_evolution, collision_block, trotter_step
 from sbsim.metrics import fidelity, time_averaged_infidelity
 from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
-from sbsim.noise import build_noise_model, jakarta_average_calibration
+from sbsim.noise import (
+    CalibrationData,
+    GateCalibration,
+    QubitCalibration,
+    build_noise_model,
+    jakarta_average_calibration,
+)
 from sbsim.oracle import TrajectorySnapshot, evolve_exact
 from sbsim.pauli import embed_operator
 from sbsim.sim import (
     CountsTable,
+    _compile,
+    _runs,
     ground_state,
     mitigate_readout,
     partial_trace,
@@ -119,8 +127,9 @@ def _native_evolution(n_spins: int, order: int, n_steps: int):
     return decompose_native(assemble_evolution(params, spec, n_steps, 0.2, order))
 
 
-def _assert_matches_bruteforce(circuit, xi):
-    model = build_noise_model(jakarta_average_calibration(), xi) if xi > 0 else None
+def _assert_matches_bruteforce(circuit, xi, cal=None):
+    cal = jakarta_average_calibration() if cal is None else cal
+    model = build_noise_model(cal, xi) if xi > 0 else None
     result = simulate(circuit, noise=model)
     snapshots, final = simulate_bruteforce(circuit, noise=model)
     assert len(result.snapshots) == len(snapshots)
@@ -146,6 +155,63 @@ def test_reversed_operands_and_mid_circuit_reset_match_bruteforce(xi):
     _assert_matches_bruteforce(Circuit(4, gates), xi)
 
 
+def _operand_specific_calibration() -> CalibrationData:
+    """Every qubit, every sx and every ordered cx pair calibrated differently."""
+    qubits = tuple(
+        QubitCalibration(90.0 + 10 * q, (120.0 if q % 3 == 0 else 40.0) + 5 * q, 5.0, 0.02, 0.03)
+        for q in range(6)
+    )
+    gates = [GateCalibration("sx", (q,), 1e-3 + 2e-4 * q, 30.0 + 5 * q) for q in range(6)]
+    gates += [
+        GateCalibration("cx", (a, b), 0.02 + 0.002 * (a + 2 * b), 300.0 + 20 * a + 7 * b)
+        for a in range(6) for b in range(6) if a != b
+    ]
+    gates += [
+        GateCalibration("x", None, 1e-3, 35.0),
+        GateCalibration("id", None, 1e-3, 35.0),
+        GateCalibration("rz", None, 0.0, 0.0),
+    ]
+    return CalibrationData(qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("xi", [0.1, 1.0])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_operand_specific_noise_matches_bruteforce(n_spins, xi):
+    cal = _operand_specific_calibration()
+    model = build_noise_model(cal, xi)
+    assert model.channel_for("cx", (0, 1)) is not model.channel_for("cx", (1, 0))
+    _assert_matches_bruteforce(_native_evolution(n_spins, 2, 2), xi, cal)
+
+
+def test_runs_stop_at_barriers_and_measurements():
+    gates = (
+        Gate("sx", (0,)), Gate("barrier"), Gate("cx", (0, 1)), Gate("sx", (1,)), Gate("barrier"),
+        Gate("rz", (0,), 0.3), Gate("measure", (0,)), Gate("measure", (1,)),
+    )
+    bounds = [0, 1, 2, 4, 5, 6, 7, 8]
+    assert list(_runs(gates)) == [gates[a:b] for a, b in zip(bounds, bounds[1:])]
+    circuit = Circuit(2, gates)
+    assert len(simulate(circuit).snapshots) == 2
+    _assert_matches_bruteforce(circuit, 1.0)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_every_compiled_run_is_cptp(n_spins, xi):
+    model = build_noise_model(jakarta_average_calibration(), xi)
+    for order in (1, 2):
+        circuit = _native_evolution(n_spins, order, 1)
+        runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
+        for run in runs:
+            superop, _ = _compile(run, model, circuit.width, {})
+            d = math.isqrt(superop.shape[0])
+            identity = np.eye(d).ravel()
+            assert np.max(np.abs(identity @ superop - identity)) < 1e-12
+            choi = superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+            assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+            assert np.linalg.eigvalsh(choi).min() > -1e-12
+
+
 def test_noisy_simulation_preserves_trace_and_hermiticity():
     model = build_noise_model(jakarta_average_calibration(), 1.0)
     for n_spins in (1, 2):
@@ -159,9 +225,11 @@ def test_noisy_simulation_preserves_trace_and_hermiticity():
 
 def test_noise_requires_native_circuit():
     model = build_noise_model(jakarta_average_calibration(), 0.1)
-    c = Circuit(2, (Gate("cry", (0, 1), 0.3),))
-    with pytest.raises(ValueError):
-        simulate(c, noise=model)
+    alone = (Gate("cry", (0, 1), 0.3),)
+    mid_run = (Gate("sx", (0,)), Gate("ry", (0,), 0.3), Gate("cx", (0, 1)))
+    for gates in (alone, mid_run):
+        with pytest.raises(ValueError, match="native circuit"):
+            simulate(Circuit(2, gates), noise=model)
 
 
 def test_xi_zero_model_equals_no_model():
