@@ -1,8 +1,12 @@
 """Config-driven experiment harness: sweeps, observables, correlations, gate counts.
 
-Each experiment expands into an ordered grid of independent points; points
-can be evaluated by a worker pool, and rows are always emitted in grid
-order, so identical configs and seeds give byte-identical CSV output.
+Each experiment expands into an ordered grid of points.  ``run`` builds
+every input that points share once, in the calling process: the
+calibration, one noise model per xi and one exact reference trajectory per
+(gamma, dt).  Only the circuit trajectories, one per point, are simulated
+serially or by a worker pool; rows are then built from them and the shared
+references in grid order, so identical configs and seeds give
+byte-identical CSV output in both modes.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ class ExperimentConfig:
             problems.append("shot sampling is only supported for the observables experiment")
         if self.experiment in ("observables", "correlations") and len(self.dt_grid) != 1:
             problems.append("observables/correlations need a single dt (exact rows share its grid)")
+        if self.experiment in ("observables", "correlations") and self.gamma_list:
+            problems.append("observables/correlations run at the single gamma; gamma_list is not used")
         if self.experiment == "correlations" and self.n_spins != 2:
             problems.append("correlations need n_spins = 2")
         if self.workers < 1:
@@ -193,79 +199,15 @@ def _entry_problem(key: str, value, annotation: str | None) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# single grid point: circuit vs reference trajectories
+# experiment task lists
 
 
 def steps_for(t_final: float, dt: float) -> int:
     return max(1, round(t_final / dt))
 
 
-def _simulated_trajectory(
-    cfg: ExperimentConfig, gamma: float, dt: float, n_steps: int, order: int, xi: float
-) -> list[TrajectorySnapshot]:
-    params = cfg.model_params(gamma)
-    circuit = assemble_evolution(
-        params, cfg.initial_state(), n_steps, dt, order, cfg.code, cfg.convention
-    )
-    circuit = transpile.decompose_native(circuit)
-    model = noise.build_noise_model(cfg.load_calibration(), xi) if xi > 0 else None
-    result = sim.simulate(circuit, noise=model)
-    return [TrajectorySnapshot(k * dt, s) for k, s in enumerate(result.snapshots)]
-
-
-def _exact_trajectory(
-    cfg: ExperimentConfig, gamma: float, dt: float, n_steps: int
-) -> list[TrajectorySnapshot]:
-    params = cfg.model_params(gamma)
-    rho0 = initial_density_matrix(cfg.initial_state(), params, cfg.code)
-    grid = [k * dt for k in range(n_steps + 1)]
-    return evolve_exact(rho0, params, grid, cfg.convention, cfg.code)
-
-
-def _infidelity_point(cfg: ExperimentConfig, gamma: float, dt: float, order: int, xi: float):
-    n_steps = steps_for(cfg.t_final, dt)
-    simulated = _simulated_trajectory(cfg, gamma, dt, n_steps, order, xi)
-    exact = _exact_trajectory(cfg, gamma, dt, n_steps)
-    avg = metrics.time_averaged_infidelity(simulated, exact)
-    final = metrics.infidelity(simulated[-1].rho, exact[-1].rho)
-    per_time = [
-        (s.t, metrics.infidelity(s.rho, e.rho)) for s, e in zip(simulated, exact)
-    ]
-    return n_steps, avg, final, per_time, simulated, exact
-
-
-# ---------------------------------------------------------------------------
-# experiment task lists
-
-
 def _tasks(cfg: ExperimentConfig) -> list[dict]:
-    kind = cfg.experiment
-    gammas = cfg.gamma_list or (cfg.gamma,)
-    if kind in ("trotter_sweep", "noise_sweep", "infidelity_vs_time"):
-        return [
-            {"order": o, "gamma": g, "xi": xi, "dt": dt}
-            for o in cfg.orders
-            for g in gammas
-            for xi in cfg.xi_list
-            for dt in cfg.dt_grid
-        ]
-    if kind == "gamma_sweep":
-        # xi outside gamma: each xi's rows trace one curve over gamma
-        return [
-            {"order": o, "gamma": g, "xi": xi, "dt": dt}
-            for o in cfg.orders
-            for xi in cfg.xi_list
-            for g in gammas
-            for dt in cfg.dt_grid
-        ]
-    if kind in ("observables", "correlations"):
-        return [
-            {"order": o, "xi": xi, "dt": dt}
-            for o in cfg.orders
-            for xi in cfg.xi_list
-            for dt in cfg.dt_grid
-        ]
-    if kind == "gate_counts":
+    if cfg.experiment == "gate_counts":
         return [
             {"n_spins": ns, "d_ho": d, "order": o, "code": code}
             for ns in (1, 2)
@@ -273,35 +215,58 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
             for o in (1, 2)
             for code in (GRAY, STANDARD_BINARY)
         ]
-    raise ValueError(f"unknown experiment {kind!r}")
+    gammas = cfg.gamma_list or (cfg.gamma,)
+    if cfg.experiment == "gamma_sweep":
+        # xi outside gamma: each xi's rows trace one curve over gamma
+        grid = [(o, g, xi) for o in cfg.orders for xi in cfg.xi_list for g in gammas]
+    else:
+        grid = [(o, g, xi) for o in cfg.orders for g in gammas for xi in cfg.xi_list]
+    return [{"order": o, "gamma": g, "xi": xi, "dt": dt} for o, g, xi in grid for dt in cfg.dt_grid]
 
 
-def _eval_task(cfg: ExperimentConfig, task: dict) -> list[tuple]:
-    kind = cfg.experiment
-    if kind in ("trotter_sweep", "noise_sweep"):
-        n, avg, final, _, _, _ = _infidelity_point(
-            cfg, task["gamma"], task["dt"], task["order"], task["xi"]
-        )
-        return [(task["order"], task["gamma"], task["xi"], task["dt"], n,
-                 n * task["dt"], avg, final)]
-    if kind == "infidelity_vs_time":
-        _, _, _, per_time, _, _ = _infidelity_point(
-            cfg, task["gamma"], task["dt"], task["order"], task["xi"]
-        )
-        return [
-            (task["order"], task["gamma"], task["xi"], task["dt"], t, inf)
-            for t, inf in per_time
-        ]
-    if kind == "gamma_sweep":
-        _, avg, final, _, _, _ = _infidelity_point(
-            cfg, task["gamma"], task["dt"], task["order"], task["xi"]
-        )
-        return [(task["order"], task["dt"], task["xi"], task["gamma"], avg, final)]
-    if kind in ("observables", "correlations"):
-        return _observable_rows(cfg, task)
-    if kind == "gate_counts":
-        return _gate_count_rows(cfg, task)
-    raise ValueError(f"unknown experiment {kind!r}")
+# ---------------------------------------------------------------------------
+# one grid point: the circuit trajectory, the only work sent to the pool
+
+
+def _simulated_trajectory(cfg: ExperimentConfig, task: dict, model) -> list[TrajectorySnapshot]:
+    dt = task["dt"]
+    circuit = assemble_evolution(
+        cfg.model_params(task["gamma"]), cfg.initial_state(), steps_for(cfg.t_final, dt),
+        dt, task["order"], cfg.code, cfg.convention
+    )
+    result = sim.simulate(transpile.decompose_native(circuit), noise=model)
+    return [TrajectorySnapshot(k * dt, s) for k, s in enumerate(result.snapshots)]
+
+
+def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[TrajectorySnapshot]:
+    params = cfg.model_params(gamma)
+    rho0 = initial_density_matrix(cfg.initial_state(), params, cfg.code)
+    grid = [k * dt for k in range(steps_for(cfg.t_final, dt) + 1)]
+    return evolve_exact(rho0, params, grid, cfg.convention, cfg.code)
+
+
+# ---------------------------------------------------------------------------
+# rows of one grid point, from its simulated and exact trajectories
+
+
+def _sweep_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> list[tuple]:
+    """One row of avg and final infidelity (trotter, noise and gamma sweeps)."""
+    n_steps = len(simulated) - 1
+    values = {
+        **task,
+        "n_steps": n_steps,
+        "t_final": n_steps * task["dt"],
+        "avg_infidelity": metrics.time_averaged_infidelity(simulated, exact),
+        "final_infidelity": metrics.infidelity(simulated[-1].rho, exact[-1].rho),
+    }
+    return [tuple(values[name] for name in _HEADERS[cfg.experiment])]
+
+
+def _per_time_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> list[tuple]:
+    return [
+        (task["order"], task["gamma"], task["xi"], task["dt"], s.t, metrics.infidelity(s.rho, e.rho))
+        for s, e in zip(simulated, exact)
+    ]
 
 
 def _state_values(cfg: ExperimentConfig, params: ModelParams, rho) -> tuple[float, float]:
@@ -319,15 +284,11 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams, rho) -> tuple[floa
     )
 
 
-def _observable_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
+def _observable_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> list[tuple]:
     """Circuit rows (source="circuit") for observables/correlations."""
     params = cfg.model_params()
-    dt = task["dt"]
-    n_steps = steps_for(cfg.t_final, dt)
-    simulated = _simulated_trajectory(cfg, cfg.gamma, dt, n_steps, task["order"], task["xi"])
     confusions = None
     if cfg.shots is not None:
-        model = noise.build_noise_model(cfg.load_calibration(), task["xi"])
         confusions = model.confusion_matrices(range(params.register_width))
     rows = []
     for k, snap in enumerate(simulated):
@@ -367,15 +328,6 @@ def _sampled_observables(
     return occupation, spin_z
 
 
-def _exact_value_rows(cfg: ExperimentConfig) -> list[tuple]:
-    """Reference rows (source="exact") for observables/correlations."""
-    params = cfg.model_params()
-    dt = cfg.dt_grid[0]
-    n_steps = steps_for(cfg.t_final, dt)
-    exact = _exact_trajectory(cfg, cfg.gamma, dt, n_steps)
-    return [("exact", 0, 0.0, snap.t, *_state_values(cfg, params, snap.rho)) for snap in exact]
-
-
 def _gate_count_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
     params = ModelParams(
         epsilon=cfg.epsilon,
@@ -395,6 +347,46 @@ def _gate_count_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
     counts = transpile.count_gates(routed.circuit)
     return [(task["n_spins"], task["d_ho"], task["order"], task["code"],
              counts.single_qubit, counts.cx)]
+
+
+_ROW_BUILDERS = {
+    "trotter_sweep": _sweep_rows,
+    "noise_sweep": _sweep_rows,
+    "gamma_sweep": _sweep_rows,
+    "infidelity_vs_time": _per_time_rows,
+    "observables": _observable_rows,
+    "correlations": _observable_rows,
+}
+
+
+def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
+    """Rows of every grid point in grid order, from inputs built once for all points.
+
+    A point at xi = 0 simulates without noise; its model, built only when
+    shots are sampled, serves the readout.
+    """
+    xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
+    cal = cfg.load_calibration() if xis else None
+    models = {xi: noise.build_noise_model(cal, xi) for xi in xis}
+    keys = dict.fromkeys((t["gamma"], t["dt"]) for t in tasks)
+    references = {key: _exact_trajectory(cfg, *key) for key in keys}
+    points = ([cfg] * len(tasks), tasks, [models[t["xi"]] if t["xi"] > 0 else None for t in tasks])
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            simulated = list(pool.map(_simulated_trajectory, *points))
+    else:
+        simulated = list(map(_simulated_trajectory, *points))
+
+    rows: list[tuple] = []
+    if cfg.experiment in ("observables", "correlations"):
+        params = cfg.model_params()
+        exact = references[(cfg.gamma, cfg.dt_grid[0])]
+        rows += [("exact", 0, 0.0, s.t, *_state_values(cfg, params, s.rho)) for s in exact]
+    build = _ROW_BUILDERS[cfg.experiment]
+    for task, trajectory in zip(tasks, simulated):
+        exact = references[(task["gamma"], task["dt"])]
+        rows += build(cfg, task, trajectory, exact, models.get(task["xi"]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +419,10 @@ def run(cfg: ExperimentConfig) -> list[str]:
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     tasks = _tasks(cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_eval_task, [cfg] * len(tasks), tasks))
+    if cfg.experiment == "gate_counts":
+        rows = [row for task in tasks for row in _gate_count_rows(cfg, task)]
     else:
-        chunks = [_eval_task(cfg, t) for t in tasks]
-
-    rows: list[tuple] = []
-    if cfg.experiment in ("observables", "correlations"):
-        rows.extend(_exact_value_rows(cfg))
-    for chunk in chunks:
-        rows.extend(chunk)
+        rows = _trajectory_rows(cfg, tasks)
 
     csv_path = os.path.join(cfg.out_dir, f"{cfg.experiment}.csv")
     emit_csv(csv_path, _HEADERS[cfg.experiment], rows)

@@ -4,8 +4,10 @@ The generator is time independent, so each reference state is
 exp(L h) applied to the previous one, with L the vectorized
 (column-stacked) Liouvillian and h the grid interval.  The propagator is
 computed by scaling and squaring a Taylor series (Moler and Van Loan,
-SIAM Rev. 45, 2003) once per distinct interval of a call.  The system
-dimension never exceeds 2^5 here, so dense propagators are cheap.
+SIAM Rev. 45, 2003) once per distinct interval of a call; intervals that
+agree to 12 significant digits, such as the float-jittered steps of a grid
+k*dt, share one propagator.  The system dimension never exceeds 2^5 here,
+so dense propagators are cheap.
 Trace and Hermiticity drift of every propagated state is checked against
 hard tolerances.
 """
@@ -95,9 +97,10 @@ def evolve_exact(
     propagators: dict[float, np.ndarray] = {}
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
         step = t1 - t0
-        if step not in propagators:
-            propagators[step] = _expm(gen * step)
-        mat = (propagators[step] @ rho.flatten(order="F")).reshape((dim, dim), order="F")
+        key = float(f"{step:.12g}")  # grids k*dt jitter in the last digits of t1 - t0
+        if key not in propagators:
+            propagators[key] = _expm(gen * step)
+        mat = (propagators[key] @ rho.flatten(order="F")).reshape((dim, dim), order="F")
         herm_drift = np.max(np.abs(mat - mat.conj().T))
         if herm_drift > HERM_TOL:
             raise RuntimeError(f"Hermiticity drift {herm_drift:.2e} exceeds {HERM_TOL}")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import warnings
+from importlib import resources
 
 import pytest
 
@@ -185,6 +187,37 @@ def test_worker_pool_matches_serial(tmp_path):
     )
 
 
+def test_shot_sampled_observables_pool_matches_serial(tmp_path):
+    # xi = 0 simulates without noise but still samples through the readout model
+    overrides = {"orders": (2,), "xi_list": (0.0, 0.1), "dt_grid": (0.5,), "t_final": 1.0,
+                 "shots": 500, "seed": 4}
+    for workers in (1, 2):
+        out = str(tmp_path / f"w{workers}")
+        run(make_config("observables", overrides={**overrides, "out_dir": out, "workers": workers}))
+    serial = open(tmp_path / "w1" / "observables.csv").read()
+    assert serial == open(tmp_path / "w2" / "observables.csv").read()
+    assert serial.count("\ncircuit,2,0,") == 3  # the xi = 0 rows at t = 0, 0.5, 1
+
+
+def test_clamp_warning_reaches_caller_under_pool(tmp_path):
+    # an sx error below its thermal infidelity clamps the depolarizing probability
+    doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
+    for gate in doc["gates"]:
+        if gate["kind"] == "sx":
+            gate["error"] = 1e-6
+    cal_path = tmp_path / "cal.json"
+    cal_path.write_text(json.dumps(doc))
+    cfg = make_config(
+        "noise_sweep",
+        overrides={"xi_list": (0.1,), "dt_grid": (0.5,), "workers": 2,
+                   "calibration": str(cal_path), "out_dir": str(tmp_path / "out")},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(cfg)
+    assert any("depolarizing probability clamped" in str(w.message) for w in caught)
+
+
 def test_cli_runs_and_prints_outputs(tmp_path, capsys):
     code = main(
         [
@@ -212,6 +245,14 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     manifest = json.load(open(tmp_path / "r" / "noise_sweep_manifest.json"))
     assert manifest["config"]["xi_list"] == [0.2]
     assert manifest["config"]["seed"] == 1
+
+
+@pytest.mark.parametrize("experiment", ["observables", "correlations"])
+def test_cli_gamma_list_rejected_without_gamma_column(tmp_path, capsys, experiment):
+    out = tmp_path / "out"
+    assert main([experiment, "--gamma-list", "0", "5", "--out", str(out)]) == 2
+    assert "gamma_list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):

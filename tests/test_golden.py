@@ -1,8 +1,10 @@
 """Golden CSVs: a tiny config of each experiment, checked cell by cell at 1e-10.
 
 The goldens in ``tests/golden/`` pin the numbers, so an engine, oracle or
-harness change that drifts any CSV value shows here.  Regenerate them only
-on purpose, with ``PYTHONPATH=src python tests/test_golden.py``.
+harness change that drifts any CSV value shows here.  Each experiment is
+checked serially and with a two-worker pool, which receives the shared
+noise models.  Regenerate them only on purpose, with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import os
@@ -29,9 +31,9 @@ TINY_CONFIGS = {
 }
 
 
-def _run_tiny(experiment: str, out_dir: str) -> str:
-    cfg = make_config(experiment, overrides={**TINY_CONFIGS[experiment], "out_dir": out_dir})
-    return run(cfg)[0]
+def _run_tiny(experiment: str, out_dir: str, workers: int = 1) -> str:
+    overrides = {**TINY_CONFIGS[experiment], "out_dir": out_dir, "workers": workers}
+    return run(make_config(experiment, overrides=overrides))[0]
 
 
 def _cells(path: str) -> list[list[str]]:
@@ -43,9 +45,16 @@ def test_every_experiment_has_a_tiny_config():
     assert set(TINY_CONFIGS) == set(EXPERIMENT_KINDS)
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)
-def test_csv_matches_golden(experiment, tmp_path):
-    got = _cells(_run_tiny(experiment, str(tmp_path)))
+@pytest.mark.parametrize(
+    "experiment, workers",
+    [
+        pytest.param(kind, workers, id=kind if workers == 1 else f"{kind}-workers{workers}")
+        for workers in (1, 2)
+        for kind in EXPERIMENT_KINDS
+    ],
+)
+def test_csv_matches_golden(experiment, workers, tmp_path):
+    got = _cells(_run_tiny(experiment, str(tmp_path), workers))
     want = _cells(os.path.join(GOLDEN_DIR, f"{experiment}.csv"))
     assert got[0] == want[0]
     assert len(got) == len(want)

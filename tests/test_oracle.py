@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sbsim import metrics, noise, sim, transpile
+from sbsim import metrics, noise, oracle, sim, transpile
 from sbsim.circuits import assemble_evolution
 from sbsim.experiments import make_config, run
 from sbsim.model import (
@@ -107,6 +107,21 @@ def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
     rho0 = initial_density_matrix(cfg.initial_state(), params)
     expected = metrics.infidelity(simulated, _expm_reference(rho0, params, n_steps * dt))
     assert abs(float(row["final_infidelity"]) - expected) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [([k * 0.2 for k in range(11)], 1), ([0.0, 0.5, 1.0, 2.0], 2)],
+    ids=["uniform", "nonuniform"],
+)
+def test_one_propagator_per_distinct_interval(monkeypatch, grid, expected):
+    # the steps of k*0.2 take four float values that differ only by jitter
+    calls = []
+    expm = oracle._expm
+    monkeypatch.setattr(oracle, "_expm", lambda a: calls.append(a) or expm(a))
+    params = ModelParams(gamma=1.0)
+    evolve_exact(initial_density_matrix(InitialStateSpec(), params), params, grid)
+    assert len(calls) == expected
 
 
 def test_grid_validation():
