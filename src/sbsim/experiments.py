@@ -11,6 +11,7 @@ byte-identical CSV output in both modes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import numbers
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__, metrics, noise, sim, transpile
-from .circuits import assemble_evolution, evolution_layout
+from .circuits import MARKER_KINDS, ROLE_AUX, assemble_evolution, evolution_layout
 from .encoding import GRAY, STANDARD_BINARY, BitCode, TruncationSpec
 from .encoding import code_index as encoding_code_index
 from .model import (
@@ -111,17 +112,52 @@ class ExperimentConfig:
             problems.append("workers must be at least 1")
         try:
             params = self.model_params()
-            if self.experiment != "gate_counts":
-                width = len(evolution_layout(params)[0])
-                if width > sim.MAX_SIM_WIDTH:
-                    problems.append(f"{width}-qubit circuit exceeds the engine limit {sim.MAX_SIM_WIDTH}")
+            roles = evolution_layout(params)[0]
+            width = len(roles) - roles.count(ROLE_AUX)
+            if self.experiment != "gate_counts" and width > sim.MAX_SIM_WIDTH:
+                problems.append(f"{width}-qubit state exceeds the engine limit {sim.MAX_SIM_WIDTH}")
         except ValueError as exc:
             problems.append(str(exc))
-        if self.calibration is not None:
+        uses_calibration = self.experiment != "gate_counts" and (
+            self.shots is not None or any(xi > 0 for xi in self.xi_list)
+        )
+        if self.calibration is not None or uses_calibration:
             try:
-                self.load_calibration()
+                cal = self.load_calibration()
             except (OSError, ValueError) as exc:
                 problems.append(f"cannot load calibration {self.calibration!r}: {exc}")
+            else:
+                if uses_calibration and not problems:
+                    problems += self._calibration_gaps(cal)
+        return problems
+
+    def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
+        """What the run would look up in the calibration but not find."""
+        problems = []
+        width = self.model_params().register_width
+        if self.shots is not None and len(cal.qubits) < width:
+            problems.append(
+                f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {width}"
+            )
+        wildcards = {g.kind for g in cal.gates if g.qubits is None}
+        if any(xi > 0 for xi in self.xi_list) and not wildcards.issuperset(transpile.NATIVE_KINDS):
+            params = self.model_params(max(self.gamma_list or (self.gamma,)))
+            missing: dict[str, list[tuple[int, ...]]] = {}
+            for order in self.orders:
+                circuit = assemble_evolution(
+                    params, self.initial_state(), 1, self.dt_grid[0], order, self.code, self.convention
+                )
+                for g in transpile.decompose_native(circuit).gates:
+                    if g.kind in MARKER_KINDS or g.qubits in missing.get(g.kind, ()):
+                        continue
+                    try:
+                        cal.gate_entry(g.kind, g.qubits)
+                    except KeyError:
+                        missing.setdefault(g.kind, []).append(g.qubits)
+            problems += [
+                f"calibration has no {kind} entry for operands {', '.join(map(str, sorted(ops)))}"
+                for kind, ops in missing.items()
+            ]
         return problems
 
     def model_params(self, gamma: float | None = None) -> ModelParams:
@@ -269,22 +305,26 @@ def _per_time_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -
     ]
 
 
-def _state_values(cfg: ExperimentConfig, params: ModelParams, rho) -> tuple[float, float]:
-    """(boson_occupation, spin_z) for observables, (czz, cxx) for correlations."""
+def _state_values(cfg: ExperimentConfig, params: ModelParams):
+    """rho -> (boson_occupation, spin_z) for observables, (czz, cxx) for correlations.
+
+    The operators are built here, once for every state of a run.
+    """
     if cfg.experiment == "observables":
-        number = metrics.ObservableSpec(metrics.BOSON_NUMBER)
-        spin_z = metrics.ObservableSpec(metrics.SIGMA_Z, 0)
-        return (
-            metrics.expectation(rho, number, params, cfg.code),
-            metrics.expectation(rho, spin_z, params, cfg.code),
+        specs = (metrics.ObservableSpec(metrics.BOSON_NUMBER), metrics.ObservableSpec(metrics.SIGMA_Z, 0))
+        mats = [metrics.observable_matrix(spec, params, cfg.code) for spec in specs]
+        return lambda rho: tuple(
+            metrics.expectation(rho, spec, params, cfg.code, mat) for spec, mat in zip(specs, mats)
         )
-    return (
-        metrics.connected_correlation(rho, "ZZ", params),
-        metrics.connected_correlation(rho, "XX", params),
+    pairs = {pair: metrics.spin_pair_operators(pair, params) for pair in ("ZZ", "XX")}
+    return lambda rho: tuple(
+        metrics.connected_correlation(rho, pair, params, ops) for pair, ops in pairs.items()
     )
 
 
-def _observable_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> list[tuple]:
+def _observable_rows(
+    cfg: ExperimentConfig, task: dict, simulated, exact, model, *, state_values
+) -> list[tuple]:
     """Circuit rows (source="circuit") for observables/correlations."""
     params = cfg.model_params()
     confusions = None
@@ -293,7 +333,7 @@ def _observable_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model)
     rows = []
     for k, snap in enumerate(simulated):
         if cfg.shots is None:
-            values = _state_values(cfg, params, snap.rho)
+            values = state_values(snap.rho)
         else:
             seed = np.random.SeedSequence(
                 [cfg.seed, task["order"], int(round(task["xi"] * 10**6)), k]
@@ -378,11 +418,12 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
         simulated = list(map(_simulated_trajectory, *points))
 
     rows: list[tuple] = []
-    if cfg.experiment in ("observables", "correlations"):
-        params = cfg.model_params()
-        exact = references[(cfg.gamma, cfg.dt_grid[0])]
-        rows += [("exact", 0, 0.0, s.t, *_state_values(cfg, params, s.rho)) for s in exact]
     build = _ROW_BUILDERS[cfg.experiment]
+    if cfg.experiment in ("observables", "correlations"):
+        state_values = _state_values(cfg, cfg.model_params())
+        exact = references[(cfg.gamma, cfg.dt_grid[0])]
+        rows += [("exact", 0, 0.0, s.t, *state_values(s.rho)) for s in exact]
+        build = functools.partial(build, state_values=state_values)
     for task, trajectory in zip(tasks, simulated):
         exact = references[(task["gamma"], task["dt"])]
         rows += build(cfg, task, trajectory, exact, models.get(task["xi"]))

@@ -87,27 +87,50 @@ def observable_matrix(obs: ObservableSpec, params, code_kind: str = GRAY) -> np.
     raise ValueError(f"no single-operator realization for {obs.kind!r}")
 
 
-def expectation(rho: np.ndarray, obs: ObservableSpec, params, code_kind: str = GRAY) -> float:
-    """Tr(rho O); correlator kinds delegate to connected_correlation."""
+def expectation(
+    rho: np.ndarray,
+    obs: ObservableSpec,
+    params,
+    code_kind: str = GRAY,
+    matrix: np.ndarray | None = None,
+) -> float:
+    """Tr(rho O); correlator kinds delegate to connected_correlation.
+
+    ``matrix`` is ``observable_matrix(obs, params, code_kind)`` when the
+    caller has built it once for many states.
+    """
     if obs.kind in (CZZ, CXX):
         return connected_correlation(rho, "ZZ" if obs.kind == CZZ else "XX", params)
-    value = np.trace(rho @ observable_matrix(obs, params, code_kind))
+    if matrix is None:
+        matrix = observable_matrix(obs, params, code_kind)
+    value = np.trace(rho @ matrix)
     if abs(value.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary part {value.imag:.2e}")
     return float(value.real)
 
 
-def connected_correlation(rho: np.ndarray, pair: str, params) -> float:
-    """Covariance <s1 s2> - <s1><s2> of the two spins, pair in {"ZZ", "XX"}."""
+def spin_pair_operators(pair: str, params) -> tuple[np.ndarray, np.ndarray]:
+    """The two spins' operators of a correlator pair in {"ZZ", "XX"}, on the model register."""
     if params.n_spins != 2:
         raise ValueError("connected correlations need exactly two spins")
     if pair not in ("ZZ", "XX"):
         raise ValueError(f"unknown correlator pair {pair!r}")
     op = _SZ_PHYS if pair == "ZZ" else _X
-    width = params.register_width
-    p1, p2 = params.spin_positions
-    o1 = embed_operator(op, (p1,), width)
-    o2 = embed_operator(op, (p2,), width)
+    return tuple(embed_operator(op, (p,), params.register_width) for p in params.spin_positions)
+
+
+def connected_correlation(
+    rho: np.ndarray,
+    pair: str,
+    params,
+    operators: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """Covariance <s1 s2> - <s1><s2> of the two spins, pair in {"ZZ", "XX"}.
+
+    ``operators`` is ``spin_pair_operators(pair, params)`` when the caller
+    has built it once for many states.
+    """
+    o1, o2 = spin_pair_operators(pair, params) if operators is None else operators
     e1 = float(np.trace(rho @ o1).real)
     e2 = float(np.trace(rho @ o2).real)
     e12 = float(np.trace(rho @ (o1 @ o2)).real)

@@ -81,6 +81,13 @@ class CalibrationData:
     qubits: tuple[QubitCalibration, ...]
     gates: tuple[GateCalibration, ...]
 
+    def __post_init__(self) -> None:
+        for g in self.gates:
+            if g.qubits is not None and not all(0 <= q < len(self.qubits) for q in g.qubits):
+                raise ValueError(
+                    f"{g.kind} entry on qubits {g.qubits}, but only {len(self.qubits)} qubits are calibrated"
+                )
+
     def gate_entry(self, kind: str, qubits: tuple[int, ...] | None = None) -> GateCalibration:
         if qubits is not None:
             for g in self.gates:

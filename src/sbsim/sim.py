@@ -5,10 +5,15 @@ reset) whose operands together cover at most two qubits, the width of the
 widest native gate; barriers and measurements end a run.  Each distinct run
 is compiled once per call into one local superoperator on its qubits (no
 full-register operators) and applied by one gather, matrix product and
-scatter.  Also measurement sampling and readout mitigation, on registers of
-up to six qubits.  States marked by barriers are reduced to the spin+boson
-register (auxiliaries traced out) whenever the circuit carries a
-model-register map.
+scatter.
+
+Auxiliary qubits (``Circuit.aux_qubits``) are never held in the state.
+Every run that touches one starts with it in |0> and ends by resetting it,
+so the run is exactly a channel on its other qubits (a collision, in the
+language of collision models); the run compiles to that channel.  The state
+thus holds only the non-auxiliary qubits, at most ``MAX_SIM_WIDTH`` of
+them, and snapshots reorder it into the model register.  Also measurement
+sampling and readout mitigation.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 from .circuits import Circuit, Gate
 from .pauli import kron_all
 
-MAX_SIM_WIDTH = 6
+MAX_SIM_WIDTH = 5  # state qubits: a 1024 x 1024 Liouvillian for the exact oracle
+_AUX_TOL = 1e-12
 _TRACE_TOL = 1e-9
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -81,7 +87,7 @@ def ground_state(width: int) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """States at each barrier (model register if mapped) and the final full state."""
+    """States at each barrier (model register if mapped) and the final full-register state."""
 
     snapshots: list[np.ndarray]
     final: np.ndarray
@@ -98,28 +104,49 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
     a run, and barriers and measurements end one.  Each distinct run is
     compiled once per call into one local superoperator and applied to the
     state by one gather, matrix product and scatter.
-    """
-    width = circuit.width
-    if width > MAX_SIM_WIDTH:
-        raise ValueError(f"register width {width} exceeds the dense engine limit {MAX_SIM_WIDTH}")
-    rho = ground_state(width) if rho0 is None else rho0.astype(complex).copy()
-    if rho.shape != (2**width, 2**width):
-        raise ValueError("initial state does not match the register")
 
-    dim = 2**width
+    The state holds only the non-auxiliary qubits, and ``MAX_SIM_WIDTH``
+    counts those.  ``rho0`` and ``final`` span the full register: ``rho0``
+    must hold every auxiliary in |0>, and ``final`` re-embeds each auxiliary
+    as |0><0|, which is exact because every run that touches an auxiliary
+    ends by resetting it.
+    """
+    width, aux = circuit.width, circuit.aux_qubits
+    kept = tuple(q for q in range(width) if q not in aux)
+    n = len(kept)
+    if n > MAX_SIM_WIDTH:
+        raise ValueError(f"{n}-qubit state exceeds the dense engine limit {MAX_SIM_WIDTH}")
+    aux_zero = tuple(0 if a % width in aux else slice(None) for a in range(2 * width))
+    if rho0 is None:
+        rho = ground_state(n)
+    else:
+        if rho0.shape != (2**width, 2**width):
+            raise ValueError("initial state does not match the register")
+        full = rho0.astype(complex).reshape((2,) * (2 * width))
+        rho = full[aux_zero].reshape(2**n, 2**n)
+        if np.abs(full).sum() - np.abs(rho).sum() > _AUX_TOL:
+            raise ValueError("initial state has weight outside auxiliary |0>")
+
+    position = {q: i for i, q in enumerate(kept)}
+    order = None
+    if circuit.model_register is not None:
+        order = tuple(position[q] for q in circuit.model_register)
+    dim = 2**n
     vec = rho.ravel()
     embedded: dict[tuple, np.ndarray] = {}
     compiled: dict[tuple[Gate, ...], tuple[np.ndarray, np.ndarray]] = {}
     snapshots: list[np.ndarray] = []
     for run in _runs(circuit.gates):
         if run[0].kind == "barrier":
-            snapshots.append(_snapshot(vec.reshape(dim, dim), circuit))
+            rho = vec.reshape(dim, dim)
+            snapshots.append(rho.copy() if order is None else partial_trace(rho, order, n))
             continue
         if run[0].kind == "measure":
             continue
         entry = compiled.get(run)
         if entry is None:
-            entry = compiled[run] = _compile(run, noise, width, embedded)
+            superop, qubits = _compile(run, noise, aux, embedded)
+            entry = compiled[run] = superop, _operand_index(tuple(position[q] for q in qubits), n)
         superop, idx = entry
         vec = _apply(superop, idx, vec)
         if noise is not None:
@@ -127,7 +154,9 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
             if drift > _TRACE_TOL:
                 kinds = "/".join(g.kind for g in run)
                 raise RuntimeError(f"trace drift {drift:.2e} after {kinds}; engine invariant broken")
-    return SimulationResult(snapshots, vec.reshape(dim, dim))
+    final = np.zeros((2,) * (2 * width), dtype=complex)
+    final[aux_zero] = vec.reshape((2,) * (2 * n))
+    return SimulationResult(snapshots, final.reshape(2**width, 2**width))
 
 
 def _runs(gates: tuple[Gate, ...]):
@@ -167,12 +196,19 @@ def _apply(superop: np.ndarray, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray
     return out
 
 
-def _compile(run: tuple[Gate, ...], noise, width: int, embedded: dict) -> tuple[np.ndarray, np.ndarray]:
-    """One superoperator for a run on the run's qubits, and its index array.
+def _compile(
+    run: tuple[Gate, ...], noise, aux: tuple[int, ...], embedded: dict
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One superoperator for a run, and the qubits it acts on, in its order.
 
     The run's local register orders its qubits by first appearance.  Each
     gate's superoperator is placed on that register once per call (cached
-    in ``embedded``), and the run's superoperator is their product.
+    in ``embedded``), and the run's superoperator is their product.  Each
+    auxiliary of the run is then removed: it enters in |0> (input row =
+    column = 0) and is traced out of the output.  That is exact only if the
+    run's last operation on it is a reset, so anything else is rejected;
+    with the initial state's auxiliaries in |0>, every auxiliary is then
+    clean whenever a run starts.
     """
     local: list[int] = []
     for g in run:
@@ -185,7 +221,29 @@ def _compile(run: tuple[Gate, ...], noise, width: int, embedded: dict) -> tuple[
             identity = np.eye(4**n, dtype=complex)
             embedded[key] = _apply(_gate_superop(g, noise), _operand_index(key[1], n), identity)
         superop = embedded[key] @ superop
-    return superop, _operand_index(tuple(local), width)
+    dropped = [i for i, q in enumerate(local) if q in aux]
+    for i in dropped:
+        last = next(g for g in reversed(run) if local[i] in g.qubits)
+        if last.kind != "reset":
+            raise ValueError(
+                f"auxiliary {local[i]} is not reset by its run's last operation on it; "
+                "an auxiliary must enter each run in |0> and leave it reset"
+            )
+    if dropped:
+        superop = _drop_aux(superop, n, dropped)
+    return superop, tuple(q for q in local if q not in aux)
+
+
+def _drop_aux(superop: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
+    """Superoperator on the other local qubits: auxiliaries in |0>, traced out after."""
+    kept = [p for p in range(n) if p not in dropped]
+    m = len(kept)
+    # axes: output row and column bits, then input row and column bits, n each
+    tensor = superop.reshape((2,) * (4 * n))
+    tensor = tensor[tuple(0 if a >= 2 * n and a % n in dropped else slice(None) for a in range(4 * n))]
+    in_sub = list(range(n)) + [n + p if p in kept else p for p in range(n)]
+    out_sub = kept + [n + p for p in kept] + list(range(2 * n, 2 * n + 2 * m))
+    return np.einsum(tensor, in_sub + out_sub[2 * m:], out_sub).reshape(4**m, 4**m)
 
 
 def _gate_superop(gate: Gate, noise) -> np.ndarray:
@@ -200,12 +258,6 @@ def _gate_superop(gate: Gate, noise) -> np.ndarray:
             kraus = np.stack(noise.channel_for(gate.kind, gate.qubits).kraus) @ kraus
     d = kraus.shape[1]
     return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
-
-
-def _snapshot(rho: np.ndarray, circuit: Circuit) -> np.ndarray:
-    if circuit.model_register is None:
-        return rho.copy()
-    return partial_trace(rho, circuit.model_register, circuit.width)
 
 
 @dataclass

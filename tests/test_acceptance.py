@@ -6,6 +6,7 @@ model, property-style.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ def test_c12_gate_counts_within_factor_two(tmp_path):
     }
     cfg = make_config("gate_counts", overrides={"out_dir": str(tmp_path)})
     csv_path, _ = run(cfg)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "n_spins,d_ho,order,code,single_qubit,cx"
     assert len(lines) == 17
     checked = 0

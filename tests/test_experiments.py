@@ -4,6 +4,7 @@ import json
 import os
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +52,7 @@ def test_steps_for_rounds_to_nearest():
 def test_emit_csv_formats_and_rejects_nan(tmp_path):
     path = str(tmp_path / "out.csv")
     emit_csv(path, ("a", "b"), [(1, 0.123456789012345), (2, 1.0 / 3.0)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.123456789012"
     with pytest.raises(ValueError):
@@ -61,7 +62,7 @@ def test_emit_csv_formats_and_rejects_nan(tmp_path):
 def test_emit_csv_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     emit_csv(path, ("x", "y"), [])
-    assert open(path).read() == "x,y\n"
+    assert Path(path).read_text() == "x,y\n"
 
 
 def test_trotter_sweep_rows_and_truthful_t_final(tmp_path):
@@ -75,13 +76,13 @@ def test_trotter_sweep_rows_and_truthful_t_final(tmp_path):
         },
     )
     csv_path, manifest_path = run(cfg)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0].split(",")[:4] == ["order", "gamma", "xi", "dt"]
     rows = [line.split(",") for line in lines[1:]]
     # dt=0.3 runs 7 steps to t=2.1, reported truthfully
     assert rows[0][4] == "7" and rows[0][5] == "2.1"
     assert rows[1][4] == "4" and rows[1][5] == "2"
-    manifest = json.load(open(manifest_path))
+    manifest = json.loads(Path(manifest_path).read_text())
     assert manifest["experiment"] == "trotter_sweep"
     assert manifest["package_version"]
     assert manifest["rate_convention"] == "paper-collision"
@@ -96,7 +97,8 @@ def test_rerun_is_byte_identical(tmp_path):
             overrides={"xi_list": (0.1,), "dt_grid": (0.5,), "out_dir": out, "seed": 3},
         )
         run(cfg)
-    assert open(out_a + "/noise_sweep.csv").read() == open(out_b + "/noise_sweep.csv").read()
+    csv_a, csv_b = (Path(out) / "noise_sweep.csv" for out in (out_a, out_b))
+    assert csv_a.read_text() == csv_b.read_text()
 
 
 def test_infidelity_rows_lie_in_unit_interval(tmp_path):
@@ -110,7 +112,7 @@ def test_infidelity_rows_lie_in_unit_interval(tmp_path):
         },
     )
     csv_path, _ = run(cfg)
-    rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()[1:]]
     values = [float(r[-1]) for r in rows]
     assert all(-1e-9 <= v <= 1 + 1e-9 for v in values)
     times = [float(r[-2]) for r in rows]
@@ -126,7 +128,7 @@ def test_observables_exact_and_sampled(tmp_path):
         "out_dir": str(tmp_path / "exact"),
     }
     csv_exact, _ = run(make_config("observables", overrides=base))
-    rows = [line.split(",") for line in open(csv_exact).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(csv_exact).read_text().splitlines()[1:]]
     sources = {r[0] for r in rows}
     assert sources == {"exact", "circuit"}
     exact_t0 = [r for r in rows if r[0] == "exact"][0]
@@ -136,7 +138,7 @@ def test_observables_exact_and_sampled(tmp_path):
     sampled = dict(base)
     sampled.update({"shots": 4096, "seed": 7, "out_dir": str(tmp_path / "shots")})
     csv_shots, _ = run(make_config("observables", overrides=sampled))
-    srows = [line.split(",") for line in open(csv_shots).read().splitlines()[1:]]
+    srows = [line.split(",") for line in Path(csv_shots).read_text().splitlines()[1:]]
     circuit_rows = [r for r in srows if r[0] == "circuit"]
     # sampled estimates stay near the exact ones at this shot count
     for exact_row, sampled_row in zip([r for r in rows if r[0] == "circuit"], circuit_rows):
@@ -156,7 +158,7 @@ def test_correlations_rows(tmp_path):
                    "t_final": 1.0, "out_dir": str(tmp_path)},
     )
     csv_path, _ = run(cfg)
-    rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()[1:]]
     assert {r[0] for r in rows} == {"exact", "circuit"}
     for r in rows:
         assert abs(float(r[4])) <= 1 + 1e-9
@@ -166,7 +168,7 @@ def test_correlations_rows(tmp_path):
 def test_gate_counts_csv_shape(tmp_path):
     cfg = make_config("gate_counts", overrides={"out_dir": str(tmp_path)})
     csv_path, _ = run(cfg)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "n_spins,d_ho,order,code,single_qubit,cx"
     assert len(lines) == 17  # 2 spins x 2 truncations x 2 orders x 2 codes
 
@@ -182,8 +184,8 @@ def test_worker_pool_matches_serial(tmp_path):
     run(serial)
     run(pooled)
     assert (
-        open(tmp_path / "s" / "trotter_sweep.csv").read()
-        == open(tmp_path / "p" / "trotter_sweep.csv").read()
+        (tmp_path / "s" / "trotter_sweep.csv").read_text()
+        == (tmp_path / "p" / "trotter_sweep.csv").read_text()
     )
 
 
@@ -194,8 +196,8 @@ def test_shot_sampled_observables_pool_matches_serial(tmp_path):
     for workers in (1, 2):
         out = str(tmp_path / f"w{workers}")
         run(make_config("observables", overrides={**overrides, "out_dir": out, "workers": workers}))
-    serial = open(tmp_path / "w1" / "observables.csv").read()
-    assert serial == open(tmp_path / "w2" / "observables.csv").read()
+    serial = (tmp_path / "w1" / "observables.csv").read_text()
+    assert serial == (tmp_path / "w2" / "observables.csv").read_text()
     assert serial.count("\ncircuit,2,0,") == 3  # the xi = 0 rows at t = 0, 0.5, 1
 
 
@@ -242,7 +244,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
         ["noise_sweep", "--config", str(path), "--xi", "0.2", "--out", str(tmp_path / "r")]
     )
     assert code == 0
-    manifest = json.load(open(tmp_path / "r" / "noise_sweep_manifest.json"))
+    manifest = json.loads((tmp_path / "r" / "noise_sweep_manifest.json").read_text())
     assert manifest["config"]["xi_list"] == [0.2]
     assert manifest["config"]["seed"] == 1
 
@@ -271,10 +273,14 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--omega", "nan"], "omega must be finite"),
         (["--dt", "nan"], "dt grid must be non-empty, positive and finite"),
         (["--xi", "nan"], "xi values must lie in [0, 1]"),
-        (["--n-spins", "2", "--d-ho", "8"], "7-qubit circuit exceeds"),
+        (["--n-spins", "2", "--d-ho", "16"], "6-qubit state exceeds the engine limit 5"),
         (["--config", "{tmp}/list.json"], "config must be a JSON object, got list"),
         (["--config", "{tmp}/bogus.json"], "unknown config key 'bogus'"),
         (["--config", "{tmp}/mistyped.json"], "xi_list must be a list of float, got 'abc'"),
+        (["--calibration", "{tmp}/no_sx.json"], "calibration has no sx entry for operands (0,)"),
+        (["--calibration", "{tmp}/cx_off_chip.json"], "cx entry on qubits (0, 9), but only 7"),
+        (["--calibration", "{tmp}/two_qubits.json", "--shots", "100"],
+         "calibration lists 2 qubits; reading out the register needs 3"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -282,8 +288,31 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bogus.json").write_text('{"bogus": 1}')
     (tmp_path / "mistyped.json").write_text('{"xi_list": "abc"}')
+    doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
+    no_sx = {**doc, "gates": [g for g in doc["gates"] if g["kind"] != "sx"]}
+    (tmp_path / "no_sx.json").write_text(json.dumps(no_sx))
+    off_chip = {**doc, "gates": doc["gates"] + [{**doc["gates"][0], "qubits": [0, 9]}]}
+    (tmp_path / "cx_off_chip.json").write_text(json.dumps(off_chip))
+    (tmp_path / "two_qubits.json").write_text(json.dumps({**doc, "qubits": doc["qubits"][:2]}))
     out = tmp_path / "out"
-    argv = ["noise_sweep", *[a.format(tmp=tmp_path) for a in args], "--out", str(out)]
+    experiment = "observables" if "--shots" in args else "noise_sweep"
+    argv = [experiment, *[a.format(tmp=tmp_path) for a in args], "--out", str(out)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_per_operand_calibration_must_cover_every_gate_of_the_run(tmp_path):
+    doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
+    sx = next(g for g in doc["gates"] if g["kind"] == "sx")
+    others = [g for g in doc["gates"] if g["kind"] != "sx"]
+    for n_sx, problem in ((4, None), (3, "calibration has no sx entry for operands (3,)")):
+        path = tmp_path / f"sx{n_sx}.json"
+        path.write_text(json.dumps({**doc, "gates": others + [{**sx, "qubits": [q]} for q in range(n_sx)]}))
+        cfg = ExperimentConfig("noise_sweep", xi_list=(0.1,), calibration=str(path))
+        assert cfg.validate() == ([problem] if problem else [])
+
+
+def test_two_spins_at_d_ho_8_validate():
+    cfg = make_config("correlations", overrides={"d_ho": 8})
+    assert cfg.validate() == [] and cfg.d_ho == 8

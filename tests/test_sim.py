@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import embed_bruteforce, kron_all, random_density_matrix, simulate_bruteforce
-from sbsim.circuits import Circuit, Gate, assemble_evolution, collision_block, trotter_step
+from sbsim.circuits import (
+    ROLE_AUX,
+    ROLE_BOSON,
+    ROLE_SPIN,
+    Circuit,
+    Gate,
+    assemble_evolution,
+    collision_block,
+    trotter_step,
+)
 from sbsim.metrics import fidelity, time_averaged_infidelity
 from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
 from sbsim.noise import (
@@ -58,8 +67,10 @@ def test_empty_circuit_returns_input():
 
 
 def test_width_limit():
-    with pytest.raises(ValueError):
-        simulate(Circuit(7))
+    with pytest.raises(ValueError, match="6-qubit state"):
+        simulate(Circuit(6))
+    with pytest.raises(ValueError, match="6-qubit state"):
+        simulate(Circuit(7, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 6))
 
 
 def test_collision_block_on_excited_spin():
@@ -121,8 +132,8 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
     assert worst < 1e-12
 
 
-def _native_evolution(n_spins: int, order: int, n_steps: int):
-    params = ModelParams(n_spins=n_spins, omega=6.0 if n_spins == 2 else 4.0)
+def _native_evolution(n_spins: int, order: int, n_steps: int, d_ho: int = 4):
+    params = ModelParams(n_spins=n_spins, omega=6.0 if n_spins == 2 else 4.0, d_ho=d_ho)
     spec = InitialStateSpec(("up", "down")[:n_spins])
     return decompose_native(assemble_evolution(params, spec, n_steps, 0.2, order))
 
@@ -142,6 +153,40 @@ def _assert_matches_bruteforce(circuit, xi, cal=None):
 @pytest.mark.parametrize("n_spins", [1, 2])
 def test_simulate_matches_bruteforce_engine(n_spins, order, xi):
     _assert_matches_bruteforce(_native_evolution(n_spins, order, 3), xi)
+
+
+def test_two_spins_at_d_ho_8_match_bruteforce():
+    # 7 circuit qubits, 5 of them in the state: the width only the aux-free engine admits
+    circuit = _native_evolution(2, 2, 1, d_ho=8)
+    assert circuit.width == 7 and len(circuit.aux_qubits) == 2
+    _assert_matches_bruteforce(circuit, 0.1)
+
+
+_COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
+
+
+def test_aux_used_again_after_its_reset_without_reset_is_rejected():
+    gates = _COLLISION + (Gate("barrier"), Gate("cx", (0, 1)))
+    with pytest.raises(ValueError, match="auxiliary 1 is not reset"):
+        simulate(Circuit(2, gates, (ROLE_SPIN, ROLE_AUX)))
+
+
+def test_aux_not_clean_when_its_run_starts_is_rejected():
+    # a gate on the boson splits the collision, so its reset would start a run
+    # on a dirty auxiliary; the run that leaves the auxiliary dirty is rejected
+    gates = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 0)), Gate("cx", (1, 0)), Gate("reset", (2,)))
+    assert [len(run) for run in _runs(gates)] == [2, 1, 1]
+    with pytest.raises(ValueError, match="auxiliary 2 is not reset"):
+        simulate(Circuit(3, gates, (ROLE_SPIN, ROLE_BOSON, ROLE_AUX)))
+
+
+def test_initial_state_with_weight_outside_aux_ground_is_rejected():
+    circuit = Circuit(2, _COLLISION, (ROLE_SPIN, ROLE_AUX))
+    with pytest.raises(ValueError, match="outside auxiliary"):
+        simulate(circuit, rho0=np.eye(4, dtype=complex) / 4)
+    spin_mixed = kron_all([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+    result = simulate(circuit, rho0=spin_mixed)
+    np.testing.assert_allclose(partial_trace(result.final, (1,), 2), np.diag([1.0, 0.0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("xi", [0.0, 1.0])
@@ -202,14 +247,19 @@ def test_every_compiled_run_is_cptp(n_spins, xi):
     for order in (1, 2):
         circuit = _native_evolution(n_spins, order, 1)
         runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
+        reduced = 0
         for run in runs:
-            superop, _ = _compile(run, model, circuit.width, {})
+            superop, qubits = _compile(run, model, circuit.aux_qubits, {})
+            assert not set(qubits) & set(circuit.aux_qubits)
+            reduced += any(g.kind == "reset" for g in run)
             d = math.isqrt(superop.shape[0])
+            assert d == 2 ** len(qubits)
             identity = np.eye(d).ravel()
             assert np.max(np.abs(identity @ superop - identity)) < 1e-12
             choi = superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
             assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(choi).min() > -1e-12
+        assert reduced == n_spins  # one collision run per spin, each reduced to a channel on it
 
 
 def test_noisy_simulation_preserves_trace_and_hermiticity():
