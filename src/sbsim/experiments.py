@@ -11,7 +11,6 @@ byte-identical CSV output in both modes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import numbers
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__, metrics, noise, sim, transpile
-from .circuits import MARKER_KINDS, ROLE_AUX, assemble_evolution, evolution_layout
+from .circuits import MARKER_KINDS, assemble_evolution, evolution_layout
 from .encoding import GRAY, STANDARD_BINARY, BitCode, TruncationSpec
 from .encoding import code_index as encoding_code_index
 from .model import (
@@ -32,7 +31,7 @@ from .model import (
     ModelParams,
     initial_density_matrix,
 )
-from .oracle import TrajectorySnapshot, evolve_exact
+from .oracle import MAX_REGISTER_WIDTH, TrajectorySnapshot, evolve_exact
 
 EXPERIMENT_KINDS = (
     "trotter_sweep",
@@ -112,10 +111,13 @@ class ExperimentConfig:
             problems.append("workers must be at least 1")
         try:
             params = self.model_params()
-            roles = evolution_layout(params)[0]
-            width = len(roles) - roles.count(ROLE_AUX)
-            if self.experiment != "gate_counts" and width > sim.MAX_SIM_WIDTH:
-                problems.append(f"{width}-qubit state exceeds the engine limit {sim.MAX_SIM_WIDTH}")
+            if self.experiment != "gate_counts":
+                evolution_layout(params)  # raises for spin counts circuits do not support
+                width = params.register_width
+                if width > MAX_REGISTER_WIDTH:
+                    problems.append(
+                        f"{width}-qubit model register exceeds the exact oracle limit {MAX_REGISTER_WIDTH}"
+                    )
         except ValueError as exc:
             problems.append(str(exc))
         uses_calibration = self.experiment != "gate_counts" and (
@@ -139,8 +141,7 @@ class ExperimentConfig:
             problems.append(
                 f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {width}"
             )
-        wildcards = {g.kind for g in cal.gates if g.qubits is None}
-        if any(xi > 0 for xi in self.xi_list) and not wildcards.issuperset(transpile.NATIVE_KINDS):
+        if any(xi > 0 for xi in self.xi_list):
             params = self.model_params(max(self.gamma_list or (self.gamma,)))
             missing: dict[str, list[tuple[int, ...]]] = {}
             for order in self.orders:
@@ -285,7 +286,9 @@ def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[Tr
 # rows of one grid point, from its simulated and exact trajectories
 
 
-def _sweep_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> list[tuple]:
+def _sweep_rows(
+    cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
+) -> list[tuple]:
     """One row of avg and final infidelity (trotter, noise and gamma sweeps)."""
     n_steps = len(simulated) - 1
     values = {
@@ -298,7 +301,9 @@ def _sweep_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> l
     return [tuple(values[name] for name in _HEADERS[cfg.experiment])]
 
 
-def _per_time_rows(cfg: ExperimentConfig, task: dict, simulated, exact, model) -> list[tuple]:
+def _per_time_rows(
+    cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
+) -> list[tuple]:
     return [
         (task["order"], task["gamma"], task["xi"], task["dt"], s.t, metrics.infidelity(s.rho, e.rho))
         for s, e in zip(simulated, exact)
@@ -323,7 +328,7 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams):
 
 
 def _observable_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, model, *, state_values
+    cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
 ) -> list[tuple]:
     """Circuit rows (source="circuit") for observables/correlations."""
     params = cfg.model_params()
@@ -418,15 +423,15 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
         simulated = list(map(_simulated_trajectory, *points))
 
     rows: list[tuple] = []
-    build = _ROW_BUILDERS[cfg.experiment]
+    state_values = None
     if cfg.experiment in ("observables", "correlations"):
         state_values = _state_values(cfg, cfg.model_params())
         exact = references[(cfg.gamma, cfg.dt_grid[0])]
         rows += [("exact", 0, 0.0, s.t, *state_values(s.rho)) for s in exact]
-        build = functools.partial(build, state_values=state_values)
+    build = _ROW_BUILDERS[cfg.experiment]
     for task, trajectory in zip(tasks, simulated):
         exact = references[(task["gamma"], task["dt"])]
-        rows += build(cfg, task, trajectory, exact, models.get(task["xi"]))
+        rows += build(cfg, task, trajectory, exact, models.get(task["xi"]), state_values)
     return rows
 
 

@@ -7,7 +7,7 @@ computed by scaling and squaring a Taylor series (Moler and Van Loan,
 SIAM Rev. 45, 2003) once per distinct interval of a call; intervals that
 agree to 12 significant digits, such as the float-jittered steps of a grid
 k*dt, share one propagator.  ``ExperimentConfig.validate`` rejects model
-registers wider than ``sim.MAX_SIM_WIDTH`` = 5 qubits, so the generator is
+registers wider than ``MAX_REGISTER_WIDTH`` = 5 qubits, so the generator is
 at most 1024 x 1024: about 3.6 s per propagator there, milliseconds at the
 default widths.
 Trace and Hermiticity drift of every propagated state is checked against
@@ -24,6 +24,7 @@ import numpy as np
 from .encoding import GRAY
 from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, lindblad_operators
 
+MAX_REGISTER_WIDTH = 5
 TRACE_TOL = 1e-6
 HERM_TOL = 1e-8
 

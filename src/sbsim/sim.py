@@ -26,7 +26,7 @@ import numpy as np
 from .circuits import Circuit, Gate
 from .pauli import kron_all
 
-MAX_SIM_WIDTH = 5  # state qubits: a 1024 x 1024 Liouvillian for the exact oracle
+MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
 _AUX_TOL = 1e-12
 _TRACE_TOL = 1e-9
 

@@ -273,7 +273,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--omega", "nan"], "omega must be finite"),
         (["--dt", "nan"], "dt grid must be non-empty, positive and finite"),
         (["--xi", "nan"], "xi values must lie in [0, 1]"),
-        (["--n-spins", "2", "--d-ho", "16"], "6-qubit state exceeds the engine limit 5"),
+        (["--n-spins", "2", "--d-ho", "16"], "6-qubit model register exceeds the exact oracle limit 5"),
         (["--config", "{tmp}/list.json"], "config must be a JSON object, got list"),
         (["--config", "{tmp}/bogus.json"], "unknown config key 'bogus'"),
         (["--config", "{tmp}/mistyped.json"], "xi_list must be a list of float, got 'abc'"),

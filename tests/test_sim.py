@@ -67,10 +67,13 @@ def test_empty_circuit_returns_input():
 
 
 def test_width_limit():
-    with pytest.raises(ValueError, match="6-qubit state"):
-        simulate(Circuit(6))
-    with pytest.raises(ValueError, match="6-qubit state"):
-        simulate(Circuit(7, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 6))
+    # the limit counts state qubits: auxiliaries are not held in the state
+    assert simulate(Circuit(6)).final.shape == (64, 64)
+    assert simulate(Circuit(7, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 6)).final.shape == (128, 128)
+    with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
+        simulate(Circuit(7))
+    with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
+        simulate(Circuit(8, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 7))
 
 
 def test_collision_block_on_excited_spin():
