@@ -2,11 +2,15 @@
 
 Each experiment expands into an ordered grid of points.  ``run`` builds
 every input that points share once, in the calling process: the
-calibration, one noise model per xi and one exact reference trajectory per
-(gamma, dt).  Only the circuit trajectories, one per point, are simulated
-serially or by a worker pool; rows are then built from them and the shared
-references in grid order, so identical configs and seeds give
-byte-identical CSV output in both modes.
+calibration (parsed once and kept on the config), one noise model per xi,
+one exact reference trajectory per (gamma, dt), one native one-step circuit
+per (order, gamma, dt) and one dict of compiled runs per noise model.  Only
+the circuit trajectories, one per point, are simulated, serially or by a
+worker pool: each replays its one-step circuit for its step count.  Serially
+the points of a noise model share its compiled runs; a worker receives an
+empty dict and compiles for itself.  Rows are then built from the
+trajectories and the shared references in grid order, so identical configs
+and seeds give byte-identical CSV output in both modes.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__, metrics, noise, sim, transpile
-from .circuits import MARKER_KINDS, assemble_evolution, evolution_layout
+from .circuits import MARKER_KINDS, Circuit, assemble_evolution, evolution_layout
 from .encoding import GRAY, STANDARD_BINARY, BitCode, TruncationSpec
 from .encoding import code_index as encoding_code_index
 from .model import (
@@ -125,7 +130,7 @@ class ExperimentConfig:
         )
         if self.calibration is not None or uses_calibration:
             try:
-                cal = self.load_calibration()
+                cal = self.calibration_data
             except (OSError, ValueError) as exc:
                 problems.append(f"cannot load calibration {self.calibration!r}: {exc}")
             else:
@@ -175,7 +180,9 @@ class ExperimentConfig:
         spins = ("up",) if self.n_spins == 1 else ("up",) + ("down",) * (self.n_spins - 1)
         return InitialStateSpec(spins, 0)
 
-    def load_calibration(self) -> noise.CalibrationData:
+    @cached_property
+    def calibration_data(self) -> noise.CalibrationData:
+        """The calibration, parsed on first use and then kept on this config."""
         if self.calibration is None:
             return noise.jakarta_average_calibration()
         return noise.load_calibration(self.calibration)
@@ -265,13 +272,11 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
 # one grid point: the circuit trajectory, the only work sent to the pool
 
 
-def _simulated_trajectory(cfg: ExperimentConfig, task: dict, model) -> list[TrajectorySnapshot]:
-    dt = task["dt"]
-    circuit = assemble_evolution(
-        cfg.model_params(task["gamma"]), cfg.initial_state(), steps_for(cfg.t_final, dt),
-        dt, task["order"], cfg.code, cfg.convention
-    )
-    result = sim.simulate(transpile.decompose_native(circuit), noise=model)
+def _simulated_trajectory(
+    circuit: Circuit, model, n_steps: int, dt: float, compiled: dict
+) -> list[TrajectorySnapshot]:
+    """The trajectory of one point: its one-step circuit replayed n_steps times."""
+    result = sim.simulate(circuit, model, repeat=n_steps, compiled=compiled)
     return [TrajectorySnapshot(k * dt, s) for k, s in enumerate(result.snapshots)]
 
 
@@ -407,15 +412,30 @@ _ROW_BUILDERS = {
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     """Rows of every grid point in grid order, from inputs built once for all points.
 
-    A point at xi = 0 simulates without noise; its model, built only when
-    shots are sampled, serves the readout.
+    Each distinct (order, gamma, dt) gets one native one-step circuit, and
+    each noise model one dict of compiled runs; a point replays its circuit
+    for its step count.  A point at xi = 0 simulates without noise; its
+    model, built only when shots are sampled, serves the readout.
     """
     xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
-    cal = cfg.load_calibration() if xis else None
+    cal = cfg.calibration_data if xis else None
     models = {xi: noise.build_noise_model(cal, xi) for xi in xis}
     keys = dict.fromkeys((t["gamma"], t["dt"]) for t in tasks)
     references = {key: _exact_trajectory(cfg, *key) for key in keys}
-    points = ([cfg] * len(tasks), tasks, [models[t["xi"]] if t["xi"] > 0 else None for t in tasks])
+    circuits = {
+        (o, g, dt): transpile.decompose_native(assemble_evolution(
+            cfg.model_params(g), cfg.initial_state(), 1, dt, o, cfg.code, cfg.convention
+        ))
+        for o, g, dt in dict.fromkeys((t["order"], t["gamma"], t["dt"]) for t in tasks)
+    }
+    caches = {t["xi"]: {} for t in tasks}  # one per engine noise model, None at xi = 0
+    points = (
+        [circuits[t["order"], t["gamma"], t["dt"]] for t in tasks],
+        [models[t["xi"]] if t["xi"] > 0 else None for t in tasks],
+        [steps_for(cfg.t_final, t["dt"]) for t in tasks],
+        [t["dt"] for t in tasks],
+        [caches[t["xi"]] for t in tasks],
+    )
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             simulated = list(pool.map(_simulated_trajectory, *points))

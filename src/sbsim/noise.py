@@ -60,6 +60,11 @@ class QubitCalibration:
                 raise ValueError(f"readout probability {p} outside [0, 1]")
 
 
+def _operand_count(kind: str) -> int:
+    """Operands of a calibrated gate kind: cx takes two, every other kind one."""
+    return 2 if kind == "cx" else 1
+
+
 @dataclass(frozen=True)
 class GateCalibration:
     kind: str
@@ -70,6 +75,12 @@ class GateCalibration:
     def __post_init__(self) -> None:
         if self.qubits is not None:
             object.__setattr__(self, "qubits", tuple(self.qubits))
+            n_q = _operand_count(self.kind)
+            if len(self.qubits) != n_q:
+                raise ValueError(
+                    f"{self.kind} entry on qubits {self.qubits} has {len(self.qubits)} operand(s); "
+                    f"{self.kind} takes {n_q}"
+                )
         if not 0 <= self.error <= 1:
             raise ValueError(f"gate error {self.error} outside [0, 1]")
         if self.time_ns < 0:
@@ -349,12 +360,10 @@ def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> Quant
     single-qubit channels.  Wildcard gate entries use the processor-average
     qubit parameters.
     """
-    n_q = 2 if entry.kind == "cx" else 1
+    n_q = _operand_count(entry.kind)
     if entry.qubits is None:
         qcals = [cal.mean_qubit()] * n_q
     else:
-        if len(entry.qubits) != n_q:
-            raise ValueError(f"{entry.kind} entry with {len(entry.qubits)} operands")
         qcals = [cal.qubits[q] for q in entry.qubits]
     t_us = entry.time_ns * 1e-3
     singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]

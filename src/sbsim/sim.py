@@ -3,9 +3,15 @@
 Splits each circuit into runs of consecutive gates (unitary, noisy or
 reset) whose operands together cover at most two qubits, the width of the
 widest native gate; barriers and measurements end a run.  Each distinct run
-is compiled once per call into one local superoperator on its qubits (no
-full-register operators) and applied by one gather, matrix product and
-scatter.
+is compiled into one local superoperator on its qubits (no full-register
+operators) and applied by one gather, matrix product and scatter.  Compiled
+runs live in a dict bound to one noise model, which a caller may keep and
+pass to every circuit it simulates under that model.
+
+A circuit whose time steps repeat one block is simulated from one step: the
+last barrier-delimited block is replayed ``repeat`` times, which gives
+exactly the state of the circuit with that block written out ``repeat``
+times.
 
 Auxiliary qubits (``Circuit.aux_qubits``) are never held in the state.
 Every run that touches one starts with it in |0> and ends by resetting it,
@@ -29,6 +35,7 @@ from .pauli import kron_all
 MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
 _AUX_TOL = 1e-12
 _TRACE_TOL = 1e-9
+_BOUND_MODEL = "noise model"  # key under which a compiled-run dict holds its model
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _RESET_KRAUS = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
@@ -93,7 +100,13 @@ class SimulationResult:
     final: np.ndarray
 
 
-def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> SimulationResult:
+def simulate(
+    circuit: Circuit,
+    noise=None,
+    rho0: np.ndarray | None = None,
+    repeat: int = 1,
+    compiled: dict | None = None,
+) -> SimulationResult:
     """Run the circuit, applying the noise model's channel after each native gate.
 
     With a noise model the circuit must be native (no ry/cry); channels are
@@ -102,8 +115,18 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
 
     Consecutive gates whose operands together cover at most two qubits form
     a run, and barriers and measurements end one.  Each distinct run is
-    compiled once per call into one local superoperator and applied to the
-    state by one gather, matrix product and scatter.
+    compiled once into one local superoperator and applied to the state by
+    one gather, matrix product and scatter.  Compiled runs, keyed by the
+    run and the qubits the state holds, are kept in ``compiled`` together
+    with the gate superoperators placed for them.  That dict is bound to
+    ``noise`` on first use, and passing it again with another noise model
+    raises; without one, a fresh dict serves this call.
+
+    ``repeat`` applies the circuit's last barrier-delimited block (the gates
+    after the second-to-last barrier through the last one) that many times,
+    one snapshot per pass: the result equals, bit for bit, that of the
+    circuit with the block written out ``repeat`` times.  So one time step
+    of an evolution circuit, with ``repeat=n_steps``, gives the n-step run.
 
     The state holds only the non-auxiliary qubits, and ``MAX_SIM_WIDTH``
     counts those.  ``rho0`` and ``final`` span the full register: ``rho0``
@@ -111,6 +134,11 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
     as |0><0|, which is exact because every run that touches an auxiliary
     ends by resetting it.
     """
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, got {repeat}")
+    compiled = {} if compiled is None else compiled
+    if compiled.setdefault(_BOUND_MODEL, noise) is not noise:
+        raise ValueError("compiled runs were built under another noise model")
     width, aux = circuit.width, circuit.aux_qubits
     kept = tuple(q for q in range(width) if q not in aux)
     n = len(kept)
@@ -127,28 +155,38 @@ def simulate(circuit: Circuit, noise=None, rho0: np.ndarray | None = None) -> Si
         if np.abs(full).sum() - np.abs(rho).sum() > _AUX_TOL:
             raise ValueError("initial state has weight outside auxiliary |0>")
 
-    position = {q: i for i, q in enumerate(kept)}
-    order = None
-    if circuit.model_register is not None:
-        order = tuple(position[q] for q in circuit.model_register)
-    dim = 2**n
-    vec = rho.ravel()
-    embedded: dict[tuple, np.ndarray] = {}
-    compiled: dict[tuple[Gate, ...], tuple[np.ndarray, np.ndarray]] = {}
-    snapshots: list[np.ndarray] = []
+    # one entry per run: None records a snapshot, else (superop, index, run)
+    program = []
     for run in _runs(circuit.gates):
         if run[0].kind == "barrier":
+            program.append(None)
+        elif run[0].kind != "measure":
+            entry = compiled.get((run, kept))
+            if entry is None:
+                superop, qubits = _compile(run, noise, aux, compiled)
+                index = _operand_index(tuple(kept.index(q) for q in qubits), n)
+                entry = compiled[run, kept] = superop, index
+            program.append((*entry, run))
+    start = stop = 0
+    if repeat > 1:
+        marks = [i for i, op in enumerate(program) if op is None]
+        if len(marks) < 2:
+            raise ValueError("repeat needs a block between two barriers; the circuit has fewer")
+        start, stop = marks[-2] + 1, marks[-1] + 1
+
+    order = None
+    if circuit.model_register is not None:
+        order = tuple(kept.index(q) for q in circuit.model_register)
+    dim = 2**n
+    vec = rho.ravel()
+    snapshots: list[np.ndarray] = []
+    for op in program[:start] + program[start:stop] * repeat + program[stop:]:
+        if op is None:
             rho = vec.reshape(dim, dim)
             snapshots.append(rho.copy() if order is None else partial_trace(rho, order, n))
             continue
-        if run[0].kind == "measure":
-            continue
-        entry = compiled.get(run)
-        if entry is None:
-            superop, qubits = _compile(run, noise, aux, embedded)
-            entry = compiled[run] = superop, _operand_index(tuple(position[q] for q in qubits), n)
-        superop, idx = entry
-        vec = _apply(superop, idx, vec)
+        superop, index, run = op
+        vec = _apply(superop, index, vec)
         if noise is not None:
             drift = abs(vec[:: dim + 1].sum().real - 1.0)
             if drift > _TRACE_TOL:
@@ -202,8 +240,8 @@ def _compile(
     """One superoperator for a run, and the qubits it acts on, in its order.
 
     The run's local register orders its qubits by first appearance.  Each
-    gate's superoperator is placed on that register once per call (cached
-    in ``embedded``), and the run's superoperator is their product.  Each
+    gate's superoperator is placed on that register once (cached in
+    ``embedded``), and the run's superoperator is their product.  Each
     auxiliary of the run is then removed: it enters in |0> (input row =
     column = 0) and is traced out of the output.  That is exact only if the
     run's last operation on it is a reset, so anything else is rejected;

@@ -7,9 +7,18 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from test_golden import TINY_CONFIGS
 
+from sbsim import noise, sim
 from sbsim.cli import main
-from sbsim.experiments import ExperimentConfig, emit_csv, make_config, run, steps_for
+from sbsim.experiments import (
+    EXPERIMENT_KINDS,
+    ExperimentConfig,
+    emit_csv,
+    make_config,
+    run,
+    steps_for,
+)
 
 
 def test_validation_collects_all_problems():
@@ -281,6 +290,8 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/cx_off_chip.json"], "cx entry on qubits (0, 9), but only 7"),
         (["--calibration", "{tmp}/two_qubits.json", "--shots", "100"],
          "calibration lists 2 qubits; reading out the register needs 3"),
+        (["--calibration", "{tmp}/cx_one_operand.json"],
+         "cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -293,6 +304,8 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     (tmp_path / "no_sx.json").write_text(json.dumps(no_sx))
     off_chip = {**doc, "gates": doc["gates"] + [{**doc["gates"][0], "qubits": [0, 9]}]}
     (tmp_path / "cx_off_chip.json").write_text(json.dumps(off_chip))
+    one_operand = {**doc, "gates": doc["gates"] + [{**doc["gates"][0], "qubits": [0]}]}
+    (tmp_path / "cx_one_operand.json").write_text(json.dumps(one_operand))
     (tmp_path / "two_qubits.json").write_text(json.dumps({**doc, "qubits": doc["qubits"][:2]}))
     out = tmp_path / "out"
     experiment = "observables" if "--shots" in args else "noise_sweep"
@@ -316,3 +329,48 @@ def test_per_operand_calibration_must_cover_every_gate_of_the_run(tmp_path):
 def test_two_spins_at_d_ho_8_validate():
     cfg = make_config("correlations", overrides={"d_ho": 8})
     assert cfg.validate() == [] and cfg.d_ho == 8
+
+
+@pytest.mark.parametrize("experiment, distinct", [("trotter_sweep", 76), ("gamma_sweep", 40)])
+def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, experiment, distinct):
+    calls = []
+    compile_run = sim._compile
+
+    def counted(run, model, aux, embedded):
+        calls.append((run, id(model)))
+        return compile_run(run, model, aux, embedded)
+
+    monkeypatch.setattr(sim, "_compile", counted)
+    run(make_config(experiment, overrides={"out_dir": str(tmp_path)}))
+    assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)
+def test_worker_pool_output_is_byte_identical_to_serial(tmp_path, experiment):
+    texts = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        run(make_config(experiment, overrides={**TINY_CONFIGS[experiment], "out_dir": str(out),
+                                               "workers": workers}))
+        texts.append((out / f"{experiment}.csv").read_text())
+    assert texts[0] == texts[1]
+
+
+def test_calibration_file_is_parsed_once_per_cli_run(tmp_path, monkeypatch):
+    doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
+    cal_path = tmp_path / "cal.json"
+    cal_path.write_text(json.dumps(doc))
+    paths = []
+    load = noise.load_calibration
+
+    def counted(path):
+        paths.append(path)
+        return load(path)
+
+    monkeypatch.setattr(noise, "load_calibration", counted)
+    out = tmp_path / "out"
+    assert main(["noise_sweep", "--calibration", str(cal_path), "--out", str(out)]) == 0
+    assert paths == [str(cal_path)]
+    manifest = json.loads((out / "noise_sweep_manifest.json").read_text())
+    assert "calibration_data" not in manifest["config"]
+    assert manifest["config"]["calibration"] == str(cal_path)

@@ -102,7 +102,7 @@ def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
     circuit = assemble_evolution(
         params, cfg.initial_state(), n_steps, dt, cfg.orders[0], cfg.code, cfg.convention
     )
-    model = noise.build_noise_model(cfg.load_calibration(), 0.01)
+    model = noise.build_noise_model(cfg.calibration_data, 0.01)
     simulated = sim.simulate(transpile.decompose_native(circuit), noise=model).snapshots[-1]
     rho0 = initial_density_matrix(cfg.initial_state(), params)
     expected = metrics.infidelity(simulated, _expm_reference(rho0, params, n_steps * dt))

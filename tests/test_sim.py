@@ -165,6 +165,42 @@ def test_two_spins_at_d_ho_8_match_bruteforce():
     _assert_matches_bruteforce(circuit, 0.1)
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_one_step_replayed_equals_written_out_steps(n_spins, order, xi):
+    model = build_noise_model(jakarta_average_calibration(), xi) if xi > 0 else None
+    written = simulate(_native_evolution(n_spins, order, 3), noise=model)
+    replayed = simulate(_native_evolution(n_spins, order, 1), noise=model, repeat=3)
+    assert len(replayed.snapshots) == len(written.snapshots) == 4
+    for got, want in zip(replayed.snapshots + [replayed.final], written.snapshots + [written.final]):
+        assert np.array_equal(got, want)
+
+
+def test_repeat_needs_a_block_between_two_barriers():
+    step = _native_evolution(1, 2, 1)
+    for repeat in (0, -1):
+        with pytest.raises(ValueError, match="repeat must be at least 1"):
+            simulate(step, repeat=repeat)
+    one_barrier = Circuit(1, (Gate("x", (0,)), Gate("barrier")))
+    assert len(simulate(one_barrier).snapshots) == 1
+    with pytest.raises(ValueError, match="fewer"):
+        simulate(one_barrier, repeat=2)
+
+
+def test_compiled_runs_are_bound_to_one_noise_model():
+    circuit = _native_evolution(1, 2, 1)
+    cal = jakarta_average_calibration()
+    model, other = build_noise_model(cal, 0.1), build_noise_model(cal, 0.1)
+    compiled: dict = {}
+    first = simulate(circuit, noise=model, compiled=compiled)
+    again = simulate(circuit, noise=model, compiled=compiled)
+    assert np.array_equal(first.final, again.final)
+    for wrong in (other, None):
+        with pytest.raises(ValueError, match="another noise model"):
+            simulate(circuit, noise=wrong, compiled=compiled)
+
+
 _COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
 
 
