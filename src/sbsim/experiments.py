@@ -27,8 +27,7 @@ import numpy as np
 
 from . import __version__, metrics, noise, sim, transpile
 from .circuits import MARKER_KINDS, Circuit, assemble_evolution, evolution_layout
-from .encoding import GRAY, STANDARD_BINARY, BitCode, TruncationSpec
-from .encoding import code_index as encoding_code_index
+from .encoding import GRAY, STANDARD_BINARY
 from .model import (
     PAPER_COLLISION,
     RATE_CONVENTIONS,
@@ -335,7 +334,13 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams):
 def _observable_rows(
     cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
 ) -> list[tuple]:
-    """Circuit rows (source="circuit") for observables/correlations."""
+    """Circuit rows (source="circuit") for observables/correlations.
+
+    With shots, the observables are estimated from the readout-mitigated
+    quasi-probabilities of the measured register, as the diagonal state
+    diag(quasi): both observables are diagonal in the measured basis, so
+    this applies the same operators as the exact rows.
+    """
     params = cfg.model_params()
     confusions = None
     if cfg.shots is not None:
@@ -348,34 +353,10 @@ def _observable_rows(
             seed = np.random.SeedSequence(
                 [cfg.seed, task["order"], int(round(task["xi"] * 10**6)), k]
             ).generate_state(1)[0]
-            values = _sampled_observables(cfg, params, snap.rho, confusions, int(seed))
+            counts = sim.sample_counts(snap.rho, cfg.shots, readout=confusions, seed=int(seed))
+            values = state_values(np.diag(sim.mitigate_readout(counts, confusions)))
         rows.append(("circuit", task["order"], task["xi"], snap.t, *values))
     return rows
-
-
-def _sampled_observables(
-    cfg: ExperimentConfig, params: ModelParams, rho, confusions, seed: int
-) -> tuple[float, float]:
-    """Shot-sampled, readout-mitigated estimates of the two diagonal observables.
-
-    Both observables are diagonal in the measurement basis: the encoded
-    number operator is a Z-string sum and the physical spin-z is the spin
-    bit.  The estimate averages the decoded values over the mitigated
-    quasi-probability distribution.
-    """
-    counts = sim.sample_counts(rho, cfg.shots, readout=confusions, seed=seed)
-    quasi = sim.mitigate_readout(counts, confusions)
-    width = params.register_width
-    code = BitCode(cfg.code, TruncationSpec(params.d_ho).n_qubits)
-    occupation = 0.0
-    spin_z = 0.0
-    spin_bit = params.spin_positions[0]
-    for idx, weight in enumerate(quasi):
-        bits = tuple((idx >> (width - 1 - q)) & 1 for q in range(width))
-        boson_word = tuple(bits[q] for q in params.boson_positions)
-        occupation += weight * encoding_code_index(boson_word, code)
-        spin_z += weight * (1.0 if bits[spin_bit] else -1.0)
-    return occupation, spin_z
 
 
 def _gate_count_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
@@ -437,7 +418,7 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
         [caches[t["xi"]] for t in tasks],
     )
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
             simulated = list(pool.map(_simulated_trajectory, *points))
     else:
         simulated = list(map(_simulated_trajectory, *points))

@@ -9,15 +9,16 @@ infidelities, gate times, and false-readout probabilities uniformly,
 leaving T1/T2 untouched; this keeps the thermal-to-depolarizing ratio of
 the model approximately unchanged.
 
-Thermal relaxation with T2 <= T1 is a probabilistic mixture (identity,
-phase flip, reset to the ground state); with T1 < T2 <= 2 T1 it only has a
-Choi-matrix description.  Qubit temperature is fixed at zero, so qubit
-frequency never enters.
+Channels are held as superoperators, vec(E(rho)) = S vec(rho) on the
+row-major vectorization, which the engine applies directly.  Thermal
+relaxation is one such matrix: populations relax to the ground state with
+p_reset = 1 - exp(-t/T1) and coherences decay as exp(-t/T2); it is
+completely positive exactly when T2 <= 2 T1.  Qubit temperature is fixed at
+zero, so qubit frequency never enters.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
@@ -26,18 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .metrics import fidelity
-from .pauli import kron_all
-
 CPTP_TOL = 1e-10
-
-_I2 = np.eye(2, dtype=complex)
-_PAULIS_1Q = (
-    _I2,
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -164,75 +154,69 @@ def scale_calibration(cal: CalibrationData, xi: float) -> CalibrationData:
 # quantum channels
 
 
+def kraus_superop(kraus) -> np.ndarray:
+    """Superoperator S = sum_k K_k x conj(K_k) of stacked Kraus operators.
+
+    Row-major vectorization: vec(K rho K^dag) = S vec(rho) with
+    vec(rho) = rho.ravel().
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    d = kraus.shape[1]
+    return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
-    kraus: tuple[np.ndarray, ...]
+    """A channel held as its superoperator (``kraus_superop``'s convention)."""
+
+    superop: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kraus", tuple(np.asarray(k, dtype=complex) for k in self.kraus))
+        object.__setattr__(self, "superop", np.asarray(self.superop, dtype=complex))
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return math.isqrt(self.superop.shape[0])
 
     @property
     def n_qubits(self) -> int:
         return int(round(math.log2(self.dim)))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rho, dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
-
-    def choi(self) -> np.ndarray:
-        """Choi matrix with the input factor first: C = sum |i><j| x E(|i><j|)."""
-        d = self.dim
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for k in self.kraus:
-            v = k.T.reshape(-1)  # v[i*d + o] = K[o, i]
-            out += np.outer(v, v.conj())
-        return out
-
-    @classmethod
-    def from_choi(cls, choi: np.ndarray, eig_floor: float = -1e-10) -> "QuantumChannel":
-        d = int(round(math.sqrt(choi.shape[0])))
-        vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
-        if vals.min() < eig_floor:
-            raise ValueError(f"Choi matrix not positive semidefinite (min eig {vals.min():.2e})")
-        kraus = []
-        for val, vec in zip(vals, vecs.T):
-            if val > 1e-14:
-                kraus.append(math.sqrt(val) * vec.reshape(d, d).T)
-        return cls(tuple(kraus))
-
     def then(self, other: "QuantumChannel") -> "QuantumChannel":
         """Composition: self first, then other."""
-        return QuantumChannel(tuple(b @ a for a in self.kraus for b in other.kraus))
+        return QuantumChannel(other.superop @ self.superop)
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
-        return QuantumChannel(tuple(np.kron(a, b) for a in self.kraus for b in other.kraus))
-
-    def compressed(self) -> "QuantumChannel":
-        """Minimal Kraus set (at most dim^2 operators) via the Choi eigenbasis."""
-        return QuantumChannel.from_choi(self.choi())
+        """Product channel: self on the leading qubits, other on the trailing ones."""
+        a, b = self.dim, other.dim
+        s = np.einsum(
+            "acbd,ACBD->aAcCbBdD",
+            self.superop.reshape(a, a, a, a),
+            other.superop.reshape(b, b, b, b),
+        )
+        return QuantumChannel(s.reshape((a * b) ** 2, (a * b) ** 2))
 
     def is_cptp(self, tol: float = CPTP_TOL) -> bool:
-        total = sum(k.conj().T @ k for k in self.kraus)
-        return bool(np.max(np.abs(total - np.eye(self.dim))) <= tol)
+        """Trace preserving, and a Hermitian positive semidefinite Choi matrix."""
+        d = self.dim
+        identity = np.eye(d).ravel()
+        if np.max(np.abs(identity @ self.superop - identity)) > tol:
+            return False
+        choi = self.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        if np.max(np.abs(choi - choi.conj().T)) > tol:
+            return False
+        return bool(np.linalg.eigvalsh(choi).min() >= -tol)
 
 
 def identity_channel(n_qubits: int = 1) -> QuantumChannel:
-    return QuantumChannel((np.eye(2**n_qubits, dtype=complex),))
+    return QuantumChannel(np.eye(4**n_qubits))
 
 
 def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> QuantumChannel:
     """Single-qubit thermal relaxation acting for ``t_gate`` (same unit as T1/T2).
 
-    For T2 <= T1 the channel is the mixture {identity, phase flip, reset}
-    with p_reset = 1 - exp(-t/T1) and
-    p_z = (1 - p_reset)(1 - exp(-t (1/T2 - 1/T1)))/2; for T1 < T2 <= 2 T1 it
-    is built from its Choi matrix with coherence factor exp(-t/T2).
+    The excited population decays into the ground state with
+    p_reset = 1 - exp(-t/T1) and the coherences decay as exp(-t/T2).
     """
     if t1 <= 0 or t2 <= 0:
         raise ValueError("relaxation times must be positive")
@@ -240,56 +224,39 @@ def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> QuantumCh
         raise ValueError(f"T2={t2} > 2 T1={2 * t1} is unphysical")
     if t_gate < 0:
         raise ValueError("gate time must be nonnegative")
-    if t_gate == 0:
-        return identity_channel(1)
-
     p_reset = 1.0 - math.exp(-t_gate / t1)
-    if t2 <= t1:
-        p_z = (1.0 - p_reset) * (1.0 - math.exp(-t_gate * (1.0 / t2 - 1.0 / t1))) / 2.0
-        p_id = 1.0 - p_z - p_reset
-        kraus = (
-            math.sqrt(p_id) * _I2,
-            math.sqrt(p_z) * _PAULIS_1Q[3],
-            math.sqrt(p_reset) * np.array([[1, 0], [0, 0]], dtype=complex),
-            math.sqrt(p_reset) * np.array([[0, 1], [0, 0]], dtype=complex),
+    coherence = math.exp(-t_gate / t2)
+    return QuantumChannel(
+        np.array(
+            [
+                [1, 0, 0, p_reset],
+                [0, coherence, 0, 0],
+                [0, 0, coherence, 0],
+                [0, 0, 0, 1 - p_reset],
+            ]
         )
-        return QuantumChannel(kraus)
-
-    p_t2 = math.exp(-t_gate / t2)
-    choi = np.array(
-        [
-            [1, 0, 0, p_t2],
-            [0, 0, 0, 0],
-            [0, 0, p_reset, 0],
-            [p_t2, 0, 0, 1 - p_reset],
-        ],
-        dtype=complex,
     )
-    return QuantumChannel.from_choi(choi)
 
 
 def depolarizing_channel(p: float, n_qubits: int) -> QuantumChannel:
-    """E(rho) = (1 - p) rho + p I/d, written with uniform Pauli Kraus operators."""
+    """E(rho) = (1 - p) rho + p Tr(rho) I/d."""
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-    d2 = 4**n_qubits
-    paulis = [kron_all(c) for c in itertools.product(_PAULIS_1Q, repeat=n_qubits)]
-    kraus = [math.sqrt(1.0 - p * (d2 - 1) / d2) * paulis[0]]
-    kraus += [math.sqrt(p / d2) * m for m in paulis[1:]]
-    return QuantumChannel(tuple(kraus))
+    d = 2**n_qubits
+    identity = np.eye(d).ravel()
+    return QuantumChannel((1.0 - p) * np.eye(d * d) + p * np.outer(identity, identity) / d)
 
 
 def process_fidelity(channel: QuantumChannel, target: np.ndarray | None = None) -> float:
-    """State fidelity between the normalized Choi matrices of channel and target unitary."""
+    """Tr(S_U^dag S) / d^2: the channel's overlap with the target unitary U."""
     if not channel.is_cptp():
         raise ValueError("channel is not CPTP")
     d = channel.dim
     target_u = np.eye(d, dtype=complex) if target is None else np.asarray(target, dtype=complex)
     if target_u.shape != (d, d):
         raise ValueError("target dimension mismatch")
-    v = target_u.T.reshape(-1)
-    target_choi = np.outer(v, v.conj())
-    return fidelity(channel.choi() / d, target_choi / d)
+    overlap = np.vdot(kraus_superop(target_u[None]), channel.superop)
+    return float(overlap.real) / d**2
 
 
 def average_gate_fidelity(channel: QuantumChannel, target: np.ndarray | None = None) -> float:
@@ -377,7 +344,7 @@ def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:
     for entry in scaled.gates:
         thermal = _gate_thermal_channel(scaled, entry)
         p_depol = depolarizing_probability(entry.error, thermal)
-        channel = thermal.then(depolarizing_channel(p_depol, thermal.n_qubits)).compressed()
+        channel = thermal.then(depolarizing_channel(p_depol, thermal.n_qubits))
         if not channel.is_cptp():
             raise RuntimeError(f"constructed channel for {entry.kind} is not CPTP")
         channels[(entry.kind, entry.qubits)] = channel

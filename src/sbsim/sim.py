@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
+from .noise import kraus_superop
 from .pauli import kron_all
 
 MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
@@ -285,17 +286,15 @@ def _drop_aux(superop: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
 
 
 def _gate_superop(gate: Gate, noise) -> np.ndarray:
-    """Superoperator sum_k (K_k U) x conj(K_k U) of one gate on its operands."""
+    """Superoperator of one gate on its operands: U x conj(U), then its noise channel's."""
     if gate.kind == "reset":
-        kraus = _RESET_KRAUS
-    else:
-        if noise is not None and gate.kind in ("ry", "cry"):
-            raise ValueError("noisy simulation requires a native circuit; transpile first")
-        kraus = gate_unitary(gate.kind, gate.angle)[None]
-        if noise is not None:
-            kraus = np.stack(noise.channel_for(gate.kind, gate.qubits).kraus) @ kraus
-    d = kraus.shape[1]
-    return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
+        return kraus_superop(_RESET_KRAUS)
+    if noise is not None and gate.kind in ("ry", "cry"):
+        raise ValueError("noisy simulation requires a native circuit; transpile first")
+    superop = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
+    if noise is not None:
+        superop = noise.channel_for(gate.kind, gate.qubits).superop @ superop
+    return superop
 
 
 @dataclass

@@ -61,12 +61,26 @@ def circuit_unitary(circuit) -> np.ndarray:
     return total
 
 
+def kraus_operators(channel, floor: float = 1e-14) -> list[np.ndarray]:
+    """Kraus operators of a channel from the eigendecomposition of its Choi matrix.
+
+    The Choi matrix C[(a, b), (c, d)] = S[(a, c), (b, d)] is sum_k vec(K_k)
+    vec(K_k)^dag, so each eigenvector of weight above ``floor`` is one
+    Kraus operator, reshaped.
+    """
+    d = channel.dim
+    choi = channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    vals, vecs = np.linalg.eigh(choi)
+    return [np.sqrt(v) * vec.reshape(d, d) for v, vec in zip(vals, vecs.T) if v > floor]
+
+
 def simulate_bruteforce(circuit, noise=None):
     """Full-width reference engine: (snapshots, final state) of the circuit.
 
     Each gate embeds its unitary, then each Kraus operator of its noise
-    channel, onto the whole register; resets stay ideal and barriers record
-    the state, reduced to the model register when the circuit maps one.
+    channel (from ``kraus_operators``), onto the whole register; resets stay
+    ideal and barriers record the state, reduced to the model register when
+    the circuit maps one.
     """
     width = circuit.width
     rho = np.zeros((2**width, 2**width), dtype=complex)
@@ -92,7 +106,7 @@ def simulate_bruteforce(circuit, noise=None):
         elif g.kind != "measure":
             rho = apply([gate_unitary(g.kind, g.angle)], g.qubits)
             if noise is not None:
-                rho = apply(noise.channel_for(g.kind, g.qubits).kraus, g.qubits)
+                rho = apply(kraus_operators(noise.channel_for(g.kind, g.qubits)), g.qubits)
     return snapshots, rho
 
 

@@ -6,11 +6,13 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_golden import TINY_CONFIGS
 
-from sbsim import noise, sim
+from sbsim import experiments, noise, sim
 from sbsim.cli import main
+from sbsim.encoding import BitCode
 from sbsim.experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -374,3 +376,47 @@ def test_calibration_file_is_parsed_once_per_cli_run(tmp_path, monkeypatch):
     manifest = json.loads((out / "noise_sweep_manifest.json").read_text())
     assert "calibration_data" not in manifest["config"]
     assert manifest["config"]["calibration"] == str(cal_path)
+
+
+def test_sampled_unused_code_word_reads_as_zero_occupation(tmp_path, monkeypatch):
+    # at d_ho = 3 the word level 3 would take encodes no level; the number operator reads 0 on it
+    cfg = make_config(
+        "observables",
+        overrides={"d_ho": 3, "shots": 10, "xi_list": (0.1,), "orders": (1,), "dt_grid": (0.5,),
+                   "t_final": 0.5, "out_dir": str(tmp_path)},
+    )
+    params = cfg.model_params()
+    bits = [0] * params.register_width  # spin in |0>, the ground state
+    for q, b in zip(params.boson_positions, BitCode(cfg.code, 2).bits(3)):
+        bits[q] = b
+    quasi = np.zeros(2**params.register_width)
+    quasi[int("".join(map(str, bits)), 2)] = 1.0
+    monkeypatch.setattr(sim, "mitigate_readout", lambda counts, confusions: quasi)
+    csv_path, _ = run(cfg)
+    rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()[1:]]
+    circuit = [r for r in rows if r[0] == "circuit"]
+    assert len(circuit) == 2
+    assert all((float(r[4]), float(r[5])) == (0.0, -1.0) for r in circuit)
+
+
+def test_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Runs tasks in this process; records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    run(make_config("noise_sweep", overrides={"workers": 500, "out_dir": str(tmp_path)}))
+    assert started == [3]  # noise_sweep defaults: 3 points

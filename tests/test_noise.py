@@ -18,6 +18,7 @@ from sbsim.noise import (
     error_source_ratio,
     identity_channel,
     jakarta_average_calibration,
+    kraus_superop,
     load_calibration,
     process_fidelity,
     scale_calibration,
@@ -27,20 +28,47 @@ from sbsim.noise import (
 # processor averages used throughout (microseconds)
 T1, T2, T_CX = 139.01, 44.82, 0.454095
 
+_RESET_KRAUS = (np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]]))
+
+
+def _apply(channel, rho):
+    return (channel.superop @ rho.ravel()).reshape(rho.shape)
+
+
+def _mixture_superop(t1, t2, t):
+    """T2 <= T1 reference: the mixture {identity, phase flip, reset} as sum_k K x conj(K)."""
+    p_reset = 1 - math.exp(-t / t1)
+    p_z = (1 - p_reset) * (1 - math.exp(-t * (1 / t2 - 1 / t1))) / 2
+    kraus = [math.sqrt(1 - p_z - p_reset) * np.eye(2), math.sqrt(p_z) * np.diag([1.0, -1.0])]
+    kraus += [math.sqrt(p_reset) * k for k in _RESET_KRAUS]
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
+def _closed_form_choi(t1, t2, t):
+    """Choi matrix, input factor first (C = sum |i><j| x E(|i><j|)), valid for T2 <= 2 T1."""
+    p_reset, coherence = 1 - math.exp(-t / t1), math.exp(-t / t2)
+    return np.array(
+        [[1, 0, 0, coherence], [0, 0, 0, 0], [0, 0, p_reset, 0], [coherence, 0, 0, 1 - p_reset]]
+    )
+
+
+def _input_first_choi(channel):
+    # C[(i, o), (j, p)] = E(|i><j|)[o, p] = S[(o, p), (i, j)]
+    return channel.superop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+
 
 def test_zero_time_is_identity_channel():
     ch = thermal_relaxation_channel(T1, T2, 0.0)
-    assert len(ch.kraus) == 1
-    np.testing.assert_allclose(ch.kraus[0], np.eye(2))
+    np.testing.assert_array_equal(ch.superop, np.eye(4))
 
 
 def test_equal_times_mean_no_dephasing():
-    # T2 = T1 makes the phase-flip exponent vanish
+    # T2 = T1: coherences decay exactly as the excited population, no pure dephasing
     ch = thermal_relaxation_channel(100.0, 100.0, 0.5)
     p_reset = 1 - math.exp(-0.5 / 100.0)
-    probs = sorted(float(np.trace(k.conj().T @ k).real) for k in ch.kraus)
-    assert probs[0] == pytest.approx(0.0, abs=1e-15)  # p_Z = 0
-    assert probs[-1] == pytest.approx(2 * (1 - p_reset), abs=1e-12)
+    assert ch.superop[3, 3] == pytest.approx(1 - p_reset, abs=1e-15)
+    assert ch.superop[1, 1] == pytest.approx(ch.superop[3, 3], abs=1e-15)
+    assert ch.superop[2, 2] == pytest.approx(ch.superop[3, 3], abs=1e-15)
 
 
 def test_thermal_probabilities_at_device_averages():
@@ -50,28 +78,55 @@ def test_thermal_probabilities_at_device_averages():
     assert p_reset == pytest.approx(3.2613e-3, abs=1e-7)
     assert p_z == pytest.approx(3.4096e-3, abs=1e-7)
     ch = thermal_relaxation_channel(T1, T2, T_CX)
-    traces = sorted(float(np.trace(k.conj().T @ k).real) for k in ch.kraus)
-    # weights sorted: the two reset operators carry p_reset each, then 2 p_z, 2 p_id
-    assert traces[0] == pytest.approx(p_reset, rel=1e-12)
-    assert traces[1] == pytest.approx(p_reset, rel=1e-12)
-    assert traces[2] == pytest.approx(2 * p_z, rel=1e-12)
+    assert ch.superop[0, 3] == pytest.approx(p_reset, rel=1e-12)  # |1><1| -> |0><0|
+    assert ch.superop[3, 3] == pytest.approx(1 - p_reset, rel=1e-12)
+    # coherence of the mixture: p_id - p_z = 1 - p_reset - 2 p_z
+    assert ch.superop[1, 1] == pytest.approx(1 - p_reset - 2 * p_z, rel=1e-12)
     assert ch.is_cptp()
 
 
 def test_thermal_kraus_branch_matches_choi_branch_at_boundary():
-    # both descriptions are valid at T2 slightly below/above T1 and must agree
+    # the mixture just below T1 and the Choi description just above it agree, as does the channel
     t = 0.3
-    below = thermal_relaxation_channel(100.0, 99.999999, t)
-    above = thermal_relaxation_channel(100.0, 100.000001, t)
-    assert np.max(np.abs(below.choi() - above.choi())) < 1e-9
+    below = _mixture_superop(100.0, 99.999999, t)
+    below_choi = below.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    above_choi = _closed_form_choi(100.0, 100.000001, t)
+    assert np.max(np.abs(below_choi - above_choi)) < 1e-9
+    at = _input_first_choi(thermal_relaxation_channel(100.0, 100.0, t))
+    assert np.max(np.abs(at - above_choi)) < 1e-9
 
 
 def test_thermal_choi_branch_cptp_and_coherence():
     ch = thermal_relaxation_channel(100.0, 150.0, 0.4)
     assert ch.is_cptp()
     rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = ch.apply(rho)
+    out = _apply(ch, rho)
     assert out[0, 1] == pytest.approx(0.5 * math.exp(-0.4 / 150.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("t1, t2, t", [(T1, T2, T_CX), (100.0, 60.0, 5.0), (100.0, 100.0, 0.7)])
+def test_thermal_superop_matches_kraus_mixture(t1, t2, t):
+    ch = thermal_relaxation_channel(t1, t2, t)
+    assert np.max(np.abs(ch.superop - _mixture_superop(t1, t2, t))) < 1e-14
+
+
+@pytest.mark.parametrize("t1, t2, t", [(100.0, 150.0, 0.4), (100.0, 199.0, 3.0), (100.0, 200.0, 10.0)])
+def test_thermal_superop_matches_closed_form_choi(t1, t2, t):
+    ch = thermal_relaxation_channel(t1, t2, t)
+    assert np.max(np.abs(_input_first_choi(ch) - _closed_form_choi(t1, t2, t))) < 1e-14
+
+
+def test_is_cptp_accepts_t2_at_twice_t1():
+    for t in (0.0, 0.3, 50.0):
+        assert thermal_relaxation_channel(100.0, 200.0, t).is_cptp()
+
+
+def test_is_cptp_rejects_transpose_map():
+    # rho -> rho^T preserves trace and is positive but not completely positive
+    transpose = QuantumChannel(np.eye(4)[[0, 2, 1, 3]])
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    np.testing.assert_allclose(_apply(transpose, rho), rho.T)
+    assert not transpose.is_cptp()
 
 
 def test_unphysical_t2_rejected():
@@ -99,7 +154,7 @@ def test_average_gate_fidelity_monte_carlo_cross_check(rng):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
-        estimates.append(np.real(psi.conj() @ ch.apply(rho) @ psi))
+        estimates.append(np.real(psi.conj() @ _apply(ch, rho) @ psi))
     mc = float(np.mean(estimates))
     exact = average_gate_fidelity(ch)
     assert abs(mc - exact) < 5e-3
@@ -107,7 +162,7 @@ def test_average_gate_fidelity_monte_carlo_cross_check(rng):
 
 def test_average_gate_fidelity_against_unitary_target(rng):
     u = random_unitary(rng, 2)
-    ch = QuantumChannel((u,))
+    ch = QuantumChannel(kraus_superop(u[None]))
     assert average_gate_fidelity(ch, u) == pytest.approx(1.0, abs=1e-10)
     assert process_fidelity(ch, u) == pytest.approx(1.0, abs=1e-10)
 
@@ -119,7 +174,8 @@ def test_thermal_infidelity_linear_in_gate_time():
 
 
 def test_non_cptp_rejected():
-    bad = QuantumChannel((np.diag([1.0, 0.5]),))
+    bad = QuantumChannel(kraus_superop(np.diag([1.0, 0.5])[None]))  # loses trace
+    assert not bad.is_cptp()
     with pytest.raises(ValueError):
         average_gate_fidelity(bad)
 
@@ -189,9 +245,8 @@ def test_noise_model_monotone_in_xi():
 
 def test_noise_model_zero_is_noiseless():
     model = build_noise_model(jakarta_average_calibration(), 0.0)
-    for (kind, _), channel in model.channels.items():
-        d = channel.dim
-        np.testing.assert_allclose(channel.choi(), identity_channel(channel.n_qubits).choi(), atol=1e-12)
+    for channel in model.channels.values():
+        np.testing.assert_allclose(channel.superop, identity_channel(channel.n_qubits).superop, atol=1e-12)
     for q in range(7):
         np.testing.assert_allclose(model.confusion_matrix(q), np.eye(2), atol=1e-15)
 
