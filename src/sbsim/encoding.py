@@ -88,23 +88,6 @@ def code_bits(i: int, code: BitCode) -> tuple[int, ...]:
     return tuple((word >> (code.width - 1 - k)) & 1 for k in range(code.width))
 
 
-def code_index(bits: tuple[int, ...], code: BitCode) -> int:
-    """Integer whose code word is ``bits`` (inverse of :func:`code_bits`)."""
-    if len(bits) != code.width:
-        raise ValueError("word length does not match code width")
-    word = 0
-    for b in bits:
-        word = (word << 1) | b
-    if code.kind != GRAY:
-        return word
-    i = word
-    shift = 1
-    while (word >> shift) > 0:
-        i ^= word >> shift
-        shift += 1
-    return i
-
-
 def code_permutation(code: BitCode) -> np.ndarray:
     """Permutation matrix P with P|i> = |code word of i>."""
     dim = 2**code.width

@@ -3,7 +3,8 @@
 The goldens in ``tests/golden/`` pin the numbers, so an engine, oracle or
 harness change that drifts any CSV value shows here.  Each experiment is
 checked serially and with a two-worker pool, which receives the shared
-noise models.  Regenerate them only on purpose, with
+noise models; correlations is also checked serially at ``d_ho`` = 8, the
+widest 2-spin register.  Regenerate them only on purpose, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -18,6 +19,7 @@ from sbsim.experiments import EXPERIMENT_KINDS, make_config, run
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TOL = 1e-10
+D_HO_8_GOLDEN = "correlations_d_ho_8.csv"
 
 _SHORT = {"dt_grid": (0.5,), "t_final": 1.0}
 TINY_CONFIGS = {
@@ -31,14 +33,28 @@ TINY_CONFIGS = {
 }
 
 
-def _run_tiny(experiment: str, out_dir: str, workers: int = 1) -> str:
-    overrides = {**TINY_CONFIGS[experiment], "out_dir": out_dir, "workers": workers}
+def _run_tiny(experiment: str, out_dir: str, workers: int = 1, **extra) -> str:
+    overrides = {**TINY_CONFIGS[experiment], "out_dir": out_dir, "workers": workers, **extra}
     return run(make_config(experiment, overrides=overrides))[0]
 
 
 def _cells(path: str) -> list[list[str]]:
     with open(path) as fh:
         return [line.split(",") for line in fh.read().splitlines()]
+
+
+def _assert_matches(path: str, golden: str) -> None:
+    got = _cells(path)
+    want = _cells(os.path.join(GOLDEN_DIR, golden))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row_got, row_want in zip(got[1:], want[1:]):
+        assert len(row_got) == len(row_want)
+        for a, b in zip(row_got, row_want):
+            try:
+                assert abs(float(a) - float(b)) <= TOL, (row_got, row_want)
+            except ValueError:
+                assert a == b
 
 
 def test_every_experiment_has_a_tiny_config():
@@ -54,17 +70,12 @@ def test_every_experiment_has_a_tiny_config():
     ],
 )
 def test_csv_matches_golden(experiment, workers, tmp_path):
-    got = _cells(_run_tiny(experiment, str(tmp_path), workers))
-    want = _cells(os.path.join(GOLDEN_DIR, f"{experiment}.csv"))
-    assert got[0] == want[0]
-    assert len(got) == len(want)
-    for row_got, row_want in zip(got[1:], want[1:]):
-        assert len(row_got) == len(row_want)
-        for a, b in zip(row_got, row_want):
-            try:
-                assert abs(float(a) - float(b)) <= TOL, (row_got, row_want)
-            except ValueError:
-                assert a == b
+    _assert_matches(_run_tiny(experiment, str(tmp_path), workers), f"{experiment}.csv")
+
+
+def test_correlations_at_d_ho_8_match_golden(tmp_path):
+    # two spins on a 5-qubit register: the widest model the exact oracle admits
+    _assert_matches(_run_tiny("correlations", str(tmp_path), d_ho=8), D_HO_8_GOLDEN)
 
 
 if __name__ == "__main__":
@@ -73,3 +84,5 @@ if __name__ == "__main__":
         for kind in EXPERIMENT_KINDS:
             shutil.copy(_run_tiny(kind, out_dir), GOLDEN_DIR)
             print(f"wrote {kind}.csv", file=sys.stderr)
+        shutil.copy(_run_tiny("correlations", out_dir, d_ho=8), os.path.join(GOLDEN_DIR, D_HO_8_GOLDEN))
+        print(f"wrote {D_HO_8_GOLDEN}", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""Reference propagator against scipy's expm and closed-form open-system solutions."""
+"""Exact reference against scipy's expm and closed-form open-system solutions."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_matches_scipy_expm(n_spins, convention, gamma, grid):
         assert np.max(np.abs(snap.rho - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("n_spins", [1, 2])
+@pytest.mark.parametrize("convention", [PAPER_COLLISION, EQ2_LITERAL])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_snapshots_are_density_matrices(n_spins, convention, gamma):
+    params = ModelParams(gamma=gamma, n_spins=n_spins)
+    spins = ("up",) if n_spins == 1 else ("up", "down")
+    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
+    for snap in evolve_exact(rho0, params, [0.2 * k for k in range(11)], convention):
+        assert np.array_equal(snap.rho, snap.rho.conj().T)
+        assert abs(np.trace(snap.rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(snap.rho).min() >= -1e-12
+
+
 def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
     # gamma = 0 keeps the reference pure; spurious eigenvalues of an
     # approximate reference are amplified by the square roots in the fidelity
@@ -114,14 +128,20 @@ def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
     [([k * 0.2 for k in range(11)], 1), ([0.0, 0.5, 1.0, 2.0], 2)],
     ids=["uniform", "nonuniform"],
 )
-def test_one_propagator_per_distinct_interval(monkeypatch, grid, expected):
+def test_one_plan_per_distinct_interval(monkeypatch, grid, expected):
     # the steps of k*0.2 take four float values that differ only by jitter
-    calls = []
-    expm = oracle._expm
-    monkeypatch.setattr(oracle, "_expm", lambda a: calls.append(a) or expm(a))
+    norms = []
+    plan = oracle._taylor_plan
+    monkeypatch.setattr(oracle, "_taylor_plan", lambda x: norms.append(x) or plan(x))
     params = ModelParams(gamma=1.0)
     evolve_exact(initial_density_matrix(InitialStateSpec(), params), params, grid)
-    assert len(calls) == expected
+    assert len(norms) == len(grid) - 1
+    plans = [plan(x) for x in norms]
+    assert len(set(plans)) == expected
+    for norm_h, (m, s) in zip(norms, plans):
+        assert norm_h / s <= oracle._THETA[m]
+        costs = [k * max(1, math.ceil(norm_h / theta)) for k, theta in oracle._THETA.items()]
+        assert m * s == min(costs)
 
 
 def test_grid_validation():
