@@ -4,11 +4,12 @@ Each experiment expands into an ordered grid of points.  ``run`` builds
 every input that points share once, in the calling process: the
 calibration (parsed once and kept on the config), one noise model per xi,
 one exact reference trajectory per (gamma, dt), one native one-step circuit
-per (order, gamma, dt) and one dict of compiled runs per noise model.  Only
-the circuit trajectories, one per point, are simulated, serially or by a
-worker pool: each replays its one-step circuit for its step count.  Serially
-the points of a noise model share its compiled runs; a worker receives an
-empty dict and compiles for itself.  Rows are then built from the
+per (order, gamma, dt) and one dict of compiled runs per tuple of noise
+models.  Each circuit is simulated in one engine pass, serially or by a
+worker pool: it replays its one-step circuit for its step count under the
+noise models of all its points at once, as one stacked state.  Serially
+the circuits of one model tuple share its compiled runs; a worker receives
+an empty dict and compiles for itself.  Rows are then built from the
 trajectories and the shared references in grid order, so identical configs
 and seeds give byte-identical CSV output in both modes.
 """
@@ -84,6 +85,11 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """All problems at once, so a batch job fails before any computation."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """What ``validate`` reports, found on first use and then kept on this config."""
         problems = []
         if self.experiment not in EXPERIMENT_KINDS:
             problems.append(f"unknown experiment {self.experiment!r}")
@@ -103,6 +109,8 @@ class ExperimentConfig:
             problems.append("gamma values must be nonnegative and finite")
         if self.shots is not None and self.shots < 1:
             problems.append("shots must be at least 1 when given")
+        if self.seed < 0:
+            problems.append(f"seed must be non-negative, got {self.seed}")
         if self.shots is not None and self.experiment != "observables":
             problems.append("shot sampling is only supported for the observables experiment")
         if self.experiment in ("observables", "correlations") and len(self.dt_grid) != 1:
@@ -135,7 +143,7 @@ class ExperimentConfig:
             else:
                 if uses_calibration and not problems:
                     problems += self._calibration_gaps(cal)
-        return problems
+        return tuple(problems)
 
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
@@ -268,15 +276,15 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# one grid point: the circuit trajectory, the only work sent to the pool
+# one circuit: the trajectories of all its points, the only work sent to the pool
 
 
-def _simulated_trajectory(
-    circuit: Circuit, model, n_steps: int, dt: float, compiled: dict
-) -> list[TrajectorySnapshot]:
-    """The trajectory of one point: its one-step circuit replayed n_steps times."""
-    result = sim.simulate(circuit, model, repeat=n_steps, compiled=compiled)
-    return [TrajectorySnapshot(k * dt, s) for k, s in enumerate(result.snapshots)]
+def _simulated_trajectories(
+    circuit: Circuit, models: tuple, n_steps: int, dt: float, compiled: dict
+) -> list[list[TrajectorySnapshot]]:
+    """One trajectory per noise model: the one-step circuit replayed n_steps times under each."""
+    results = sim.simulate(circuit, models, repeat=n_steps, compiled=compiled)
+    return [[TrajectorySnapshot(k * dt, s) for k, s in enumerate(r.snapshots)] for r in results]
 
 
 def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[TrajectorySnapshot]:
@@ -291,7 +299,7 @@ def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[Tr
 
 
 def _sweep_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
+    cfg: ExperimentConfig, task: dict, simulated, exact, exact_sqrts, model, state_values
 ) -> list[tuple]:
     """One row of avg and final infidelity (trotter, noise and gamma sweeps)."""
     n_steps = len(simulated) - 1
@@ -299,18 +307,19 @@ def _sweep_rows(
         **task,
         "n_steps": n_steps,
         "t_final": n_steps * task["dt"],
-        "avg_infidelity": metrics.time_averaged_infidelity(simulated, exact),
-        "final_infidelity": metrics.infidelity(simulated[-1].rho, exact[-1].rho),
+        "avg_infidelity": metrics.time_averaged_infidelity(simulated, exact, exact_sqrts=exact_sqrts),
+        "final_infidelity": metrics.infidelity(simulated[-1].rho, exact[-1].rho, exact_sqrts[-1]),
     }
     return [tuple(values[name] for name in _HEADERS[cfg.experiment])]
 
 
 def _per_time_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
+    cfg: ExperimentConfig, task: dict, simulated, exact, exact_sqrts, model, state_values
 ) -> list[tuple]:
     return [
-        (task["order"], task["gamma"], task["xi"], task["dt"], s.t, metrics.infidelity(s.rho, e.rho))
-        for s, e in zip(simulated, exact)
+        (task["order"], task["gamma"], task["xi"], task["dt"], s.t,
+         metrics.infidelity(s.rho, e.rho, e_sqrt))
+        for s, e, e_sqrt in zip(simulated, exact, exact_sqrts)
     ]
 
 
@@ -332,7 +341,7 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams):
 
 
 def _observable_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, model, state_values
+    cfg: ExperimentConfig, task: dict, simulated, exact, exact_sqrts, model, state_values
 ) -> list[tuple]:
     """Circuit rows (source="circuit") for observables/correlations.
 
@@ -393,46 +402,60 @@ _ROW_BUILDERS = {
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     """Rows of every grid point in grid order, from inputs built once for all points.
 
-    Each distinct (order, gamma, dt) gets one native one-step circuit, and
-    each noise model one dict of compiled runs; a point replays its circuit
-    for its step count.  A point at xi = 0 simulates without noise; its
-    model, built only when shots are sampled, serves the readout.
+    Each distinct (order, gamma, dt) gets one native one-step circuit,
+    simulated in one engine pass under the noise models of its points, in
+    grid order; each distinct tuple of those models gets one dict of
+    compiled runs.  A point at xi = 0 simulates without noise; its model,
+    built only when shots are sampled, serves the readout.  The square root
+    of each exact snapshot is taken once for every infidelity against it.
     """
     xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
     cal = cfg.calibration_data if xis else None
     models = {xi: noise.build_noise_model(cal, xi) for xi in xis}
     keys = dict.fromkeys((t["gamma"], t["dt"]) for t in tasks)
     references = {key: _exact_trajectory(cfg, *key) for key in keys}
+    points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
+    for i, t in enumerate(tasks):
+        points.setdefault((t["order"], t["gamma"], t["dt"]), []).append(i)
     circuits = {
         (o, g, dt): transpile.decompose_native(assemble_evolution(
             cfg.model_params(g), cfg.initial_state(), 1, dt, o, cfg.code, cfg.convention
         ))
-        for o, g, dt in dict.fromkeys((t["order"], t["gamma"], t["dt"]) for t in tasks)
+        for o, g, dt in points
     }
-    caches = {t["xi"]: {} for t in tasks}  # one per engine noise model, None at xi = 0
-    points = (
-        [circuits[t["order"], t["gamma"], t["dt"]] for t in tasks],
-        [models[t["xi"]] if t["xi"] > 0 else None for t in tasks],
-        [steps_for(cfg.t_final, t["dt"]) for t in tasks],
-        [t["dt"] for t in tasks],
-        [caches[t["xi"]] for t in tasks],
+    stack_xis = [tuple(tasks[i]["xi"] for i in members) for members in points.values()]
+    caches = {xis: {} for xis in stack_xis}  # one dict of compiled runs per model tuple
+    args = (
+        list(circuits.values()),
+        [tuple(models[xi] if xi > 0 else None for xi in xis) for xis in stack_xis],
+        [steps_for(cfg.t_final, dt) for _, _, dt in points],
+        [dt for _, _, dt in points],
+        [caches[xis] for xis in stack_xis],
     )
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-            simulated = list(pool.map(_simulated_trajectory, *points))
+    workers = min(cfg.workers, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_circuit = list(pool.map(_simulated_trajectories, *args))
     else:
-        simulated = list(map(_simulated_trajectory, *points))
+        per_circuit = list(map(_simulated_trajectories, *args))
+    simulated = [None] * len(tasks)
+    for members, trajectories in zip(points.values(), per_circuit):
+        for i, trajectory in zip(members, trajectories):
+            simulated[i] = trajectory
 
     rows: list[tuple] = []
-    state_values = None
+    state_values, sqrts = None, {}
     if cfg.experiment in ("observables", "correlations"):
         state_values = _state_values(cfg, cfg.model_params())
         exact = references[(cfg.gamma, cfg.dt_grid[0])]
         rows += [("exact", 0, 0.0, s.t, *state_values(s.rho)) for s in exact]
+    else:
+        sqrts = {key: [metrics.sqrtm_psd(s.rho) for s in ref] for key, ref in references.items()}
     build = _ROW_BUILDERS[cfg.experiment]
     for task, trajectory in zip(tasks, simulated):
-        exact = references[(task["gamma"], task["dt"])]
-        rows += build(cfg, task, trajectory, exact, models.get(task["xi"]), state_values)
+        key = (task["gamma"], task["dt"])
+        rows += build(cfg, task, trajectory, references[key], sqrts.get(key),
+                      models.get(task["xi"]), state_values)
     return rows
 
 

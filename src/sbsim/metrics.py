@@ -32,40 +32,52 @@ class ObservableSpec:
 _EIG_ZERO = 1e-14
 
 
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
+def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root with near-zero eigenvalues clamped to zero."""
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     vals = np.where(vals < _EIG_ZERO, 0.0, vals)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None = None) -> float:
     """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Evaluated as the squared trace norm of sqrt(sigma) sqrt(rho); singular
     values carry full absolute precision near zero, unlike the square roots
-    of near-zero eigenvalues in the textbook expression.
+    of near-zero eigenvalues in the textbook expression.  ``sigma_sqrt`` is
+    ``sqrtm_psd(sigma)`` when the caller has computed it once for many
+    states compared with sigma.
     """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
-    singular = np.linalg.svd(_sqrtm_psd(sigma) @ _sqrtm_psd(rho), compute_uv=False)
+    if sigma_sqrt is None:
+        sigma_sqrt = sqrtm_psd(sigma)
+    singular = np.linalg.svd(sigma_sqrt @ sqrtm_psd(rho), compute_uv=False)
     return float(min(1.0, np.sum(singular) ** 2))
 
 
-def infidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return 1.0 - fidelity(rho, sigma)
+def infidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None = None) -> float:
+    return 1.0 - fidelity(rho, sigma, sigma_sqrt)
 
 
-def time_averaged_infidelity(traj_sim, traj_exact, grid_tol: float = 1e-9) -> float:
-    """Mean infidelity over the common time grid, excluding the t=0 point."""
+def time_averaged_infidelity(
+    traj_sim, traj_exact, grid_tol: float = 1e-9, exact_sqrts: list[np.ndarray] | None = None
+) -> float:
+    """Mean infidelity over the common time grid, excluding the t=0 point.
+
+    ``exact_sqrts`` holds ``sqrtm_psd`` of each exact snapshot, in order,
+    when the caller has computed them once for many trajectories.
+    """
     if len(traj_sim) != len(traj_exact):
         raise ValueError("trajectory lengths differ")
+    if exact_sqrts is None:
+        exact_sqrts = [None] * len(traj_exact)
     values = []
-    for a, b in zip(traj_sim, traj_exact):
+    for a, b, b_sqrt in zip(traj_sim, traj_exact, exact_sqrts):
         if abs(a.t - b.t) > grid_tol:
             raise ValueError(f"time grids differ at t={a.t} vs {b.t}")
         if a.t > grid_tol:
-            values.append(infidelity(a.rho, b.rho))
+            values.append(infidelity(a.rho, b.rho, b_sqrt))
     if not values:
         raise ValueError("no t > 0 snapshots to average")
     return float(np.mean(values))

@@ -4,9 +4,15 @@ Splits each circuit into runs of consecutive gates (unitary, noisy or
 reset) whose operands together cover at most two qubits, the width of the
 widest native gate; barriers and measurements end a run.  Each distinct run
 is compiled into one local superoperator on its qubits (no full-register
-operators) and applied by one gather, matrix product and scatter.  Compiled
-runs live in a dict bound to one noise model, which a caller may keep and
-pass to every circuit it simulates under that model.
+operators) and applied by one gather, matrix product and scatter.
+
+One call simulates a circuit under one noise model or under a tuple of
+them.  The state is then a stack of density matrices, one per model, held
+as one flat vector, and every compiled run a stack of superoperators, one
+per model: the circuit is split, compiled, replayed and checked once for
+all its noise levels.  Compiled runs live in a dict bound to one model
+tuple, which a caller may keep and pass to every circuit it simulates
+under that tuple.
 
 A circuit whose time steps repeat one block is simulated from one step: the
 last barrier-delimited block is replayed ``repeat`` times, which gives
@@ -36,7 +42,7 @@ from .pauli import kron_all
 MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
 _AUX_TOL = 1e-12
 _TRACE_TOL = 1e-9
-_BOUND_MODEL = "noise model"  # key under which a compiled-run dict holds its model
+_BOUND_MODELS = "noise models"  # key under which a compiled-run dict holds its model tuple
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _RESET_KRAUS = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
@@ -107,21 +113,29 @@ def simulate(
     rho0: np.ndarray | None = None,
     repeat: int = 1,
     compiled: dict | None = None,
-) -> SimulationResult:
+) -> SimulationResult | list[SimulationResult]:
     """Run the circuit, applying the noise model's channel after each native gate.
+
+    ``noise`` is one noise model, ``None`` for a noiseless run, or a tuple
+    of those.  A tuple runs every member in this one call, from the same
+    ``rho0``, and returns one result per member in its order; the others
+    return one result.  Each member's result equals, bit for bit, that of
+    the member alone.
 
     With a noise model the circuit must be native (no ry/cry); channels are
     applied on the gate operands right after the ideal unitary, and resets
-    stay ideal.  Barriers record snapshots.
+    stay ideal.  Barriers record snapshots.  After each run the trace of
+    every noisy member's state is checked against 1.
 
     Consecutive gates whose operands together cover at most two qubits form
     a run, and barriers and measurements end one.  Each distinct run is
-    compiled once into one local superoperator and applied to the state by
-    one gather, matrix product and scatter.  Compiled runs, keyed by the
-    run and the qubits the state holds, are kept in ``compiled`` together
-    with the gate superoperators placed for them.  That dict is bound to
-    ``noise`` on first use, and passing it again with another noise model
-    raises; without one, a fresh dict serves this call.
+    compiled once into a stack of local superoperators, one per member, and
+    applied to the stacked state by one gather, stacked matrix product and
+    scatter.  Compiled runs, keyed by the run and the qubits the state
+    holds, are kept in ``compiled`` together with the gate superoperators
+    placed for them.  That dict is bound to the members on first use, and
+    passing it again with other members raises; without one, a fresh dict
+    serves this call.
 
     ``repeat`` applies the circuit's last barrier-delimited block (the gates
     after the second-to-last barrier through the last one) that many times,
@@ -137,12 +151,16 @@ def simulate(
     """
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
+    models = noise if isinstance(noise, tuple) else (noise,)
+    if not models:
+        raise ValueError("need at least one noise model (None for a noiseless run)")
     compiled = {} if compiled is None else compiled
-    if compiled.setdefault(_BOUND_MODEL, noise) is not noise:
+    bound = compiled.setdefault(_BOUND_MODELS, models)
+    if len(bound) != len(models) or any(a is not b for a, b in zip(bound, models)):
         raise ValueError("compiled runs were built under another noise model")
     width, aux = circuit.width, circuit.aux_qubits
     kept = tuple(q for q in range(width) if q not in aux)
-    n = len(kept)
+    n, k = len(kept), len(models)
     if n > MAX_SIM_WIDTH:
         raise ValueError(f"{n}-qubit state exceeds the dense engine limit {MAX_SIM_WIDTH}")
     aux_zero = tuple(0 if a % width in aux else slice(None) for a in range(2 * width))
@@ -156,7 +174,7 @@ def simulate(
         if np.abs(full).sum() - np.abs(rho).sum() > _AUX_TOL:
             raise ValueError("initial state has weight outside auxiliary |0>")
 
-    # one entry per run: None records a snapshot, else (superop, index, run)
+    # one entry per run: None records a snapshot, else (superops, index, run)
     program = []
     for run in _runs(circuit.gates):
         if run[0].kind == "barrier":
@@ -164,9 +182,9 @@ def simulate(
         elif run[0].kind != "measure":
             entry = compiled.get((run, kept))
             if entry is None:
-                superop, qubits = _compile(run, noise, aux, compiled)
-                index = _operand_index(tuple(kept.index(q) for q in qubits), n)
-                entry = compiled[run, kept] = superop, index
+                superops, qubits = _compile(run, models, aux, compiled)
+                index = _operand_index(tuple(kept.index(q) for q in qubits), n, k)
+                entry = compiled[run, kept] = superops, index
             program.append((*entry, run))
     start = stop = 0
     if repeat > 1:
@@ -179,23 +197,32 @@ def simulate(
     if circuit.model_register is not None:
         order = tuple(kept.index(q) for q in circuit.model_register)
     dim = 2**n
-    vec = rho.ravel()
-    snapshots: list[np.ndarray] = []
+    noisy = [j for j, model in enumerate(models) if model is not None]
+    vec = np.tile(rho.ravel(), k)
+    snapshots: list[list[np.ndarray]] = [[] for _ in models]
     for op in program[:start] + program[start:stop] * repeat + program[stop:]:
         if op is None:
-            rho = vec.reshape(dim, dim)
-            snapshots.append(rho.copy() if order is None else partial_trace(rho, order, n))
+            for member, state in zip(snapshots, vec.reshape(k, dim, dim)):
+                member.append(state.copy() if order is None else partial_trace(state, order, n))
             continue
-        superop, index, run = op
-        vec = _apply(superop, index, vec)
-        if noise is not None:
-            drift = abs(vec[:: dim + 1].sum().real - 1.0)
-            if drift > _TRACE_TOL:
+        superops, index, run = op
+        vec = _apply(superops, index, vec)
+        if noisy:
+            traces = vec.reshape(k, dim * dim)[noisy, :: dim + 1].sum(axis=1).real
+            drifts = np.abs(traces - 1.0)
+            if drifts.max() > _TRACE_TOL:
+                j = noisy[int(drifts.argmax())]
                 kinds = "/".join(g.kind for g in run)
-                raise RuntimeError(f"trace drift {drift:.2e} after {kinds}; engine invariant broken")
-    final = np.zeros((2,) * (2 * width), dtype=complex)
-    final[aux_zero] = vec.reshape((2,) * (2 * n))
-    return SimulationResult(snapshots, final.reshape(2**width, 2**width))
+                raise RuntimeError(
+                    f"trace drift {drifts.max():.2e} after {kinds} under noise model {j}; "
+                    "engine invariant broken"
+                )
+    results = []
+    for member, state in zip(snapshots, vec.reshape((k,) + (2,) * (2 * n))):
+        final = np.zeros((2,) * (2 * width), dtype=complex)
+        final[aux_zero] = state
+        results.append(SimulationResult(member, final.reshape(2**width, 2**width)))
+    return results if isinstance(noise, tuple) else results[0]
 
 
 def _runs(gates: tuple[Gate, ...]):
@@ -216,50 +243,56 @@ def _runs(gates: tuple[Gate, ...]):
         yield tuple(run)
 
 
-def _operand_index(qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Flat entries of a width-qubit rho, grouped by their operand bits.
+def _operand_index(qubits: tuple[int, ...], width: int, k: int) -> np.ndarray:
+    """Flat entries of a stack of k width-qubit rhos, grouped by model and operand bits.
 
-    Block l of the result (of ``4**len(qubits)`` equal blocks) lists the
-    entries whose operand row and column bits, read as one 2k-bit word,
+    The result splits into k equal parts, one per stacked rho in order, and
+    block l of each part (of ``4**len(qubits)`` equal blocks) lists the
+    entries whose operand row and column bits, read as one 2a-bit word,
     equal l.
     """
-    operand_axes = list(qubits) + [width + q for q in qubits]
-    axes = operand_axes + [a for a in range(2 * width) if a not in operand_axes]
-    return np.arange(4**width).reshape((2,) * (2 * width)).transpose(axes).ravel()
+    operand_axes = [1 + q for q in qubits] + [1 + width + q for q in qubits]
+    axes = [0] + operand_axes + [a for a in range(1, 2 * width + 1) if a not in operand_axes]
+    return np.arange(k * 4**width).reshape((k,) + (2,) * (2 * width)).transpose(axes).ravel()
 
 
-def _apply(superop: np.ndarray, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply a local superoperator to flat density matrices stacked along axis 0."""
+def _apply(superops: np.ndarray, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Apply a stack of local superoperators, one per stacked rho, to flat stacked rhos.
+
+    ``vecs`` holds the k flat density matrices one after another along
+    axis 0; further axes hold independent columns.
+    """
     out = np.empty_like(vecs)
-    out[idx] = (superop @ vecs[idx].reshape(superop.shape[0], -1)).reshape(vecs.shape)
+    out[idx] = (superops @ vecs[idx].reshape(*superops.shape[:2], -1)).reshape(vecs.shape)
     return out
 
 
 def _compile(
-    run: tuple[Gate, ...], noise, aux: tuple[int, ...], embedded: dict
+    run: tuple[Gate, ...], models: tuple, aux: tuple[int, ...], embedded: dict
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One superoperator for a run, and the qubits it acts on, in its order.
+    """A run's superoperators, one per noise model, and the qubits they act on, in order.
 
     The run's local register orders its qubits by first appearance.  Each
-    gate's superoperator is placed on that register once (cached in
-    ``embedded``), and the run's superoperator is their product.  Each
-    auxiliary of the run is then removed: it enters in |0> (input row =
-    column = 0) and is traced out of the output.  That is exact only if the
-    run's last operation on it is a reset, so anything else is rejected;
-    with the initial state's auxiliaries in |0>, every auxiliary is then
-    clean whenever a run starts.
+    gate's superoperators are placed on that register once (cached in
+    ``embedded``), and the run's superoperator under each model is their
+    product.  Each auxiliary of the run is then removed: it enters in |0>
+    (input row = column = 0) and is traced out of the output.  That is
+    exact only if the run's last operation on it is a reset, so anything
+    else is rejected; with the initial state's auxiliaries in |0>, every
+    auxiliary is then clean whenever a run starts.
     """
     local: list[int] = []
     for g in run:
         local += [q for q in g.qubits if q not in local]
-    n = len(local)
-    superop = np.eye(4**n, dtype=complex)
+    n, k = len(local), len(models)
+    superops = np.tile(np.eye(4**n, dtype=complex), (k, 1, 1))
     for g in run:
         key = (g, tuple(local.index(q) for q in g.qubits), n)
         if key not in embedded:
-            identity = np.eye(4**n, dtype=complex)
-            embedded[key] = _apply(_gate_superop(g, noise), _operand_index(key[1], n), identity)
-        superop = embedded[key] @ superop
+            identity = np.tile(np.eye(4**n, dtype=complex), (k, 1))
+            placed = _apply(_gate_superop(g, models), _operand_index(key[1], n, k), identity)
+            embedded[key] = placed.reshape(k, 4**n, 4**n)
+        superops = embedded[key] @ superops
     dropped = [i for i, q in enumerate(local) if q in aux]
     for i in dropped:
         last = next(g for g in reversed(run) if local[i] in g.qubits)
@@ -269,32 +302,34 @@ def _compile(
                 "an auxiliary must enter each run in |0> and leave it reset"
             )
     if dropped:
-        superop = _drop_aux(superop, n, dropped)
-    return superop, tuple(q for q in local if q not in aux)
+        superops = _drop_aux(superops, n, dropped)
+    return superops, tuple(q for q in local if q not in aux)
 
 
-def _drop_aux(superop: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
-    """Superoperator on the other local qubits: auxiliaries in |0>, traced out after."""
+def _drop_aux(superops: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
+    """Stacked superoperators on the other local qubits: auxiliaries in |0>, traced out after."""
     kept = [p for p in range(n) if p not in dropped]
     m = len(kept)
-    # axes: output row and column bits, then input row and column bits, n each
-    tensor = superop.reshape((2,) * (4 * n))
-    tensor = tensor[tuple(0 if a >= 2 * n and a % n in dropped else slice(None) for a in range(4 * n))]
+    # axes: the stack, then output row and column bits, then input row and column bits, n each
+    tensor = superops.reshape((len(superops),) + (2,) * (4 * n))
+    zero_in = (0 if a >= 2 * n and a % n in dropped else slice(None) for a in range(4 * n))
+    tensor = tensor[(..., *zero_in)]
     in_sub = list(range(n)) + [n + p if p in kept else p for p in range(n)]
     out_sub = kept + [n + p for p in kept] + list(range(2 * n, 2 * n + 2 * m))
-    return np.einsum(tensor, in_sub + out_sub[2 * m:], out_sub).reshape(4**m, 4**m)
+    return np.einsum(tensor, [..., *in_sub, *out_sub[2 * m:]], [..., *out_sub]).reshape(-1, 4**m, 4**m)
 
 
-def _gate_superop(gate: Gate, noise) -> np.ndarray:
-    """Superoperator of one gate on its operands: U x conj(U), then its noise channel's."""
+def _gate_superop(gate: Gate, models: tuple) -> np.ndarray:
+    """Superoperators of one gate on its operands, one per model: U x conj(U), then its channel's."""
     if gate.kind == "reset":
-        return kraus_superop(_RESET_KRAUS)
-    if noise is not None and gate.kind in ("ry", "cry"):
+        return np.stack([kraus_superop(_RESET_KRAUS)] * len(models))
+    if gate.kind in ("ry", "cry") and any(model is not None for model in models):
         raise ValueError("noisy simulation requires a native circuit; transpile first")
-    superop = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
-    if noise is not None:
-        superop = noise.channel_for(gate.kind, gate.qubits).superop @ superop
-    return superop
+    ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
+    return np.stack([
+        ideal if model is None else model.channel_for(gate.kind, gate.qubits).superop @ ideal
+        for model in models
+    ])
 
 
 @dataclass

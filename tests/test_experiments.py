@@ -294,6 +294,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
          "calibration lists 2 qubits; reading out the register needs 3"),
         (["--calibration", "{tmp}/cx_one_operand.json"],
          "cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
+        (["--shots", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -333,14 +334,16 @@ def test_two_spins_at_d_ho_8_validate():
     assert cfg.validate() == [] and cfg.d_ho == 8
 
 
-@pytest.mark.parametrize("experiment, distinct", [("trotter_sweep", 76), ("gamma_sweep", 40)])
+# trotter_sweep runs every circuit noiseless, so all 20 circuits share one one-member stack;
+# gamma_sweep runs each of its 6 circuits under the same (None, xi 0.01) stack
+@pytest.mark.parametrize("experiment, distinct", [("trotter_sweep", 76), ("gamma_sweep", 20)])
 def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, experiment, distinct):
     calls = []
     compile_run = sim._compile
 
-    def counted(run, model, aux, embedded):
-        calls.append((run, id(model)))
-        return compile_run(run, model, aux, embedded)
+    def counted(run, models, aux, embedded):
+        calls.append((run, tuple(map(id, models))))
+        return compile_run(run, models, aux, embedded)
 
     monkeypatch.setattr(sim, "_compile", counted)
     run(make_config(experiment, overrides={"out_dir": str(tmp_path)}))
@@ -376,6 +379,22 @@ def test_calibration_file_is_parsed_once_per_cli_run(tmp_path, monkeypatch):
     manifest = json.loads((out / "noise_sweep_manifest.json").read_text())
     assert "calibration_data" not in manifest["config"]
     assert manifest["config"]["calibration"] == str(cal_path)
+
+
+def test_config_is_validated_once_per_cli_run(tmp_path, monkeypatch):
+    calls = []
+    gaps = ExperimentConfig._calibration_gaps
+
+    def counted(cfg, cal):
+        calls.append(cfg.experiment)
+        return gaps(cfg, cal)
+
+    monkeypatch.setattr(ExperimentConfig, "_calibration_gaps", counted)
+    assert main(["noise_sweep", "--out", str(tmp_path / "cli")]) == 0
+    assert calls == ["noise_sweep"]
+    # a hand-built config is validated by run, once
+    run(ExperimentConfig("noise_sweep", xi_list=(0.1,), out_dir=str(tmp_path / "hand")))
+    assert calls == ["noise_sweep"] * 2
 
 
 def test_sampled_unused_code_word_reads_as_zero_occupation(tmp_path, monkeypatch):
@@ -419,4 +438,7 @@ def test_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     run(make_config("noise_sweep", overrides={"workers": 500, "out_dir": str(tmp_path)}))
-    assert started == [3]  # noise_sweep defaults: 3 points
+    assert started == []  # noise_sweep defaults: 3 points of one circuit, simulated in one pass
+    two_orders = {"workers": 500, "orders": (1, 2), "out_dir": str(tmp_path)}
+    run(make_config("noise_sweep", overrides=two_orders))
+    assert started == [2]  # 6 points of two circuits

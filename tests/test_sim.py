@@ -21,6 +21,8 @@ from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
+    NoiseModel,
+    QuantumChannel,
     QubitCalibration,
     build_noise_model,
     jakarta_average_calibration,
@@ -199,6 +201,44 @@ def test_compiled_runs_are_bound_to_one_noise_model():
     for wrong in (other, None):
         with pytest.raises(ValueError, match="another noise model"):
             simulate(circuit, noise=wrong, compiled=compiled)
+    stack: dict = {}
+    first = simulate(circuit, noise=(None, model), compiled=stack)
+    again = simulate(circuit, noise=(None, model), compiled=stack)  # an equal tuple is the same stack
+    assert all(np.array_equal(a.final, b.final) for a, b in zip(first, again))
+    for wrong in ((model, None), (None, other), (None,), (None, model, model), model):
+        with pytest.raises(ValueError, match="another noise model"):
+            simulate(circuit, noise=wrong, compiled=stack)
+    with pytest.raises(ValueError, match="at least one noise model"):
+        simulate(circuit, noise=())
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_model_stack_matches_each_model_alone(n_spins, order):
+    cal = jakarta_average_calibration()
+    models = (None, build_noise_model(cal, 0.01), build_noise_model(cal, 1.0))
+    step = _native_evolution(n_spins, order, 1)
+    stacked = simulate(step, noise=models, repeat=3)
+    assert len(stacked) == len(models)
+    for model, got in zip(models, stacked):
+        alone = simulate(step, noise=model, repeat=3)
+        assert len(got.snapshots) == len(alone.snapshots) == 4
+        for a, b in zip(got.snapshots + [got.final], alone.snapshots + [alone.final]):
+            assert np.array_equal(a, b)
+
+
+def test_trace_drift_of_one_stack_member_is_caught():
+    cal = jakarta_average_calibration()
+    leaky = build_noise_model(cal, 0.1)
+    key = ("sx", None)
+    channels = {**leaky.channels, key: QuantumChannel(0.9 * leaky.channels[key].superop)}
+    leaky = NoiseModel(channels, leaky.readout, leaky.xi)
+    sound = build_noise_model(cal, 0.1)
+    step = _native_evolution(1, 2, 1)
+    simulate(step, noise=(None, sound), repeat=2)
+    for models, j in (((None, sound, leaky), 2), ((leaky, None), 0), ((sound, leaky), 1)):
+        with pytest.raises(RuntimeError, match=f"trace drift .* under noise model {j}"):
+            simulate(step, noise=models, repeat=2)
 
 
 _COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
@@ -282,22 +322,24 @@ def test_runs_stop_at_barriers_and_measurements():
 @pytest.mark.parametrize("xi", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("n_spins", [1, 2])
 def test_every_compiled_run_is_cptp(n_spins, xi):
-    model = build_noise_model(jakarta_average_calibration(), xi)
+    models = (build_noise_model(jakarta_average_calibration(), xi), None)
     for order in (1, 2):
         circuit = _native_evolution(n_spins, order, 1)
         runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
         reduced = 0
         for run in runs:
-            superop, qubits = _compile(run, model, circuit.aux_qubits, {})
+            superops, qubits = _compile(run, models, circuit.aux_qubits, {})
             assert not set(qubits) & set(circuit.aux_qubits)
+            assert len(superops) == len(models)
             reduced += any(g.kind == "reset" for g in run)
-            d = math.isqrt(superop.shape[0])
-            assert d == 2 ** len(qubits)
-            identity = np.eye(d).ravel()
-            assert np.max(np.abs(identity @ superop - identity)) < 1e-12
-            choi = superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-            assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
-            assert np.linalg.eigvalsh(choi).min() > -1e-12
+            for superop in superops:
+                d = math.isqrt(superop.shape[0])
+                assert d == 2 ** len(qubits)
+                identity = np.eye(d).ravel()
+                assert np.max(np.abs(identity @ superop - identity)) < 1e-12
+                choi = superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+                assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+                assert np.linalg.eigvalsh(choi).min() > -1e-12
         assert reduced == n_spins  # one collision run per spin, each reduced to a channel on it
 
 
