@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--convention", choices=RATE_CONVENTIONS)
         p.add_argument("--calibration", help="calibration JSON (default: bundled averages)")
         p.add_argument("--out", dest="out_dir")
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int, help="deprecated; has no effect, every run is serial")
     return parser
 
 
@@ -63,6 +63,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    if cfg.workers > 1:
+        print(f"workers = {cfg.workers} is deprecated and has no effect; every run is serial", file=sys.stderr)
     paths = run(cfg)
     for path in paths:
         print(path)

@@ -1,17 +1,17 @@
 """Config-driven experiment harness: sweeps, observables, correlations, gate counts.
 
 Each experiment expands into an ordered grid of points.  ``run`` builds
-every input that points share once, in the calling process: the
-calibration (parsed once and kept on the config), one noise model per xi,
-one exact reference trajectory per (gamma, dt), one native one-step circuit
-per (order, gamma, dt) and one dict of compiled runs per tuple of noise
-models.  Each circuit is simulated in one engine pass, serially or by a
-worker pool: it replays its one-step circuit for its step count under the
-noise models of all its points at once, as one stacked state.  Serially
-the circuits of one model tuple share its compiled runs; a worker receives
-an empty dict and compiles for itself.  Rows are then built from the
-trajectories and the shared references in grid order, so identical configs
-and seeds give byte-identical CSV output in both modes.
+every input that points share once: the calibration (parsed once and kept
+on the config), one noise model per xi, one exact reference trajectory per
+(gamma, dt), one native one-step circuit per (order, gamma, dt), kept on
+the config beside the calibration, and one dict of compiled runs per tuple
+of noise models.  Each circuit is simulated in one engine pass in the
+calling process: it replays its one-step circuit for its step count under
+the noise models of all its points at once, as one stacked state, and the
+circuits of one model tuple share its compiled runs.  Rows are then built
+from the trajectories and the shared references in grid order, so
+identical configs and seeds give byte-identical CSV output.  The
+``workers`` field is deprecated and has no effect: every run is serial.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import hashlib
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -36,7 +35,13 @@ from .model import (
     ModelParams,
     initial_density_matrix,
 )
-from .oracle import MAX_REGISTER_WIDTH, TrajectorySnapshot, evolve_exact
+from .oracle import (
+    MAX_REGISTER_WIDTH,
+    MAX_SUBSTEPS,
+    TrajectorySnapshot,
+    evolve_exact,
+    exceeds_substep_cap,
+)
 
 EXPERIMENT_KINDS = (
     "trotter_sweep",
@@ -130,6 +135,14 @@ class ExperimentConfig:
                     problems.append(
                         f"{width}-qubit model register exceeds the exact oracle limit {MAX_REGISTER_WIDTH}"
                     )
+                elif not problems and exceeds_substep_cap(
+                    self.model_params(self._max_gamma), max(self.dt_grid), self.convention, self.code
+                ):
+                    problems.append(
+                        f"the exact oracle would need more than {MAX_SUBSTEPS} Taylor substeps per interval at "
+                        f"epsilon={self.epsilon:g}, omega={self.omega:g}, lambda={self.lambda_c:g}, "
+                        f"gamma={self._max_gamma:g}, dt={max(self.dt_grid):g}"
+                    )
         except ValueError as exc:
             problems.append(str(exc))
         uses_calibration = self.experiment != "gate_counts" and (
@@ -154,13 +167,9 @@ class ExperimentConfig:
                 f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {width}"
             )
         if any(xi > 0 for xi in self.xi_list):
-            params = self.model_params(max(self.gamma_list or (self.gamma,)))
             missing: dict[str, list[tuple[int, ...]]] = {}
             for order in self.orders:
-                circuit = assemble_evolution(
-                    params, self.initial_state(), 1, self.dt_grid[0], order, self.code, self.convention
-                )
-                for g in transpile.decompose_native(circuit).gates:
+                for g in self.native_step(order, self._max_gamma, self.dt_grid[0]).gates:
                     if g.kind in MARKER_KINDS or g.qubits in missing.get(g.kind, ()):
                         continue
                     try:
@@ -172,6 +181,10 @@ class ExperimentConfig:
                 for kind, ops in missing.items()
             ]
         return problems
+
+    @property
+    def _max_gamma(self) -> float:
+        return max(self.gamma_list or (self.gamma,))
 
     def model_params(self, gamma: float | None = None) -> ModelParams:
         return ModelParams(
@@ -193,6 +206,19 @@ class ExperimentConfig:
         if self.calibration is None:
             return noise.jakarta_average_calibration()
         return noise.load_calibration(self.calibration)
+
+    @cached_property
+    def _native_steps(self) -> dict[tuple, Circuit]:
+        return {}
+
+    def native_step(self, order: int, gamma: float, dt: float) -> Circuit:
+        """The native one-step circuit at (order, gamma, dt), built on first use and kept on this config."""
+        key = (order, gamma, dt)
+        if key not in self._native_steps:
+            self._native_steps[key] = transpile.decompose_native(assemble_evolution(
+                self.model_params(gamma), self.initial_state(), 1, dt, order, self.code, self.convention
+            ))
+        return self._native_steps[key]
 
 
 _KIND_DEFAULTS: dict[str, dict] = {
@@ -273,18 +299,6 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
     else:
         grid = [(o, g, xi) for o in cfg.orders for g in gammas for xi in cfg.xi_list]
     return [{"order": o, "gamma": g, "xi": xi, "dt": dt} for o, g, xi in grid for dt in cfg.dt_grid]
-
-
-# ---------------------------------------------------------------------------
-# one circuit: the trajectories of all its points, the only work sent to the pool
-
-
-def _simulated_trajectories(
-    circuit: Circuit, models: tuple, n_steps: int, dt: float, compiled: dict
-) -> list[list[TrajectorySnapshot]]:
-    """One trajectory per noise model: the one-step circuit replayed n_steps times under each."""
-    results = sim.simulate(circuit, models, repeat=n_steps, compiled=compiled)
-    return [[TrajectorySnapshot(k * dt, s) for k, s in enumerate(r.snapshots)] for r in results]
 
 
 def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[TrajectorySnapshot]:
@@ -402,12 +416,13 @@ _ROW_BUILDERS = {
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     """Rows of every grid point in grid order, from inputs built once for all points.
 
-    Each distinct (order, gamma, dt) gets one native one-step circuit,
-    simulated in one engine pass under the noise models of its points, in
-    grid order; each distinct tuple of those models gets one dict of
-    compiled runs.  A point at xi = 0 simulates without noise; its model,
-    built only when shots are sampled, serves the readout.  The square root
-    of each exact snapshot is taken once for every infidelity against it.
+    Each distinct (order, gamma, dt) gets one native one-step circuit
+    (``cfg.native_step``), simulated in this process in one engine pass
+    under the noise models of its points, in grid order; each distinct
+    tuple of those models gets one dict of compiled runs.  A point at
+    xi = 0 simulates without noise; its model, built only when shots are
+    sampled, serves the readout.  The square root of each exact snapshot is
+    taken once for every infidelity against it.
     """
     xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
     cal = cfg.calibration_data if xis else None
@@ -417,31 +432,18 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
     for i, t in enumerate(tasks):
         points.setdefault((t["order"], t["gamma"], t["dt"]), []).append(i)
-    circuits = {
-        (o, g, dt): transpile.decompose_native(assemble_evolution(
-            cfg.model_params(g), cfg.initial_state(), 1, dt, o, cfg.code, cfg.convention
-        ))
-        for o, g, dt in points
-    }
-    stack_xis = [tuple(tasks[i]["xi"] for i in members) for members in points.values()]
-    caches = {xis: {} for xis in stack_xis}  # one dict of compiled runs per model tuple
-    args = (
-        list(circuits.values()),
-        [tuple(models[xi] if xi > 0 else None for xi in xis) for xis in stack_xis],
-        [steps_for(cfg.t_final, dt) for _, _, dt in points],
-        [dt for _, _, dt in points],
-        [caches[xis] for xis in stack_xis],
-    )
-    workers = min(cfg.workers, len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_circuit = list(pool.map(_simulated_trajectories, *args))
-    else:
-        per_circuit = list(map(_simulated_trajectories, *args))
-    simulated = [None] * len(tasks)
-    for members, trajectories in zip(points.values(), per_circuit):
-        for i, trajectory in zip(members, trajectories):
-            simulated[i] = trajectory
+    simulated: list = [None] * len(tasks)
+    caches: dict[tuple, dict] = {}  # one dict of compiled runs per model tuple
+    for (order, gamma, dt), members in points.items():
+        stack = tuple(tasks[i]["xi"] for i in members)
+        results = sim.simulate(
+            cfg.native_step(order, gamma, dt),
+            tuple(models[xi] if xi > 0 else None for xi in stack),
+            repeat=steps_for(cfg.t_final, dt),
+            compiled=caches.setdefault(stack, {}),
+        )
+        for i, result in zip(members, results):
+            simulated[i] = [TrajectorySnapshot(k * dt, s) for k, s in enumerate(result.snapshots)]
 
     rows: list[tuple] = []
     state_values, sqrts = None, {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -34,6 +35,14 @@ CPTP_TOL = 1e-10
 # calibration data
 
 
+def _require_finite(entry, label: str, names: tuple[str, ...]) -> None:
+    """Each named field of a calibration entry is a finite real number, not a boolean."""
+    for name in names:
+        value = getattr(entry, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{label}: {name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QubitCalibration:
     t1_us: float
@@ -43,6 +52,7 @@ class QubitCalibration:
     p01: float  # P(read 0 | prepared 1)
 
     def __post_init__(self) -> None:
+        _require_finite(self, "qubit entry", ("t1_us", "t2_us", "freq_ghz", "p10", "p01"))
         if self.t1_us <= 0 or not 0 < self.t2_us <= 2 * self.t1_us:
             raise ValueError(f"unphysical relaxation times T1={self.t1_us}, T2={self.t2_us}")
         for p in (self.p10, self.p01):
@@ -63,16 +73,20 @@ class GateCalibration:
     time_ns: float
 
     def __post_init__(self) -> None:
+        n_q = _operand_count(self.kind)
         if self.qubits is not None:
             object.__setattr__(self, "qubits", tuple(self.qubits))
-            n_q = _operand_count(self.kind)
             if len(self.qubits) != n_q:
                 raise ValueError(
                     f"{self.kind} entry on qubits {self.qubits} has {len(self.qubits)} operand(s); "
                     f"{self.kind} takes {n_q}"
                 )
-        if not 0 <= self.error <= 1:
-            raise ValueError(f"gate error {self.error} outside [0, 1]")
+        _require_finite(self, f"{self.kind} entry", ("error", "time_ns"))
+        limit = 1 - 0.5**n_q  # fully depolarizing; above it p_depol > 1 at some xi <= 1
+        if not 0 <= self.error <= limit:
+            raise ValueError(
+                f"{self.kind} error {self.error} outside [0, {limit}], the fully depolarizing limit"
+            )
         if self.time_ns < 0:
             raise ValueError("gate time must be nonnegative")
 

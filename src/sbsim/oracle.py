@@ -10,7 +10,9 @@ from ||L||_1 h by the backward-error bounds of Al-Mohy and Higham,
 33, 488 (2011).  ``ExperimentConfig.validate`` rejects model registers
 wider than ``MAX_REGISTER_WIDTH`` = 5 qubits, so the generator is at most
 1024 x 1024 (two spins at d_ho 8): about 0.6 s per ten-step reference
-there, milliseconds at the default widths.
+there, milliseconds at the default widths.  It also rejects models whose
+plan would need more than ``MAX_SUBSTEPS`` substeps per interval, judged
+from a bound on ||L||_1 (``generator_norm_bound``) before L is built.
 Trace and Hermiticity drift of every propagated state is checked against
 hard tolerances.
 """
@@ -24,9 +26,10 @@ from functools import lru_cache
 import numpy as np
 
 from .encoding import GRAY
-from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, lindblad_operators
+from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, hamiltonian_sum, lindblad_operators
 
 MAX_REGISTER_WIDTH = 5
+MAX_SUBSTEPS = 10**4  # per interval; the default configs need 1 or 2
 TRACE_TOL = 1e-6
 HERM_TOL = 1e-8
 
@@ -77,6 +80,29 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
         ((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items()),
         key=lambda plan: plan[0] * plan[1],
     )
+
+
+def generator_norm_bound(
+    params: ModelParams, convention: str = PAPER_COLLISION, code_kind: str = GRAY
+) -> float:
+    """2 sum_P |c_P| + 2 sum_k r_k >= ||L||_1, without building L.
+
+    The commutator with the encoded H = sum_P c_P P adds at most
+    2 sum_P |c_P|, and each one-qubit jump operator at rate r_k at most 2 r_k.
+    """
+    rates = sum(rate for _, rate in lindblad_operators(params, convention))
+    return 2 * sum(abs(t.coefficient) for t in hamiltonian_sum(params, code_kind).terms) + 2 * rates
+
+
+def exceeds_substep_cap(
+    params: ModelParams, h: float, convention: str = PAPER_COLLISION, code_kind: str = GRAY
+) -> bool:
+    """Whether the plan for one interval h may need more than ``MAX_SUBSTEPS`` substeps.
+
+    Past max(theta_m) * MAX_SUBSTEPS, an infinite or NaN bound included, every plan does.
+    """
+    norm = generator_norm_bound(params, convention, code_kind) * h
+    return not norm <= max(_THETA.values()) * MAX_SUBSTEPS or _taylor_plan(norm)[1] > MAX_SUBSTEPS
 
 
 def _expm_action(gen: np.ndarray, norm: float, h: float, vec: np.ndarray) -> np.ndarray:

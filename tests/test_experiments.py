@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -185,6 +187,7 @@ def test_gate_counts_csv_shape(tmp_path):
 
 
 def test_worker_pool_matches_serial(tmp_path):
+    # workers is deprecated and has no effect: the output stays byte-identical
     overrides = {"orders": (1,), "gamma_list": (0.0, 1.0), "dt_grid": (0.5,)}
     serial = make_config(
         "trotter_sweep", overrides={**overrides, "out_dir": str(tmp_path / "s")}
@@ -201,6 +204,7 @@ def test_worker_pool_matches_serial(tmp_path):
 
 
 def test_shot_sampled_observables_pool_matches_serial(tmp_path):
+    # the deprecated workers field leaves the sampled output byte-identical;
     # xi = 0 simulates without noise but still samples through the readout model
     overrides = {"orders": (2,), "xi_list": (0.0, 0.1), "dt_grid": (0.5,), "t_final": 1.0,
                  "shots": 500, "seed": 4}
@@ -213,6 +217,7 @@ def test_shot_sampled_observables_pool_matches_serial(tmp_path):
 
 
 def test_clamp_warning_reaches_caller_under_pool(tmp_path):
+    # every run is serial, so noise-model warnings are raised in the caller, workers: 2 too;
     # an sx error below its thermal infidelity clamps the depolarizing probability
     doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
     for gate in doc["gates"]:
@@ -295,6 +300,10 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/cx_one_operand.json"],
          "cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
         (["--shots", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--calibration", "{tmp}/time_nan.json"], "cx entry: time_ns must be a finite number, got nan"),
+        (["--calibration", "{tmp}/time_inf.json"], "cx entry: time_ns must be a finite number, got inf"),
+        (["--calibration", "{tmp}/error_true.json"], "cx entry: error must be a finite number, got True"),
+        (["--workers", "0"], "workers must be at least 1"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -310,11 +319,32 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     one_operand = {**doc, "gates": doc["gates"] + [{**doc["gates"][0], "qubits": [0]}]}
     (tmp_path / "cx_one_operand.json").write_text(json.dumps(one_operand))
     (tmp_path / "two_qubits.json").write_text(json.dumps({**doc, "qubits": doc["qubits"][:2]}))
+    assert doc["gates"][0]["kind"] == "cx"
+    for name, field, value in (("time_nan", "time_ns", float("nan")),
+                               ("time_inf", "time_ns", float("inf")), ("error_true", "error", True)):
+        gates = [{**doc["gates"][0], field: value}, *doc["gates"][1:]]
+        (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "gates": gates}))
     out = tmp_path / "out"
     experiment = "observables" if "--shots" in args else "noise_sweep"
     argv = [experiment, *[a.format(tmp=tmp_path) for a in args], "--out", str(out)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trotter_sweep", "--epsilon", "1e308"], "epsilon=1e+308, omega=4, lambda=2, gamma=1, dt=0.5"),
+        (["noise_sweep", "--gamma", "1e300"], "epsilon=0.5, omega=4, lambda=2, gamma=1e+300, dt=0.2"),
+        (["trotter_sweep", "--lambda", "1e308"], "lambda=1e+308"),
+    ],
+)
+def test_cli_model_too_stiff_for_the_oracle_exits_2_before_any_output(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "more than 10000 Taylor substeps per interval" in err and message in err
     assert not out.exists()
 
 
@@ -352,6 +382,7 @@ def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)
 def test_worker_pool_output_is_byte_identical_to_serial(tmp_path, experiment):
+    # the deprecated workers field has no effect on any experiment
     texts = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
@@ -418,27 +449,37 @@ def test_sampled_unused_code_word_reads_as_zero_occupation(tmp_path, monkeypatch
     assert all((float(r[4]), float(r[5])) == (0.0, -1.0) for r in circuit)
 
 
-def test_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch):
-    started = []
+def test_calibration_check_and_run_share_the_native_circuits(tmp_path, monkeypatch):
+    calls = []
+    assemble = experiments.assemble_evolution
 
-    class RecordingPool:
-        """Runs tasks in this process; records the pool size it was asked for."""
+    def counted(*args):
+        calls.append(args[3:5])  # (dt, order)
+        return assemble(*args)
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    monkeypatch.setattr(experiments, "assemble_evolution", counted)
+    argv = ["noise_sweep", "--order", "1", "2", "--xi", "0.01", "0.03", "0.1", "0.3", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert calls == [(0.2, 1), (0.2, 2)]
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_import_loads_no_process_pool_machinery():
+    code = (
+        "import sys, sbsim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    src = str(Path(experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    run(make_config("noise_sweep", overrides={"workers": 500, "out_dir": str(tmp_path)}))
-    assert started == []  # noise_sweep defaults: 3 points of one circuit, simulated in one pass
-    two_orders = {"workers": 500, "orders": (1, 2), "out_dir": str(tmp_path)}
-    run(make_config("noise_sweep", overrides=two_orders))
-    assert started == [2]  # 6 points of two circuits
+def test_workers_2_starts_no_process(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a run must not start a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["noise_sweep", "--order", "1", "2", "--workers", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.count("deprecated and has no effect") == 1
+

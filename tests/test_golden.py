@@ -1,10 +1,10 @@
 """Golden CSVs: a tiny config of each experiment, checked cell by cell at 1e-10.
 
 The goldens in ``tests/golden/`` pin the numbers, so an engine, oracle or
-harness change that drifts any CSV value shows here.  Each experiment is
-checked serially and with a two-worker pool, which receives the shared
-noise models; correlations is also checked serially at ``d_ho`` = 8, the
-widest 2-spin register.  Regenerate them only on purpose, with
+harness change that drifts any CSV value shows here.  Every run is serial;
+each experiment is checked as configured and with the deprecated
+``workers`` = 2, which has no effect, against the same golden.
+Correlations is also checked at ``d_ho`` = 8, the widest 2-spin register.  Regenerate them only on purpose, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 

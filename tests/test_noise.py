@@ -304,3 +304,30 @@ def test_calibration_loader_rejects_malformed(tmp_path):
     path.write_text('{"qubits": [{"t1_us": 1.0}], "gates": []}')
     with pytest.raises(ValueError):
         load_calibration(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QubitCalibration(float("nan"), 40.0, 5.0, 0.01, 0.01),
+        lambda: QubitCalibration(100.0, 80.0, float("inf"), 0.01, 0.01),
+        lambda: QubitCalibration(100.0, 80.0, 5.0, True, 0.01),
+        lambda: GateCalibration("sx", None, 1e-3, float("nan")),
+        lambda: GateCalibration("sx", None, 1e-3, float("inf")),
+        lambda: GateCalibration("cx", None, True, 300.0),
+        lambda: GateCalibration("cx", None, "0.01", 300.0),
+    ],
+)
+def test_calibration_values_must_be_finite_numbers(make):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        make()
+
+
+@pytest.mark.parametrize("kind, limit", [("sx", 0.5), ("x", 0.5), ("cx", 0.75)])
+def test_gate_error_is_bounded_by_the_fully_depolarizing_infidelity(kind, limit):
+    # at the limit a zero-duration gate needs p_depol = 1; above it, more than 1
+    entry = GateCalibration(kind, None, limit, 0.0)
+    thermal = identity_channel(2 if kind == "cx" else 1)
+    assert depolarizing_probability(entry.error, thermal) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="fully depolarizing limit"):
+        GateCalibration(kind, None, limit + 1e-3, 0.0)

@@ -10,9 +10,11 @@ import scipy.linalg
 from sbsim import metrics, noise, oracle, sim, transpile
 from sbsim.circuits import assemble_evolution
 from sbsim.experiments import make_config, run
+from sbsim.encoding import GRAY
 from sbsim.model import (
     EQ2_LITERAL,
     PAPER_COLLISION,
+    RATE_CONVENTIONS,
     InitialStateSpec,
     ModelParams,
     dense_hamiltonian,
@@ -168,3 +170,22 @@ def test_dimension_mismatch():
     params = ModelParams()
     with pytest.raises(ValueError):
         evolve_exact(np.eye(4) / 4, params, [0.0, 0.1])
+
+
+@pytest.mark.parametrize("convention", RATE_CONVENTIONS)
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(), ModelParams(gamma=2.5, epsilon=-1.0), ModelParams(n_spins=2, omega=6.0),
+     ModelParams(n_spins=2, omega=6.0, d_ho=8)],
+)
+def test_generator_norm_bound_bounds_the_liouvillian(params, convention):
+    gen = oracle._liouvillian_for(params, convention, GRAY)
+    assert np.linalg.norm(gen, 1) <= oracle.generator_norm_bound(params, convention, GRAY)
+
+
+def test_substep_cap_rejects_stiff_or_overflowing_models():
+    assert not oracle.exceeds_substep_cap(ModelParams(), 0.5)
+    for params in (ModelParams(epsilon=1e308), ModelParams(lambda_c=1e308), ModelParams(gamma=1e300)):
+        assert oracle.exceeds_substep_cap(params, 0.2)
+    # a finite bound of order 1e6 needs about 1e5 substeps per unit interval
+    assert oracle.exceeds_substep_cap(ModelParams(omega=1e6), 1.0)
