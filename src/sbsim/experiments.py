@@ -8,10 +8,12 @@ the config beside the calibration, and one dict of compiled runs per tuple
 of noise models.  Each circuit is simulated in one engine pass in the
 calling process: it replays its one-step circuit for its step count under
 the noise models of all its points at once, as one stacked state, and the
-circuits of one model tuple share its compiled runs.  Rows are then built
-from the trajectories and the shared references in grid order, so
-identical configs and seeds give byte-identical CSV output.  The
-``workers`` field is deprecated and has no effect: every run is serial.
+circuits of one model tuple share its compiled runs.  One row pass then
+scores each simulated snapshot once against the shared reference and
+emits the rows in grid order, so identical configs and seeds give
+byte-identical CSV output.  gate_counts instead counts the routed native
+step of each point of a fixed grid.  The ``workers`` field is deprecated
+and has no effect: every run is serial.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hashlib
 import json
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +66,10 @@ _HEADERS = {
     "correlations": ("source", "order", "xi", "t", "czz", "cxx"),
     "gate_counts": ("n_spins", "d_ho", "order", "code", "single_qubit", "cx"),
 }
+
+
+# Settings that the fixed gate_counts grid replaces, so they must keep their defaults there.
+_GATE_COUNT_GRID = ("n_spins", "d_ho", "code", "orders", "t_final", "xi_list", "gamma_list")
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,21 @@ class ExperimentConfig:
             problems.append("correlations need n_spins = 2")
         if self.workers < 1:
             problems.append("workers must be at least 1")
+        if self.experiment == "gate_counts":
+            unused = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+                      if f.name in _GATE_COUNT_GRID and getattr(self, f.name) != f.default]
+            if len(self.dt_grid) > 1:
+                unused.append(f"dt_grid={self.dt_grid}")
+            if unused:
+                problems.append(
+                    "gate_counts runs a fixed grid (1-2 spins, d_ho 4 and 8, orders 1 and 2, both codes) "
+                    f"at a single dt; it does not use {', '.join(unused)}"
+                )
+        existing = os.path.abspath(self.out_dir)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            problems.append(f"cannot write to out_dir {self.out_dir!r}: {existing!r} is not a directory")
         try:
             params = self.model_params()
             if self.experiment != "gate_counts":
@@ -309,32 +330,7 @@ def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[Tr
 
 
 # ---------------------------------------------------------------------------
-# rows of one grid point, from its simulated and exact trajectories
-
-
-def _sweep_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, exact_sqrts, model, state_values
-) -> list[tuple]:
-    """One row of avg and final infidelity (trotter, noise and gamma sweeps)."""
-    n_steps = len(simulated) - 1
-    values = {
-        **task,
-        "n_steps": n_steps,
-        "t_final": n_steps * task["dt"],
-        "avg_infidelity": metrics.time_averaged_infidelity(simulated, exact, exact_sqrts=exact_sqrts),
-        "final_infidelity": metrics.infidelity(simulated[-1].rho, exact[-1].rho, exact_sqrts[-1]),
-    }
-    return [tuple(values[name] for name in _HEADERS[cfg.experiment])]
-
-
-def _per_time_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, exact_sqrts, model, state_values
-) -> list[tuple]:
-    return [
-        (task["order"], task["gamma"], task["xi"], task["dt"], s.t,
-         metrics.infidelity(s.rho, e.rho, e_sqrt))
-        for s, e, e_sqrt in zip(simulated, exact, exact_sqrts)
-    ]
+# rows
 
 
 def _state_values(cfg: ExperimentConfig, params: ModelParams):
@@ -354,75 +350,35 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams):
     )
 
 
-def _observable_rows(
-    cfg: ExperimentConfig, task: dict, simulated, exact, exact_sqrts, model, state_values
-) -> list[tuple]:
-    """Circuit rows (source="circuit") for observables/correlations.
+def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
+    """Routed native gate counts of one time step at each point of the fixed grid.
 
-    With shots, the observables are estimated from the readout-mitigated
-    quasi-probabilities of the measured register, as the diagonal state
-    diag(quasi): both observables are diagonal in the measured basis, so
-    this applies the same operators as the exact rows.
+    Two spins run at omega = 6, as correlations does; gamma = 0 counts the step at gamma = 1.
     """
-    params = cfg.model_params()
-    confusions = None
-    if cfg.shots is not None:
-        confusions = model.confusion_matrices(range(params.register_width))
+    gamma = cfg.gamma if cfg.gamma > 0 else 1.0
     rows = []
-    for k, snap in enumerate(simulated):
-        if cfg.shots is None:
-            values = state_values(snap.rho)
-        else:
-            seed = np.random.SeedSequence(
-                [cfg.seed, task["order"], int(round(task["xi"] * 10**6)), k]
-            ).generate_state(1)[0]
-            counts = sim.sample_counts(snap.rho, cfg.shots, readout=confusions, seed=int(seed))
-            values = state_values(np.diag(sim.mitigate_readout(counts, confusions)))
-        rows.append(("circuit", task["order"], task["xi"], snap.t, *values))
+    for t in tasks:
+        point = replace(cfg, n_spins=t["n_spins"], d_ho=t["d_ho"], code=t["code"],
+                        omega=6.0 if t["n_spins"] == 2 else cfg.omega)
+        native = point.native_step(t["order"], gamma, cfg.dt_grid[0])
+        counts = transpile.count_gates(transpile.route(native, transpile.JAKARTA).circuit)
+        rows.append((t["n_spins"], t["d_ho"], t["order"], t["code"], counts.single_qubit, counts.cx))
     return rows
 
 
-def _gate_count_rows(cfg: ExperimentConfig, task: dict) -> list[tuple]:
-    params = ModelParams(
-        epsilon=cfg.epsilon,
-        omega=6.0 if task["n_spins"] == 2 else cfg.omega,
-        lambda_c=cfg.lambda_c,
-        gamma=cfg.gamma if cfg.gamma > 0 else 1.0,
-        n_spins=task["n_spins"],
-        d_ho=task["d_ho"],
-    )
-    spins = ("up",) if task["n_spins"] == 1 else ("up", "down")
-    circuit = assemble_evolution(
-        params, InitialStateSpec(spins, 0), 1, cfg.dt_grid[0], task["order"],
-        task["code"], cfg.convention
-    )
-    native = transpile.decompose_native(circuit)
-    routed = transpile.route(native, transpile.JAKARTA)
-    counts = transpile.count_gates(routed.circuit)
-    return [(task["n_spins"], task["d_ho"], task["order"], task["code"],
-             counts.single_qubit, counts.cx)]
-
-
-_ROW_BUILDERS = {
-    "trotter_sweep": _sweep_rows,
-    "noise_sweep": _sweep_rows,
-    "gamma_sweep": _sweep_rows,
-    "infidelity_vs_time": _per_time_rows,
-    "observables": _observable_rows,
-    "correlations": _observable_rows,
-}
-
-
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
-    """Rows of every grid point in grid order, from inputs built once for all points.
+    """Rows of every grid point in grid order, each simulated snapshot scored once.
 
     Each distinct (order, gamma, dt) gets one native one-step circuit
     (``cfg.native_step``), simulated in this process in one engine pass
     under the noise models of its points, in grid order; each distinct
     tuple of those models gets one dict of compiled runs.  A point at
     xi = 0 simulates without noise; its model, built only when shots are
-    sampled, serves the readout.  The square root of each exact snapshot is
-    taken once for every infidelity against it.
+    sampled, serves the readout.  Each simulated state is then scored once
+    against the exact snapshot of its (gamma, dt) at the same step: by
+    infidelity for the sweeps and infidelity_vs_time, with the square root
+    of each exact snapshot taken once for every state compared with it, and
+    by its state values for observables and correlations.
     """
     xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
     cal = cfg.calibration_data if xis else None
@@ -443,21 +399,49 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
             compiled=caches.setdefault(stack, {}),
         )
         for i, result in zip(members, results):
-            simulated[i] = [TrajectorySnapshot(k * dt, s) for k, s in enumerate(result.snapshots)]
+            simulated[i] = result.snapshots
 
     rows: list[tuple] = []
-    state_values, sqrts = None, {}
     if cfg.experiment in ("observables", "correlations"):
-        state_values = _state_values(cfg, cfg.model_params())
+        params = cfg.model_params()
+        state_values = _state_values(cfg, params)
         exact = references[(cfg.gamma, cfg.dt_grid[0])]
         rows += [("exact", 0, 0.0, s.t, *state_values(s.rho)) for s in exact]
-    else:
-        sqrts = {key: [metrics.sqrtm_psd(s.rho) for s in ref] for key, ref in references.items()}
-    build = _ROW_BUILDERS[cfg.experiment]
-    for task, trajectory in zip(tasks, simulated):
+        for task, states in zip(tasks, simulated):
+            if cfg.shots is not None:
+                # The observables are estimated from the readout-mitigated
+                # quasi-probabilities of the measured register, as the diagonal
+                # state diag(quasi): both observables are diagonal in the measured
+                # basis, so this applies the same operators as the exact rows.
+                confusions = models[task["xi"]].confusion_matrices(range(params.register_width))
+                sampled = []
+                for k, rho in enumerate(states):
+                    seed = np.random.SeedSequence(
+                        [cfg.seed, task["order"], int(round(task["xi"] * 10**6)), k]
+                    ).generate_state(1)[0]
+                    counts = sim.sample_counts(rho, cfg.shots, readout=confusions, seed=int(seed))
+                    sampled.append(np.diag(sim.mitigate_readout(counts, confusions)))
+                states = sampled
+            rows += [("circuit", task["order"], task["xi"], k * task["dt"], *state_values(rho))
+                     for k, rho in enumerate(states)]
+        return rows
+
+    first = 0 if cfg.experiment == "infidelity_vs_time" else 1  # no sweep column reads t = 0
+    sqrts = {key: [metrics.sqrtm_psd(s.rho) for s in ref[first:]] for key, ref in references.items()}
+    for task, states in zip(tasks, simulated):
         key = (task["gamma"], task["dt"])
-        rows += build(cfg, task, trajectory, references[key], sqrts.get(key),
-                      models.get(task["xi"]), state_values)
+        scores = [
+            metrics.infidelity(rho, ref.rho, ref_sqrt)
+            for rho, ref, ref_sqrt in zip(states[first:], references[key][first:], sqrts[key], strict=True)
+        ]
+        if cfg.experiment == "infidelity_vs_time":
+            rows += [(task["order"], task["gamma"], task["xi"], task["dt"], k * task["dt"], score)
+                     for k, score in enumerate(scores)]
+            continue
+        n_steps = len(states) - 1
+        values = {**task, "n_steps": n_steps, "t_final": n_steps * task["dt"],
+                  "avg_infidelity": float(np.mean(scores)), "final_infidelity": scores[-1]}
+        rows.append(tuple(values[name] for name in _HEADERS[cfg.experiment]))
     return rows
 
 
@@ -492,7 +476,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
 
     tasks = _tasks(cfg)
     if cfg.experiment == "gate_counts":
-        rows = [row for task in tasks for row in _gate_count_rows(cfg, task)]
+        rows = _gate_count_rows(cfg, tasks)
     else:
         rows = _trajectory_rows(cfg, tasks)
 

@@ -13,8 +13,6 @@ from .pauli import embed_operator
 BOSON_NUMBER = "boson_number"
 SIGMA_Z = "sigma_z"
 SIGMA_X = "sigma_x"
-CZZ = "czz"
-CXX = "cxx"
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 # Physical spin-z: +1 on the excited state, which is the computational |1>.
@@ -60,24 +58,16 @@ def infidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None
     return 1.0 - fidelity(rho, sigma, sigma_sqrt)
 
 
-def time_averaged_infidelity(
-    traj_sim, traj_exact, grid_tol: float = 1e-9, exact_sqrts: list[np.ndarray] | None = None
-) -> float:
-    """Mean infidelity over the common time grid, excluding the t=0 point.
-
-    ``exact_sqrts`` holds ``sqrtm_psd`` of each exact snapshot, in order,
-    when the caller has computed them once for many trajectories.
-    """
+def time_averaged_infidelity(traj_sim, traj_exact, grid_tol: float = 1e-9) -> float:
+    """Mean infidelity over the common time grid, excluding the t=0 point."""
     if len(traj_sim) != len(traj_exact):
         raise ValueError("trajectory lengths differ")
-    if exact_sqrts is None:
-        exact_sqrts = [None] * len(traj_exact)
     values = []
-    for a, b, b_sqrt in zip(traj_sim, traj_exact, exact_sqrts):
+    for a, b in zip(traj_sim, traj_exact):
         if abs(a.t - b.t) > grid_tol:
             raise ValueError(f"time grids differ at t={a.t} vs {b.t}")
         if a.t > grid_tol:
-            values.append(infidelity(a.rho, b.rho, b_sqrt))
+            values.append(infidelity(a.rho, b.rho))
     if not values:
         raise ValueError("no t > 0 snapshots to average")
     return float(np.mean(values))
@@ -106,13 +96,11 @@ def expectation(
     code_kind: str = GRAY,
     matrix: np.ndarray | None = None,
 ) -> float:
-    """Tr(rho O); correlator kinds delegate to connected_correlation.
+    """Tr(rho O).
 
     ``matrix`` is ``observable_matrix(obs, params, code_kind)`` when the
     caller has built it once for many states.
     """
-    if obs.kind in (CZZ, CXX):
-        return connected_correlation(rho, "ZZ" if obs.kind == CZZ else "XX", params)
     if matrix is None:
         matrix = observable_matrix(obs, params, code_kind)
     value = np.trace(rho @ matrix)

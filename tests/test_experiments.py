@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from test_golden import TINY_CONFIGS
 
-from sbsim import experiments, noise, sim
+from sbsim import cli, experiments, metrics, noise, sim
 from sbsim.cli import main
 from sbsim.encoding import BitCode
 from sbsim.experiments import (
@@ -304,6 +304,11 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/time_inf.json"], "cx entry: time_ns must be a finite number, got inf"),
         (["--calibration", "{tmp}/error_true.json"], "cx entry: error must be a finite number, got True"),
         (["--workers", "0"], "workers must be at least 1"),
+        (["gate_counts", "--d-ho", "16", "--order", "1", "--code", "binary", "--n-spins", "3"],
+         "it does not use n_spins=3, d_ho=16, code=binary, orders=(1,)"),
+        (["gate_counts", "--dt", "0.1", "0.2", "--t-final", "1", "--xi", "0.1", "--gamma-list", "1"],
+         "it does not use t_final=1.0, xi_list=(0.1,), gamma_list=(1.0,), dt_grid=(0.1, 0.2)"),
+        (["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -325,11 +330,25 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
         gates = [{**doc["gates"][0], field: value}, *doc["gates"][1:]]
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "gates": gates}))
     out = tmp_path / "out"
-    experiment = "observables" if "--shots" in args else "noise_sweep"
+    if args[0] in EXPERIMENT_KINDS:
+        experiment, args = args[0], args[1:]
+    else:
+        experiment = "observables" if "--shots" in args else "noise_sweep"
     argv = [experiment, *[a.format(tmp=tmp_path) for a in args], "--out", str(out)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cli_out_that_is_no_directory_exits_2_before_any_computation(tmp_path, capsys, monkeypatch, below):
+    # an --out naming a file, or a path under one, is bad input, not an os.makedirs traceback
+    blocker = tmp_path / "results"
+    blocker.write_text("kept")
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("the experiment ran"))
+    assert main(["noise_sweep", "--out", str(blocker / below)]) == 2
+    assert f"{str(blocker)!r} is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
 
 
 @pytest.mark.parametrize(
@@ -378,6 +397,26 @@ def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, 
     monkeypatch.setattr(sim, "_compile", counted)
     run(make_config(experiment, overrides={"out_dir": str(tmp_path)}))
     assert len(calls) == len(set(calls)) == distinct
+
+
+# a sweep scores each t > 0 snapshot once: trotter_sweep runs 4 (order, gamma) curves of
+# 20 + 10 + 7 + 5 + 4 steps, the xi grid 2 orders x 5 xi of 10 steps
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(["trotter_sweep"], 184),
+     (["noise_sweep", "--order", "1", "2", "--xi", "0.01", "0.03", "0.1", "0.3", "1"], 100)],
+)
+def test_each_simulated_snapshot_is_scored_once(tmp_path, monkeypatch, argv, calls):
+    scored = []
+    infidelity = metrics.infidelity
+
+    def counted(*args):
+        scored.append(args[0])
+        return infidelity(*args)
+
+    monkeypatch.setattr(metrics, "infidelity", counted)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(scored) == len({id(rho) for rho in scored}) == calls
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)

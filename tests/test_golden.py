@@ -4,7 +4,9 @@ The goldens in ``tests/golden/`` pin the numbers, so an engine, oracle or
 harness change that drifts any CSV value shows here.  Every run is serial;
 each experiment is checked as configured and with the deprecated
 ``workers`` = 2, which has no effect, against the same golden.
-Correlations is also checked at ``d_ho`` = 8, the widest 2-spin register.  Regenerate them only on purpose, with
+Correlations is also checked at ``d_ho`` = 8, the widest 2-spin register,
+and observables with 500 sampled shots at seed 4, which pins the shot seeds
+and the readout mitigation.  Regenerate them only on purpose, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -20,6 +22,8 @@ from sbsim.experiments import EXPERIMENT_KINDS, make_config, run
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TOL = 1e-10
 D_HO_8_GOLDEN = "correlations_d_ho_8.csv"
+SHOTS_GOLDEN = "observables_shots.csv"
+SHOTS = {"shots": 500, "seed": 4}
 
 _SHORT = {"dt_grid": (0.5,), "t_final": 1.0}
 TINY_CONFIGS = {
@@ -78,6 +82,10 @@ def test_correlations_at_d_ho_8_match_golden(tmp_path):
     _assert_matches(_run_tiny("correlations", str(tmp_path), d_ho=8), D_HO_8_GOLDEN)
 
 
+def test_shot_sampled_observables_match_golden(tmp_path):
+    _assert_matches(_run_tiny("observables", str(tmp_path), **SHOTS), SHOTS_GOLDEN)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with tempfile.TemporaryDirectory() as out_dir:
@@ -86,3 +94,5 @@ if __name__ == "__main__":
             print(f"wrote {kind}.csv", file=sys.stderr)
         shutil.copy(_run_tiny("correlations", out_dir, d_ho=8), os.path.join(GOLDEN_DIR, D_HO_8_GOLDEN))
         print(f"wrote {D_HO_8_GOLDEN}", file=sys.stderr)
+        shutil.copy(_run_tiny("observables", out_dir, **SHOTS), os.path.join(GOLDEN_DIR, SHOTS_GOLDEN))
+        print(f"wrote {SHOTS_GOLDEN}", file=sys.stderr)

@@ -142,11 +142,3 @@ def test_connected_correlation_ancilla_invariance(rng):
 def test_connected_correlation_needs_two_spins():
     with pytest.raises(ValueError):
         connected_correlation(np.eye(8) / 8, "ZZ", ModelParams())
-
-
-def test_expectation_routes_correlator_kinds():
-    params = ModelParams(n_spins=2, omega=6)
-    rho = initial_density_matrix(InitialStateSpec(("up", "down"), 0), params)
-    via_expectation = expectation(rho, ObservableSpec("czz"), params)
-    direct = connected_correlation(rho, "ZZ", params)
-    assert via_expectation == direct
