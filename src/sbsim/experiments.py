@@ -68,8 +68,9 @@ _HEADERS = {
 }
 
 
-# Settings that the fixed gate_counts grid replaces, so they must keep their defaults there.
-_GATE_COUNT_GRID = ("n_spins", "d_ho", "code", "orders", "t_final", "xi_list", "gamma_list")
+# Settings gate_counts does not use, so they must keep their defaults there: its fixed grid
+# replaces the model ones, and it reads no calibration.
+_GATE_COUNT_UNUSED = ("n_spins", "d_ho", "code", "orders", "t_final", "xi_list", "gamma_list", "calibration")
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class ExperimentConfig:
             problems.append("workers must be at least 1")
         if self.experiment == "gate_counts":
             unused = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
-                      if f.name in _GATE_COUNT_GRID and getattr(self, f.name) != f.default]
+                      if f.name in _GATE_COUNT_UNUSED and getattr(self, f.name) != f.default]
             if len(self.dt_grid) > 1:
                 unused.append(f"dt_grid={self.dt_grid}")
             if unused:
@@ -166,10 +167,8 @@ class ExperimentConfig:
                     )
         except ValueError as exc:
             problems.append(str(exc))
-        uses_calibration = self.experiment != "gate_counts" and (
-            self.shots is not None or any(xi > 0 for xi in self.xi_list)
-        )
-        if self.calibration is not None or uses_calibration:
+        uses_calibration = self.shots is not None or any(xi > 0 for xi in self.xi_list)
+        if self.experiment != "gate_counts" and (self.calibration is not None or uses_calibration):
             try:
                 cal = self.calibration_data
             except (OSError, ValueError) as exc:
@@ -182,11 +181,10 @@ class ExperimentConfig:
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
         problems = []
-        width = self.model_params().register_width
-        if self.shots is not None and len(cal.qubits) < width:
-            problems.append(
-                f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {width}"
-            )
+        register = self.native_step(self.orders[0], self._max_gamma, self.dt_grid[0]).model_register
+        needed = max(register) + 1  # each model qubit is read out on the circuit qubit holding it
+        if self.shots is not None and len(cal.qubits) < needed:
+            problems.append(f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {needed}")
         if any(xi > 0 for xi in self.xi_list):
             missing: dict[str, list[tuple[int, ...]]] = {}
             for order in self.orders:
@@ -339,15 +337,10 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams):
     The operators are built here, once for every state of a run.
     """
     if cfg.experiment == "observables":
-        specs = (metrics.ObservableSpec(metrics.BOSON_NUMBER), metrics.ObservableSpec(metrics.SIGMA_Z, 0))
-        mats = [metrics.observable_matrix(spec, params, cfg.code) for spec in specs]
-        return lambda rho: tuple(
-            metrics.expectation(rho, spec, params, cfg.code, mat) for spec, mat in zip(specs, mats)
-        )
-    pairs = {pair: metrics.spin_pair_operators(pair, params) for pair in ("ZZ", "XX")}
-    return lambda rho: tuple(
-        metrics.connected_correlation(rho, pair, params, ops) for pair, ops in pairs.items()
-    )
+        ops = (metrics.boson_number(params, cfg.code), metrics.spin_operator("Z", 0, params))
+        return lambda rho: tuple(metrics.expectation(rho, op) for op in ops)
+    pairs = [tuple(metrics.spin_operator(axis, spin, params) for spin in (0, 1)) for axis in "ZX"]
+    return lambda rho: tuple(metrics.connected_correlation(rho, *pair) for pair in pairs)
 
 
 def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
@@ -413,7 +406,9 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
                 # quasi-probabilities of the measured register, as the diagonal
                 # state diag(quasi): both observables are diagonal in the measured
                 # basis, so this applies the same operators as the exact rows.
-                confusions = models[task["xi"]].confusion_matrices(range(params.register_width))
+                # Each model qubit is read out through the circuit qubit holding it.
+                register = cfg.native_step(task["order"], task["gamma"], task["dt"]).model_register
+                confusions = [models[task["xi"]].readout[q] for q in register]
                 sampled = []
                 for k, rho in enumerate(states):
                     seed = np.random.SeedSequence(

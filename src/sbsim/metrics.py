@@ -1,8 +1,11 @@
-"""State fidelity, time-averaged infidelity, observables, and spin-spin correlations."""
+"""State fidelity, time-averaged infidelity, observables, and spin-spin correlations.
+
+Observables are plain dense operators on the model register:
+``boson_number`` and ``spin_operator`` build them once, and ``expectation``
+and ``connected_correlation`` take them as matrices.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,19 +13,9 @@ from . import encoding
 from .encoding import GRAY, BitCode, TruncationSpec
 from .pauli import embed_operator
 
-BOSON_NUMBER = "boson_number"
-SIGMA_Z = "sigma_z"
-SIGMA_X = "sigma_x"
-
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 # Physical spin-z: +1 on the excited state, which is the computational |1>.
 _SZ_PHYS = np.array([[-1, 0], [0, 1]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class ObservableSpec:
-    kind: str
-    spin: int = 0
 
 
 # Eigenvalues below this are treated as numerical zeros; taking the square
@@ -73,64 +66,32 @@ def time_averaged_infidelity(traj_sim, traj_exact, grid_tol: float = 1e-9) -> fl
     return float(np.mean(values))
 
 
-def observable_matrix(obs: ObservableSpec, params, code_kind: str = GRAY) -> np.ndarray:
-    """Dense observable on the spin+boson register."""
-    width = params.register_width
-    if obs.kind == BOSON_NUMBER:
-        spec = TruncationSpec(params.d_ho)
-        code = BitCode(code_kind, spec.n_qubits)
-        number = encoding.encode_boson_operator("number", spec, code).to_dense()
-        return embed_operator(number, params.boson_positions, width)
-    if obs.kind in (SIGMA_Z, SIGMA_X):
-        if not 0 <= obs.spin < params.n_spins:
-            raise ValueError(f"spin index {obs.spin} out of range")
-        op = _SZ_PHYS if obs.kind == SIGMA_Z else _X
-        return embed_operator(op, (params.spin_positions[obs.spin],), width)
-    raise ValueError(f"no single-operator realization for {obs.kind!r}")
+def boson_number(params, code_kind: str = GRAY) -> np.ndarray:
+    """The encoded boson number operator, on the spin+boson register."""
+    spec = TruncationSpec(params.d_ho)
+    code = BitCode(code_kind, spec.n_qubits)
+    number = encoding.encode_boson_operator("number", spec, code).to_dense()
+    return embed_operator(number, params.boson_positions, params.register_width)
 
 
-def expectation(
-    rho: np.ndarray,
-    obs: ObservableSpec,
-    params,
-    code_kind: str = GRAY,
-    matrix: np.ndarray | None = None,
-) -> float:
-    """Tr(rho O).
+def spin_operator(axis: str, spin: int, params) -> np.ndarray:
+    """Physical sigma_z ("Z") or sigma_x ("X") of one spin, on the spin+boson register."""
+    if not 0 <= spin < params.n_spins:
+        raise ValueError(f"spin index {spin} out of range")
+    op = {"Z": _SZ_PHYS, "X": _X}[axis]
+    return embed_operator(op, (params.spin_positions[spin],), params.register_width)
 
-    ``matrix`` is ``observable_matrix(obs, params, code_kind)`` when the
-    caller has built it once for many states.
-    """
-    if matrix is None:
-        matrix = observable_matrix(obs, params, code_kind)
-    value = np.trace(rho @ matrix)
+
+def expectation(rho: np.ndarray, operator: np.ndarray) -> float:
+    """Tr(rho O)."""
+    value = np.trace(rho @ operator)
     if abs(value.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary part {value.imag:.2e}")
     return float(value.real)
 
 
-def spin_pair_operators(pair: str, params) -> tuple[np.ndarray, np.ndarray]:
-    """The two spins' operators of a correlator pair in {"ZZ", "XX"}, on the model register."""
-    if params.n_spins != 2:
-        raise ValueError("connected correlations need exactly two spins")
-    if pair not in ("ZZ", "XX"):
-        raise ValueError(f"unknown correlator pair {pair!r}")
-    op = _SZ_PHYS if pair == "ZZ" else _X
-    return tuple(embed_operator(op, (p,), params.register_width) for p in params.spin_positions)
-
-
-def connected_correlation(
-    rho: np.ndarray,
-    pair: str,
-    params,
-    operators: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Covariance <s1 s2> - <s1><s2> of the two spins, pair in {"ZZ", "XX"}.
-
-    ``operators`` is ``spin_pair_operators(pair, params)`` when the caller
-    has built it once for many states.
-    """
-    o1, o2 = spin_pair_operators(pair, params) if operators is None else operators
+def connected_correlation(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> float:
+    """Covariance <o1 o2> - <o1><o2> of two operators on distinct spins."""
     e1 = float(np.trace(rho @ o1).real)
     e2 = float(np.trace(rho @ o2).real)
     e12 = float(np.trace(rho @ (o1 @ o2)).real)

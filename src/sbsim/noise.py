@@ -9,12 +9,18 @@ infidelities, gate times, and false-readout probabilities uniformly,
 leaving T1/T2 untouched; this keeps the thermal-to-depolarizing ratio of
 the model approximately unchanged.
 
-Channels are held as superoperators, vec(E(rho)) = S vec(rho) on the
-row-major vectorization, which the engine applies directly.  Thermal
-relaxation is one such matrix: populations relax to the ground state with
-p_reset = 1 - exp(-t/T1) and coherences decay as exp(-t/T2); it is
-completely positive exactly when T2 <= 2 T1.  Qubit temperature is fixed at
-zero, so qubit frequency never enters.
+A channel is a plain complex (4^n, 4^n) superoperator array,
+vec(E(rho)) = S vec(rho) on the row-major vectorization (``kraus_superop``'s
+convention), which the engine applies directly; "A then B" is ``B @ A``.
+Thermal relaxation is one such matrix: populations relax to the ground
+state with p_reset = 1 - exp(-t/T1) and coherences decay as exp(-t/T2); it
+is completely positive exactly when T2 <= 2 T1.  Qubit temperature is fixed
+at zero, so qubit frequency never enters.
+
+Which calibration entry a gate uses is decided in one place,
+``CalibrationData.gate_entry``: an entry on the gate's own operands beats
+the kind's wildcard entry.  ``NoiseModel.channel_for`` asks it, then reads
+that entry's channel.
 """
 
 from __future__ import annotations
@@ -179,54 +185,26 @@ def kraus_superop(kraus) -> np.ndarray:
     return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
-class QuantumChannel:
-    """A channel held as its superoperator (``kraus_superop``'s convention)."""
-
-    superop: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "superop", np.asarray(self.superop, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.superop.shape[0])
-
-    @property
-    def n_qubits(self) -> int:
-        return int(round(math.log2(self.dim)))
-
-    def then(self, other: "QuantumChannel") -> "QuantumChannel":
-        """Composition: self first, then other."""
-        return QuantumChannel(other.superop @ self.superop)
-
-    def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
-        """Product channel: self on the leading qubits, other on the trailing ones."""
-        a, b = self.dim, other.dim
-        s = np.einsum(
-            "acbd,ACBD->aAcCbBdD",
-            self.superop.reshape(a, a, a, a),
-            other.superop.reshape(b, b, b, b),
-        )
-        return QuantumChannel(s.reshape((a * b) ** 2, (a * b) ** 2))
-
-    def is_cptp(self, tol: float = CPTP_TOL) -> bool:
-        """Trace preserving, and a Hermitian positive semidefinite Choi matrix."""
-        d = self.dim
-        identity = np.eye(d).ravel()
-        if np.max(np.abs(identity @ self.superop - identity)) > tol:
-            return False
-        choi = self.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        if np.max(np.abs(choi - choi.conj().T)) > tol:
-            return False
-        return bool(np.linalg.eigvalsh(choi).min() >= -tol)
+def is_cptp(superop: np.ndarray, tol: float = CPTP_TOL) -> bool:
+    """Trace preserving, and a Hermitian positive semidefinite Choi matrix."""
+    d = math.isqrt(len(superop))
+    identity = np.eye(d).ravel()
+    if np.max(np.abs(identity @ superop - identity)) > tol:
+        return False
+    choi = superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    if np.max(np.abs(choi - choi.conj().T)) > tol:
+        return False
+    return bool(np.linalg.eigvalsh(choi).min() >= -tol)
 
 
-def identity_channel(n_qubits: int = 1) -> QuantumChannel:
-    return QuantumChannel(np.eye(4**n_qubits))
+def _product_channel(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Product channel: ``first`` on the leading qubits, ``second`` on the trailing ones."""
+    a, b = math.isqrt(len(first)), math.isqrt(len(second))
+    s = np.einsum("acbd,ACBD->aAcCbBdD", first.reshape(a, a, a, a), second.reshape(b, b, b, b))
+    return s.reshape((a * b) ** 2, (a * b) ** 2)
 
 
-def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> QuantumChannel:
+def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> np.ndarray:
     """Single-qubit thermal relaxation acting for ``t_gate`` (same unit as T1/T2).
 
     The excited population decays into the ground state with
@@ -240,55 +218,52 @@ def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> QuantumCh
         raise ValueError("gate time must be nonnegative")
     p_reset = 1.0 - math.exp(-t_gate / t1)
     coherence = math.exp(-t_gate / t2)
-    return QuantumChannel(
-        np.array(
-            [
-                [1, 0, 0, p_reset],
-                [0, coherence, 0, 0],
-                [0, 0, coherence, 0],
-                [0, 0, 0, 1 - p_reset],
-            ]
-        )
+    return np.array(
+        [
+            [1, 0, 0, p_reset],
+            [0, coherence, 0, 0],
+            [0, 0, coherence, 0],
+            [0, 0, 0, 1 - p_reset],
+        ],
+        dtype=complex,
     )
 
 
-def depolarizing_channel(p: float, n_qubits: int) -> QuantumChannel:
+def depolarizing_channel(p: float, n_qubits: int) -> np.ndarray:
     """E(rho) = (1 - p) rho + p Tr(rho) I/d."""
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
     d = 2**n_qubits
     identity = np.eye(d).ravel()
-    return QuantumChannel((1.0 - p) * np.eye(d * d) + p * np.outer(identity, identity) / d)
+    return ((1.0 - p) * np.eye(d * d) + p * np.outer(identity, identity) / d).astype(complex)
 
 
-def process_fidelity(channel: QuantumChannel, target: np.ndarray | None = None) -> float:
+def process_fidelity(channel: np.ndarray, target: np.ndarray | None = None) -> float:
     """Tr(S_U^dag S) / d^2: the channel's overlap with the target unitary U."""
-    if not channel.is_cptp():
+    if not is_cptp(channel):
         raise ValueError("channel is not CPTP")
-    d = channel.dim
+    d = math.isqrt(len(channel))
     target_u = np.eye(d, dtype=complex) if target is None else np.asarray(target, dtype=complex)
     if target_u.shape != (d, d):
         raise ValueError("target dimension mismatch")
-    overlap = np.vdot(kraus_superop(target_u[None]), channel.superop)
+    overlap = np.vdot(kraus_superop(target_u[None]), channel)
     return float(overlap.real) / d**2
 
 
-def average_gate_fidelity(channel: QuantumChannel, target: np.ndarray | None = None) -> float:
+def average_gate_fidelity(channel: np.ndarray, target: np.ndarray | None = None) -> float:
     """Haar-averaged gate fidelity, (d F_pro + 1) / (d + 1)."""
-    d = channel.dim
+    d = math.isqrt(len(channel))
     return (d * process_fidelity(channel, target) + 1.0) / (d + 1.0)
 
 
-def depolarizing_probability(
-    target_gate_infidelity: float, thermal: QuantumChannel
-) -> float:
+def depolarizing_probability(target_gate_infidelity: float, thermal: np.ndarray) -> float:
     """Back-solve p_D so depolarizing-after-thermal hits the calibrated gate error.
 
     p_D = d (F_T - F_gate) / (d F_T - 1).  A negative solution means the
     thermal channel alone already exceeds the error budget; it is clamped
     to zero with a warning so scaled calibrations remain usable.
     """
-    d = thermal.dim
+    d = math.isqrt(len(thermal))
     f_thermal = average_gate_fidelity(thermal)
     f_gate = 1.0 - target_gate_infidelity
     p = d * (f_thermal - f_gate) / (d * f_thermal - 1.0)
@@ -312,29 +287,24 @@ def depolarizing_probability(
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-(gate kind, operands) channels plus per-qubit readout confusion matrices."""
+    """Per-(gate kind, operands) channels plus per-qubit readout confusion matrices.
+
+    ``calibration`` is the xi-scaled calibration the model was built from;
+    ``channels`` holds one channel per gate entry, keyed by the entry's kind
+    and operands (None for a wildcard entry).
+    """
 
     channels: dict
     readout: tuple[np.ndarray, ...]
-    xi: float
+    calibration: CalibrationData
 
-    def channel_for(self, kind: str, qubits: tuple[int, ...]) -> QuantumChannel:
-        key = (kind, tuple(qubits))
-        if key in self.channels:
-            return self.channels[key]
-        wildcard = (kind, None)
-        if wildcard in self.channels:
-            return self.channels[wildcard]
-        raise KeyError(f"no noise channel for {kind} on {qubits}")
-
-    def confusion_matrix(self, qubit: int) -> np.ndarray:
-        return self.readout[qubit]
-
-    def confusion_matrices(self, qubits) -> list[np.ndarray]:
-        return [self.readout[q] for q in qubits]
+    def channel_for(self, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
+        """The channel of the calibration entry that ``gate_entry`` picks for the gate."""
+        entry = self.calibration.gate_entry(kind, qubits)
+        return self.channels[(entry.kind, entry.qubits)]
 
 
-def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> QuantumChannel:
+def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> np.ndarray:
     """Thermal relaxation of a gate entry's operands for the gate's duration.
 
     Two-qubit thermal error is the tensor product of the operands'
@@ -348,7 +318,7 @@ def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> Quant
         qcals = [cal.qubits[q] for q in entry.qubits]
     t_us = entry.time_ns * 1e-3
     singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]
-    return singles[0] if n_q == 1 else singles[0].tensor(singles[1])
+    return singles[0] if n_q == 1 else _product_channel(*singles)
 
 
 def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:
@@ -358,14 +328,14 @@ def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:
     for entry in scaled.gates:
         thermal = _gate_thermal_channel(scaled, entry)
         p_depol = depolarizing_probability(entry.error, thermal)
-        channel = thermal.then(depolarizing_channel(p_depol, thermal.n_qubits))
-        if not channel.is_cptp():
+        channel = depolarizing_channel(p_depol, _operand_count(entry.kind)) @ thermal
+        if not is_cptp(channel):
             raise RuntimeError(f"constructed channel for {entry.kind} is not CPTP")
         channels[(entry.kind, entry.qubits)] = channel
     readout = tuple(
         np.array([[1 - q.p10, q.p10], [q.p01, 1 - q.p01]]) for q in scaled.qubits
     )
-    return NoiseModel(channels, readout, xi)
+    return NoiseModel(channels, readout, scaled)
 
 
 def error_source_ratio(cal: CalibrationData, kinds: tuple[str, ...] = ("cx", "sx", "x")) -> float:

@@ -24,8 +24,11 @@ Every run that touches one starts with it in |0> and ends by resetting it,
 so the run is exactly a channel on its other qubits (a collision, in the
 language of collision models); the run compiles to that channel.  The state
 thus holds only the non-auxiliary qubits, at most ``MAX_SIM_WIDTH`` of
-them, and snapshots reorder it into the model register.  Also measurement
-sampling and readout mitigation.
+them, and snapshots reorder it into the model register.
+
+Also measurement sampling and readout mitigation on plain arrays: counts
+are one multinomial count per basis state of the sampled register, and
+readout error is one 2x2 confusion matrix per qubit of it, in order.
 """
 
 from __future__ import annotations
@@ -327,21 +330,9 @@ def _gate_superop(gate: Gate, models: tuple) -> np.ndarray:
         raise ValueError("noisy simulation requires a native circuit; transpile first")
     ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
     return np.stack([
-        ideal if model is None else model.channel_for(gate.kind, gate.qubits).superop @ ideal
+        ideal if model is None else model.channel_for(gate.kind, gate.qubits) @ ideal
         for model in models
     ])
-
-
-@dataclass
-class CountsTable:
-    counts: dict[str, int]
-    shots: int
-
-    def vector(self, n_bits: int) -> np.ndarray:
-        out = np.zeros(2**n_bits)
-        for key, n in self.counts.items():
-            out[int(key, 2)] = n
-        return out
 
 
 def sample_counts(
@@ -349,51 +340,25 @@ def sample_counts(
     shots: int,
     readout: list[np.ndarray] | None = None,
     seed: int | None = None,
-    qubits: tuple[int, ...] | None = None,
-) -> CountsTable:
-    """Multinomial sampling from diag(rho), optionally through per-qubit confusion matrices.
+) -> np.ndarray:
+    """Multinomial counts of each basis state, drawn from diag(rho).
 
-    ``readout`` matrices are row-stochastic, M[m, n] = P(record n | true m),
-    one per measured qubit in the order of ``qubits``.
+    ``readout`` matrices, if given, are row-stochastic, M[m, n] =
+    P(record n | true m), one per qubit of the register in order; the
+    counts are then of the recorded outcomes.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
-    width = int(round(math.log2(rho.shape[0])))
-    if qubits is None:
-        qubits = tuple(range(width))
-    marginal = rho if qubits == tuple(range(width)) else partial_trace(rho, qubits, width)
-    probs = np.clip(np.diag(marginal).real, 0.0, None)
+    probs = np.clip(np.diag(rho).real, 0.0, None)
     probs = probs / probs.sum()
     if readout is not None:
         probs = probs @ kron_all(readout)
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
-    n_bits = len(qubits)
-    counts = {format(i, f"0{n_bits}b"): int(c) for i, c in enumerate(drawn) if c > 0}
-    return CountsTable(counts, shots)
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def mitigate_readout(
-    counts: CountsTable, confusions: list[np.ndarray], project: bool = False
-) -> np.ndarray:
+def mitigate_readout(counts: np.ndarray, confusions: list[np.ndarray]) -> np.ndarray:
     """Invert the tensor-product confusion matrix on the empirical distribution.
 
-    Returns a quasi-probability vector (entries may be slightly negative);
-    with ``project`` the result is replaced by its nearest point on the
-    probability simplex.
+    Returns a quasi-probability vector (entries may be slightly negative).
     """
-    n_bits = len(confusions)
-    freq = counts.vector(n_bits) / counts.shots
-    joint = kron_all(confusions)
-    quasi = np.linalg.solve(joint.T, freq)
-    return _project_simplex(quasi) if project else quasi
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    feasible = u + (1.0 - cumulative) / idx > 0
-    rho_idx = int(np.nonzero(feasible)[0][-1])
-    tau = (1.0 - cumulative[rho_idx]) / (rho_idx + 1)
-    return np.clip(v + tau, 0.0, None)
+    return np.linalg.solve(kron_all(confusions).T, counts / counts.sum())

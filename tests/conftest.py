@@ -5,6 +5,8 @@ code paths: operators are expanded by enumerating basis states, so circuit
 unitaries and channels are checked against an independent construction.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,8 @@ def kraus_operators(channel, floor: float = 1e-14) -> list[np.ndarray]:
     vec(K_k)^dag, so each eigenvector of weight above ``floor`` is one
     Kraus operator, reshaped.
     """
-    d = channel.dim
-    choi = channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    d = math.isqrt(len(channel))
+    choi = channel.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     vals, vecs = np.linalg.eigh(choi)
     return [np.sqrt(v) * vec.reshape(d, d) for v, vec in zip(vals, vecs.T) if v > floor]
 

@@ -309,6 +309,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["gate_counts", "--dt", "0.1", "0.2", "--t-final", "1", "--xi", "0.1", "--gamma-list", "1"],
          "it does not use t_final=1.0, xi_list=(0.1,), gamma_list=(1.0,), dt_grid=(0.1, 0.2)"),
         (["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid"),
+        (["gate_counts", "--calibration", "{tmp}/truncated.json"], "it does not use calibration="),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -376,6 +377,28 @@ def test_per_operand_calibration_must_cover_every_gate_of_the_run(tmp_path):
         path.write_text(json.dumps({**doc, "gates": others + [{**sx, "qubits": [q]} for q in range(n_sx)]}))
         cfg = ExperimentConfig("noise_sweep", xi_list=(0.1,), calibration=str(path))
         assert cfg.validate() == ([problem] if problem else [])
+
+
+# the spin sits on circuit qubit 2 at one spin ((2, 0, 1)); two spins put their auxiliaries at the edges
+@pytest.mark.parametrize("n_spins, register", [(1, (2, 0, 1)), (2, (1, 2, 3, 4))])
+def test_each_model_qubit_is_read_out_through_its_circuit_qubit(tmp_path, monkeypatch, n_spins, register):
+    doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
+    graded = [{**q, "p10": 0.01 * (i + 1), "p01": 0.01 * (i + 1)} for i, q in enumerate(doc["qubits"])]
+    cal_path = tmp_path / "graded.json"
+    cal_path.write_text(json.dumps({**doc, "qubits": graded}))
+    flips = []
+    sample = sim.sample_counts
+
+    def captured(rho, shots, readout=None, seed=None):
+        flips.append([(m[0, 1], m[1, 0]) for m in readout])
+        return sample(rho, shots, readout, seed)
+
+    monkeypatch.setattr(sim, "sample_counts", captured)
+    argv = ["observables", "--n-spins", str(n_spins), "--shots", "10", "--xi", "1", "--order", "1",
+            "--t-final", "0.4", "--calibration", str(cal_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    expected = [(0.01 * (q + 1), 0.01 * (q + 1)) for q in register]
+    np.testing.assert_allclose(flips, [expected] * 3, rtol=0, atol=1e-15)  # one per snapshot
 
 
 def test_two_spins_at_d_ho_8_validate():

@@ -5,18 +5,20 @@ import pytest
 
 from conftest import kron_all, random_density_matrix, random_unitary
 from sbsim.metrics import (
-    BOSON_NUMBER,
-    SIGMA_X,
-    SIGMA_Z,
-    ObservableSpec,
+    boson_number,
     connected_correlation,
     expectation,
     fidelity,
     infidelity,
+    spin_operator,
     time_averaged_infidelity,
 )
 from sbsim.model import InitialStateSpec, ModelParams, initial_density_matrix
 from sbsim.oracle import TrajectorySnapshot
+
+
+def _spin_pair(axis, params):
+    return [spin_operator(axis, spin, params) for spin in (0, 1)]
 
 
 def _pure(vec):
@@ -87,30 +89,30 @@ def test_time_averaged_infidelity_grid_mismatch(rng):
 def test_expectations_on_initial_state():
     params = ModelParams()
     rho = initial_density_matrix(InitialStateSpec(("up",), 0), params)
-    assert abs(expectation(rho, ObservableSpec(BOSON_NUMBER), params)) < 1e-12
-    assert abs(expectation(rho, ObservableSpec(SIGMA_Z, 0), params) - 1.0) < 1e-12
+    assert abs(expectation(rho, boson_number(params))) < 1e-12
+    assert abs(expectation(rho, spin_operator("Z", 0, params)) - 1.0) < 1e-12
     down = initial_density_matrix(InitialStateSpec(("down",), 0), params)
-    assert abs(expectation(down, ObservableSpec(SIGMA_Z, 0), params) + 1.0) < 1e-12
+    assert abs(expectation(down, spin_operator("Z", 0, params)) + 1.0) < 1e-12
 
 
 def test_expectation_maximally_mixed():
     params = ModelParams()
     rho = np.eye(8, dtype=complex) / 8
-    assert abs(expectation(rho, ObservableSpec(SIGMA_Z, 0), params)) < 1e-12
-    assert abs(expectation(rho, ObservableSpec(SIGMA_X, 0), params)) < 1e-12
+    assert abs(expectation(rho, spin_operator("Z", 0, params))) < 1e-12
+    assert abs(expectation(rho, spin_operator("X", 0, params))) < 1e-12
 
 
 def test_expectation_boson_number_counts_levels():
     params = ModelParams()
     rho = initial_density_matrix(InitialStateSpec(("down",), 2), params)
-    assert abs(expectation(rho, ObservableSpec(BOSON_NUMBER), params) - 2.0) < 1e-12
+    assert abs(expectation(rho, boson_number(params)) - 2.0) < 1e-12
 
 
 def test_connected_correlation_product_state_vanishes(rng):
     params = ModelParams(n_spins=2, omega=6)
     rho = initial_density_matrix(InitialStateSpec(("up", "down"), 0), params)
-    assert abs(connected_correlation(rho, "ZZ", params)) < 1e-10
-    assert abs(connected_correlation(rho, "XX", params)) < 1e-10
+    assert abs(connected_correlation(rho, *_spin_pair("Z", params))) < 1e-10
+    assert abs(connected_correlation(rho, *_spin_pair("X", params))) < 1e-10
 
 
 def test_connected_correlation_bell_state():
@@ -122,7 +124,7 @@ def test_connected_correlation_bell_state():
     down_up[0b0001] = 1.0
     bell = _pure(up_down + down_up)
     # direct 4x4-subspace evaluation: <Z1 Z2> = -1, <Z1> = <Z2> = 0
-    assert abs(connected_correlation(bell, "ZZ", params) + 1.0) < 1e-12
+    assert abs(connected_correlation(bell, *_spin_pair("Z", params)) + 1.0) < 1e-12
 
 
 def test_connected_correlation_ancilla_invariance(rng):
@@ -135,10 +137,11 @@ def test_connected_correlation_ancilla_invariance(rng):
     s1 = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
     s2 = np.array([[0.1, 0.05], [0.05, 0.9]])
     full = kron_all([s1, boson, boson, s2])
-    value = connected_correlation(full, "ZZ", params2)
+    value = connected_correlation(full, *_spin_pair("Z", params2))
     assert abs(value) < 1e-10  # product states stay uncorrelated under ancillas
 
 
 def test_connected_correlation_needs_two_spins():
-    with pytest.raises(ValueError):
-        connected_correlation(np.eye(8) / 8, "ZZ", ModelParams())
+    # the second spin's operator does not exist on a one-spin register
+    with pytest.raises(ValueError, match="spin index 1 out of range"):
+        _spin_pair("Z", ModelParams())

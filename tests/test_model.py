@@ -42,9 +42,9 @@ def test_dense_hamiltonian_hermitian():
 def test_decoupled_hamiltonian_commutes_with_boson_number():
     params = ModelParams(lambda_c=0.0)
     h = dense_hamiltonian(params)
-    from sbsim.metrics import ObservableSpec, observable_matrix
+    from sbsim.metrics import boson_number
 
-    number = observable_matrix(ObservableSpec("boson_number"), params)
+    number = boson_number(params)
     np.testing.assert_allclose(h @ number, number @ h, atol=1e-12)
 
 

@@ -9,14 +9,13 @@ from conftest import random_unitary
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
-    QuantumChannel,
     QubitCalibration,
     average_gate_fidelity,
     build_noise_model,
     depolarizing_channel,
     depolarizing_probability,
     error_source_ratio,
-    identity_channel,
+    is_cptp,
     jakarta_average_calibration,
     kraus_superop,
     load_calibration,
@@ -32,7 +31,7 @@ _RESET_KRAUS = (np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]]))
 
 
 def _apply(channel, rho):
-    return (channel.superop @ rho.ravel()).reshape(rho.shape)
+    return (channel @ rho.ravel()).reshape(rho.shape)
 
 
 def _mixture_superop(t1, t2, t):
@@ -54,21 +53,21 @@ def _closed_form_choi(t1, t2, t):
 
 def _input_first_choi(channel):
     # C[(i, o), (j, p)] = E(|i><j|)[o, p] = S[(o, p), (i, j)]
-    return channel.superop.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    return channel.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def test_zero_time_is_identity_channel():
     ch = thermal_relaxation_channel(T1, T2, 0.0)
-    np.testing.assert_array_equal(ch.superop, np.eye(4))
+    np.testing.assert_array_equal(ch, np.eye(4))
 
 
 def test_equal_times_mean_no_dephasing():
     # T2 = T1: coherences decay exactly as the excited population, no pure dephasing
     ch = thermal_relaxation_channel(100.0, 100.0, 0.5)
     p_reset = 1 - math.exp(-0.5 / 100.0)
-    assert ch.superop[3, 3] == pytest.approx(1 - p_reset, abs=1e-15)
-    assert ch.superop[1, 1] == pytest.approx(ch.superop[3, 3], abs=1e-15)
-    assert ch.superop[2, 2] == pytest.approx(ch.superop[3, 3], abs=1e-15)
+    assert ch[3, 3] == pytest.approx(1 - p_reset, abs=1e-15)
+    assert ch[1, 1] == pytest.approx(ch[3, 3], abs=1e-15)
+    assert ch[2, 2] == pytest.approx(ch[3, 3], abs=1e-15)
 
 
 def test_thermal_probabilities_at_device_averages():
@@ -78,11 +77,11 @@ def test_thermal_probabilities_at_device_averages():
     assert p_reset == pytest.approx(3.2613e-3, abs=1e-7)
     assert p_z == pytest.approx(3.4096e-3, abs=1e-7)
     ch = thermal_relaxation_channel(T1, T2, T_CX)
-    assert ch.superop[0, 3] == pytest.approx(p_reset, rel=1e-12)  # |1><1| -> |0><0|
-    assert ch.superop[3, 3] == pytest.approx(1 - p_reset, rel=1e-12)
+    assert ch[0, 3] == pytest.approx(p_reset, rel=1e-12)  # |1><1| -> |0><0|
+    assert ch[3, 3] == pytest.approx(1 - p_reset, rel=1e-12)
     # coherence of the mixture: p_id - p_z = 1 - p_reset - 2 p_z
-    assert ch.superop[1, 1] == pytest.approx(1 - p_reset - 2 * p_z, rel=1e-12)
-    assert ch.is_cptp()
+    assert ch[1, 1] == pytest.approx(1 - p_reset - 2 * p_z, rel=1e-12)
+    assert is_cptp(ch)
 
 
 def test_thermal_kraus_branch_matches_choi_branch_at_boundary():
@@ -98,7 +97,7 @@ def test_thermal_kraus_branch_matches_choi_branch_at_boundary():
 
 def test_thermal_choi_branch_cptp_and_coherence():
     ch = thermal_relaxation_channel(100.0, 150.0, 0.4)
-    assert ch.is_cptp()
+    assert is_cptp(ch)
     rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     out = _apply(ch, rho)
     assert out[0, 1] == pytest.approx(0.5 * math.exp(-0.4 / 150.0), abs=1e-12)
@@ -107,7 +106,7 @@ def test_thermal_choi_branch_cptp_and_coherence():
 @pytest.mark.parametrize("t1, t2, t", [(T1, T2, T_CX), (100.0, 60.0, 5.0), (100.0, 100.0, 0.7)])
 def test_thermal_superop_matches_kraus_mixture(t1, t2, t):
     ch = thermal_relaxation_channel(t1, t2, t)
-    assert np.max(np.abs(ch.superop - _mixture_superop(t1, t2, t))) < 1e-14
+    assert np.max(np.abs(ch - _mixture_superop(t1, t2, t))) < 1e-14
 
 
 @pytest.mark.parametrize("t1, t2, t", [(100.0, 150.0, 0.4), (100.0, 199.0, 3.0), (100.0, 200.0, 10.0)])
@@ -118,15 +117,15 @@ def test_thermal_superop_matches_closed_form_choi(t1, t2, t):
 
 def test_is_cptp_accepts_t2_at_twice_t1():
     for t in (0.0, 0.3, 50.0):
-        assert thermal_relaxation_channel(100.0, 200.0, t).is_cptp()
+        assert is_cptp(thermal_relaxation_channel(100.0, 200.0, t))
 
 
 def test_is_cptp_rejects_transpose_map():
     # rho -> rho^T preserves trace and is positive but not completely positive
-    transpose = QuantumChannel(np.eye(4)[[0, 2, 1, 3]])
+    transpose = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     np.testing.assert_allclose(_apply(transpose, rho), rho.T)
-    assert not transpose.is_cptp()
+    assert not is_cptp(transpose)
 
 
 def test_unphysical_t2_rejected():
@@ -137,7 +136,7 @@ def test_unphysical_t2_rejected():
 
 
 def test_average_gate_fidelity_identity():
-    assert average_gate_fidelity(identity_channel(1)) == pytest.approx(1.0, abs=1e-12)
+    assert average_gate_fidelity(np.eye(4, dtype=complex)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_gate_fidelity_completely_depolarizing():
@@ -162,7 +161,7 @@ def test_average_gate_fidelity_monte_carlo_cross_check(rng):
 
 def test_average_gate_fidelity_against_unitary_target(rng):
     u = random_unitary(rng, 2)
-    ch = QuantumChannel(kraus_superop(u[None]))
+    ch = kraus_superop(u[None])
     assert average_gate_fidelity(ch, u) == pytest.approx(1.0, abs=1e-10)
     assert process_fidelity(ch, u) == pytest.approx(1.0, abs=1e-10)
 
@@ -174,8 +173,8 @@ def test_thermal_infidelity_linear_in_gate_time():
 
 
 def test_non_cptp_rejected():
-    bad = QuantumChannel(kraus_superop(np.diag([1.0, 0.5])[None]))  # loses trace
-    assert not bad.is_cptp()
+    bad = kraus_superop(np.diag([1.0, 0.5])[None])  # loses trace
+    assert not is_cptp(bad)
     with pytest.raises(ValueError):
         average_gate_fidelity(bad)
 
@@ -189,7 +188,7 @@ def test_depolarizing_probability_zero_when_budget_met():
 def test_depolarizing_probability_identity_thermal():
     # F_T = 1 reduces the back-solve to p = d I / (d - 1)
     for n_q, d in ((1, 2), (2, 4)):
-        p = depolarizing_probability(1e-3, identity_channel(n_q))
+        p = depolarizing_probability(1e-3, np.eye(d * d, dtype=complex))
         assert p == pytest.approx(d * 1e-3 / (d - 1), rel=1e-9)
 
 
@@ -203,7 +202,7 @@ def test_composed_channel_hits_calibrated_infidelity():
     thermal = thermal_relaxation_channel(T1, T2, T_CX)
     target = 5e-3
     p = depolarizing_probability(target, thermal)
-    composed = thermal.then(depolarizing_channel(p, 1))
+    composed = depolarizing_channel(p, 1) @ thermal
     assert 1 - average_gate_fidelity(composed) == pytest.approx(target, abs=1e-9)
 
 
@@ -231,7 +230,7 @@ def test_noise_model_calibration_identity(xi):
     cal = jakarta_average_calibration()
     model = build_noise_model(cal, xi)
     for (kind, _), channel in model.channels.items():
-        assert channel.is_cptp(1e-10), kind
+        assert is_cptp(channel, 1e-10), kind
         target = 1 - xi * cal.gate_entry(kind).error
         assert average_gate_fidelity(channel) == pytest.approx(target, abs=1e-6), kind
 
@@ -246,16 +245,30 @@ def test_noise_model_monotone_in_xi():
 def test_noise_model_zero_is_noiseless():
     model = build_noise_model(jakarta_average_calibration(), 0.0)
     for channel in model.channels.values():
-        np.testing.assert_allclose(channel.superop, identity_channel(channel.n_qubits).superop, atol=1e-12)
+        np.testing.assert_allclose(channel, np.eye(len(channel)), atol=1e-12)
     for q in range(7):
-        np.testing.assert_allclose(model.confusion_matrix(q), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(model.readout[q], np.eye(2), atol=1e-15)
 
 
 def test_confusion_matrix_rows_sum_to_one():
     model = build_noise_model(jakarta_average_calibration(), 1.0)
-    m = model.confusion_matrix(0)
+    m = model.readout[0]
     np.testing.assert_allclose(m.sum(axis=1), [1.0, 1.0], atol=1e-15)
     assert m[0, 1] == pytest.approx(0.03349)
+
+
+@pytest.mark.parametrize("xi", [0.1, 1.0])
+@pytest.mark.parametrize("operand_entry_first", [True, False])
+def test_channel_for_takes_the_operand_entry_over_the_wildcard(xi, operand_entry_first):
+    wildcard = GateCalibration("sx", None, 1e-3, 35.0)
+    on_two = GateCalibration("sx", (2,), 4e-3, 50.0)
+    gates = (on_two, wildcard) if operand_entry_first else (wildcard, on_two)
+    qubits = (QubitCalibration(100.0, 80.0, 5.0, 0.01, 0.01),) * 3
+    model = build_noise_model(CalibrationData(qubits, gates), xi)
+    own, shared = model.channel_for("sx", (2,)), model.channel_for("sx", (0,))
+    assert average_gate_fidelity(own) == pytest.approx(1 - xi * on_two.error, abs=1e-9)
+    assert average_gate_fidelity(shared) == pytest.approx(1 - xi * wildcard.error, abs=1e-9)
+    assert own is model.channels[("sx", (2,))] and shared is model.channels[("sx", None)]
 
 
 def test_missing_calibration_entry():
@@ -327,7 +340,7 @@ def test_calibration_values_must_be_finite_numbers(make):
 def test_gate_error_is_bounded_by_the_fully_depolarizing_infidelity(kind, limit):
     # at the limit a zero-duration gate needs p_depol = 1; above it, more than 1
     entry = GateCalibration(kind, None, limit, 0.0)
-    thermal = identity_channel(2 if kind == "cx" else 1)
+    thermal = np.eye(16 if kind == "cx" else 4, dtype=complex)
     assert depolarizing_probability(entry.error, thermal) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="fully depolarizing limit"):
         GateCalibration(kind, None, limit + 1e-3, 0.0)
