@@ -5,6 +5,10 @@ steps, the two-qubit collision block realizing amplitude damping, and the
 full evolution circuit that alternates a unitary step with one collision
 per spin, with a barrier marking every time step.
 
+The model register (which model position holds which spin or boson bit)
+is ``ModelParams``'s; ``evolution_layout`` only places those positions on
+circuit qubits, and every gate is built directly on its circuit qubit.
+
 Angle convention (pinned by the gate set): RY(t) = exp(-i t Y / 2) and
 RZ(t) = exp(-i t Z / 2), i.e. the gate argument is twice the rotation
 angle.  The collision block therefore carries CRY(2*theta) with
@@ -14,17 +18,17 @@ theta = arcsin(sqrt(1 - exp(-gamma_eff dt))).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-
-from .encoding import GRAY, BitCode, TruncationSpec, code_bits
+from .encoding import GRAY
 from .model import (
     PAPER_COLLISION,
-    SPIN_UP,
     InitialStateSpec,
     ModelParams,
     gamma_eff,
     hamiltonian_sum,
+    initial_bits,
 )
 from .pauli import PauliString, PauliSum
 
@@ -128,10 +132,11 @@ def _basis_change(letter: str, q: int) -> tuple[list[Gate], list[Gate]]:
     )
 
 
-def _pauli_exponential_gates(term: PauliString, angle: float) -> list[Gate]:
+def _pauli_exponential_gates(term: PauliString, angle: float, qubits: Sequence[int]) -> list[Gate]:
+    """Gates of exp(-i angle coeff P), letter k of P acting on circuit qubit ``qubits[k]``."""
     if abs(term.coefficient.imag) > 1e-12:
         raise ValueError(f"coefficient {term.coefficient} is not real")
-    active = [(q, c) for q, c in enumerate(term.letters) if c != "I"]
+    active = [(qubits[k], c) for k, c in enumerate(term.letters) if c != "I"]
     if not active:
         raise ValueError("identity string exponentiates to a global phase; fold it out")
     pre: list[Gate] = []
@@ -148,22 +153,22 @@ def _pauli_exponential_gates(term: PauliString, angle: float) -> list[Gate]:
 
 def pauli_exponential(term: PauliString, angle: float) -> Circuit:
     """Circuit realizing exp(-i angle coeff P) exactly (no phase slack)."""
-    return Circuit(term.width, tuple(_pauli_exponential_gates(term, angle)))
+    return Circuit(term.width, tuple(_pauli_exponential_gates(term, angle, range(term.width))))
 
 
-def _trotter_gates(terms: tuple[PauliString, ...], dt: float, order: int) -> list[Gate]:
+def _trotter_gates(terms: tuple[PauliString, ...], dt: float, order: int, qubits: Sequence[int]) -> list[Gate]:
     gates: list[Gate] = []
     if order == 1:
         for t in terms:
-            gates.extend(_pauli_exponential_gates(t, dt))
+            gates.extend(_pauli_exponential_gates(t, dt, qubits))
     elif order == 2:
         # Half-angle sweep forward, then reverse; the doubled turning-point
         # exponential is merged into a single full-angle one.
         for t in terms[:-1]:
-            gates.extend(_pauli_exponential_gates(t, dt / 2))
-        gates.extend(_pauli_exponential_gates(terms[-1], dt))
+            gates.extend(_pauli_exponential_gates(t, dt / 2, qubits))
+        gates.extend(_pauli_exponential_gates(terms[-1], dt, qubits))
         for t in terms[-2::-1]:
-            gates.extend(_pauli_exponential_gates(t, dt / 2))
+            gates.extend(_pauli_exponential_gates(t, dt / 2, qubits))
     else:
         raise ValueError(f"unsupported product-formula order {order}")
     return gates
@@ -176,7 +181,7 @@ def trotter_step(h_terms: PauliSum, dt: float, order: int) -> Circuit:
     terms = h_terms.canonicalize().terms
     if not terms:
         raise ValueError("empty Hamiltonian")
-    return Circuit(h_terms.width, tuple(_trotter_gates(terms, dt, order)))
+    return Circuit(h_terms.width, tuple(_trotter_gates(terms, dt, order, range(h_terms.width))))
 
 
 def collision_angle(gamma: float, dt: float, convention: str = PAPER_COLLISION) -> float:
@@ -245,28 +250,15 @@ def assemble_evolution(
         raise ValueError("n_steps must be nonnegative")
     roles, model_register, aux_for_spin = evolution_layout(params)
     width = len(roles)
-    gates: list[Gate] = []
 
-    # State preparation: X on excited spins and on the 1-bits of the code
-    # word of the initial oscillator level.
-    if len(spec.spin_states) != params.n_spins:
-        raise ValueError("one spin state flag per spin required")
-    for flag, model_pos in zip(spec.spin_states, params.spin_positions):
-        if flag == SPIN_UP:
-            gates.append(Gate("x", (model_register[model_pos],)))
-    code = BitCode(code_kind, TruncationSpec(params.d_ho).n_qubits)
-    if spec.boson_level >= params.d_ho:
-        raise ValueError(f"boson level {spec.boson_level} out of range")
-    for bit, model_pos in zip(code_bits(spec.boson_level, code), params.boson_positions):
-        if bit:
-            gates.append(Gate("x", (model_register[model_pos],)))
+    # State preparation: X on every 1-bit of the initial basis state.
+    bits = initial_bits(spec, params, code_kind)
+    gates = [Gate("x", (model_register[p],)) for p, bit in enumerate(bits) if bit]
     gates.append(Gate("barrier"))
 
     if n_steps > 0:
         h_sum = hamiltonian_sum(params, code_kind)
-        step_gates = [
-            _remap(g, model_register) for g in _trotter_gates(h_sum.canonicalize().terms, dt, order)
-        ]
+        step_gates = _trotter_gates(h_sum.canonicalize().terms, dt, order, model_register)
         for _ in range(n_steps):
             gates.extend(step_gates)
             if params.gamma > 0:
@@ -282,7 +274,3 @@ def assemble_evolution(
         if role != ROLE_AUX:
             gates.append(Gate("measure", (q,)))
     return Circuit(width, tuple(gates), roles, model_register)
-
-
-def _remap(gate: Gate, mapping: tuple[int, ...]) -> Gate:
-    return Gate(gate.kind, tuple(mapping[q] for q in gate.qubits), gate.angle)

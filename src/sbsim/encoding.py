@@ -8,8 +8,11 @@ product of the single-qubit operators
     |0><0| = (I + Z)/2      |0><1| = (X + iY)/2
     |1><1| = (I - Z)/2      |1><0| = (X - iY)/2
 
-so that any truncated operator turns into a Pauli sum.  With the register
-laid out as ``[spin 1, boson qubits, spin 2, ...]`` the encoded Hamiltonian
+so that any truncated operator turns into a Pauli sum.  A code is its kind
+string plus a width in bits.  The register layout (which qubit holds which
+spin or boson bit) is decided by ``ModelParams``; ``encode_hamiltonian``
+reads the positions from there.  With the register laid out as
+``[spin 1, boson qubits, spin 2, ...]`` the encoded Hamiltonian
 for one spin at (h=1, eps=0.5, omega=4, lambda=2, d_ho=4, Gray) has exactly
 the eight non-identity terms
 
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,68 +45,40 @@ _BIT_PAIR_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Number of retained oscillator levels and the qubits they need."""
-
-    d_ho: int
-
-    def __post_init__(self) -> None:
-        if self.d_ho < 2:
-            raise ValueError("need at least two oscillator levels")
-
-    @property
-    def n_qubits(self) -> int:
-        return boson_qubit_count(self.d_ho)
-
-
-@dataclass(frozen=True)
-class BitCode:
-    """An integer-to-bit code of fixed width (Gray or standard binary)."""
-
-    kind: str
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in CODE_KINDS:
-            raise ValueError(f"unknown code kind {self.kind!r}")
-        if self.width < 1:
-            raise ValueError("code width must be positive")
-
-    def bits(self, i: int) -> tuple[int, ...]:
-        return code_bits(i, self)
-
-
 def boson_qubit_count(d_ho: int) -> int:
     """Qubits needed for d_ho levels: ceil(log2 d_ho)."""
-    return max(1, math.ceil(math.log2(d_ho)))
+    if d_ho < 2:
+        raise ValueError("need at least two oscillator levels")
+    return math.ceil(math.log2(d_ho))
 
 
-def code_bits(i: int, code: BitCode) -> tuple[int, ...]:
-    """Code word of integer ``i``, most significant bit first."""
-    if not 0 <= i < 2**code.width:
-        raise ValueError(f"index {i} out of range for width {code.width}")
-    word = i ^ (i >> 1) if code.kind == GRAY else i
-    return tuple((word >> (code.width - 1 - k)) & 1 for k in range(code.width))
+def code_bits(i: int, kind: str, width: int) -> tuple[int, ...]:
+    """Code word of integer ``i`` in the ``kind`` code of ``width`` bits, most significant bit first."""
+    if kind not in CODE_KINDS:
+        raise ValueError(f"unknown code kind {kind!r}")
+    if not 0 <= i < 2**width:
+        raise ValueError(f"index {i} out of range for width {width}")
+    word = i ^ (i >> 1) if kind == GRAY else i
+    return tuple((word >> (width - 1 - k)) & 1 for k in range(width))
 
 
-def code_permutation(code: BitCode) -> np.ndarray:
+def code_permutation(kind: str, width: int) -> np.ndarray:
     """Permutation matrix P with P|i> = |code word of i>."""
-    dim = 2**code.width
+    dim = 2**width
     perm = np.zeros((dim, dim))
     for i in range(dim):
-        word = int("".join(map(str, code_bits(i, code))), 2)
+        word = int("".join(map(str, code_bits(i, kind, width))), 2)
         perm[word, i] = 1
     return perm
 
 
-def encode_transition(l: int, lp: int, code: BitCode, d_ho: int | None = None) -> PauliSum:
+def encode_transition(l: int, lp: int, kind: str, width: int, d_ho: int | None = None) -> PauliSum:
     """Pauli sum whose dense matrix is exactly ``|code(l)><code(lp)|``."""
-    limit = d_ho if d_ho is not None else 2**code.width
+    limit = d_ho if d_ho is not None else 2**width
     if not (0 <= l < limit and 0 <= lp < limit):
         raise ValueError(f"levels ({l}, {lp}) out of range for d_ho={limit}")
-    row = code_bits(l, code)
-    col = code_bits(lp, code)
+    row = code_bits(l, kind, width)
+    col = code_bits(lp, kind, width)
     terms = []
     for combo in itertools.product(*(_BIT_PAIR_OPS[pair] for pair in zip(row, col))):
         coeff = 1.0 + 0j
@@ -116,17 +90,16 @@ def encode_transition(l: int, lp: int, code: BitCode, d_ho: int | None = None) -
     return canonicalize(PauliSum(tuple(terms)))
 
 
-def encode_boson_operator(which: str, spec: TruncationSpec, code: BitCode) -> PauliSum:
+def encode_boson_operator(which: str, d_ho: int, kind: str) -> PauliSum:
     """Encoded lowering, raising or number operator of the truncated oscillator.
 
     ``which`` is one of ``"a"``, ``"a_dagger"``, ``"number"``; matrix
     elements are a_{l,l+1} = sqrt(l+1), its transpose, and n_{l,l} = l.
     """
-    if code.width != spec.n_qubits:
-        raise ValueError("code width does not match truncation")
+    width = boson_qubit_count(d_ho)
     terms: list[PauliString] = []
-    for l in range(spec.d_ho):
-        for lp in range(spec.d_ho):
+    for l in range(d_ho):
+        for lp in range(d_ho):
             if which == "a":
                 elem = math.sqrt(lp) if lp == l + 1 else 0.0
             elif which == "a_dagger":
@@ -136,21 +109,8 @@ def encode_boson_operator(which: str, spec: TruncationSpec, code: BitCode) -> Pa
             else:
                 raise ValueError(f"unknown boson operator {which!r}")
             if elem:
-                terms.extend(encode_transition(l, lp, code, spec.d_ho).scaled(elem).terms)
+                terms.extend(encode_transition(l, lp, kind, width, d_ho).scaled(elem).terms)
     return canonicalize(PauliSum(tuple(terms)))
-
-
-def spin_positions(n_spins: int, n_boson_qubits: int) -> tuple[int, ...]:
-    """Register positions of the spins: spin 1 first, the rest after the bosons."""
-    return (0,) + tuple(n_boson_qubits + k for k in range(1, n_spins))
-
-
-def boson_positions(n_spins: int, n_boson_qubits: int) -> tuple[int, ...]:
-    return tuple(range(1, 1 + n_boson_qubits))
-
-
-def register_width(n_spins: int, n_boson_qubits: int) -> int:
-    return n_spins + n_boson_qubits
 
 
 def _embed(pattern: str, positions: tuple[int, ...], width: int) -> str:
@@ -160,36 +120,31 @@ def _embed(pattern: str, positions: tuple[int, ...], width: int) -> str:
     return "".join(letters)
 
 
-def encode_hamiltonian(params, code: BitCode | str = GRAY) -> PauliSum:
-    """Encoded spin-boson Hamiltonian on the ``[spin1, bosons, spin2, ...]`` register.
+def encode_hamiltonian(params, kind: str = GRAY) -> PauliSum:
+    """Encoded spin-boson Hamiltonian on the register ``params`` lays out.
 
     Per spin the terms are ``-h/2 Z + eps/2 X + lambda X (a + a')`` with the
     encoded oscillator operators, plus ``omega`` times the encoded number
     operator; identity-only terms (a global phase) are dropped.
     """
-    spec = TruncationSpec(params.d_ho)
-    if isinstance(code, str):
-        code = BitCode(code, spec.n_qubits)
-    width = register_width(params.n_spins, spec.n_qubits)
+    width = params.register_width
     if width > 8:
         raise ValueError(f"register width {width} exceeds the dense-oracle limit")
-    spins = spin_positions(params.n_spins, spec.n_qubits)
-    bosons = boson_positions(params.n_spins, spec.n_qubits)
+    bosons = params.boson_positions
 
-    number = encode_boson_operator("number", spec, code)
+    number = encode_boson_operator("number", params.d_ho, kind)
     position = canonicalize(
-        encode_boson_operator("a", spec, code) + encode_boson_operator("a_dagger", spec, code)
+        encode_boson_operator("a", params.d_ho, kind) + encode_boson_operator("a_dagger", params.d_ho, kind)
     )
 
     terms: list[PauliString] = []
     for t in number.terms:
         terms.append(PauliString(_embed(t.letters, bosons, width), params.omega * t.coefficient))
-    for sq in spins:
+    for sq in params.spin_positions:
         terms.append(PauliString(_embed("Z", (sq,), width), -params.h / 2))
         terms.append(PauliString(_embed("X", (sq,), width), params.epsilon / 2))
         for t in position.terms:
-            pattern = _embed(t.letters, bosons, width)
-            pattern = pattern[:sq] + "X" + pattern[sq + 1 :]
+            pattern = _embed("X" + t.letters, (sq,) + bosons, width)
             terms.append(PauliString(pattern, params.lambda_c * t.coefficient))
 
     encoded, _ = canonicalize(PauliSum(tuple(terms))).drop_identity()

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoding
-from .encoding import GRAY, BitCode, TruncationSpec
+from .encoding import GRAY
 from .pauli import embed_operator
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,9 +68,7 @@ def time_averaged_infidelity(traj_sim, traj_exact, grid_tol: float = 1e-9) -> fl
 
 def boson_number(params, code_kind: str = GRAY) -> np.ndarray:
     """The encoded boson number operator, on the spin+boson register."""
-    spec = TruncationSpec(params.d_ho)
-    code = BitCode(code_kind, spec.n_qubits)
-    number = encoding.encode_boson_operator("number", spec, code).to_dense()
+    number = encoding.encode_boson_operator("number", params.d_ho, code_kind).to_dense()
     return embed_operator(number, params.boson_positions, params.register_width)
 
 

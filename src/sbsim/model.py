@@ -1,4 +1,9 @@
-"""Model parameters, dense Hamiltonian, jump operators, and initial states.
+"""Model parameters, the register layout, dense Hamiltonian, jump operators, and initial states.
+
+``ModelParams`` owns the model register: spin 1 at position 0, the boson
+code bits after it, the other spins after the bosons.  ``initial_bits`` is
+the one place that writes the initial product state onto that register;
+the exact reference projects onto it and the circuit prepares it.
 
 Spin basis convention: the excited spin state |up> is the computational
 |1>, matching the -h/2 Z term of the encoded Hamiltonian, so the jump
@@ -25,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import encoding
-from .encoding import GRAY, BitCode, TruncationSpec
+from .encoding import GRAY
 from .pauli import PauliSum, embed_operator
 
 PAPER_COLLISION = "paper-collision"
@@ -75,15 +80,16 @@ class ModelParams:
     @property
     def register_width(self) -> int:
         """Width of the spin+boson register (no auxiliaries)."""
-        return encoding.register_width(self.n_spins, self.n_boson_qubits)
+        return self.n_spins + self.n_boson_qubits
 
     @property
     def spin_positions(self) -> tuple[int, ...]:
-        return encoding.spin_positions(self.n_spins, self.n_boson_qubits)
+        """Register positions of the spins: spin 1 first, the rest after the bosons."""
+        return (0,) + tuple(range(1 + self.n_boson_qubits, self.register_width))
 
     @property
     def boson_positions(self) -> tuple[int, ...]:
-        return encoding.boson_positions(self.n_spins, self.n_boson_qubits)
+        return tuple(range(1, 1 + self.n_boson_qubits))
 
 
 @dataclass(frozen=True)
@@ -119,24 +125,30 @@ def lindblad_operators(
     return [(embed_operator(_LOWER, (sq,), width), rate) for sq in params.spin_positions]
 
 
-def initial_density_matrix(
-    spec: InitialStateSpec, params: ModelParams, code_kind: str = GRAY
-) -> np.ndarray:
-    """Rank-one projector onto the product state, on the spin+boson register."""
+def initial_bits(spec: InitialStateSpec, params: ModelParams, code_kind: str = GRAY) -> tuple[int, ...]:
+    """Bits of the initial product state on the spin+boson register.
+
+    An excited spin is a 1; the oscillator level is written as its code word.
+    """
     if len(spec.spin_states) != params.n_spins:
         raise ValueError("one spin state flag per spin required")
     if spec.boson_level >= params.d_ho:
         raise ValueError(f"boson level {spec.boson_level} out of range")
-    width = params.register_width
-    bits = [0] * width
+    bits = [0] * params.register_width
     for flag, sq in zip(spec.spin_states, params.spin_positions):
-        bits[sq] = 1 if flag == SPIN_UP else 0
-    code = BitCode(code_kind, TruncationSpec(params.d_ho).n_qubits)
-    for bit, bq in zip(encoding.code_bits(spec.boson_level, code), params.boson_positions):
+        bits[sq] = int(flag == SPIN_UP)
+    word = encoding.code_bits(spec.boson_level, code_kind, params.n_boson_qubits)
+    for bit, bq in zip(word, params.boson_positions):
         bits[bq] = bit
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    rho = np.zeros((2**width, 2**width), dtype=complex)
+    return tuple(bits)
+
+
+def initial_density_matrix(
+    spec: InitialStateSpec, params: ModelParams, code_kind: str = GRAY
+) -> np.ndarray:
+    """Rank-one projector onto the product state, on the spin+boson register."""
+    index = int("".join(map(str, initial_bits(spec, params, code_kind))), 2)
+    dim = 2**params.register_width
+    rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
     return rho

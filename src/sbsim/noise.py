@@ -20,7 +20,8 @@ at zero, so qubit frequency never enters.
 Which calibration entry a gate uses is decided in one place,
 ``CalibrationData.gate_entry``: an entry on the gate's own operands beats
 the kind's wildcard entry.  ``NoiseModel.channel_for`` asks it, then reads
-that entry's channel.
+that entry's channel.  A kind has at most one entry per operand list and
+one wildcard, so the two always agree.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class GateCalibration:
         n_q = _operand_count(self.kind)
         if self.qubits is not None:
             object.__setattr__(self, "qubits", tuple(self.qubits))
+            if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in self.qubits):
+                raise ValueError(f"{self.kind} entry: qubits must be a list of integers, got {self.qubits!r}")
             if len(self.qubits) != n_q:
                 raise ValueError(
                     f"{self.kind} entry on qubits {self.qubits} has {len(self.qubits)} operand(s); "
@@ -103,11 +106,16 @@ class CalibrationData:
     gates: tuple[GateCalibration, ...]
 
     def __post_init__(self) -> None:
+        seen = set()
         for g in self.gates:
             if g.qubits is not None and not all(0 <= q < len(self.qubits) for q in g.qubits):
                 raise ValueError(
                     f"{g.kind} entry on qubits {g.qubits}, but only {len(self.qubits)} qubits are calibrated"
                 )
+            if (g.kind, g.qubits) in seen:
+                operands = "any operands" if g.qubits is None else f"qubits {g.qubits}"
+                raise ValueError(f"two {g.kind} entries on {operands}")
+            seen.add((g.kind, g.qubits))
 
     def gate_entry(self, kind: str, qubits: tuple[int, ...] | None = None) -> GateCalibration:
         if qubits is not None:

@@ -13,7 +13,7 @@ import pytest
 
 from sbsim import metrics, noise, sim, transpile
 from sbsim.circuits import assemble_evolution, collision_block
-from sbsim.encoding import GRAY, BitCode, code_permutation, encode_hamiltonian
+from sbsim.encoding import GRAY, code_permutation, encode_hamiltonian
 from sbsim.model import (
     EQ2_LITERAL,
     PAPER_COLLISION,
@@ -145,7 +145,7 @@ def test_c03_encoding_ground_truth():
         + np.kron(np.diag([-0.5, 0.5]) + 0.25 * np.array([[0, 1], [1, 0]]), np.eye(d))
         + params.lambda_c * np.kron(np.array([[0, 1], [1, 0]]), a + a.T)
     )
-    perm = np.kron(np.eye(2), code_permutation(BitCode(GRAY, 2)))
+    perm = np.kron(np.eye(2), code_permutation(GRAY, 2))
     permuted = perm @ h_trunc @ perm.T
     offset = np.trace(permuted - dense).real / 8
     assert np.max(np.abs(dense + offset * np.eye(8) - permuted)) < 1e-12

@@ -14,8 +14,6 @@ from conftest import kron_all, PAULI
 from sbsim.encoding import (
     GRAY,
     STANDARD_BINARY,
-    BitCode,
-    TruncationSpec,
     boson_qubit_count,
     code_bits,
     code_permutation,
@@ -29,56 +27,54 @@ SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
 
 
 def test_gray_code_width_two():
-    code = BitCode(GRAY, 2)
-    assert [code_bits(i, code) for i in range(4)] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert [code_bits(i, GRAY, 2) for i in range(4)] == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
 
 def test_standard_binary_width_two():
-    assert code_bits(2, BitCode(STANDARD_BINARY, 2)) == (1, 0)
+    assert code_bits(2, STANDARD_BINARY, 2) == (1, 0)
 
 
 def test_gray_code_width_three():
     # reflected binary: 5 -> 5 ^ 2 = 7 -> 111
-    assert code_bits(5, BitCode(GRAY, 3)) == (1, 1, 1)
+    assert code_bits(5, GRAY, 3) == (1, 1, 1)
 
 
 def test_code_bits_out_of_range():
     with pytest.raises(ValueError):
-        code_bits(4, BitCode(GRAY, 2))
+        code_bits(4, GRAY, 2)
 
 
 def test_gray_adjacent_words_differ_in_one_bit():
-    code = BitCode(GRAY, 3)
     for i in range(7):
-        a, b = code_bits(i, code), code_bits(i + 1, code)
+        a, b = code_bits(i, GRAY, 3), code_bits(i + 1, GRAY, 3)
         assert sum(x != y for x, y in zip(a, b)) == 1
 
 
 @pytest.mark.parametrize("kind", [GRAY, STANDARD_BINARY])
 def test_code_bits_is_one_to_one(kind):
-    code = BitCode(kind, 3)
-    words = {code_bits(i, code) for i in range(8)}
+    words = {code_bits(i, kind, 3) for i in range(8)}
     assert len(words) == 8
     assert all(len(w) == 3 and set(w) <= {0, 1} for w in words)
 
 
 def test_qubit_count():
     assert [boson_qubit_count(d) for d in (2, 3, 4, 5, 8)] == [1, 2, 2, 3, 3]
+    with pytest.raises(ValueError, match="at least two oscillator levels"):
+        encode_boson_operator("number", 1, GRAY)
 
 
 def test_transition_ground_projector():
-    s = encode_transition(0, 0, BitCode(GRAY, 1))
+    s = encode_transition(0, 0, GRAY, 1)
     assert {(t.letters, t.coefficient) for t in s.terms} == {("I", 0.5), ("Z", 0.5)}
 
 
 def test_transition_raising_component():
-    s = encode_transition(0, 1, BitCode(GRAY, 1))
+    s = encode_transition(0, 1, GRAY, 1)
     assert {(t.letters, t.coefficient) for t in s.terms} == {("X", 0.5), ("Y", 0.5j)}
 
 
 def test_transition_dense_is_matrix_unit_in_code_basis():
-    code = BitCode(GRAY, 2)
-    dense = encode_transition(2, 3, code).to_dense()
+    dense = encode_transition(2, 3, GRAY, 2).to_dense()
     expected = np.zeros((4, 4))
     expected[0b11, 0b10] = 1.0  # gray(2)=11, gray(3)=10
     np.testing.assert_allclose(dense, expected, atol=1e-15)
@@ -86,18 +82,17 @@ def test_transition_dense_is_matrix_unit_in_code_basis():
 
 def test_transition_level_out_of_range():
     with pytest.raises(ValueError):
-        encode_transition(0, 3, BitCode(GRAY, 2), d_ho=3)
+        encode_transition(0, 3, GRAY, 2, d_ho=3)
 
 
 def test_number_operator_gray_d4():
-    s = encode_boson_operator("number", TruncationSpec(4), BitCode(GRAY, 2))
+    s = encode_boson_operator("number", 4, GRAY)
     coeffs = {t.letters: t.coefficient for t in s.terms}
     assert coeffs == {"II": 1.5, "ZI": -1.0, "ZZ": -0.5}
 
 
 def test_position_operator_gray_d4():
-    spec, code = TruncationSpec(4), BitCode(GRAY, 2)
-    s = (encode_boson_operator("a", spec, code) + encode_boson_operator("a_dagger", spec, code)).canonicalize()
+    s = (encode_boson_operator("a", 4, GRAY) + encode_boson_operator("a_dagger", 4, GRAY)).canonicalize()
     coeffs = {t.letters: t.coefficient for t in s.terms}
     assert coeffs == pytest.approx(
         {"IX": (1 + SQRT3) / 2, "ZX": (1 - SQRT3) / 2, "XI": SQRT2 / 2, "XZ": -SQRT2 / 2}
@@ -106,7 +101,7 @@ def test_position_operator_gray_d4():
 
 
 def test_lowering_operator_two_levels():
-    s = encode_boson_operator("a", TruncationSpec(2), BitCode(GRAY, 1))
+    s = encode_boson_operator("a", 2, GRAY)
     assert {(t.letters, t.coefficient) for t in s.terms} == {("X", 0.5), ("Y", 0.5j)}
 
 
@@ -114,8 +109,6 @@ def test_lowering_operator_two_levels():
 @pytest.mark.parametrize("d_ho", [2, 4, 8])
 @pytest.mark.parametrize("which", ["a", "a_dagger", "number"])
 def test_encoded_operator_equals_permuted_truncated_matrix(kind, d_ho, which):
-    spec = TruncationSpec(d_ho)
-    code = BitCode(kind, spec.n_qubits)
     truncated = np.zeros((d_ho, d_ho))
     for l in range(d_ho - 1):
         truncated[l, l + 1] = math.sqrt(l + 1)
@@ -123,9 +116,9 @@ def test_encoded_operator_equals_permuted_truncated_matrix(kind, d_ho, which):
         truncated = truncated.T.copy()
     elif which == "number":
         truncated = np.diag(np.arange(d_ho, dtype=float))
-    perm = code_permutation(code)
+    perm = code_permutation(kind, boson_qubit_count(d_ho))
     np.testing.assert_allclose(
-        encode_boson_operator(which, spec, code).to_dense(),
+        encode_boson_operator(which, d_ho, kind).to_dense(),
         perm @ truncated @ perm.T,
         atol=1e-12,
     )
@@ -133,10 +126,8 @@ def test_encoded_operator_equals_permuted_truncated_matrix(kind, d_ho, which):
 
 @pytest.mark.parametrize("kind", [GRAY, STANDARD_BINARY])
 def test_raising_is_adjoint_of_lowering(kind):
-    spec = TruncationSpec(4)
-    code = BitCode(kind, 2)
-    lowering = encode_boson_operator("a", spec, code)
-    raising = encode_boson_operator("a_dagger", spec, code)
+    lowering = encode_boson_operator("a", 4, kind)
+    raising = encode_boson_operator("a_dagger", 4, kind)
     assert lowering.dagger().canonicalize() == raising
 
 
@@ -171,8 +162,7 @@ def test_decoupled_limit_is_pure_spin_z():
 def test_hamiltonian_dense_equals_permuted_truncated_hamiltonian():
     # dense(encoded) must equal P H_trunc P' + c I with c the dropped identity offset
     params = ModelParams(epsilon=0.5, omega=4, lambda_c=2, n_spins=1, d_ho=4)
-    code = BitCode(GRAY, 2)
-    dense = encode_hamiltonian(params, code).to_dense()
+    dense = encode_hamiltonian(params, GRAY).to_dense()
 
     d = params.d_ho
     a = np.zeros((d, d))
@@ -185,7 +175,7 @@ def test_hamiltonian_dense_equals_permuted_truncated_hamiltonian():
         + np.kron(h_spin + params.epsilon / 2 * PAULI["X"], np.eye(d))
         + params.lambda_c * np.kron(PAULI["X"], a + a.T)
     )
-    perm = kron_all([np.eye(2), code_permutation(code)])
+    perm = kron_all([np.eye(2), code_permutation(GRAY, 2)])
     permuted = perm @ h_trunc @ perm.T
     offset = np.trace(permuted - dense) / permuted.shape[0]
     np.testing.assert_allclose(dense + offset * np.eye(8), permuted, atol=1e-12)

@@ -14,7 +14,7 @@ from test_golden import TINY_CONFIGS
 
 from sbsim import cli, experiments, metrics, noise, sim
 from sbsim.cli import main
-from sbsim.encoding import BitCode
+from sbsim.encoding import code_bits
 from sbsim.experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
@@ -310,6 +310,9 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
          "it does not use t_final=1.0, xi_list=(0.1,), gamma_list=(1.0,), dt_grid=(0.1, 0.2)"),
         (["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid"),
         (["gate_counts", "--calibration", "{tmp}/truncated.json"], "it does not use calibration="),
+        (["--calibration", "{tmp}/qubits_string.json"], "cx entry: qubits must be a list of integers"),
+        (["--calibration", "{tmp}/qubits_bool.json"], "cx entry: qubits must be a list of integers"),
+        (["--calibration", "{tmp}/sx_twice.json"], "two sx entries on qubits (2,)"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -330,6 +333,11 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
                                ("time_inf", "time_ns", float("inf")), ("error_true", "error", True)):
         gates = [{**doc["gates"][0], field: value}, *doc["gates"][1:]]
         (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "gates": gates}))
+    for name, value in (("qubits_string", "01"), ("qubits_bool", [True, 0])):
+        gates = [{**doc["gates"][0], "qubits": value}, *doc["gates"][1:]]
+        (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "gates": gates}))
+    sx_twice = [{"kind": "sx", "qubits": [2], "error": error, "time_ns": 35.0} for error in (1e-3, 4e-3)]
+    (tmp_path / "sx_twice.json").write_text(json.dumps({**doc, "gates": doc["gates"] + sx_twice}))
     out = tmp_path / "out"
     if args[0] in EXPERIMENT_KINDS:
         experiment, args = args[0], args[1:]
@@ -499,7 +507,7 @@ def test_sampled_unused_code_word_reads_as_zero_occupation(tmp_path, monkeypatch
     )
     params = cfg.model_params()
     bits = [0] * params.register_width  # spin in |0>, the ground state
-    for q, b in zip(params.boson_positions, BitCode(cfg.code, 2).bits(3)):
+    for q, b in zip(params.boson_positions, code_bits(3, cfg.code, 2)):
         bits[q] = b
     quasi = np.zeros(2**params.register_width)
     quasi[int("".join(map(str, bits)), 2)] = 1.0

@@ -1,6 +1,7 @@
 """Noise channels, calibration identities, and noise-factor scaling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,26 @@ def test_calibration_loader_rejects_malformed(tmp_path):
 def test_calibration_values_must_be_finite_numbers(make):
     with pytest.raises(ValueError, match="must be a finite number"):
         make()
+
+
+@pytest.mark.parametrize("qubits", [("0", "1"), (True, 1), (0, 1.0), tuple("01")])
+def test_gate_operands_must_be_integers(qubits):
+    with pytest.raises(ValueError, match="qubits must be a list of integers"):
+        GateCalibration("cx", qubits, 1e-2, 300.0)
+
+
+@pytest.mark.parametrize(
+    "kind, operands, other, message",
+    [("sx", (2,), None, "two sx entries on qubits (2,)"), ("cx", None, (0, 1), "two cx entries on any operands")],
+)
+def test_duplicate_gate_entries_are_rejected(kind, operands, other, message):
+    # two entries for one lookup would disagree: gate_entry reads the first, the channel table the last
+    qubits = (QubitCalibration(100.0, 80.0, 5.0, 0.01, 0.01),) * 3
+    first = GateCalibration(kind, operands, 1e-3, 35.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CalibrationData(qubits, (first, GateCalibration(kind, operands, 4e-3, 35.0)))
+    # the same kind on other operands, or as the wildcard beside an operand entry, is no duplicate
+    CalibrationData(qubits, (first, GateCalibration(kind, other, 4e-3, 35.0)))
 
 
 @pytest.mark.parametrize("kind, limit", [("sx", 0.5), ("x", 0.5), ("cx", 0.75)])
