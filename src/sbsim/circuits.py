@@ -100,19 +100,6 @@ class Circuit:
             return ()
         return tuple(q for q, r in enumerate(self.roles) if r == ROLE_AUX)
 
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        return tuple(q for g in self.gates if g.kind == "measure" for q in g.qubits)
-
-    def to_text(self) -> str:
-        lines = []
-        for g in self.gates:
-            parts = [g.kind] + [str(q) for q in g.qubits]
-            if g.angle is not None:
-                parts.append(f"{g.angle:.17g}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
 
 # Basis changes V with V P V' = Z, as (pre, post) gate lists; the
 # exponential then conjugates a single RZ: exp(-i a P) = V' RZ(2a) V.

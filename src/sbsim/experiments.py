@@ -2,14 +2,16 @@
 
 Each experiment expands into an ordered grid of points.  ``run`` builds
 every input that points share once: the calibration (parsed once and kept
-on the config), one noise model per xi, one exact reference trajectory per
-(gamma, dt), one native one-step circuit per (order, gamma, dt), kept on
-the config beside the calibration, and one dict of compiled runs per tuple
-of noise models.  Each circuit is simulated in one engine pass in the
+on the config), one noise model per xi, the exact reference, one native
+one-step circuit per (order, gamma, dt), kept on the config beside the
+calibration, and one dict of compiled runs per tuple of noise models.  The
+exact reference is one stacked oracle call per run: every gamma of the run
+on the union of its dt grids, from which each (gamma, dt) reads the states
+at its own times.  Each circuit is simulated in one engine pass in the
 calling process: it replays its one-step circuit for its step count under
 the noise models of all its points at once, as one stacked state, and the
 circuits of one model tuple share its compiled runs.  One row pass then
-scores each simulated snapshot once against the shared reference and
+scores each simulated snapshot once against the reference, as stacks, and
 emits the rows in grid order, so identical configs and seeds give
 byte-identical CSV output.  gate_counts instead counts the routed native
 step of each point of a fixed grid.  The ``workers`` field is deprecated
@@ -37,13 +39,7 @@ from .model import (
     ModelParams,
     initial_density_matrix,
 )
-from .oracle import (
-    MAX_REGISTER_WIDTH,
-    MAX_SUBSTEPS,
-    TrajectorySnapshot,
-    evolve_exact,
-    exceeds_substep_cap,
-)
+from .oracle import MAX_SUBSTEPS, evolve_exact, exceeds_substep_cap
 
 EXPERIMENT_KINDS = (
     "trotter_sweep",
@@ -123,6 +119,8 @@ class ExperimentConfig:
             problems.append("shots must be at least 1 when given")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
+        elif self.shots is None and self.seed != ExperimentConfig.seed:  # its default
+            problems.append(f"seed={self.seed} only seeds shot sampling; it needs --shots")
         if self.shots is not None and self.experiment != "observables":
             problems.append("shot sampling is only supported for the observables experiment")
         if self.experiment in ("observables", "correlations") and len(self.dt_grid) != 1:
@@ -153,10 +151,8 @@ class ExperimentConfig:
             if self.experiment != "gate_counts":
                 evolution_layout(params)  # raises for spin counts circuits do not support
                 width = params.register_width
-                if width > MAX_REGISTER_WIDTH:
-                    problems.append(
-                        f"{width}-qubit model register exceeds the exact oracle limit {MAX_REGISTER_WIDTH}"
-                    )
+                if width > sim.MAX_SIM_WIDTH:
+                    problems.append(f"{width}-qubit model register exceeds the engine limit {sim.MAX_SIM_WIDTH}")
                 elif not problems and exceeds_substep_cap(
                     self.model_params(self._max_gamma), max(self.dt_grid), self.convention, self.code
                 ):
@@ -320,11 +316,27 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
     return [{"order": o, "gamma": g, "xi": xi, "dt": dt} for o, g, xi in grid for dt in cfg.dt_grid]
 
 
-def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[TrajectorySnapshot]:
-    params = cfg.model_params(gamma)
-    rho0 = initial_density_matrix(cfg.initial_state(), params, cfg.code)
-    grid = [k * dt for k in range(steps_for(cfg.t_final, dt) + 1)]
-    return evolve_exact(rho0, params, grid, cfg.convention, cfg.code)
+# Times of the run's dt grids closer than this are one time of the union grid:
+# k * dt of different dt meet only up to rounding (3 * 0.1 against 0.3).
+_TIME_TOL = 1e-9
+
+
+def _references(cfg: ExperimentConfig, tasks: list[dict]) -> tuple[np.ndarray, dict, dict]:
+    """Exact states of every gamma of the run on the union of its dt grids, from one oracle call.
+
+    Returns the (B, n, d, d) states, one row per distinct gamma, the row of
+    each gamma, and for each dt the indices of its times k * dt in the union
+    grid.
+    """
+    gammas = dict.fromkeys(t["gamma"] for t in tasks)
+    times = {dt: np.arange(steps_for(cfg.t_final, dt) + 1) * dt for dt in dict.fromkeys(t["dt"] for t in tasks)}
+    union = np.sort(np.concatenate(list(times.values())))
+    union = union[np.concatenate(([True], np.diff(union) > _TIME_TOL))]
+    index = {dt: np.searchsorted(union, t - _TIME_TOL) for dt, t in times.items()}
+    params = tuple(cfg.model_params(g) for g in gammas)
+    rho0 = initial_density_matrix(cfg.initial_state(), params[0], cfg.code)
+    states = evolve_exact(rho0, params, union, cfg.convention, cfg.code)
+    return states, {g: b for b, g in enumerate(gammas)}, index
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +344,16 @@ def _exact_trajectory(cfg: ExperimentConfig, gamma: float, dt: float) -> list[Tr
 
 
 def _state_values(cfg: ExperimentConfig, params: ModelParams):
-    """rho -> (boson_occupation, spin_z) for observables, (czz, cxx) for correlations.
+    """States (n, d, d) -> one list per column: (boson_occupation, spin_z) for
+    observables, (czz, cxx) for correlations.
 
     The operators are built here, once for every state of a run.
     """
     if cfg.experiment == "observables":
         ops = (metrics.boson_number(params, cfg.code), metrics.spin_operator("Z", 0, params))
-        return lambda rho: tuple(metrics.expectation(rho, op) for op in ops)
+        return lambda states: [metrics.expectation(states, op).tolist() for op in ops]
     pairs = [tuple(metrics.spin_operator(axis, spin, params) for spin in (0, 1)) for axis in "ZX"]
-    return lambda rho: tuple(metrics.connected_correlation(rho, *pair) for pair in pairs)
+    return lambda states: [metrics.connected_correlation(states, *pair).tolist() for pair in pairs]
 
 
 def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
@@ -368,16 +381,16 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     tuple of those models gets one dict of compiled runs.  A point at
     xi = 0 simulates without noise; its model, built only when shots are
     sampled, serves the readout.  Each simulated state is then scored once
-    against the exact snapshot of its (gamma, dt) at the same step: by
-    infidelity for the sweeps and infidelity_vs_time, with the square root
-    of each exact snapshot taken once for every state compared with it, and
-    by its state values for observables and correlations.
+    against the exact state of its gamma at the same time, read from the
+    run's one stacked reference (``_references``): by infidelity for the
+    sweeps and infidelity_vs_time, all in one stacked call, with the square
+    root of each reference state taken once, and by its state values, one
+    stacked call per operator and point, for observables and correlations.
     """
     xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
     cal = cfg.calibration_data if xis else None
     models = {xi: noise.build_noise_model(cal, xi) for xi in xis}
-    keys = dict.fromkeys((t["gamma"], t["dt"]) for t in tasks)
-    references = {key: _exact_trajectory(cfg, *key) for key in keys}
+    references, ref_row, ref_index = _references(cfg, tasks)
     points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
     for i, t in enumerate(tasks):
         points.setdefault((t["order"], t["gamma"], t["dt"]), []).append(i)
@@ -396,10 +409,10 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
 
     rows: list[tuple] = []
     if cfg.experiment in ("observables", "correlations"):
-        params = cfg.model_params()
-        state_values = _state_values(cfg, params)
-        exact = references[(cfg.gamma, cfg.dt_grid[0])]
-        rows += [("exact", 0, 0.0, s.t, *state_values(s.rho)) for s in exact]
+        state_values = _state_values(cfg, cfg.model_params())
+        dt = cfg.dt_grid[0]
+        exact = references[ref_row[cfg.gamma]][ref_index[dt]]
+        rows += [("exact", 0, 0.0, k * dt, *values) for k, values in enumerate(zip(*state_values(exact)))]
         for task, states in zip(tasks, simulated):
             if cfg.shots is not None:
                 # The observables are estimated from the readout-mitigated
@@ -416,26 +429,28 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
                     ).generate_state(1)[0]
                     counts = sim.sample_counts(rho, cfg.shots, readout=confusions, seed=int(seed))
                     sampled.append(np.diag(sim.mitigate_readout(counts, confusions)))
-                states = sampled
-            rows += [("circuit", task["order"], task["xi"], k * task["dt"], *state_values(rho))
-                     for k, rho in enumerate(states)]
+                states = np.array(sampled)
+            rows += [("circuit", task["order"], task["xi"], k * task["dt"], *values)
+                     for k, values in enumerate(zip(*state_values(states)))]
         return rows
 
     first = 0 if cfg.experiment == "infidelity_vs_time" else 1  # no sweep column reads t = 0
-    sqrts = {key: [metrics.sqrtm_psd(s.rho) for s in ref[first:]] for key, ref in references.items()}
-    for task, states in zip(tasks, simulated):
-        key = (task["gamma"], task["dt"])
-        scores = [
-            metrics.infidelity(rho, ref.rho, ref_sqrt)
-            for rho, ref, ref_sqrt in zip(states[first:], references[key][first:], sqrts[key], strict=True)
-        ]
+    refs = references.reshape(-1, *references.shape[2:])
+    picks = np.concatenate([
+        ref_row[t["gamma"]] * references.shape[1] + ref_index[t["dt"]][first:] for t in tasks
+    ])
+    scores = metrics.infidelity(
+        np.concatenate([states[first:] for states in simulated]), refs[picks], metrics.sqrtm_psd(refs)[picks]
+    )
+    bounds = np.cumsum([len(states) - first for states in simulated])
+    for task, states, task_scores in zip(tasks, simulated, np.split(scores, bounds[:-1])):
         if cfg.experiment == "infidelity_vs_time":
             rows += [(task["order"], task["gamma"], task["xi"], task["dt"], k * task["dt"], score)
-                     for k, score in enumerate(scores)]
+                     for k, score in enumerate(task_scores.tolist())]
             continue
         n_steps = len(states) - 1
         values = {**task, "n_steps": n_steps, "t_final": n_steps * task["dt"],
-                  "avg_infidelity": float(np.mean(scores)), "final_infidelity": scores[-1]}
+                  "avg_infidelity": float(np.mean(task_scores)), "final_infidelity": float(task_scores[-1])}
         rows.append(tuple(values[name] for name in _HEADERS[cfg.experiment]))
     return rows
 

@@ -23,14 +23,27 @@ _SZ_PHYS = np.array([[-1, 0], [0, 1]], dtype=complex)
 _EIG_ZERO = 1e-14
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _scalar_or_stack(value: np.ndarray):
+    """A float for one matrix's value, the array of values for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    """Hermitian square root with near-zero eigenvalues clamped to zero."""
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    """Hermitian square root with near-zero eigenvalues clamped to zero.
+
+    ``rho`` is one matrix or a stack of them (..., d, d), taken with one
+    stacked ``eigh``.
+    """
+    vals, vecs = np.linalg.eigh((rho + _dagger(rho)) / 2)
     vals = np.where(vals < _EIG_ZERO, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ _dagger(vecs)
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None = None) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None = None):
     """Uhlmann fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Evaluated as the squared trace norm of sqrt(sigma) sqrt(rho); singular
@@ -38,32 +51,30 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None =
     of near-zero eigenvalues in the textbook expression.  ``sigma_sqrt`` is
     ``sqrtm_psd(sigma)`` when the caller has computed it once for many
     states compared with sigma.
+
+    Stacks of states (..., d, d) are compared pairwise, with one stacked
+    ``eigh`` per side and one stacked ``svd``, and give an array of values;
+    each equals, bit for bit, the float that pair gives alone.
     """
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
     if sigma_sqrt is None:
         sigma_sqrt = sqrtm_psd(sigma)
     singular = np.linalg.svd(sigma_sqrt @ sqrtm_psd(rho), compute_uv=False)
-    return float(min(1.0, np.sum(singular) ** 2))
+    return _scalar_or_stack(np.minimum(1.0, np.sum(singular, axis=-1) ** 2))
 
 
-def infidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None = None) -> float:
+def infidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None = None):
     return 1.0 - fidelity(rho, sigma, sigma_sqrt)
 
 
-def time_averaged_infidelity(traj_sim, traj_exact, grid_tol: float = 1e-9) -> float:
-    """Mean infidelity over the common time grid, excluding the t=0 point."""
-    if len(traj_sim) != len(traj_exact):
-        raise ValueError("trajectory lengths differ")
-    values = []
-    for a, b in zip(traj_sim, traj_exact):
-        if abs(a.t - b.t) > grid_tol:
-            raise ValueError(f"time grids differ at t={a.t} vs {b.t}")
-        if a.t > grid_tol:
-            values.append(infidelity(a.rho, b.rho))
-    if not values:
+def time_averaged_infidelity(traj_sim: np.ndarray, traj_exact: np.ndarray) -> float:
+    """Mean infidelity of two (n, d, d) trajectories on one time grid, its first time (t = 0) excluded."""
+    if traj_sim.shape != traj_exact.shape:
+        raise ValueError(f"trajectory shapes differ: {traj_sim.shape} vs {traj_exact.shape}")
+    if len(traj_sim) < 2:
         raise ValueError("no t > 0 snapshots to average")
-    return float(np.mean(values))
+    return float(np.mean(infidelity(traj_sim[1:], traj_exact[1:])))
 
 
 def boson_number(params, code_kind: str = GRAY) -> np.ndarray:
@@ -80,20 +91,25 @@ def spin_operator(axis: str, spin: int, params) -> np.ndarray:
     return embed_operator(op, (params.spin_positions[spin],), params.register_width)
 
 
-def expectation(rho: np.ndarray, operator: np.ndarray) -> float:
-    """Tr(rho O)."""
-    value = np.trace(rho @ operator)
-    if abs(value.imag) > 1e-9:
-        raise ValueError(f"expectation has imaginary part {value.imag:.2e}")
-    return float(value.real)
+def _trace_of_product(rho: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    return np.trace(rho @ operator, axis1=-2, axis2=-1)
 
 
-def connected_correlation(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray) -> float:
-    """Covariance <o1 o2> - <o1><o2> of two operators on distinct spins."""
-    e1 = float(np.trace(rho @ o1).real)
-    e2 = float(np.trace(rho @ o2).real)
-    e12 = float(np.trace(rho @ (o1 @ o2)).real)
+def expectation(rho: np.ndarray, operator: np.ndarray):
+    """Tr(rho O), of one state or of each state of a stack."""
+    value = _trace_of_product(rho, operator)
+    imag = np.max(np.abs(value.imag))
+    if imag > 1e-9:
+        raise ValueError(f"expectation has imaginary part {imag:.2e}")
+    return _scalar_or_stack(value.real)
+
+
+def connected_correlation(rho: np.ndarray, o1: np.ndarray, o2: np.ndarray):
+    """Covariance <o1 o2> - <o1><o2> of two operators on distinct spins, of one state or a stack."""
+    e1 = _trace_of_product(rho, o1).real
+    e2 = _trace_of_product(rho, o2).real
+    e12 = _trace_of_product(rho, o1 @ o2).real
     value = e12 - e1 * e2
-    if abs(value) > 1.0 + 1e-9:
-        raise ValueError(f"correlator {value} outside the Cauchy-Schwarz bound")
-    return value
+    if np.max(np.abs(value)) > 1.0 + 1e-9:
+        raise ValueError(f"correlator {np.max(np.abs(value))} outside the Cauchy-Schwarz bound")
+    return _scalar_or_stack(value)

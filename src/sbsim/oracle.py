@@ -1,65 +1,72 @@
 """Exact reference evolution of the Markovian master equation.
 
-The generator is time independent, so each reference state is
-exp(L h) applied to the previous one, with L the vectorized
-(column-stacked) Liouvillian and h the grid interval.  The propagator is
-never formed: exp(L h) acts on the state through s substeps of an m-term
-Taylor series, one matrix-vector product per term, with (m, s) chosen
-from ||L||_1 h by the backward-error bounds of Al-Mohy and Higham,
-"Computing the action of the matrix exponential", SIAM J. Sci. Comput.
-33, 488 (2011).  ``ExperimentConfig.validate`` rejects model registers
-wider than ``MAX_REGISTER_WIDTH`` = 5 qubits, so the generator is at most
-1024 x 1024 (two spins at d_ho 8): about 0.6 s per ten-step reference
-there, milliseconds at the default widths.  It also rejects models whose
-plan would need more than ``MAX_SUBSTEPS`` substeps per interval, judged
-from a bound on ||L||_1 (``generator_norm_bound``) before L is built.
-Trace and Hermiticity drift of every propagated state is checked against
-hard tolerances.
+The generator is time independent, so each reference state is exp(L h)
+applied to the previous one, with h the grid interval.  L acts on a d x d
+state X in its own form,
+
+    L(X) = Y + Y^dag + sum_k r_k J_k X J_k^dag,  Y = G X,
+    G = -iH - 1/2 sum_k r_k J_k^dag J_k,
+
+which is exact for every Hermitian X: L preserves Hermiticity, so every
+Taylor term of a Hermitian state is Hermitian, and X G^dag = (G X)^dag.
+Each J_k is |0><1| on spin k's qubit, so J_k^dag J_k is diagonal and
+J_k X J_k^dag adds r_k times X's bit-1/bit-1 block of that qubit into its
+bit-0/bit-0 block: one slice add, no product.  Neither the propagator nor
+the d^2 x d^2 generator is formed: exp(L h) acts on the state through s
+substeps of an m-term Taylor series, with (m, s) chosen from ||L||_1 h by
+the backward-error bounds of Al-Mohy and Higham, "Computing the action of
+the matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011).  ||L||_1 is
+exact, taken from G and the rates in O(d^2) work.
+
+One call evolves one model, or a tuple of models on one register (the
+gammas of a run) as one (B, d, d) stack, each member under its own G and
+rate, with one plan per interval from the largest member's norm.
+``ExperimentConfig.validate`` holds model registers to the engine's
+``MAX_SIM_WIDTH`` = 6 qubits (d = 64).  It also rejects models whose plan
+would need more than ``MAX_SUBSTEPS`` substeps per interval, judged from a
+bound on ||L||_1 (``generator_norm_bound``) before G is built.  The
+Hermiticity and trace drift of every member is checked against hard
+tolerances, at the start and after every interval.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .encoding import GRAY
-from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, hamiltonian_sum, lindblad_operators
+from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, gamma_eff, hamiltonian_sum
 
-MAX_REGISTER_WIDTH = 5
 MAX_SUBSTEPS = 10**4  # per interval; the default configs need 1 or 2
 TRACE_TOL = 1e-6
 HERM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TrajectorySnapshot:
-    t: float
-    rho: np.ndarray
-
-
-def liouvillian(h: np.ndarray, jump_ops: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Column-stacked generator of drho/dt = -i[H,rho] + sum_k r_k D[L_k](rho)."""
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op, rate in jump_ops:
-        anti = op.conj().T @ op
-        gen += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * np.kron(eye, anti)
-            - 0.5 * np.kron(anti.T, eye)
-        )
-    return gen
-
-
 @lru_cache(maxsize=32)
-def _liouvillian_for(params: ModelParams, convention: str, code_kind: str) -> np.ndarray:
-    h = dense_hamiltonian(params, code_kind)
-    jumps = lindblad_operators(params, convention) if params.gamma > 0 else []
-    return liouvillian(h, jumps)
+def _generator_for(params: ModelParams, convention: str, code_kind: str) -> tuple[np.ndarray, float, float]:
+    """G = -iH - 1/2 sum_k r J_k^dag J_k, the jump rate r, and the exact ||L||_1.
+
+    Column (a, b) of L, the image of |a><b|, sums to
+    c_a + c_b - |G_aa| - |G_bb| + |G_aa + conj(G_bb)| + r * #{k : bit_k(a) = bit_k(b) = 1},
+    with c the absolute column sums of G: the entries of G|a><b| and |a><b|G^dag
+    meet only at (a, b), and each jump moves |a><b| to its own entry.
+    """
+    rate = gamma_eff(params.gamma, convention)
+    width = params.register_width
+    # excited[k, a] = bit_k(a): 1 where spin k is excited in basis state a
+    excited = np.array([(np.arange(2**width) >> (width - 1 - q)) & 1 for q in params.spin_positions])
+    gen = -1j * dense_hamiltonian(params, code_kind) - np.diag(0.5 * rate * excited.sum(axis=0))
+    gen.flags.writeable = False
+    col = np.abs(gen).sum(axis=0)
+    diag = np.diag(gen)
+    sums = (
+        (col - np.abs(diag))[:, None] + (col - np.abs(diag))[None, :]
+        + np.abs(diag[:, None] + diag.conj()[None, :])
+        + rate * (excited.T @ excited)
+    )
+    return gen, rate, float(sums.max())
 
 
 # theta_m of Al-Mohy and Higham (2011), Table 3.1: the largest 1-norm of A for
@@ -73,7 +80,7 @@ _THETA = {
 def _taylor_plan(norm: float) -> tuple[int, int]:
     """Degree m and substep count s for exp(A) v, given ||A||_1 = norm.
 
-    The plan minimises the matrix-vector products m*s subject to
+    The plan minimises the generator applications m*s subject to
     norm / s <= theta_m.
     """
     return min(
@@ -85,12 +92,12 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 def generator_norm_bound(
     params: ModelParams, convention: str = PAPER_COLLISION, code_kind: str = GRAY
 ) -> float:
-    """2 sum_P |c_P| + 2 sum_k r_k >= ||L||_1, without building L.
+    """2 sum_P |c_P| + 2 sum_k r_k >= ||L||_1, without building G.
 
     The commutator with the encoded H = sum_P c_P P adds at most
     2 sum_P |c_P|, and each one-qubit jump operator at rate r_k at most 2 r_k.
     """
-    rates = sum(rate for _, rate in lindblad_operators(params, convention))
+    rates = params.n_spins * gamma_eff(params.gamma, convention)
     return 2 * sum(abs(t.coefficient) for t in hamiltonian_sum(params, code_kind).terms) + 2 * rates
 
 
@@ -105,50 +112,81 @@ def exceeds_substep_cap(
     return not norm <= max(_THETA.values()) * MAX_SUBSTEPS or _taylor_plan(norm)[1] > MAX_SUBSTEPS
 
 
-def _expm_action(gen: np.ndarray, norm: float, h: float, vec: np.ndarray) -> np.ndarray:
-    """exp(gen h) vec by s substeps of an m-term Taylor series (m, s from ``_taylor_plan``).
+def _generator_action(gen: np.ndarray, rates: np.ndarray, blocks: list[tuple], x: np.ndarray) -> np.ndarray:
+    """L(X) for a stack of Hermitian X, one G and one rate per member.
 
-    ``norm`` is ||gen||_1.  The plan is the stopping rule: every substep sums
-    all m terms, so the number of products depends on norm * h alone.
+    ``blocks`` holds one shape per spin that splits each row and column
+    index around the spin's bit; ``rates`` broadcasts against those blocks.
     """
-    m, s = _taylor_plan(norm * h)
-    tau = h / s
-    for _ in range(s):
-        term = vec
-        for k in range(1, m + 1):
-            term = (gen @ term) * (tau / k)
-            vec = vec + term
-    return vec
+    y = gen @ x
+    out = y + y.conj().swapaxes(-1, -2)
+    for shape in blocks:
+        out.reshape(shape)[:, :, 0, :, :, 0] += rates * x.reshape(shape)[:, :, 1, :, :, 1]
+    return out
+
+
+def _check_drift(rho: np.ndarray) -> None:
+    """Raise if any member of the stack has left the Hermitian, unit-trace states."""
+    herm_drift = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
+    if herm_drift > HERM_TOL:
+        raise RuntimeError(f"Hermiticity drift {herm_drift:.2e} exceeds {HERM_TOL}")
+    trace_drift = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+    if trace_drift > TRACE_TOL:
+        raise RuntimeError(f"trace drift {trace_drift:.2e} exceeds {TRACE_TOL}")
 
 
 def evolve_exact(
     rho0: np.ndarray,
-    params: ModelParams,
+    params: ModelParams | tuple[ModelParams, ...],
     t_grid,
     convention: str = PAPER_COLLISION,
     code_kind: str = GRAY,
-) -> list[TrajectorySnapshot]:
-    """Reference states rho(t) on the given ascending time grid (t_grid[0] = 0)."""
-    t_grid = [float(t) for t in t_grid]
-    if t_grid[0] != 0.0 or any(b <= a for a, b in zip(t_grid[:-1], t_grid[1:])):
+) -> np.ndarray:
+    """Reference states rho(t) on the given ascending time grid (t_grid[0] = 0).
+
+    One ``ModelParams`` gives an (n, d, d) array, one state per time.  A
+    tuple of them, on one register, gives a (B, n, d, d) array: every member
+    evolved from ``rho0`` in one stacked pass, each interval under one Taylor
+    plan, the one for the largest member's ||L||_1.  Each member agrees with
+    its model evolved alone to rounding.
+    """
+    t_grid = np.array([float(t) for t in t_grid])
+    steps = np.diff(t_grid)
+    if t_grid[0] != 0.0 or (steps <= 0).any():
         raise ValueError("time grid must be ascending and start at 0")
-    gen = _liouvillian_for(params, convention, code_kind)
-    if gen.shape[0] != rho0.size:
+    members = params if isinstance(params, tuple) else (params,)
+    if not members:
+        raise ValueError("need at least one model")
+    if len({(p.n_spins, p.register_width) for p in members}) != 1:
+        raise ValueError("stacked models must share one register")
+    width = members[0].register_width
+    dim = 2**width
+    if rho0.shape != (dim, dim):
         raise ValueError("initial state dimension does not match the model register")
 
-    dim = rho0.shape[0]
-    norm = np.linalg.norm(gen, 1)
-    rho = rho0.astype(complex)
-    states = [rho]
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        vec = _expm_action(gen, norm, t1 - t0, rho.flatten(order="F"))
-        mat = vec.reshape((dim, dim), order="F")
-        herm_drift = np.max(np.abs(mat - mat.conj().T))
-        if herm_drift > HERM_TOL:
-            raise RuntimeError(f"Hermiticity drift {herm_drift:.2e} exceeds {HERM_TOL}")
-        rho = (mat + mat.conj().T) / 2
-        trace_drift = abs(np.trace(rho).real - 1.0)
-        if trace_drift > TRACE_TOL:
-            raise RuntimeError(f"trace drift {trace_drift:.2e} exceeds {TRACE_TOL}")
-        states.append(rho)
-    return [TrajectorySnapshot(t, s) for t, s in zip(t_grid, states)]
+    gens, rates, norms = zip(*(_generator_for(p, convention, code_kind) for p in members))
+    gen = np.stack(gens)
+    rates = np.array(rates).reshape(-1, 1, 1, 1, 1)
+    norm = max(norms)
+    blocks = []
+    for q in members[0].spin_positions:
+        half = (2**q, 2, dim >> (q + 1))
+        blocks.append((len(members), *half, *half))
+
+    rho = np.repeat(rho0.astype(complex)[None], len(members), axis=0)
+    _check_drift(rho)
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2  # the d x d form needs a Hermitian state
+    states = np.empty((len(members), len(t_grid), dim, dim), dtype=complex)
+    states[:, 0] = rho
+    for i, h in enumerate(steps, start=1):
+        m, s = _taylor_plan(norm * h)
+        tau = h / s
+        for _ in range(s):
+            term = rho
+            for k in range(1, m + 1):
+                term = _generator_action(gen, rates, blocks, term)
+                term *= tau / k
+                rho += term  # rho is this loop's own array; states holds copies
+        _check_drift(rho)
+        states[:, i] = rho
+    return states if isinstance(params, tuple) else states[0]

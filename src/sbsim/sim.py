@@ -104,9 +104,9 @@ def ground_state(width: int) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """States at each barrier (model register if mapped) and the final full-register state."""
+    """States at each barrier (model register if mapped), as one (n, d, d) array, and the final full-register state."""
 
-    snapshots: list[np.ndarray]
+    snapshots: np.ndarray
     final: np.ndarray
 
 
@@ -139,6 +139,8 @@ def simulate(
     placed for them.  That dict is bound to the members on first use, and
     passing it again with other members raises; without one, a fresh dict
     serves this call.
+
+    Each result holds its member's snapshots as one (n, d, d) array.
 
     ``repeat`` applies the circuit's last barrier-delimited block (the gates
     after the second-to-last barrier through the last one) that many times,
@@ -200,13 +202,17 @@ def simulate(
     if circuit.model_register is not None:
         order = tuple(kept.index(q) for q in circuit.model_register)
     dim = 2**n
+    snap_dim = dim if order is None else 2 ** len(order)
     noisy = [j for j, model in enumerate(models) if model is not None]
     vec = np.tile(rho.ravel(), k)
-    snapshots: list[list[np.ndarray]] = [[] for _ in models]
-    for op in program[:start] + program[start:stop] * repeat + program[stop:]:
+    ops = program[:start] + program[start:stop] * repeat + program[stop:]
+    snapshots = np.empty((k, ops.count(None), snap_dim, snap_dim), dtype=complex)
+    taken = 0
+    for op in ops:
         if op is None:
             for member, state in zip(snapshots, vec.reshape(k, dim, dim)):
-                member.append(state.copy() if order is None else partial_trace(state, order, n))
+                member[taken] = state if order is None else partial_trace(state, order, n)
+            taken += 1
             continue
         superops, index, run = op
         vec = _apply(superops, index, vec)

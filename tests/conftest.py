@@ -112,6 +112,25 @@ def simulate_bruteforce(circuit, noise=None):
     return snapshots, rho
 
 
+def liouvillian(h: np.ndarray, jump_ops: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """Dense column-stacked generator of drho/dt = -i[H,rho] + sum_k r_k D[L_k](rho).
+
+    The d^2 x d^2 matrix, built from Kronecker products: the independent
+    reference for the oracle's d x d action and its ||L||_1.
+    """
+    dim = h.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for op, rate in jump_ops:
+        anti = op.conj().T @ op
+        gen += rate * (
+            np.kron(op.conj(), op)
+            - 0.5 * np.kron(eye, anti)
+            - 0.5 * np.kron(anti.T, eye)
+        )
+    return gen
+
+
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T

@@ -22,7 +22,7 @@ from sbsim.model import (
     gamma_eff,
     initial_density_matrix,
 )
-from sbsim.oracle import TrajectorySnapshot, evolve_exact
+from sbsim.oracle import evolve_exact
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
 
@@ -38,8 +38,7 @@ def _run_circuit_traj(params, dt, n_steps, order, xi, convention=PAPER_COLLISION
     circuit = assemble_evolution(params, _init_for(params), n_steps, dt, order, GRAY, convention)
     circuit = transpile.decompose_native(circuit)
     model = noise.build_noise_model(noise.jakarta_average_calibration(), xi) if xi > 0 else None
-    snaps = sim.simulate(circuit, noise=model).snapshots
-    return [TrajectorySnapshot(k * dt, s) for k, s in enumerate(snaps)]
+    return sim.simulate(circuit, noise=model).snapshots
 
 
 def _init_for(params):
@@ -56,7 +55,7 @@ def _avg_final_infidelity(params, dt, order, xi, t_final=2.0, convention=PAPER_C
     simulated = _run_circuit_traj(params, dt, n, order, xi, convention)
     exact = _exact_traj(params, dt, n, convention)
     avg = metrics.time_averaged_infidelity(simulated, exact)
-    final = metrics.infidelity(simulated[-1].rho, exact[-1].rho)
+    final = metrics.infidelity(simulated[-1], exact[-1])
     return avg, final
 
 
@@ -102,11 +101,11 @@ def test_c02_oracle_decoupled_decay(convention):
     proj_up = np.zeros((8, 8))
     proj_up[4:, 4:] = np.eye(4)
     worst_pop, worst_trace, worst_herm = 0.0, 0.0, 0.0
-    for snap in traj:
-        pop = float(np.trace(proj_up @ snap.rho).real)
-        worst_pop = max(worst_pop, abs(pop - math.exp(-rate * snap.t)))
-        worst_trace = max(worst_trace, abs(np.trace(snap.rho).real - 1.0))
-        worst_herm = max(worst_herm, float(np.max(np.abs(snap.rho - snap.rho.conj().T))))
+    for t, rho in zip(grid, traj):
+        pop = float(np.trace(proj_up @ rho).real)
+        worst_pop = max(worst_pop, abs(pop - math.exp(-rate * t)))
+        worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
+        worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
     assert worst_pop < 1e-6
     assert worst_trace < 1e-9
     assert worst_herm < 1e-9
@@ -249,16 +248,16 @@ def test_c10_two_spin_correlations():
     params = ModelParams(epsilon=0.5, omega=6.0, lambda_c=2.0, gamma=1.0, n_spins=2)
     fine = _exact_traj(params, 0.05, 40)
     zz = [metrics.spin_operator("Z", spin, params) for spin in (0, 1)]
-    czz = [metrics.connected_correlation(s.rho, *zz) for s in fine]
+    czz = metrics.connected_correlation(fine, *zz)
     k_min = int(np.argmin(czz))
-    t_min = fine[k_min].t
+    t_min = k_min * 0.05
     assert czz[k_min] < 0
     assert 0.25 <= t_min <= 0.55
 
     dt = 0.2
     simulated = _run_circuit_traj(params, dt, 10, 1, 0.1)
     k_near = int(round(t_min / dt))
-    noisy_czz = metrics.connected_correlation(simulated[k_near].rho, *zz)
+    noisy_czz = metrics.connected_correlation(simulated[k_near], *zz)
     assert noisy_czz < 0
     report(10, f"reference C^ZZ minimum {czz[k_min]:.3f} at t={t_min:.2f}; "
                f"xi=0.1 circuit gives {noisy_czz:.3f} there")

@@ -225,8 +225,7 @@ def test_assemble_two_spins_collisions_per_step():
     assert c.roles == ("aux", "spin", "boson", "boson", "spin", "aux")
     assert sum(1 for g in c.gates if g.kind == "cry") == 6  # two collisions per step
     assert c.model_register == (1, 2, 3, 4)
-    measured = c.measured_qubits
-    assert set(measured) == {1, 2, 3, 4}
+    assert {q for g in c.gates if g.kind == "measure" for q in g.qubits} == {1, 2, 3, 4}
 
 
 def test_assemble_gamma_zero_has_no_collisions():
@@ -244,14 +243,6 @@ def test_assemble_boson_level_preparation():
     c = assemble_evolution(ModelParams(), InitialStateSpec(("down",), 3), 0, 0.2)
     x_targets = {g.qubits[0] for g in c.gates if g.kind == "x"}
     assert x_targets == {0}  # gray(3) = 10 on [b hi, b lo]
-
-
-def test_circuit_text_serialization():
-    c = collision_block(1.0, 0.2, 0, 1)
-    lines = c.to_text().splitlines()
-    assert lines[0].startswith("cry 0 1 0.879")
-    assert lines[1] == "cx 1 0"
-    assert lines[2] == "reset 1"
 
 
 def test_gate_validation():

@@ -50,11 +50,11 @@ def test_make_config_kind_defaults():
 def test_make_config_file_then_flag_precedence():
     cfg = make_config(
         "noise_sweep",
-        file_values={"xi_list": [0.5], "seed": 9},
-        overrides={"seed": 11},
+        file_values={"xi_list": [0.5], "gamma": 0.9},
+        overrides={"gamma": 1.1},
     )
     assert cfg.xi_list == (0.5,)
-    assert cfg.seed == 11
+    assert cfg.gamma == 1.1
 
 
 def test_steps_for_rounds_to_nearest():
@@ -107,7 +107,7 @@ def test_rerun_is_byte_identical(tmp_path):
     for out in (out_a, out_b):
         cfg = make_config(
             "noise_sweep",
-            overrides={"xi_list": (0.1,), "dt_grid": (0.5,), "out_dir": out, "seed": 3},
+            overrides={"xi_list": (0.1,), "dt_grid": (0.5,), "out_dir": out, "gamma": 0.7},
         )
         run(cfg)
     csv_a, csv_b = (Path(out) / "noise_sweep.csv" for out in (out_a, out_b))
@@ -253,7 +253,7 @@ def test_cli_runs_and_prints_outputs(tmp_path, capsys):
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
-    config = {"dt_grid": [0.5], "xi_list": [0.5], "seed": 1}
+    config = {"dt_grid": [0.5], "xi_list": [0.5], "gamma": 0.7}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     code = main(
@@ -262,7 +262,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "r" / "noise_sweep_manifest.json").read_text())
     assert manifest["config"]["xi_list"] == [0.2]
-    assert manifest["config"]["seed"] == 1
+    assert manifest["config"]["gamma"] == 0.7
 
 
 @pytest.mark.parametrize("experiment", ["observables", "correlations"])
@@ -289,7 +289,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--omega", "nan"], "omega must be finite"),
         (["--dt", "nan"], "dt grid must be non-empty, positive and finite"),
         (["--xi", "nan"], "xi values must lie in [0, 1]"),
-        (["--n-spins", "2", "--d-ho", "16"], "6-qubit model register exceeds the exact oracle limit 5"),
+        (["--d-ho", "64"], "7-qubit model register exceeds the engine limit 6"),
         (["--config", "{tmp}/list.json"], "config must be a JSON object, got list"),
         (["--config", "{tmp}/bogus.json"], "unknown config key 'bogus'"),
         (["--config", "{tmp}/mistyped.json"], "xi_list must be a list of float, got 'abc'"),
@@ -300,6 +300,8 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/cx_one_operand.json"],
          "cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
         (["--shots", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
+        (["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
         (["--calibration", "{tmp}/time_nan.json"], "cx entry: time_ns must be a finite number, got nan"),
         (["--calibration", "{tmp}/time_inf.json"], "cx entry: time_ns must be a finite number, got inf"),
         (["--calibration", "{tmp}/error_true.json"], "cx entry: error must be a finite number, got True"),
@@ -430,8 +432,8 @@ def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, 
     assert len(calls) == len(set(calls)) == distinct
 
 
-# a sweep scores each t > 0 snapshot once: trotter_sweep runs 4 (order, gamma) curves of
-# 20 + 10 + 7 + 5 + 4 steps, the xi grid 2 orders x 5 xi of 10 steps
+# a sweep scores each t > 0 snapshot once, all in one stacked call: trotter_sweep runs
+# 4 (order, gamma) curves of 20 + 10 + 7 + 5 + 4 steps, the xi grid 2 orders x 5 xi of 10 steps
 @pytest.mark.parametrize(
     "argv, calls",
     [(["trotter_sweep"], 184),
@@ -447,7 +449,8 @@ def test_each_simulated_snapshot_is_scored_once(tmp_path, monkeypatch, argv, cal
 
     monkeypatch.setattr(metrics, "infidelity", counted)
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert len(scored) == len({id(rho) for rho in scored}) == calls
+    (stack,) = scored
+    assert stack.shape[0] == len({rho.tobytes() for rho in stack}) == calls
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)

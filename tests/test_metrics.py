@@ -11,10 +11,10 @@ from sbsim.metrics import (
     fidelity,
     infidelity,
     spin_operator,
+    sqrtm_psd,
     time_averaged_infidelity,
 )
 from sbsim.model import InitialStateSpec, ModelParams, initial_density_matrix
-from sbsim.oracle import TrajectorySnapshot
 
 
 def _spin_pair(axis, params):
@@ -63,27 +63,47 @@ def test_fidelity_dimension_mismatch():
         fidelity(np.eye(2) / 2, np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_stacked_scores_equal_pair_at_a_time_bit_for_bit(rng, dim):
+    rhos = np.array([random_density_matrix(rng, dim) for _ in range(7)])
+    sigmas = np.array([random_density_matrix(rng, dim) for _ in range(7)])
+    sigmas[2] = _pure(np.eye(dim)[1])  # a rank-one reference, as at t = 0
+    alone = [infidelity(rho, sigma) for rho, sigma in zip(rhos, sigmas)]
+    assert np.array_equal(infidelity(rhos, sigmas), alone)
+    assert np.array_equal(infidelity(rhos, sigmas, sqrtm_psd(sigmas)), alone)
+    assert np.array_equal(sqrtm_psd(sigmas), [sqrtm_psd(sigma) for sigma in sigmas])
+    op = random_density_matrix(rng, dim)
+    assert np.array_equal(expectation(rhos, op), [expectation(rho, op) for rho in rhos])
+    assert isinstance(infidelity(rhos[0], sigmas[0]), float)
+
+
+def test_stacked_correlations_equal_state_at_a_time_bit_for_bit(rng):
+    pair = _spin_pair("Z", ModelParams(n_spins=2, omega=6))
+    states = np.array([random_density_matrix(rng, 16) for _ in range(5)])
+    assert np.array_equal(connected_correlation(states, *pair), [connected_correlation(s, *pair) for s in states])
+
+
 def test_time_averaged_infidelity_identical_trajectories(rng):
-    traj = [TrajectorySnapshot(0.1 * k, random_density_matrix(rng, 4)) for k in range(5)]
+    traj = np.array([random_density_matrix(rng, 4) for _ in range(5)])
     assert time_averaged_infidelity(traj, traj) < 1e-10
 
 
 def test_time_averaged_infidelity_excludes_t0(rng):
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    a = [TrajectorySnapshot(0.0, rho_a), TrajectorySnapshot(0.5, rho_a)]
-    b = [TrajectorySnapshot(0.0, rho_b), TrajectorySnapshot(0.5, rho_b)]
-    # only the t=0.5 snapshot counts; t=0 disagreement is ignored
+    a = np.array([rho_a, rho_a])
+    b = np.array([rho_b, rho_b])
+    # only the second (t > 0) snapshot counts; t=0 disagreement is ignored
     assert time_averaged_infidelity(a, a) < 1e-10
     assert abs(time_averaged_infidelity(a, b) - infidelity(rho_a, rho_b)) < 1e-12
 
 
 def test_time_averaged_infidelity_grid_mismatch(rng):
     rho = random_density_matrix(rng, 2)
-    a = [TrajectorySnapshot(0.0, rho), TrajectorySnapshot(0.5, rho)]
-    b = [TrajectorySnapshot(0.0, rho), TrajectorySnapshot(0.6, rho)]
     with pytest.raises(ValueError):
-        time_averaged_infidelity(a, b)
+        time_averaged_infidelity(np.array([rho, rho]), np.array([rho, rho, rho]))
+    with pytest.raises(ValueError, match="no t > 0"):
+        time_averaged_infidelity(np.array([rho]), np.array([rho]))
 
 
 def test_expectations_on_initial_state():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sbsim import metrics, noise, oracle, sim, transpile
+from conftest import liouvillian, random_density_matrix
+from sbsim import experiments, metrics, noise, oracle, sim, transpile
 from sbsim.circuits import assemble_evolution
 from sbsim.experiments import make_config, run
-from sbsim.encoding import GRAY
+from sbsim.encoding import GRAY, STANDARD_BINARY
 from sbsim.model import (
     EQ2_LITERAL,
     PAPER_COLLISION,
@@ -21,11 +22,11 @@ from sbsim.model import (
     initial_density_matrix,
     lindblad_operators,
 )
-from sbsim.oracle import evolve_exact, liouvillian
+from sbsim.oracle import evolve_exact
 
 
 def _expm_reference(rho0, params, t, convention=PAPER_COLLISION):
-    """exp(L t) rho0 from scipy, on an independently built generator."""
+    """exp(L t) rho0 from scipy, on the dense generator built in conftest."""
     jumps = lindblad_operators(params, convention) if params.gamma > 0 else []
     gen = liouvillian(dense_hamiltonian(params), jumps)
     vec = scipy.linalg.expm(gen * t) @ rho0.astype(complex).flatten(order="F")
@@ -36,11 +37,11 @@ def test_unitary_limit_preserves_purity():
     params = ModelParams(gamma=0.0)
     rho0 = initial_density_matrix(InitialStateSpec(), params)
     traj = evolve_exact(rho0, params, [0.0, 0.5, 1.0, 2.0])
-    for snap in traj:
-        purity = np.trace(snap.rho @ snap.rho).real
+    for rho in traj:
+        purity = np.trace(rho @ rho).real
         assert abs(purity - 1.0) < 1e-8
-        assert abs(np.trace(snap.rho).real - 1.0) < 1e-9
-        assert np.max(np.abs(snap.rho - snap.rho.conj().T)) < 1e-10
+        assert abs(np.trace(rho).real - 1.0) < 1e-9
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -54,9 +55,9 @@ def test_decoupled_spin_population_decay(convention, decay):
     traj = evolve_exact(rho0, params, grid, convention=convention)
     proj_up = np.zeros((8, 8))
     proj_up[4:, 4:] = np.eye(4)
-    for snap in traj:
-        expected = np.exp(-decay * params.gamma * snap.t)
-        assert abs(np.trace(proj_up @ snap.rho).real - expected) < 1e-6
+    for t, rho in zip(grid, traj):
+        expected = np.exp(-decay * params.gamma * t)
+        assert abs(np.trace(proj_up @ rho).real - expected) < 1e-6
 
 
 def test_zero_hamiltonian_coherence_decay():
@@ -83,10 +84,10 @@ def test_matches_scipy_expm(n_spins, convention, gamma, grid):
     spins = ("up",) if n_spins == 1 else ("up", "down")
     rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
     traj = evolve_exact(rho0, params, grid, convention)
-    assert [snap.t for snap in traj] == grid
-    for snap in traj:
-        expected = _expm_reference(rho0, params, snap.t, convention)
-        assert np.max(np.abs(snap.rho - expected)) < 1e-12
+    assert traj.shape == (len(grid), *rho0.shape)
+    for t, rho in zip(grid, traj):
+        expected = _expm_reference(rho0, params, t, convention)
+        assert np.max(np.abs(rho - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("n_spins", [1, 2])
@@ -96,10 +97,26 @@ def test_snapshots_are_density_matrices(n_spins, convention, gamma):
     params = ModelParams(gamma=gamma, n_spins=n_spins)
     spins = ("up",) if n_spins == 1 else ("up", "down")
     rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
-    for snap in evolve_exact(rho0, params, [0.2 * k for k in range(11)], convention):
-        assert np.array_equal(snap.rho, snap.rho.conj().T)
-        assert abs(np.trace(snap.rho) - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(snap.rho).min() >= -1e-12
+    for rho in evolve_exact(rho0, params, [0.2 * k for k in range(11)], convention):
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@pytest.mark.parametrize("n_spins, d_ho", [(2, 16), (1, 32)])
+def test_six_qubit_snapshots_are_density_matrices(n_spins, d_ho):
+    # the widest register the engine admits, so the widest the oracle is asked for
+    params = ModelParams(gamma=1.0, n_spins=n_spins, d_ho=d_ho, omega=6.0 if n_spins == 2 else 4.0)
+    assert params.register_width == 6
+    spins = ("up",) if n_spins == 1 else ("up", "down")
+    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
+    traj = evolve_exact(rho0, params, [0.0, 0.05, 0.1])
+    assert traj.shape == (3, 64, 64)
+    for rho in traj:
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    assert np.max(np.abs(traj[-1] - traj[0])) > 1e-3  # the state moved
 
 
 def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
@@ -178,9 +195,61 @@ def test_dimension_mismatch():
     [ModelParams(), ModelParams(gamma=2.5, epsilon=-1.0), ModelParams(n_spins=2, omega=6.0),
      ModelParams(n_spins=2, omega=6.0, d_ho=8)],
 )
-def test_generator_norm_bound_bounds_the_liouvillian(params, convention):
-    gen = oracle._liouvillian_for(params, convention, GRAY)
-    assert np.linalg.norm(gen, 1) <= oracle.generator_norm_bound(params, convention, GRAY)
+@pytest.mark.parametrize("code", [GRAY, STANDARD_BINARY])
+def test_exact_norm_equals_the_dense_generator_norm(params, convention, code):
+    dense = np.linalg.norm(liouvillian(dense_hamiltonian(params, code), lindblad_operators(params, convention)), 1)
+    _, _, norm = oracle._generator_for(params, convention, code)
+    assert abs(norm - dense) <= 1e-12 * dense
+    assert oracle.generator_norm_bound(params, convention, code) >= norm
+
+
+@pytest.mark.parametrize("convention", RATE_CONVENTIONS)
+@pytest.mark.parametrize("params", [ModelParams(gamma=1.5, epsilon=-1.0), ModelParams(n_spins=2, omega=6.0)])
+def test_generator_action_equals_the_dense_generator(rng, params, convention):
+    gen, rate, _ = oracle._generator_for(params, convention, GRAY)
+    dim = gen.shape[0]
+    x = random_density_matrix(rng, dim)
+    blocks = [(1, 2**q, 2, dim >> (q + 1), 2**q, 2, dim >> (q + 1)) for q in params.spin_positions]
+    got = oracle._generator_action(gen[None], np.full((1, 1, 1, 1, 1), rate), blocks, x[None])[0]
+    dense = liouvillian(dense_hamiltonian(params), lindblad_operators(params, convention))
+    want = (dense @ x.flatten(order="F")).reshape(dim, dim, order="F")
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("convention", RATE_CONVENTIONS)
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_stacked_member_equals_member_evolved_alone(n_spins, convention):
+    members = tuple(ModelParams(gamma=g, n_spins=n_spins, omega=6.0) for g in (0.0, 0.5, 2.5))
+    spins = ("up",) if n_spins == 1 else ("up", "down")
+    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), members[0])
+    grid = [0.0, 0.1, 0.3, 0.7]
+    stacked = evolve_exact(rho0, members, grid, convention)
+    assert stacked.shape == (3, 4, *rho0.shape)
+    for params, got in zip(members, stacked):
+        assert np.max(np.abs(got - evolve_exact(rho0, params, grid, convention))) < 1e-12
+
+
+def test_stacked_models_must_share_one_register():
+    params = ModelParams()
+    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    with pytest.raises(ValueError, match="one register"):
+        evolve_exact(rho0, (params, ModelParams(d_ho=8)), [0.0, 0.1])
+    with pytest.raises(ValueError, match="at least one model"):
+        evolve_exact(rho0, (), [0.0, 0.1])
+
+
+def test_union_grid_reference_equals_the_per_dt_reference():
+    # trotter_sweep's five dt grids share one reference per gamma; 3 * 0.1 and 0.3 are one time
+    cfg = make_config("trotter_sweep")
+    states, rows, index = experiments._references(cfg, experiments._tasks(cfg))
+    assert states.shape[:2] == (2, 22)  # 0, 0.1, ..., 2.0, and 2.1 from dt 0.3's seven steps
+    for gamma in cfg.gamma_list:
+        params = cfg.model_params(gamma)
+        rho0 = initial_density_matrix(cfg.initial_state(), params)
+        for dt in cfg.dt_grid:
+            grid = [k * dt for k in range(experiments.steps_for(cfg.t_final, dt) + 1)]
+            alone = evolve_exact(rho0, params, grid)
+            assert np.max(np.abs(states[rows[gamma]][index[dt]] - alone)) < 1e-12
 
 
 def test_substep_cap_rejects_stiff_or_overflowing_models():

@@ -26,7 +26,7 @@ from sbsim.noise import (
     build_noise_model,
     jakarta_average_calibration,
 )
-from sbsim.oracle import TrajectorySnapshot, evolve_exact
+from sbsim.oracle import evolve_exact
 from sbsim.pauli import embed_operator
 from sbsim.sim import (
     _compile,
@@ -93,8 +93,7 @@ def test_noiseless_circuit_approaches_reference_as_dt_shrinks():
         circuit = assemble_evolution(params, InitialStateSpec(), n, dt, order=2)
         snaps = simulate(circuit).snapshots
         exact = evolve_exact(rho0, params, [dt * k for k in range(n + 1)])
-        sim_traj = [TrajectorySnapshot(dt * k, s) for k, s in enumerate(snaps)]
-        errors.append(time_averaged_infidelity(sim_traj, exact))
+        errors.append(time_averaged_infidelity(snaps, exact))
     assert errors[1] < errors[0]
     assert errors[1] < 1e-3
 
@@ -147,7 +146,7 @@ def _assert_matches_bruteforce(circuit, xi, cal=None):
     result = simulate(circuit, noise=model)
     snapshots, final = simulate_bruteforce(circuit, noise=model)
     assert len(result.snapshots) == len(snapshots)
-    for got, want in zip(result.snapshots + [result.final], snapshots + [final]):
+    for got, want in zip([*result.snapshots, result.final], snapshots + [final]):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -173,7 +172,8 @@ def test_one_step_replayed_equals_written_out_steps(n_spins, order, xi):
     written = simulate(_native_evolution(n_spins, order, 3), noise=model)
     replayed = simulate(_native_evolution(n_spins, order, 1), noise=model, repeat=3)
     assert len(replayed.snapshots) == len(written.snapshots) == 4
-    for got, want in zip(replayed.snapshots + [replayed.final], written.snapshots + [written.final]):
+    assert replayed.snapshots.ndim == 3  # one (n, d, d) array
+    for got, want in zip([*replayed.snapshots, replayed.final], [*written.snapshots, written.final]):
         assert np.array_equal(got, want)
 
 
@@ -221,7 +221,7 @@ def test_model_stack_matches_each_model_alone(n_spins, order):
     for model, got in zip(models, stacked):
         alone = simulate(step, noise=model, repeat=3)
         assert len(got.snapshots) == len(alone.snapshots) == 4
-        for a, b in zip(got.snapshots + [got.final], alone.snapshots + [alone.final]):
+        for a, b in zip([*got.snapshots, got.final], [*alone.snapshots, alone.final]):
             assert np.array_equal(a, b)
 
 
