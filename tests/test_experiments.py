@@ -300,8 +300,6 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/cx_one_operand.json"],
          "cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
         (["--shots", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
-        (["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
-        (["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
         (["--calibration", "{tmp}/time_nan.json"], "cx entry: time_ns must be a finite number, got nan"),
         (["--calibration", "{tmp}/time_inf.json"], "cx entry: time_ns must be a finite number, got inf"),
         (["--calibration", "{tmp}/error_true.json"], "cx entry: error must be a finite number, got True"),
@@ -315,6 +313,8 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/qubits_string.json"], "cx entry: qubits must be a list of integers"),
         (["--calibration", "{tmp}/qubits_bool.json"], "cx entry: qubits must be a list of integers"),
         (["--calibration", "{tmp}/sx_twice.json"], "two sx entries on qubits (2,)"),
+        (["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
+        (["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):

@@ -195,6 +195,17 @@ def test_dimension_mismatch():
     [ModelParams(), ModelParams(gamma=2.5, epsilon=-1.0), ModelParams(n_spins=2, omega=6.0),
      ModelParams(n_spins=2, omega=6.0, d_ho=8)],
 )
+def test_generator_norm_bound_bounds_the_liouvillian(params, convention):
+    gen = liouvillian(dense_hamiltonian(params, GRAY), lindblad_operators(params, convention))
+    assert np.linalg.norm(gen, 1) <= oracle.generator_norm_bound(params, convention, GRAY)
+
+
+@pytest.mark.parametrize("convention", RATE_CONVENTIONS)
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(), ModelParams(gamma=2.5, epsilon=-1.0), ModelParams(n_spins=2, omega=6.0),
+     ModelParams(n_spins=2, omega=6.0, d_ho=8)],
+)
 @pytest.mark.parametrize("code", [GRAY, STANDARD_BINARY])
 def test_exact_norm_equals_the_dense_generator_norm(params, convention, code):
     dense = np.linalg.norm(liouvillian(dense_hamiltonian(params, code), lindblad_operators(params, convention)), 1)
