@@ -4,9 +4,10 @@ The goldens in ``tests/golden/`` pin the numbers, so an engine, oracle or
 harness change that drifts any CSV value shows here.  Every run is serial;
 each experiment is checked as configured and with the deprecated
 ``workers`` = 2, which has no effect, against the same golden.
-Correlations is also checked at ``d_ho`` = 8, the widest 2-spin register,
-and observables with 500 sampled shots at seed 4, which pins the shot seeds
-and the readout mitigation.  Regenerate them only on purpose, with
+Correlations is also checked at ``d_ho`` = 8 (5 state qubits) and, at its
+default config with ``t_final`` = 0.4, at ``d_ho`` = 16 (6 state qubits,
+the engine's widest register), and observables with 500 sampled shots at
+seed 4, which pins the shot seeds and the readout mitigation.  Regenerate them only on purpose, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -22,6 +23,8 @@ from sbsim.experiments import EXPERIMENT_KINDS, make_config, run
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 TOL = 1e-10
 D_HO_8_GOLDEN = "correlations_d_ho_8.csv"
+D_HO_16_GOLDEN = "correlations_d_ho_16.csv"
+D_HO_16 = {"d_ho": 16, "t_final": 0.4}  # sbsim correlations --d-ho 16 --t-final 0.4
 SHOTS_GOLDEN = "observables_shots.csv"
 SHOTS = {"shots": 500, "seed": 4}
 
@@ -40,6 +43,10 @@ TINY_CONFIGS = {
 def _run_tiny(experiment: str, out_dir: str, workers: int = 1, **extra) -> str:
     overrides = {**TINY_CONFIGS[experiment], "out_dir": out_dir, "workers": workers, **extra}
     return run(make_config(experiment, overrides=overrides))[0]
+
+
+def _run_d_ho_16(out_dir: str) -> str:
+    return run(make_config("correlations", overrides={**D_HO_16, "out_dir": out_dir}))[0]
 
 
 def _cells(path: str) -> list[list[str]]:
@@ -78,8 +85,13 @@ def test_csv_matches_golden(experiment, workers, tmp_path):
 
 
 def test_correlations_at_d_ho_8_match_golden(tmp_path):
-    # two spins on a 5-qubit register: the widest model the exact oracle admits
+    # two spins on a 5-qubit model register
     _assert_matches(_run_tiny("correlations", str(tmp_path), d_ho=8), D_HO_8_GOLDEN)
+
+
+def test_correlations_at_d_ho_16_match_golden(tmp_path):
+    # two spins on a 6-qubit model register, the engine's widest
+    _assert_matches(_run_d_ho_16(str(tmp_path)), D_HO_16_GOLDEN)
 
 
 def test_shot_sampled_observables_match_golden(tmp_path):
@@ -94,5 +106,7 @@ if __name__ == "__main__":
             print(f"wrote {kind}.csv", file=sys.stderr)
         shutil.copy(_run_tiny("correlations", out_dir, d_ho=8), os.path.join(GOLDEN_DIR, D_HO_8_GOLDEN))
         print(f"wrote {D_HO_8_GOLDEN}", file=sys.stderr)
+        shutil.copy(_run_d_ho_16(out_dir), os.path.join(GOLDEN_DIR, D_HO_16_GOLDEN))
+        print(f"wrote {D_HO_16_GOLDEN}", file=sys.stderr)
         shutil.copy(_run_tiny("observables", out_dir, **SHOTS), os.path.join(GOLDEN_DIR, SHOTS_GOLDEN))
         print(f"wrote {SHOTS_GOLDEN}", file=sys.stderr)
