@@ -68,7 +68,7 @@ class Circuit:
     """Ordered gate list over a register with optional per-qubit role tags.
 
     ``model_register`` lists, in spin+boson register order, the circuit
-    index of each model qubit; auxiliaries are not listed.
+    index of each model qubit: a permutation of the non-auxiliary qubits.
     """
 
     width: int
@@ -93,6 +93,14 @@ class Circuit:
                 and any(self.roles[q] != ROLE_AUX for q in g.qubits)
             ):
                 raise ValueError(f"reset on non-auxiliary qubit {g.qubits}")
+        if self.model_register is not None:
+            object.__setattr__(self, "model_register", tuple(self.model_register))
+            held = [q for q in range(self.width) if q not in self.aux_qubits]
+            if sorted(self.model_register) != held:
+                raise ValueError(
+                    f"model register {self.model_register} is not a permutation of the "
+                    f"non-auxiliary qubits {tuple(held)}"
+                )
 
     @property
     def aux_qubits(self) -> tuple[int, ...]:

@@ -23,9 +23,9 @@ gammas of a run) as one (B, d, d) stack, each member under its own G and
 rate, with one plan per interval from the largest member's norm.
 ``ExperimentConfig.validate`` holds model registers to the engine's
 ``MAX_SIM_WIDTH`` = 6 qubits (d = 64).  It also rejects models whose plan
-would need more than ``MAX_SUBSTEPS`` substeps per interval, judged from a
-bound on ||L||_1 (``generator_norm_bound``) before G is built.  The
-Hermiticity and trace drift of every member is checked against hard
+would need more than ``MAX_SUBSTEPS`` substeps per interval, judged from the
+same exact ||L||_1 the run plans from (``exceeds_substep_cap``); G is built
+then and cached, so the run reuses it.  The Hermiticity and trace drift of every member is checked against hard
 tolerances, at the start and after every interval.
 """
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .encoding import GRAY
-from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, gamma_eff, hamiltonian_sum
+from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, gamma_eff
 
 MAX_SUBSTEPS = 10**4  # per interval; the default configs need 1 or 2
 TRACE_TOL = 1e-6
@@ -89,26 +89,17 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     )
 
 
-def generator_norm_bound(
-    params: ModelParams, convention: str = PAPER_COLLISION, code_kind: str = GRAY
-) -> float:
-    """2 sum_P |c_P| + 2 sum_k r_k >= ||L||_1, without building G.
-
-    The commutator with the encoded H = sum_P c_P P adds at most
-    2 sum_P |c_P|, and each one-qubit jump operator at rate r_k at most 2 r_k.
-    """
-    rates = params.n_spins * gamma_eff(params.gamma, convention)
-    return 2 * sum(abs(t.coefficient) for t in hamiltonian_sum(params, code_kind).terms) + 2 * rates
-
-
 def exceeds_substep_cap(
     params: ModelParams, h: float, convention: str = PAPER_COLLISION, code_kind: str = GRAY
 ) -> bool:
-    """Whether the plan for one interval h may need more than ``MAX_SUBSTEPS`` substeps.
+    """Whether the plan for one interval h needs more than ``MAX_SUBSTEPS`` substeps.
 
-    Past max(theta_m) * MAX_SUBSTEPS, an infinite or NaN bound included, every plan does.
+    Judged from the exact ||L||_1 that ``evolve_exact`` plans from.  Past
+    max(theta_m) * MAX_SUBSTEPS, an infinite or NaN norm included, every
+    plan does.
     """
-    norm = generator_norm_bound(params, convention, code_kind) * h
+    with np.errstate(all="ignore"):  # parameters near overflow give an infinite or NaN norm
+        norm = _generator_for(params, convention, code_kind)[2] * h
     return not norm <= max(_THETA.values()) * MAX_SUBSTEPS or _taylor_plan(norm)[1] > MAX_SUBSTEPS
 
 

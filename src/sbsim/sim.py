@@ -1,10 +1,16 @@
 """Density-matrix execution engine.
 
-Splits each circuit into runs of consecutive gates (unitary, noisy or
-reset) whose operands together cover at most two qubits, the width of the
-widest native gate; barriers and measurements end a run.  Each distinct run
-is compiled into one local superoperator on its qubits (no full-register
-operators) and applied by one gather, matrix product and scatter.
+Splits each circuit into runs of gates (unitary, noisy or reset) whose
+operands together cover at most two qubits, the width of the widest native
+gate.  A run takes later gates on its qubits past gates on other qubits,
+which commute with them exactly; nothing crosses a barrier or a
+measurement.  Each distinct run is compiled into one local superoperator on
+its qubits (no full-register operators).
+
+The state is held in the layout of the last applied run: grouped by model,
+then by that run's operand bits.  Applying the next run is then one gather
+into its layout and one matrix product, with no scatter back; snapshots
+and the final state are one gather out of the current layout.
 
 One call simulates a circuit under one noise model or under a tuple of
 them.  The state is then a stack of density matrices, one per model, held
@@ -35,6 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,13 +138,15 @@ def simulate(
     stay ideal.  Barriers record snapshots.  After each run the trace of
     every noisy member's state is checked against 1.
 
-    Consecutive gates whose operands together cover at most two qubits form
-    a run, and barriers and measurements end one.  Each distinct run is
-    compiled once into a stack of local superoperators, one per member, and
-    applied to the stacked state by one gather, stacked matrix product and
-    scatter.  Compiled runs, keyed by the run and the qubits the state
-    holds, are kept in ``compiled`` together with the gate superoperators
-    placed for them.  That dict is bound to the members on first use, and
+    Gates are grouped into runs on at most two qubits (``_runs``): a run
+    also takes later gates on its qubits that commute past the gates they
+    jump, and barriers and measurements end every run.  Each distinct run is
+    compiled once into a stack of local superoperators, one per member.  The
+    stacked state stays in the layout of the last applied run, so each run
+    is one gather into its own layout and one stacked matrix product; each
+    snapshot is one gather into the model register's order.  Compiled runs,
+    keyed by the run and the qubits the state holds, are kept in
+    ``compiled`` together with the gate superoperators placed for them.  That dict is bound to the members on first use, and
     passing it again with other members raises; without one, a fresh dict
     serves this call.
 
@@ -179,7 +189,7 @@ def simulate(
         if np.abs(full).sum() - np.abs(rho).sum() > _AUX_TOL:
             raise ValueError("initial state has weight outside auxiliary |0>")
 
-    # one entry per run: None records a snapshot, else (superops, index, run)
+    # one entry per run: None records a snapshot, else (superops, operands, run)
     program = []
     for run in _runs(circuit.gates):
         if run[0].kind == "barrier":
@@ -188,8 +198,7 @@ def simulate(
             entry = compiled.get((run, kept))
             if entry is None:
                 superops, qubits = _compile(run, models, aux, compiled)
-                index = _operand_index(tuple(kept.index(q) for q in qubits), n, k)
-                entry = compiled[run, kept] = superops, index
+                entry = compiled[run, kept] = superops, tuple(kept.index(q) for q in qubits)
             program.append((*entry, run))
     start = stop = 0
     if repeat > 1:
@@ -198,36 +207,41 @@ def simulate(
             raise ValueError("repeat needs a block between two barriers; the circuit has fewer")
         start, stop = marks[-2] + 1, marks[-1] + 1
 
-    order = None
-    if circuit.model_register is not None:
-        order = tuple(kept.index(q) for q in circuit.model_register)
+    # the state is held in the layout of the last applied run's operands; () is the natural order
+    register = tuple(range(n)) if circuit.model_register is None else tuple(
+        kept.index(q) for q in circuit.model_register
+    )
     dim = 2**n
-    snap_dim = dim if order is None else 2 ** len(order)
     noisy = [j for j, model in enumerate(models) if model is not None]
-    vec = np.tile(rho.ravel(), k)
+    moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them
+    vec, layout = np.tile(rho.ravel(), k), ()
     ops = program[:start] + program[start:stop] * repeat + program[stop:]
-    snapshots = np.empty((k, ops.count(None), snap_dim, snap_dim), dtype=complex)
+    snapshots = np.empty((k, ops.count(None), dim, dim), dtype=complex)
     taken = 0
     for op in ops:
+        nxt = register if op is None else op[1]
+        move = moves.get((layout, nxt))
+        if move is None:
+            move = moves[layout, nxt] = _layout(layout, n, k).inverse[_layout(nxt, n, k).index]
         if op is None:
-            for member, state in zip(snapshots, vec.reshape(k, dim, dim)):
-                member[taken] = state if order is None else partial_trace(state, order, n)
+            snapshots[:, taken] = vec[move].reshape(k, dim, dim)
             taken += 1
             continue
-        superops, index, run = op
-        vec = _apply(superops, index, vec)
+        superops, layout, run = op
+        vec = (superops @ vec[move].reshape(*superops.shape[:2], -1)).reshape(-1)
         if noisy:
-            traces = vec.reshape(k, dim * dim)[noisy, :: dim + 1].sum(axis=1).real
-            drifts = np.abs(traces - 1.0)
-            if drifts.max() > _TRACE_TOL:
-                j = noisy[int(drifts.argmax())]
+            # real parts of every member's trace: one product with the layout's diagonal mask
+            traces = (vec.view(float).reshape(k, -1) @ _layout(layout, n, k).diagonal).tolist()
+            drift, j = max((abs(traces[j] - 1.0), j) for j in noisy)
+            if drift > _TRACE_TOL:
                 kinds = "/".join(g.kind for g in run)
                 raise RuntimeError(
-                    f"trace drift {drifts.max():.2e} after {kinds} under noise model {j}; "
+                    f"trace drift {drift:.2e} after {kinds} under noise model {j}; "
                     "engine invariant broken"
                 )
     results = []
-    for member, state in zip(snapshots, vec.reshape((k,) + (2,) * (2 * n))):
+    states = vec[_layout(layout, n, k).inverse].reshape((k,) + (2,) * (2 * n))
+    for member, state in zip(snapshots, states):
         final = np.zeros((2,) * (2 * width), dtype=complex)
         final[aux_zero] = state
         results.append(SimulationResult(member, final.reshape(2**width, 2**width)))
@@ -235,21 +249,68 @@ def simulate(
 
 
 def _runs(gates: tuple[Gate, ...]):
-    """Maximal runs of consecutive gates on at most two qubits; markers stand alone."""
-    run: list[Gate] = []
-    covered: set[int] = set()
+    """Runs of gates on at most two qubits, commuted together; markers stand alone.
+
+    Between markers, a run starts at the first gate not yet taken and takes
+    each later gate that shares a qubit with it, keeps it on at most two
+    qubits, and shares no qubit with a gate it skips or with a reset it has
+    taken.  A taken gate thus commutes exactly past every gate it jumps
+    (disjoint operands, and each channel acts on its gate's operands only),
+    so the runs, one after another, equal the gates in their order.
+    """
+    segment: list[Gate] = []
     for g in gates:
-        marker = g.kind in ("barrier", "measure")
-        if run and (marker or len(covered.union(g.qubits)) > 2):
-            yield tuple(run)
-            run, covered = [], set()
-        if marker:
+        if g.kind in ("barrier", "measure"):
+            yield from _split(segment)
+            segment = []
             yield (g,)
         else:
-            run.append(g)
-            covered.update(g.qubits)
-    if run:
+            segment.append(g)
+    yield from _split(segment)
+
+
+def _split(pending: list[Gate]):
+    """The runs of one marker-free gate list, in the order of their first gates."""
+    while pending:
+        run, rest = [pending[0]], []
+        covered = set(pending[0].qubits)
+        closed = set(covered) if pending[0].kind == "reset" else set()  # no later gate of the run may touch these
+        for i, g in enumerate(pending[1:], start=1):
+            joins = not covered.isdisjoint(g.qubits) and closed.isdisjoint(g.qubits)
+            if joins and len(covered.union(g.qubits)) <= 2:
+                run.append(g)
+                covered.update(g.qubits)
+                if g.kind == "reset":
+                    closed.update(g.qubits)
+            else:
+                rest.append(g)
+                closed.update(g.qubits)
+                if covered <= closed:  # no later gate can join
+                    rest += pending[i + 1:]
+                    break
         yield tuple(run)
+        pending = rest
+
+
+class _Layout(NamedTuple):
+    index: np.ndarray  # flat natural-order entry held at each position of the layout
+    inverse: np.ndarray  # position in the layout of each flat natural-order entry
+    diagonal: np.ndarray  # on the float view of the first rho: 1 at the real part of a diagonal entry
+
+
+@lru_cache(maxsize=64)
+def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
+    """The layout that groups a stack of k width-qubit rhos by model, then by these operands' bits."""
+    index = _operand_index(operands, width, k)
+    inverse = np.empty_like(index)
+    inverse[index] = np.arange(index.size)
+    dim = 2**width
+    first = index[: dim * dim]
+    diagonal = np.zeros(2 * dim * dim)
+    diagonal[::2] = first // dim == first % dim
+    for array in (index, inverse, diagonal):
+        array.flags.writeable = False
+    return _Layout(index, inverse, diagonal)
 
 
 def _operand_index(qubits: tuple[int, ...], width: int, k: int) -> np.ndarray:
@@ -299,7 +360,7 @@ def _compile(
         key = (g, tuple(local.index(q) for q in g.qubits), n)
         if key not in embedded:
             identity = np.tile(np.eye(4**n, dtype=complex), (k, 1))
-            placed = _apply(_gate_superop(g, models), _operand_index(key[1], n, k), identity)
+            placed = _apply(_gate_superop(g, models), _layout(key[1], n, k).index, identity)
             embedded[key] = placed.reshape(k, 4**n, 4**n)
         superops = embedded[key] @ superops
     dropped = [i for i, q in enumerate(local) if q in aux]

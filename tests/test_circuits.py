@@ -264,3 +264,14 @@ def test_circuit_invariants():
     with pytest.raises(ValueError):
         Circuit(2, (Gate("reset", (0,)),), roles=("spin", "aux"))
     Circuit(2, (Gate("reset", (1,)),), roles=("spin", "aux"))
+
+
+def test_model_register_must_permute_the_non_auxiliary_qubits():
+    roles = ("aux", "spin", "boson", "spin", "aux")
+    assert Circuit(5, roles=roles, model_register=[3, 1, 2]).model_register == (3, 1, 2)
+    assert Circuit(2, model_register=(1, 0)).model_register == (1, 0)
+    for register in ((1, 2), (1, 2, 3, 0), (1, 1, 3), (1, 2, 3, 3), (1, 2, 5)):
+        with pytest.raises(ValueError, match="not a permutation of the non-auxiliary qubits"):
+            Circuit(5, roles=roles, model_register=register)
+    with pytest.raises(ValueError, match=r"non-auxiliary qubits \(0, 1\)"):
+        Circuit(2, model_register=(0,))

@@ -19,6 +19,8 @@ from sbsim.model import (
     InitialStateSpec,
     ModelParams,
     dense_hamiltonian,
+    gamma_eff,
+    hamiltonian_sum,
     initial_density_matrix,
     lindblad_operators,
 )
@@ -195,9 +197,16 @@ def test_dimension_mismatch():
     [ModelParams(), ModelParams(gamma=2.5, epsilon=-1.0), ModelParams(n_spins=2, omega=6.0),
      ModelParams(n_spins=2, omega=6.0, d_ho=8)],
 )
-def test_generator_norm_bound_bounds_the_liouvillian(params, convention):
-    gen = liouvillian(dense_hamiltonian(params, GRAY), lindblad_operators(params, convention))
-    assert np.linalg.norm(gen, 1) <= oracle.generator_norm_bound(params, convention, GRAY)
+def test_generator_norm_bound_bounds_the_liouvillian(rng, params, convention):
+    # the ||L||_1 the oracle plans from bounds the d x d action it applies, on vec(X)
+    gen, rate, norm = oracle._generator_for(params, convention, GRAY)
+    dim = gen.shape[0]
+    blocks = [(1, 2**q, 2, dim >> (q + 1), 2**q, 2, dim >> (q + 1)) for q in params.spin_positions]
+    for _ in range(5):
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        x = x + x.conj().T
+        got = oracle._generator_action(gen[None], np.full((1, 1, 1, 1, 1), rate), blocks, x[None])[0]
+        assert np.abs(got).sum() <= norm * np.abs(x).sum() * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("convention", RATE_CONVENTIONS)
@@ -211,7 +220,6 @@ def test_exact_norm_equals_the_dense_generator_norm(params, convention, code):
     dense = np.linalg.norm(liouvillian(dense_hamiltonian(params, code), lindblad_operators(params, convention)), 1)
     _, _, norm = oracle._generator_for(params, convention, code)
     assert abs(norm - dense) <= 1e-12 * dense
-    assert oracle.generator_norm_bound(params, convention, code) >= norm
 
 
 @pytest.mark.parametrize("convention", RATE_CONVENTIONS)
@@ -267,5 +275,19 @@ def test_substep_cap_rejects_stiff_or_overflowing_models():
     assert not oracle.exceeds_substep_cap(ModelParams(), 0.5)
     for params in (ModelParams(epsilon=1e308), ModelParams(lambda_c=1e308), ModelParams(gamma=1e300)):
         assert oracle.exceeds_substep_cap(params, 0.2)
-    # a finite bound of order 1e6 needs about 1e5 substeps per unit interval
+    # a finite norm of order 1e6 needs about 1e5 substeps per unit interval
     assert oracle.exceeds_substep_cap(ModelParams(omega=1e6), 1.0)
+
+
+def test_substep_cap_is_judged_from_the_exact_norm():
+    # strong coupling at d_ho 8: the plan from the exact ||L||_1 needs about 8000 substeps per
+    # interval, the plan from the Pauli-sum bound 2 sum_P |c_P| + 2 sum_k r_k about 11400
+    params = ModelParams(d_ho=8, lambda_c=39000.0)
+    rate = gamma_eff(params.gamma, PAPER_COLLISION)
+    bound = 2 * sum(abs(t.coefficient) for t in hamiltonian_sum(params, GRAY).terms) + 2 * rate
+    norm = oracle._generator_for(params, PAPER_COLLISION, GRAY)[2]
+    assert bound >= norm
+    assert oracle._taylor_plan(bound * 0.2)[1] > oracle.MAX_SUBSTEPS >= oracle._taylor_plan(norm * 0.2)[1] > 7000
+    assert not oracle.exceeds_substep_cap(params, 0.2)
+    assert make_config("noise_sweep", overrides={"d_ho": 8, "lambda_c": 39000.0}).validate() == []
+    assert oracle.exceeds_substep_cap(ModelParams(d_ho=8, lambda_c=50000.0), 0.2)

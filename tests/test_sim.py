@@ -249,12 +249,22 @@ def test_aux_used_again_after_its_reset_without_reset_is_rejected():
 
 
 def test_aux_not_clean_when_its_run_starts_is_rejected():
-    # a gate on the boson splits the collision, so its reset would start a run
-    # on a dirty auxiliary; the run that leaves the auxiliary dirty is rejected
-    gates = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 0)), Gate("cx", (1, 0)), Gate("reset", (2,)))
-    assert [len(run) for run in _runs(gates)] == [2, 1, 1]
+    # cx(2, 1) leaves the run of cry(0, 2) on three qubits, so the reset joins the run
+    # of cx(2, 1) and would start it on a dirty auxiliary; the run that leaves it dirty
+    # is rejected
+    gates = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 1)), Gate("reset", (2,)))
+    assert [len(run) for run in _runs(gates)] == [1, 2]
     with pytest.raises(ValueError, match="auxiliary 2 is not reset"):
         simulate(Circuit(3, gates, (ROLE_SPIN, ROLE_BOSON, ROLE_AUX)))
+
+
+def test_aux_reset_commuted_past_a_gate_on_other_qubits_is_accepted():
+    # cx(1, 0) shares no qubit with the reset of 2, so the reset joins its collision's run
+    prep = (Gate("x", (0,)), Gate("sx", (1,)), Gate("barrier"))
+    collision = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 0)), Gate("cx", (1, 0)), Gate("reset", (2,)))
+    assert list(_runs(collision)) == [collision[:2] + collision[3:], collision[2:3]]
+    circuit = Circuit(3, prep + collision + (Gate("barrier"),), (ROLE_SPIN, ROLE_BOSON, ROLE_AUX), (1, 0))
+    _assert_matches_bruteforce(circuit, 0.0)
 
 
 def test_initial_state_with_weight_outside_aux_ground_is_rejected():
@@ -376,6 +386,116 @@ def test_transpiled_equals_ir_noiseless():
     rho_a = simulate(circuit).snapshots[-1]
     rho_b = simulate(native).snapshots[-1]
     assert fidelity(rho_a, rho_b) > 1 - 1e-9
+
+
+def _random_gates(rng, qubits, n_gates):
+    """Native gates on ``qubits``: one-qubit gates and cx, with random operands and angles."""
+    gates = []
+    for _ in range(n_gates):
+        kind = rng.choice(["sx", "x", "rz", "cx", "cx"] if len(qubits) > 1 else ["sx", "x", "rz"])
+        if kind == "cx":
+            a, b = rng.choice(qubits, size=2, replace=False)
+            gates.append(Gate("cx", (int(a), int(b))))
+        else:
+            q = int(rng.choice(qubits))
+            gates.append(Gate(kind, (q,), float(rng.uniform(-3, 3)) if kind == "rz" else None))
+    return gates
+
+
+def _random_collision_circuit(rng, n_state: int, n_blocks: int) -> Circuit:
+    """State qubits 0..n_state-1, in random model order, then two auxiliaries.
+
+    A block is either random gates on the state qubits or a collision-like
+    sequence on one state qubit and one auxiliary, ended by the auxiliary's
+    reset, with random gates on the other state qubits woven in.  Barriers
+    fall between blocks.
+    """
+    width = n_state + 2
+    state = list(range(n_state))
+    gates = _random_gates(rng, state, 2 * n_state)
+    for _ in range(n_blocks):
+        if rng.random() < 0.3:
+            gates.append(Gate("barrier"))
+        if rng.random() < 0.5:
+            gates += _random_gates(rng, state, int(rng.integers(1, 6)))
+            continue
+        s, a = int(rng.choice(state)), int(rng.choice([n_state, n_state + 1]))
+        block = [Gate("sx", (a,)), Gate("cx", (s, a)), Gate("rz", (a,), float(rng.uniform(-3, 3))),
+                 Gate("cx", (a, s)), Gate("sx", (s,))]
+        others = [q for q in state if q != s]
+        for g in block:
+            gates.append(g)
+            gates += _random_gates(rng, others, int(rng.integers(0, 3)))
+        gates.append(Gate("reset", (a,)))
+    gates.append(Gate("barrier"))
+    roles = (ROLE_SPIN,) * n_state + (ROLE_AUX,) * 2
+    return Circuit(width, tuple(gates), roles, tuple(int(q) for q in rng.permutation(n_state)))
+
+
+def test_runs_commute_only_disjoint_gates(rng):
+    for _ in range(200):
+        width = int(rng.integers(2, 6))
+        gates = []
+        for _ in range(int(rng.integers(0, 30))):
+            roll = rng.random()
+            if roll < 0.1:
+                gates.append(Gate(str(rng.choice(["barrier", "measure"]))))
+            elif roll < 0.25:
+                gates.append(Gate("reset", (int(rng.integers(width)),)))
+            else:
+                gates += _random_gates(rng, list(range(width)), 1)
+        runs = list(_runs(tuple(gates)))
+        where = {id(g): i for i, g in enumerate(gates)}
+        order = [where[id(g)] for run in runs for g in run]
+        assert sorted(order) == list(range(len(gates)))  # every gate once
+        for run in runs:
+            if run[0].kind in ("barrier", "measure"):
+                assert len(run) == 1
+                continue
+            assert all(g.kind not in ("barrier", "measure") for g in run)
+            assert len({q for g in run for q in g.qubits}) <= 2
+            reset: set[int] = set()
+            for g in run:
+                assert reset.isdisjoint(g.qubits)  # nothing after the run's reset of a qubit
+                if g.kind == "reset":
+                    reset.update(g.qubits)
+        for pos, i in enumerate(order):
+            if gates[i].kind in ("barrier", "measure"):
+                assert pos == i  # markers keep their positions
+        for a, i in enumerate(order):
+            for j in order[a + 1:]:
+                if set(gates[i].qubits) & set(gates[j].qubits):
+                    assert i < j  # gates that share a qubit keep their order
+
+
+@pytest.mark.parametrize("n_state, n_models", [(2, 1), (3, 2), (4, 1), (5, 3)])
+def test_random_noisy_circuits_with_auxiliaries_match_bruteforce(rng, n_state, n_models):
+    cal = jakarta_average_calibration()
+    models = (build_noise_model(cal, 0.3), None, build_noise_model(cal, 1.0))[:n_models]
+    for _ in range(2 if n_state < 5 else 1):
+        circuit = _random_collision_circuit(rng, n_state, 8)
+        results = simulate(circuit, noise=models)
+        for model, result in zip(models, results):
+            snapshots, final = simulate_bruteforce(circuit, noise=model)
+            assert len(result.snapshots) == len(snapshots)
+            for got, want in zip([*result.snapshots, result.final], [*snapshots, final]):
+                assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_six_qubit_stack_is_a_valid_state_and_each_member_runs_alone():
+    cal = jakarta_average_calibration()
+    models = (None, build_noise_model(cal, 0.01), build_noise_model(cal, 1.0))
+    step = _native_evolution(2, 2, 1, d_ho=16)
+    assert step.width - len(step.aux_qubits) == 6
+    stacked = simulate(step, noise=models, repeat=2)
+    for model, got in zip(models, stacked):
+        for rho in got.snapshots:
+            assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+            assert abs(np.trace(rho).real - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(rho).min() > -1e-10
+        alone = simulate(step, noise=model, repeat=2)
+        assert np.array_equal(got.snapshots, alone.snapshots)
+        assert np.array_equal(got.final, alone.final)
 
 
 def test_sample_counts_pure_state():
