@@ -25,8 +25,9 @@ rate, with one plan per interval from the largest member's norm.
 ``MAX_SIM_WIDTH`` = 6 qubits (d = 64).  It also rejects models whose plan
 would need more than ``MAX_SUBSTEPS`` substeps per interval, judged from the
 same exact ||L||_1 the run plans from (``exceeds_substep_cap``); G is built
-then and cached, so the run reuses it.  The Hermiticity and trace drift of every member is checked against hard
-tolerances, at the start and after every interval.
+then and cached, so the run reuses it.  The Hermiticity and trace drift of
+every member is checked against hard tolerances, at the start and after
+every interval.
 """
 
 from __future__ import annotations

@@ -93,17 +93,6 @@ def gate_unitary(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"gate kind {kind!r} has no unitary")
 
 
-def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndarray:
-    """Reduced state on ``keep``, reordered to the order given there."""
-    tensor = rho.reshape((2,) * (2 * width))
-    kept = set(keep)
-    in_sub = list(range(width)) + [width + q if q in kept else q for q in range(width)]
-    out_sub = [q for q in keep] + [width + q for q in keep]
-    reduced = np.einsum(tensor, in_sub, out_sub)
-    dim = 2 ** len(keep)
-    return reduced.reshape(dim, dim)
-
-
 def ground_state(width: int) -> np.ndarray:
     rho = np.zeros((2**width, 2**width), dtype=complex)
     rho[0, 0] = 1.0
@@ -146,9 +135,9 @@ def simulate(
     is one gather into its own layout and one stacked matrix product; each
     snapshot is one gather into the model register's order.  Compiled runs,
     keyed by the run and the qubits the state holds, are kept in
-    ``compiled`` together with the gate superoperators placed for them.  That dict is bound to the members on first use, and
-    passing it again with other members raises; without one, a fresh dict
-    serves this call.
+    ``compiled`` together with the gate superoperators placed for them.
+    That dict is bound to the members on first use, and passing it again
+    with other members raises; without one, a fresh dict serves this call.
 
     Each result holds its member's snapshots as one (n, d, d) array.
 
@@ -207,13 +196,13 @@ def simulate(
             raise ValueError("repeat needs a block between two barriers; the circuit has fewer")
         start, stop = marks[-2] + 1, marks[-1] + 1
 
-    # the state is held in the layout of the last applied run's operands; () is the natural order
     register = tuple(range(n)) if circuit.model_register is None else tuple(
         kept.index(q) for q in circuit.model_register
     )
     dim = 2**n
     noisy = [j for j, model in enumerate(models) if model is not None]
     moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them
+    # vec is held in the layout of the last applied run's operands; () is the natural order
     vec, layout = np.tile(rho.ravel(), k), ()
     ops = program[:start] + program[start:stop] * repeat + program[stop:]
     snapshots = np.empty((k, ops.count(None), dim, dim), dtype=complex)
@@ -274,7 +263,8 @@ def _split(pending: list[Gate]):
     while pending:
         run, rest = [pending[0]], []
         covered = set(pending[0].qubits)
-        closed = set(covered) if pending[0].kind == "reset" else set()  # no later gate of the run may touch these
+        # qubits that no later gate of the run may touch: those of skipped gates and of its resets
+        closed = set(covered) if pending[0].kind == "reset" else set()
         for i, g in enumerate(pending[1:], start=1):
             joins = not covered.isdisjoint(g.qubits) and closed.isdisjoint(g.qubits)
             if joins and len(covered.union(g.qubits)) <= 2:
@@ -300,8 +290,17 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
-    """The layout that groups a stack of k width-qubit rhos by model, then by these operands' bits."""
-    index = _operand_index(operands, width, k)
+    """The layout of a stack of k width-qubit rhos grouped by model, then by these operands' bits.
+
+    Its ``index`` splits into k equal parts, one per stacked rho in order,
+    and block l of each part (of ``4**len(operands)`` equal blocks) lists
+    the flat entries whose operand row and column bits, read as one 2a-bit
+    word, equal l.  No operands give the natural order; all of them, in
+    some order, give each rho with its qubits in that order.
+    """
+    operand_axes = [1 + q for q in operands] + [1 + width + q for q in operands]
+    axes = [0] + operand_axes + [a for a in range(1, 2 * width + 1) if a not in operand_axes]
+    index = np.arange(k * 4**width).reshape((k,) + (2,) * (2 * width)).transpose(axes).ravel()
     inverse = np.empty_like(index)
     inverse[index] = np.arange(index.size)
     dim = 2**width
@@ -311,19 +310,6 @@ def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
     for array in (index, inverse, diagonal):
         array.flags.writeable = False
     return _Layout(index, inverse, diagonal)
-
-
-def _operand_index(qubits: tuple[int, ...], width: int, k: int) -> np.ndarray:
-    """Flat entries of a stack of k width-qubit rhos, grouped by model and operand bits.
-
-    The result splits into k equal parts, one per stacked rho in order, and
-    block l of each part (of ``4**len(qubits)`` equal blocks) lists the
-    entries whose operand row and column bits, read as one 2a-bit word,
-    equal l.
-    """
-    operand_axes = [1 + q for q in qubits] + [1 + width + q for q in qubits]
-    axes = [0] + operand_axes + [a for a in range(1, 2 * width + 1) if a not in operand_axes]
-    return np.arange(k * 4**width).reshape((k,) + (2,) * (2 * width)).transpose(axes).ravel()
 
 
 def _apply(superops: np.ndarray, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:

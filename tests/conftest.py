@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sbsim.sim import gate_unitary, partial_trace
+from sbsim.sim import gate_unitary
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,6 +24,17 @@ def kron_all(mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def partial_trace(rho: np.ndarray, keep: tuple[int, ...], width: int) -> np.ndarray:
+    """Reduced state on ``keep``, reordered to the order given there."""
+    tensor = rho.reshape((2,) * (2 * width))
+    kept = set(keep)
+    in_sub = list(range(width)) + [width + q if q in kept else q for q in range(width)]
+    out_sub = [q for q in keep] + [width + q for q in keep]
+    reduced = np.einsum(tensor, in_sub, out_sub)
+    dim = 2 ** len(keep)
+    return reduced.reshape(dim, dim)
 
 
 def embed_bruteforce(op: np.ndarray, qubits, width: int) -> np.ndarray:

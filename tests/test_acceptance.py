@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import partial_trace
 from sbsim import metrics, noise, sim, transpile
 from sbsim.circuits import assemble_evolution, collision_block
 from sbsim.encoding import GRAY, code_permutation, encode_hamiltonian
@@ -82,7 +83,7 @@ def test_c01_collision_channel_exactness():
                     unit[i, j] = 1.0
                     rho_in = np.kron(unit, np.diag([1.0, 0.0])).astype(complex)
                     out_full = sim.simulate(block, rho0=rho_in).final
-                    out = sim.partial_trace(out_full, (0,), 2)
+                    out = partial_trace(out_full, (0,), 2)
                     choi_block += np.kron(unit, out)
                     choi_exact += np.kron(unit, k0 @ unit @ k0.conj().T + k1 @ unit @ k1.conj().T)
             worst = max(worst, float(np.max(np.abs(choi_block - choi_exact))))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import embed_bruteforce, kron_all, random_density_matrix, simulate_bruteforce
+from conftest import embed_bruteforce, kron_all, partial_trace, random_density_matrix, simulate_bruteforce
 from sbsim.circuits import (
     ROLE_AUX,
     ROLE_BOSON,
@@ -33,7 +33,6 @@ from sbsim.sim import (
     _runs,
     ground_state,
     mitigate_readout,
-    partial_trace,
     sample_counts,
     simulate,
 )
