@@ -7,8 +7,8 @@ each experiment is checked as configured and with the deprecated
 Correlations is also checked at ``d_ho`` = 8 (5 state qubits) and, at its
 default config with ``t_final`` = 0.4, at ``d_ho`` = 16 (6 state qubits,
 the engine's widest register), and observables with 500 sampled shots at
-seed 4, which pins the shot seeds and the readout mitigation.  Regenerate them only on purpose, with
-``PYTHONPATH=src python tests/test_golden.py``.
+seed 4, which pins the shot seeds and the readout mitigation.  Regenerate
+them only on purpose, with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import os

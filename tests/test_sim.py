@@ -248,9 +248,9 @@ def test_aux_used_again_after_its_reset_without_reset_is_rejected():
 
 
 def test_aux_not_clean_when_its_run_starts_is_rejected():
-    # cx(2, 1) leaves the run of cry(0, 2) on three qubits, so the reset joins the run
-    # of cx(2, 1) and would start it on a dirty auxiliary; the run that leaves it dirty
-    # is rejected
+    # cx(2, 1) would put the run of cry(0, 2) on three qubits, so that run skips it and
+    # then the reset; the reset joins the run of cx(2, 1), which would start on a dirty
+    # auxiliary, and the run that leaves it dirty is rejected
     gates = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 1)), Gate("reset", (2,)))
     assert [len(run) for run in _runs(gates)] == [1, 2]
     with pytest.raises(ValueError, match="auxiliary 2 is not reset"):
@@ -391,7 +391,7 @@ def _random_gates(rng, qubits, n_gates):
     """Native gates on ``qubits``: one-qubit gates and cx, with random operands and angles."""
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["sx", "x", "rz", "cx", "cx"] if len(qubits) > 1 else ["sx", "x", "rz"])
+        kind = str(rng.choice(["sx", "x", "rz", "cx", "cx"] if len(qubits) > 1 else ["sx", "x", "rz"]))
         if kind == "cx":
             a, b = rng.choice(qubits, size=2, replace=False)
             gates.append(Gate("cx", (int(a), int(b))))
