@@ -14,8 +14,10 @@ vec(E(rho)) = S vec(rho) on the row-major vectorization (``kraus_superop``'s
 convention), which the engine applies directly; "A then B" is ``B @ A``.
 Thermal relaxation is one such matrix: populations relax to the ground
 state with p_reset = 1 - exp(-t/T1) and coherences decay as exp(-t/T2); it
-is completely positive exactly when T2 <= 2 T1.  Qubit temperature is fixed
-at zero, so qubit frequency never enters.
+is completely positive exactly when T2 <= 2 T1.  On two qubits it is the
+kron of the operands' channels, with bits (first row, first column, second
+row, second column), placed by ``pauli.embed_operator`` in row-then-column
+order.  Qubit temperature is fixed at zero, so qubit frequency never enters.
 
 Which calibration entry a gate uses is decided in one place,
 ``CalibrationData.gate_entry``: an entry on the gate's own operands beats
@@ -34,6 +36,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
+
+from .pauli import embed_operator
 
 CPTP_TOL = 1e-10
 
@@ -205,13 +209,6 @@ def is_cptp(superop: np.ndarray, tol: float = CPTP_TOL) -> bool:
     return bool(np.linalg.eigvalsh(choi).min() >= -tol)
 
 
-def _product_channel(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Product channel: ``first`` on the leading qubits, ``second`` on the trailing ones."""
-    a, b = math.isqrt(len(first)), math.isqrt(len(second))
-    s = np.einsum("acbd,ACBD->aAcCbBdD", first.reshape(a, a, a, a), second.reshape(b, b, b, b))
-    return s.reshape((a * b) ** 2, (a * b) ** 2)
-
-
 def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> np.ndarray:
     """Single-qubit thermal relaxation acting for ``t_gate`` (same unit as T1/T2).
 
@@ -326,7 +323,7 @@ def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> np.nd
         qcals = [cal.qubits[q] for q in entry.qubits]
     t_us = entry.time_ns * 1e-3
     singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]
-    return singles[0] if n_q == 1 else _product_channel(*singles)
+    return singles[0] if n_q == 1 else embed_operator(np.kron(*singles), (0, 2, 1, 3), 4)
 
 
 def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:

@@ -6,7 +6,9 @@ Conventions used throughout the package:
   is ``kron(X, Z)``;
 * a :class:`PauliSum` in canonical form has no duplicate letter patterns,
   no terms with ``|coefficient| < COEFF_TOL``, and its terms sorted
-  lexicographically by letters.
+  lexicographically by letters;
+* ``embed_operator`` alone places local operators on a larger register:
+  observables, jump operators, gate superoperators and two-qubit channels.
 """
 
 from __future__ import annotations
@@ -176,17 +178,22 @@ def kron_all(mats) -> np.ndarray:
 
 
 def embed_operator(op: np.ndarray, qubits: tuple[int, ...], width: int) -> np.ndarray:
-    """Expand a k-qubit operator to the full register (qubit 0 leftmost)."""
+    """Place each (2^k, 2^k) operator of a (..., 2^k, 2^k) stack on ``qubits`` of the register.
+
+    Its i-th qubit lands on ``qubits[i]`` (qubit 0 leftmost); the result is
+    complex.  A superoperator on qubits ``at`` of an n-qubit register, in
+    ``kraus_superop``'s row-major convention, is an operator on the 2n-bit
+    (row bits, then column bits) register at ``at + tuple(n + p for p in at)``.
+    """
     k = len(qubits)
-    if op.shape != (2**k, 2**k):
+    if op.shape[-2:] != (2**k, 2**k):
         raise ValueError("operator shape does not match operand count")
-    rest = [q for q in range(width) if q not in qubits]
-    full = np.kron(op, np.eye(2 ** (width - k), dtype=complex))
-    order = list(qubits) + rest
-    perm = [order.index(q) for q in range(width)]
-    tensor = full.reshape((2,) * (2 * width))
-    tensor = tensor.transpose(perm + [width + p for p in perm])
-    return np.ascontiguousarray(tensor.reshape(2**width, 2**width))
+    order = list(qubits) + [q for q in range(width) if q not in qubits]
+    perm = [1 + order.index(q) for q in range(width)]
+    # op x identity by broadcasting, on axes (stack, op row, rest row, op column, rest column)
+    full = op.reshape(-1, 2**k, 1, 2**k, 1) * np.eye(2 ** (width - k), dtype=complex)[:, None, :]
+    tensor = full.reshape((-1,) + (2,) * (2 * width)).transpose([0] + perm + [width + p for p in perm])
+    return tensor.reshape(op.shape[:-2] + (2**width, 2**width))
 
 
 def _fmt_coeff(c: complex) -> str:

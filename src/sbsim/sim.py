@@ -5,7 +5,9 @@ operands together cover at most two qubits, the width of the widest native
 gate.  A run takes later gates on its qubits past gates on other qubits,
 which commute with them exactly; nothing crosses a barrier or a
 measurement.  Each distinct run is compiled into one local superoperator on
-its qubits (no full-register operators).
+its qubits (no full-register operators), the product of its gates'
+superoperators, each placed by ``pauli.embed_operator`` on the row and
+column bits of the run's qubits.
 
 The state is held in the layout of the last applied run: grouped by model,
 then by that run's operand bits.  Applying the next run is then one gather
@@ -48,7 +50,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .noise import kraus_superop
-from .pauli import kron_all
+from .pauli import embed_operator, kron_all
 
 MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
 _AUX_TOL = 1e-12
@@ -258,28 +260,31 @@ def _runs(gates: tuple[Gate, ...]):
     yield from _split(segment)
 
 
-def _split(pending: list[Gate]):
-    """The runs of one marker-free gate list, in the order of their first gates."""
-    while pending:
-        run, rest = [pending[0]], []
-        covered = set(pending[0].qubits)
-        # qubits that no later gate of the run may touch: those of skipped gates and of its resets
-        closed = set(covered) if pending[0].kind == "reset" else set()
-        for i, g in enumerate(pending[1:], start=1):
+def _split(pending: list[Gate]) -> list[tuple[Gate, ...]]:
+    """The runs of one marker-free gate list, in the order of their first gates.
+
+    Each gate joins the first open run that takes it, closes its qubits in
+    every open run before that, and starts a run if none takes it.
+    """
+    runs: list[list[Gate]] = []
+    # open runs as (gates, covered qubits, closed qubits); closed are those of
+    # the gates the run refused and of its resets, which no later gate of it may touch
+    live: list[tuple[list[Gate], set[int], set[int]]] = []
+    for g in pending:
+        for run, covered, closed in live:
             joins = not covered.isdisjoint(g.qubits) and closed.isdisjoint(g.qubits)
             if joins and len(covered.union(g.qubits)) <= 2:
                 run.append(g)
                 covered.update(g.qubits)
                 if g.kind == "reset":
                     closed.update(g.qubits)
-            else:
-                rest.append(g)
-                closed.update(g.qubits)
-                if covered <= closed:  # no later gate can join
-                    rest += pending[i + 1:]
-                    break
-        yield tuple(run)
-        pending = rest
+                break
+            closed.update(g.qubits)
+        else:
+            runs.append([g])
+            live.append((runs[-1], set(g.qubits), set(g.qubits) if g.kind == "reset" else set()))
+        live = [entry for entry in live if not entry[1] <= entry[2]]  # a run closed on all its qubits is done
+    return [tuple(run) for run in runs]
 
 
 class _Layout(NamedTuple):
@@ -312,25 +317,15 @@ def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
     return _Layout(index, inverse, diagonal)
 
 
-def _apply(superops: np.ndarray, idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply a stack of local superoperators, one per stacked rho, to flat stacked rhos.
-
-    ``vecs`` holds the k flat density matrices one after another along
-    axis 0; further axes hold independent columns.
-    """
-    out = np.empty_like(vecs)
-    out[idx] = (superops @ vecs[idx].reshape(*superops.shape[:2], -1)).reshape(vecs.shape)
-    return out
-
-
 def _compile(
     run: tuple[Gate, ...], models: tuple, aux: tuple[int, ...], embedded: dict
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """A run's superoperators, one per noise model, and the qubits they act on, in order.
 
     The run's local register orders its qubits by first appearance.  Each
-    gate's superoperators are placed on that register once (cached in
-    ``embedded``), and the run's superoperator under each model is their
+    gate's stacked superoperators are placed on that register once (cached
+    in ``embedded``) by ``embed_operator``, as an operator on its row bits
+    then column bits, and the run's superoperator under each model is their
     product.  Each auxiliary of the run is then removed: it enters in |0>
     (input row = column = 0) and is traced out of the output.  That is
     exact only if the run's last operation on it is a reset, so anything
@@ -340,15 +335,14 @@ def _compile(
     local: list[int] = []
     for g in run:
         local += [q for q in g.qubits if q not in local]
-    n, k = len(local), len(models)
-    superops = np.tile(np.eye(4**n, dtype=complex), (k, 1, 1))
+    n = len(local)
+    superops = None
     for g in run:
-        key = (g, tuple(local.index(q) for q in g.qubits), n)
+        at = tuple(local.index(q) for q in g.qubits)
+        key = (g, at, n)
         if key not in embedded:
-            identity = np.tile(np.eye(4**n, dtype=complex), (k, 1))
-            placed = _apply(_gate_superop(g, models), _layout(key[1], n, k).index, identity)
-            embedded[key] = placed.reshape(k, 4**n, 4**n)
-        superops = embedded[key] @ superops
+            embedded[key] = embed_operator(_gate_superop(g, models), at + tuple(n + p for p in at), 2 * n)
+        superops = embedded[key] if superops is None else embedded[key] @ superops
     dropped = [i for i, q in enumerate(local) if q in aux]
     for i in dropped:
         last = next(g for g in reversed(run) if local[i] in g.qubits)

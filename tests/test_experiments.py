@@ -419,7 +419,11 @@ def test_two_spins_at_d_ho_8_validate():
 # trotter_sweep runs every circuit noiseless, so all 20 circuits share one one-member stack;
 # gamma_sweep runs each of its 6 circuits under the same (None, xi 0.01) stack.  The counts
 # are of the commutation-aware runs (sim._runs) of those circuits' steps and preparations.
-@pytest.mark.parametrize("experiment, distinct", [("trotter_sweep", 78), ("gamma_sweep", 18)])
+@pytest.mark.parametrize(
+    "experiment, distinct",
+    [("trotter_sweep", 78), ("gamma_sweep", 18)],
+    ids=["trotter_sweep", "gamma_sweep"],
+)
 def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, experiment, distinct):
     calls = []
     compile_run = sim._compile

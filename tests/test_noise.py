@@ -6,11 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_density_matrix, random_unitary
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
     QubitCalibration,
+    _gate_thermal_channel,
     average_gate_fidelity,
     build_noise_model,
     depolarizing_channel,
@@ -270,6 +271,20 @@ def test_channel_for_takes_the_operand_entry_over_the_wildcard(xi, operand_entry
     assert average_gate_fidelity(own) == pytest.approx(1 - xi * on_two.error, abs=1e-9)
     assert average_gate_fidelity(shared) == pytest.approx(1 - xi * wildcard.error, abs=1e-9)
     assert own is model.channels[("sx", (2,))] and shared is model.channels[("sx", None)]
+
+
+def test_two_qubit_thermal_channel_acts_on_each_operand_in_order(rng):
+    # distinct T1/T2 per qubit, so a product in the wrong order or on mixed-up bits shows
+    qubits = (QubitCalibration(120.0, 40.0, 5.0, 0.01, 0.01), QubitCalibration(50.0, 90.0, 5.0, 0.01, 0.01))
+    time_ns = 5000.0
+    singles = [thermal_relaxation_channel(q.t1_us, q.t2_us, time_ns * 1e-3) for q in qubits]
+    states = [random_density_matrix(rng, 2) for _ in qubits]
+    for first, second in ((0, 1), (1, 0)):
+        entry = GateCalibration("cx", (first, second), 0.0, time_ns)
+        channel = _gate_thermal_channel(CalibrationData(qubits, (entry,)), entry)
+        out = _apply(channel, np.kron(states[first], states[second]))
+        expected = np.kron(_apply(singles[first], states[first]), _apply(singles[second], states[second]))
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 def test_missing_calibration_entry():

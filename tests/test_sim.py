@@ -1,11 +1,19 @@
 """Density-matrix engine: gates, channels, snapshots, sampling, mitigation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import embed_bruteforce, kron_all, partial_trace, random_density_matrix, simulate_bruteforce
+from conftest import (
+    embed_bruteforce,
+    kron_all,
+    partial_trace,
+    random_density_matrix,
+    random_unitary,
+    simulate_bruteforce,
+)
 from sbsim.circuits import (
     ROLE_AUX,
     ROLE_BOSON,
@@ -25,6 +33,7 @@ from sbsim.noise import (
     QubitCalibration,
     build_noise_model,
     jakarta_average_calibration,
+    kraus_superop,
 )
 from sbsim.oracle import evolve_exact
 from sbsim.pauli import embed_operator
@@ -48,6 +57,25 @@ def test_embed_operator_matches_bruteforce(rng):
         np.testing.assert_allclose(
             embed_operator(op, qubits, width), embed_bruteforce(op, qubits, width), atol=1e-13
         )
+        # a stack places each member on its own
+        stack = rng.normal(size=(3, 2, 2**n_q, 2**n_q)) + 1j * rng.normal(size=(3, 2, 2**n_q, 2**n_q))
+        placed = embed_operator(stack, qubits, width)
+        assert placed.shape == (3, 2, 2**width, 2**width)
+        for index in np.ndindex(3, 2):
+            alone = embed_bruteforce(stack[index], qubits, width)
+            np.testing.assert_allclose(placed[index], alone, atol=1e-13)
+        with pytest.raises(ValueError, match="does not match operand count"):
+            embed_operator(stack[..., :-1], qubits, width)
+    # a superoperator on qubits at of an n-qubit register is an operator on its 2n row-then-column bits
+    for width in (2, 3):
+        for at in [*itertools.permutations(range(width), 1), *itertools.permutations(range(width), 2)]:
+            unitary = random_unitary(rng, 2 ** len(at))
+            superop = kraus_superop(unitary[None])
+            np.testing.assert_allclose(
+                embed_operator(superop, at + tuple(width + p for p in at), 2 * width),
+                kraus_superop(embed_bruteforce(unitary, at, width)[None]),
+                atol=1e-13,
+            )
 
 
 def test_partial_trace_of_product_state(rng):
