@@ -2,20 +2,21 @@
 
 Each experiment expands into an ordered grid of points.  ``run`` builds
 every input that points share once: the calibration (parsed once and kept
-on the config), one noise model per xi, the exact reference, one native
-one-step circuit per (order, gamma, dt), kept on the config beside the
-calibration, and one dict of compiled runs per tuple of noise models.  The
-exact reference is one stacked oracle call per run: every gamma of the run
-on the union of its dt grids, from which each (gamma, dt) reads the states
-at its own times.  Each circuit is simulated in one engine pass in the
-calling process: it replays its one-step circuit for its step count under
-the noise models of all its points at once, as one stacked state, and the
-circuits of one model tuple share its compiled runs.  One row pass then
-scores each simulated snapshot once against the reference, as stacks, and
-emits the rows in grid order, so identical configs and seeds give
-byte-identical CSV output.  gate_counts instead counts the routed native
-step of each point of a fixed grid.  The ``workers`` field is deprecated
-and has no effect: every run is serial.
+on the config), the noise models of every xi (one stacked build), the
+exact reference, one native one-step circuit per (order, gamma, dt), kept
+on the config beside the calibration, and one dict of compiled runs per
+tuple of noise models.  The exact reference is one stacked oracle call per
+run: every gamma of the run on the union of its dt grids, from which each
+(gamma, dt) reads the states at its own times.  Each circuit is simulated
+in one engine pass in the calling process: it replays its one-step circuit
+for its step count under the noise models of all its points at once, as
+one stacked state, and the circuits of one model tuple share its compiled
+runs.  One row pass then scores each simulated snapshot once against the
+reference, as stacks (infidelity against the reference's square roots
+alone), and emits the rows in grid order, so identical configs and seeds
+give byte-identical CSV output.  gate_counts instead counts the routed
+native step of each point of a fixed grid.  The ``workers`` field is
+deprecated and has no effect: every run is serial.
 """
 
 from __future__ import annotations
@@ -372,25 +373,15 @@ def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     return rows
 
 
-def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
-    """Rows of every grid point in grid order, each simulated snapshot scored once.
+def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], models: dict) -> list[np.ndarray]:
+    """Each point's simulated (n, d, d) snapshots, in grid order.
 
     Each distinct (order, gamma, dt) gets one native one-step circuit
     (``cfg.native_step``), simulated in this process in one engine pass
     under the noise models of its points, in grid order; each distinct
     tuple of those models gets one dict of compiled runs.  A point at
-    xi = 0 simulates without noise; its model, built only when shots are
-    sampled, serves the readout.  Each simulated state is then scored once
-    against the exact state of its gamma at the same time, read from the
-    run's one stacked reference (``_references``): by infidelity for the
-    sweeps and infidelity_vs_time, all in one stacked call, with the square
-    root of each reference state taken once, and by its state values, one
-    stacked call per operator and point, for observables and correlations.
+    xi = 0 simulates without noise.
     """
-    xis = dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None)
-    cal = cfg.calibration_data if xis else None
-    models = {xi: noise.build_noise_model(cal, xi) for xi in xis}
-    references, ref_row, ref_index = _references(cfg, tasks)
     points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
     for i, t in enumerate(tasks):
         points.setdefault((t["order"], t["gamma"], t["dt"]), []).append(i)
@@ -406,6 +397,28 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
         )
         for i, result in zip(members, results):
             simulated[i] = result.snapshots
+    return simulated
+
+
+def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
+    """Rows of every grid point in grid order, each simulated snapshot scored once.
+
+    The noise models of every xi of the run come from one stacked build,
+    and the points are simulated by ``_simulated_snapshots``.  A model at
+    xi = 0, built only when shots are sampled, serves the readout.  Each
+    simulated state is then scored once against the exact state of its
+    gamma at the same time, read from the run's one stacked reference
+    (``_references``).  The sweeps and infidelity_vs_time score by
+    infidelity, all in one stacked call against the square roots of the
+    reference states alone, each root taken once; the per-point snapshot
+    arrays are released once they are stacked.  Observables and
+    correlations score by state values, one stacked call per operator and
+    point.
+    """
+    xis = tuple(dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None))
+    models = dict(zip(xis, noise.build_noise_model(cfg.calibration_data, xis))) if xis else {}
+    references, ref_row, ref_index = _references(cfg, tasks)
+    simulated = _simulated_snapshots(cfg, tasks, models)
 
     rows: list[tuple] = []
     if cfg.experiment in ("observables", "correlations"):
@@ -435,20 +448,21 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
         return rows
 
     first = 0 if cfg.experiment == "infidelity_vs_time" else 1  # no sweep column reads t = 0
-    refs = references.reshape(-1, *references.shape[2:])
+    roots = metrics.sqrtm_psd(references.reshape(-1, *references.shape[2:]))
     picks = np.concatenate([
         ref_row[t["gamma"]] * references.shape[1] + ref_index[t["dt"]][first:] for t in tasks
     ])
-    scores = metrics.infidelity(
-        np.concatenate([states[first:] for states in simulated]), refs[picks], metrics.sqrtm_psd(refs)[picks]
-    )
-    bounds = np.cumsum([len(states) - first for states in simulated])
-    for task, states, task_scores in zip(tasks, simulated, np.split(scores, bounds[:-1])):
+    n_snapshots = [len(states) for states in simulated]
+    stack = np.concatenate([states[first:] for states in simulated])
+    del simulated, references  # the stack holds every scored snapshot; free the engine's arrays
+    scores = metrics.infidelity(stack, None, roots[picks])
+    bounds = np.cumsum([n - first for n in n_snapshots])
+    for task, n, task_scores in zip(tasks, n_snapshots, np.split(scores, bounds[:-1])):
         if cfg.experiment == "infidelity_vs_time":
             rows += [(task["order"], task["gamma"], task["xi"], task["dt"], k * task["dt"], score)
                      for k, score in enumerate(task_scores.tolist())]
             continue
-        n_steps = len(states) - 1
+        n_steps = n - 1
         values = {**task, "n_steps": n_steps, "t_final": n_steps * task["dt"],
                   "avg_infidelity": float(np.mean(task_scores)), "final_infidelity": float(task_scores[-1])}
         rows.append(tuple(values[name] for name in _HEADERS[cfg.experiment]))

@@ -50,14 +50,15 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None =
     values carry full absolute precision near zero, unlike the square roots
     of near-zero eigenvalues in the textbook expression.  ``sigma_sqrt`` is
     ``sqrtm_psd(sigma)`` when the caller has computed it once for many
-    states compared with sigma.
+    states compared with sigma; sigma is then not read and may be None.
 
     Stacks of states (..., d, d) are compared pairwise, with one stacked
     ``eigh`` per side and one stacked ``svd``, and give an array of values;
     each equals, bit for bit, the float that pair gives alone.
     """
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch {rho.shape} vs {sigma.shape}")
+    reference = sigma if sigma_sqrt is None else sigma_sqrt
+    if rho.shape != reference.shape:
+        raise ValueError(f"dimension mismatch {rho.shape} vs {reference.shape}")
     if sigma_sqrt is None:
         sigma_sqrt = sqrtm_psd(sigma)
     singular = np.linalg.svd(sigma_sqrt @ sqrtm_psd(rho), compute_uv=False)

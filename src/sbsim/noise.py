@@ -19,6 +19,14 @@ kron of the operands' channels, with bits (first row, first column, second
 row, second column), placed by ``pauli.embed_operator`` in row-then-column
 order.  Qubit temperature is fixed at zero, so qubit frequency never enters.
 
+``build_noise_model`` builds one model per noise factor of a tuple in one
+pass: each gate entry's channels for every xi form one (X, 4^a, 4^a)
+stack, from the thermal channels through the back-solved depolarizing
+probabilities to the CPTP check, and each model holds its member of every
+stack.  The channel helpers take such stacks as well as single channels.
+A clamped depolarizing probability warns once per clamped member, naming
+its gate entry and xi.
+
 Which calibration entry a gate uses is decided in one place,
 ``CalibrationData.gate_entry``: an entry on the gate's own operands beats
 the kind's wildcard entry.  ``NoiseModel.channel_for`` asks it, then reads
@@ -33,6 +41,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -50,7 +59,9 @@ def _require_finite(entry, label: str, names: tuple[str, ...]) -> None:
     """Each named field of a calibration entry is a finite real number, not a boolean."""
     for name in names:
         value = getattr(entry, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        # a float is a real non-boolean, and the abstract-class check costs ~1 us per field
+        real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+        if not real or not math.isfinite(value):
             raise ValueError(f"{label}: {name} must be a finite number, got {value!r}")
 
 
@@ -131,7 +142,9 @@ class CalibrationData:
                 return g
         raise KeyError(f"no calibration entry for {kind} on {qubits}")
 
+    @cached_property
     def mean_qubit(self) -> QubitCalibration:
+        """The processor-average qubit, computed once per calibration."""
         return QubitCalibration(
             float(np.mean([q.t1_us for q in self.qubits])),
             float(np.mean([q.t2_us for q in self.qubits])),
@@ -186,6 +199,11 @@ def scale_calibration(cal: CalibrationData, xi: float) -> CalibrationData:
 # quantum channels
 
 
+def _value_or_stack(value: np.ndarray):
+    """A Python float or bool for one channel's value, the array of values for a stack."""
+    return value.item() if np.ndim(value) == 0 else value
+
+
 def kraus_superop(kraus) -> np.ndarray:
     """Superoperator S = sum_k K_k x conj(K_k) of stacked Kraus operators.
 
@@ -197,93 +215,107 @@ def kraus_superop(kraus) -> np.ndarray:
     return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
 
 
-def is_cptp(superop: np.ndarray, tol: float = CPTP_TOL) -> bool:
-    """Trace preserving, and a Hermitian positive semidefinite Choi matrix."""
-    d = math.isqrt(len(superop))
+def is_cptp(superop: np.ndarray, tol: float = CPTP_TOL):
+    """Trace preserving, and a Hermitian positive semidefinite Choi matrix.
+
+    ``superop`` is one channel or a stack of them (..., 4^n, 4^n); a stack
+    gives one bool per member.
+    """
+    superop = np.asarray(superop)
+    d = math.isqrt(superop.shape[-1])
     identity = np.eye(d).ravel()
-    if np.max(np.abs(identity @ superop - identity)) > tol:
-        return False
-    choi = superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    if np.max(np.abs(choi - choi.conj().T)) > tol:
-        return False
-    return bool(np.linalg.eigvalsh(choi).min() >= -tol)
+    trace_kept = np.max(np.abs(identity @ superop - identity), axis=-1) <= tol
+    choi = superop.reshape(superop.shape[:-2] + (d,) * 4).swapaxes(-3, -2).reshape(superop.shape)
+    hermitian = np.max(np.abs(choi - choi.conj().swapaxes(-2, -1)), axis=(-2, -1)) <= tol
+    positive = np.linalg.eigvalsh(choi).min(axis=-1) >= -tol
+    return _value_or_stack(trace_kept & hermitian & positive)
 
 
-def thermal_relaxation_channel(t1: float, t2: float, t_gate: float) -> np.ndarray:
+def thermal_relaxation_channel(t1: float, t2: float, t_gate) -> np.ndarray:
     """Single-qubit thermal relaxation acting for ``t_gate`` (same unit as T1/T2).
 
     The excited population decays into the ground state with
-    p_reset = 1 - exp(-t/T1) and the coherences decay as exp(-t/T2).
+    p_reset = 1 - exp(-t/T1) and the coherences decay as exp(-t/T2).  An
+    array of gate times gives a stack of channels (..., 4, 4).
     """
     if t1 <= 0 or t2 <= 0:
         raise ValueError("relaxation times must be positive")
     if t2 > 2 * t1:
         raise ValueError(f"T2={t2} > 2 T1={2 * t1} is unphysical")
-    if t_gate < 0:
+    t_gate = np.asarray(t_gate, dtype=float)
+    if np.any(t_gate < 0):
         raise ValueError("gate time must be nonnegative")
-    p_reset = 1.0 - math.exp(-t_gate / t1)
-    coherence = math.exp(-t_gate / t2)
-    return np.array(
-        [
-            [1, 0, 0, p_reset],
-            [0, coherence, 0, 0],
-            [0, 0, coherence, 0],
-            [0, 0, 0, 1 - p_reset],
-        ],
-        dtype=complex,
-    )
+    p_reset = 1.0 - np.exp(-t_gate / t1)
+    coherence = np.exp(-t_gate / t2)
+    channel = np.zeros(t_gate.shape + (4, 4), dtype=complex)
+    channel[..., 0, 0] = 1
+    channel[..., 0, 3] = p_reset
+    channel[..., 1, 1] = channel[..., 2, 2] = coherence
+    channel[..., 3, 3] = 1 - p_reset
+    return channel
 
 
-def depolarizing_channel(p: float, n_qubits: int) -> np.ndarray:
-    """E(rho) = (1 - p) rho + p Tr(rho) I/d."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"depolarizing probability {p} outside [0, 1]")
+def depolarizing_channel(p, n_qubits: int) -> np.ndarray:
+    """E(rho) = (1 - p) rho + p Tr(rho) I/d; an array of p gives a stack (..., 4^n, 4^n)."""
+    p = np.asarray(p, dtype=float)
+    outside = ~((0 <= p) & (p <= 1))
+    if np.any(outside):
+        raise ValueError(f"depolarizing probability {p[outside][0]} outside [0, 1]")
     d = 2**n_qubits
     identity = np.eye(d).ravel()
+    p = p[..., None, None]
     return ((1.0 - p) * np.eye(d * d) + p * np.outer(identity, identity) / d).astype(complex)
 
 
-def process_fidelity(channel: np.ndarray, target: np.ndarray | None = None) -> float:
-    """Tr(S_U^dag S) / d^2: the channel's overlap with the target unitary U."""
-    if not is_cptp(channel):
+def process_fidelity(channel: np.ndarray, target: np.ndarray | None = None):
+    """Tr(S_U^dag S) / d^2: the channel's overlap with the target unitary U.
+
+    A stack of channels (..., d^2, d^2) gives one value per member.
+    """
+    if not np.all(is_cptp(channel)):
         raise ValueError("channel is not CPTP")
-    d = math.isqrt(len(channel))
+    d = math.isqrt(channel.shape[-1])
     target_u = np.eye(d, dtype=complex) if target is None else np.asarray(target, dtype=complex)
     if target_u.shape != (d, d):
         raise ValueError("target dimension mismatch")
-    overlap = np.vdot(kraus_superop(target_u[None]), channel)
-    return float(overlap.real) / d**2
+    overlap = np.einsum("ab,...ab->...", kraus_superop(target_u[None]).conj(), channel)
+    return _value_or_stack(overlap.real / d**2)
 
 
-def average_gate_fidelity(channel: np.ndarray, target: np.ndarray | None = None) -> float:
-    """Haar-averaged gate fidelity, (d F_pro + 1) / (d + 1)."""
-    d = math.isqrt(len(channel))
+def average_gate_fidelity(channel: np.ndarray, target: np.ndarray | None = None):
+    """Haar-averaged gate fidelity, (d F_pro + 1) / (d + 1), per member of a stack."""
+    d = math.isqrt(channel.shape[-1])
     return (d * process_fidelity(channel, target) + 1.0) / (d + 1.0)
 
 
-def depolarizing_probability(target_gate_infidelity: float, thermal: np.ndarray) -> float:
+def depolarizing_probability(target_gate_infidelity, thermal: np.ndarray, labels=None):
     """Back-solve p_D so depolarizing-after-thermal hits the calibrated gate error.
 
     p_D = d (F_T - F_gate) / (d F_T - 1).  A negative solution means the
     thermal channel alone already exceeds the error budget; it is clamped
     to zero with a warning so scaled calibrations remain usable.
+
+    A stack of thermal channels (..., D, D) with one gate infidelity per
+    member gives one p_D per member.  ``labels``, one per member in
+    flattened order, name the members whose clamp is warned about; each
+    clamped member warns once.
     """
-    d = math.isqrt(len(thermal))
+    d = math.isqrt(thermal.shape[-1])
     f_thermal = average_gate_fidelity(thermal)
-    f_gate = 1.0 - target_gate_infidelity
-    p = d * (f_thermal - f_gate) / (d * f_thermal - 1.0)
-    if -1e-9 < p < 0:  # numerically zero
-        return 0.0
-    if p < 0:
+    target = np.asarray(target_gate_infidelity, dtype=float)
+    p = np.asarray(d * (f_thermal - (1.0 - target)) / (d * f_thermal - 1.0))
+    too_large = p > 1
+    if np.any(too_large):
+        raise ValueError(f"depolarizing probability {p[too_large][0]:.3f} > 1; calibration inconsistent")
+    thermal_infidelity = np.broadcast_to(1 - f_thermal, p.shape).ravel()
+    for i in np.flatnonzero(p <= -1e-9):  # above that, a negative p is numerically zero
+        label = "" if labels is None else f"{labels[i]}: "
         warnings.warn(
-            f"thermal infidelity {1 - f_thermal:.3e} exceeds gate error "
-            f"{target_gate_infidelity:.3e}; depolarizing probability clamped to 0",
+            f"{label}thermal infidelity {thermal_infidelity[i]:.3e} exceeds gate error "
+            f"{np.ravel(target)[i]:.3e}; depolarizing probability clamped to 0",
             stacklevel=2,
         )
-        return 0.0
-    if p > 1:
-        raise ValueError(f"depolarizing probability {p:.3f} > 1; calibration inconsistent")
-    return p
+    return _value_or_stack(np.where(p < 0, 0.0, p))
 
 
 # ---------------------------------------------------------------------------
@@ -309,38 +341,59 @@ class NoiseModel:
         return self.channels[(entry.kind, entry.qubits)]
 
 
-def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration) -> np.ndarray:
-    """Thermal relaxation of a gate entry's operands for the gate's duration.
+def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration, xi=1.0) -> np.ndarray:
+    """Thermal relaxation of a gate entry's operands for the gate's duration times xi.
 
-    Two-qubit thermal error is the tensor product of the operands'
-    single-qubit channels.  Wildcard gate entries use the processor-average
-    qubit parameters.
+    ``xi`` is a float, or a 1-d array that gives one channel per value as a
+    (len(xi), 4^a, 4^a) stack.  Two-qubit thermal error is the tensor
+    product of the operands' single-qubit channels.  Wildcard gate entries
+    use the processor-average qubit parameters.
     """
     n_q = _operand_count(entry.kind)
     if entry.qubits is None:
-        qcals = [cal.mean_qubit()] * n_q
+        qcals = [cal.mean_qubit] * n_q
     else:
         qcals = [cal.qubits[q] for q in entry.qubits]
-    t_us = entry.time_ns * 1e-3
+    t_us = xi * entry.time_ns * 1e-3
     singles = [thermal_relaxation_channel(qc.t1_us, qc.t2_us, t_us) for qc in qcals]
-    return singles[0] if n_q == 1 else embed_operator(np.kron(*singles), (0, 2, 1, 3), 4)
+    if n_q == 1:
+        return singles[0]
+    product = np.einsum("...ab,...cd->...acbd", *singles).reshape(singles[0].shape[:-2] + (16, 16))
+    return embed_operator(product, (0, 2, 1, 3), 4)
 
 
-def build_noise_model(cal: CalibrationData, xi: float = 1.0) -> NoiseModel:
-    """Compose thermal relaxation then depolarizing per gate entry, scaled by xi."""
-    scaled = scale_calibration(cal, xi)
+def build_noise_model(cal: CalibrationData, xi: float | tuple[float, ...] = 1.0):
+    """Compose thermal relaxation then depolarizing per gate entry, scaled by xi.
+
+    ``xi`` is one noise factor or a tuple of them; a tuple returns one model
+    per value, in order.  Every value is checked before any channel is
+    built.  Each gate entry's channels for all values are then built as one
+    stack, from the thermal channels through the back-solved depolarizing
+    probabilities to the CPTP check, and each model holds its member of
+    every stack.
+    """
+    factors = xi if isinstance(xi, tuple) else (xi,)
+    scaled = [scale_calibration(cal, x) for x in factors]
+    stack = np.array(factors, dtype=float)
     channels = {}
-    for entry in scaled.gates:
-        thermal = _gate_thermal_channel(scaled, entry)
-        p_depol = depolarizing_probability(entry.error, thermal)
+    for entry in cal.gates:
+        operands = "any operands" if entry.qubits is None else f"qubits {entry.qubits}"
+        thermal = _gate_thermal_channel(cal, entry, stack)
+        labels = [f"{entry.kind} on {operands} at xi={x:g}" for x in factors]
+        p_depol = depolarizing_probability(stack * entry.error, thermal, labels)
         channel = depolarizing_channel(p_depol, _operand_count(entry.kind)) @ thermal
-        if not is_cptp(channel):
+        if not np.all(is_cptp(channel)):
             raise RuntimeError(f"constructed channel for {entry.kind} is not CPTP")
         channels[(entry.kind, entry.qubits)] = channel
-    readout = tuple(
-        np.array([[1 - q.p10, q.p10], [q.p01, 1 - q.p01]]) for q in scaled.qubits
+    models = tuple(
+        NoiseModel(
+            {key: channel[j] for key, channel in channels.items()},
+            tuple(np.array([[1 - q.p10, q.p10], [q.p01, 1 - q.p01]]) for q in member.qubits),
+            member,
+        )
+        for j, member in enumerate(scaled)
     )
-    return NoiseModel(channels, readout, scaled)
+    return models if isinstance(xi, tuple) else models[0]
 
 
 def error_source_ratio(cal: CalibrationData, kinds: tuple[str, ...] = ("cx", "sx", "x")) -> float:

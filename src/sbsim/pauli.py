@@ -188,6 +188,8 @@ def embed_operator(op: np.ndarray, qubits: tuple[int, ...], width: int) -> np.nd
     k = len(qubits)
     if op.shape[-2:] != (2**k, 2**k):
         raise ValueError("operator shape does not match operand count")
+    if tuple(qubits) == tuple(range(width)):  # already in place: a copy, as complex
+        return op.astype(complex)
     order = list(qubits) + [q for q in range(width) if q not in qubits]
     perm = [1 + order.index(q) for q in range(width)]
     # op x identity by broadcasting, on axes (stack, op row, rest row, op column, rest column)

@@ -6,8 +6,12 @@ gate.  A run takes later gates on its qubits past gates on other qubits,
 which commute with them exactly; nothing crosses a barrier or a
 measurement.  Each distinct run is compiled into one local superoperator on
 its qubits (no full-register operators), the product of its gates'
-superoperators, each placed by ``pauli.embed_operator`` on the row and
-column bits of the run's qubits.
+superoperators.  Its one-qubit gates are multiplied at their own width:
+each chain of consecutive one-qubit gates on one qubit, ended by a
+two-qubit gate on that qubit or by a reset, is one 4x4 product.  Each
+distinct chain product and two-qubit gate is placed once by
+``pauli.embed_operator`` on the row and column bits of the run's qubits,
+and reused by every run that holds it.
 
 The state is held in the layout of the last applied run: grouped by model,
 then by that run's operand bits.  Applying the next run is then one gather
@@ -20,7 +24,9 @@ as one flat vector, and every compiled run a stack of superoperators, one
 per model: the circuit is split, compiled, replayed and checked once for
 all its noise levels.  Compiled runs live in a dict bound to one model
 tuple, which a caller may keep and pass to every circuit it simulates
-under that tuple.
+under that tuple; it also holds one stack of channels per gate kind and
+operands, one stack of superoperators per one-qubit gate and each placed
+factor.
 
 A circuit whose time steps repeat one block is simulated from one step: the
 last barrier-delimited block is replayed ``repeat`` times, which gives
@@ -137,7 +143,8 @@ def simulate(
     is one gather into its own layout and one stacked matrix product; each
     snapshot is one gather into the model register's order.  Compiled runs,
     keyed by the run and the qubits the state holds, are kept in
-    ``compiled`` together with the gate superoperators placed for them.
+    ``compiled`` together with the gate superoperators and channel stacks
+    they were built from.
     That dict is bound to the members on first use, and passing it again
     with other members raises; without one, a fresh dict serves this call.
 
@@ -318,31 +325,57 @@ def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
 
 
 def _compile(
-    run: tuple[Gate, ...], models: tuple, aux: tuple[int, ...], embedded: dict
+    run: tuple[Gate, ...], models: tuple, aux: tuple[int, ...], compiled: dict
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """A run's superoperators, one per noise model, and the qubits they act on, in order.
 
-    The run's local register orders its qubits by first appearance.  Each
-    gate's stacked superoperators are placed on that register once (cached
-    in ``embedded``) by ``embed_operator``, as an operator on its row bits
-    then column bits, and the run's superoperator under each model is their
-    product.  Each auxiliary of the run is then removed: it enters in |0>
-    (input row = column = 0) and is traced out of the output.  That is
-    exact only if the run's last operation on it is a reset, so anything
-    else is rejected; with the initial state's auxiliaries in |0>, every
-    auxiliary is then clean whenever a run starts.
+    The run's local register orders its qubits by first appearance.  The
+    run's one-qubit gates are multiplied together at their own width: each
+    chain of consecutive one-qubit gates on one qubit is one stacked
+    (k, 4, 4) product, which a two-qubit gate on that qubit ends, and so
+    does a reset, always its qubit's last gate in the run.  Each chain
+    product and each two-qubit gate is then placed on the run's register
+    by ``embed_operator``, as an operator on its row bits then column bits,
+    and the run's superoperator under each model is the product of those
+    placed factors.  Each placed factor and each one-qubit gate's
+    superoperators are cached in ``compiled``, keyed by the gates and where
+    they sit, so a chain that recurs in another run is neither multiplied
+    nor placed again.
+
+    Each auxiliary of the run is then removed: it enters in |0> (input row
+    = column = 0) and is traced out of the output.  That is exact only if
+    the run's last operation on it is a reset, so anything else is
+    rejected; with the initial state's auxiliaries in |0>, every auxiliary
+    is then clean whenever a run starts.
     """
     local: list[int] = []
     for g in run:
         local += [q for q in g.qubits if q not in local]
     n = len(local)
-    superops = None
+    factors = []  # (gates, local operands) of each placed factor, in order of application
+    chains: dict[int, list[Gate]] = {}  # local qubit -> the gates of its open chain
     for g in run:
         at = tuple(local.index(q) for q in g.qubits)
-        key = (g, at, n)
-        if key not in embedded:
-            embedded[key] = embed_operator(_gate_superop(g, models), at + tuple(n + p for p in at), 2 * n)
-        superops = embedded[key] if superops is None else embedded[key] @ superops
+        if len(at) == 1:
+            chains.setdefault(at[0], []).append(g)
+        else:
+            factors += [(tuple(chains.pop(p)), (p,)) for p in at if p in chains]
+            factors.append(((g,), at))
+    factors += [(tuple(chain), (p,)) for p, chain in chains.items()]
+    superops = None
+    for gates, at in factors:
+        placed = compiled.get((gates, at, n))
+        if placed is None:
+            product = None
+            for g in gates:
+                superop = compiled.get(g)
+                if superop is None:
+                    superop = _gate_superop(g, models, compiled)
+                    if len(g.qubits) == 1:  # a two-qubit gate is a placed factor of its own, cached as that
+                        compiled[g] = superop
+                product = superop if product is None else superop @ product
+            placed = compiled[gates, at, n] = embed_operator(product, at + tuple(n + p for p in at), 2 * n)
+        superops = placed if superops is None else placed @ superops
     dropped = [i for i, q in enumerate(local) if q in aux]
     for i in dropped:
         last = next(g for g in reversed(run) if local[i] in g.qubits)
@@ -369,17 +402,25 @@ def _drop_aux(superops: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
     return np.einsum(tensor, [..., *in_sub, *out_sub[2 * m:]], [..., *out_sub]).reshape(-1, 4**m, 4**m)
 
 
-def _gate_superop(gate: Gate, models: tuple) -> np.ndarray:
-    """Superoperators of one gate on its operands, one per model: U x conj(U), then its channel's."""
+def _gate_superop(gate: Gate, models: tuple, compiled: dict) -> np.ndarray:
+    """Superoperators of one gate on its operands, one per model: U x conj(U), then its channel's.
+
+    The stacked channels of each (kind, operands), the identity for a
+    ``None`` member, are cached in ``compiled``.
+    """
     if gate.kind == "reset":
         return np.stack([kraus_superop(_RESET_KRAUS)] * len(models))
     if gate.kind in ("ry", "cry") and any(model is not None for model in models):
         raise ValueError("noisy simulation requires a native circuit; transpile first")
     ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
-    return np.stack([
-        ideal if model is None else model.channel_for(gate.kind, gate.qubits) @ ideal
-        for model in models
-    ])
+    key = (gate.kind, gate.qubits)
+    channels = compiled.get(key)
+    if channels is None:
+        channels = compiled[key] = np.stack([
+            np.eye(len(ideal)) if model is None else model.channel_for(gate.kind, gate.qubits)
+            for model in models
+        ])
+    return channels @ ideal
 
 
 def sample_counts(

@@ -2,10 +2,13 @@
 
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sbsim.noise
 from conftest import random_density_matrix, random_unitary
 from sbsim.noise import (
     CalibrationData,
@@ -130,6 +133,38 @@ def test_is_cptp_rejects_transpose_map():
     assert not is_cptp(transpose)
 
 
+def test_stacked_is_cptp_flags_exactly_the_bad_member():
+    transpose = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # positive but not completely positive
+    leaky = kraus_superop(np.diag([1.0, 0.5])[None])  # loses trace
+    good = thermal_relaxation_channel(T1, T2, np.array([0.0, 0.3, 5.0, 50.0]))
+    for bad in (transpose, leaky):
+        for at in range(len(good) + 1):
+            stack = np.insert(good, at, bad, axis=0)
+            assert is_cptp(stack).tolist() == [i != at for i in range(len(stack))]
+            assert is_cptp(stack.reshape(1, 5, 4, 4)).shape == (1, 5)
+    assert is_cptp(depolarizing_channel(np.array([0.0, 0.2, 1.0]), 2)).tolist() == [True] * 3
+    assert is_cptp(good[1]) is True and is_cptp(transpose) is False  # one channel gives a bool
+
+
+def test_stacked_channel_helpers_match_one_channel_calls():
+    times = np.array([0.0, 0.01, 0.1, T_CX])
+    stack = thermal_relaxation_channel(T1, T2, times)
+    assert stack.shape == (4, 4, 4)
+    for t, channel in zip(times, stack):
+        assert np.array_equal(channel, thermal_relaxation_channel(T1, T2, float(t)))
+    p = depolarizing_probability(np.full(4, 5e-3), stack)
+    # a stack's overlaps are one einsum over the stack and a single channel's a 2-d einsum,
+    # which may sum in another order and differ in the last bit: hence 1e-15, not equality
+    singles = [depolarizing_probability(5e-3, channel) for channel in stack]
+    np.testing.assert_allclose(p, singles, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(average_gate_fidelity(stack), [average_gate_fidelity(c) for c in stack], atol=1e-15)
+    assert np.array_equal(depolarizing_channel(p, 1), np.stack([depolarizing_channel(x, 1) for x in p]))
+    with pytest.raises(ValueError, match=re.escape("depolarizing probability 1.5 outside [0, 1]")):
+        depolarizing_channel(np.array([0.2, 1.5]), 1)
+    with pytest.raises(ValueError, match="gate time must be nonnegative"):
+        thermal_relaxation_channel(T1, T2, np.array([0.1, -0.1]))
+
+
 def test_unphysical_t2_rejected():
     with pytest.raises(ValueError):
         thermal_relaxation_channel(100.0, 201.0, 0.1)
@@ -250,6 +285,54 @@ def test_noise_model_zero_is_noiseless():
         np.testing.assert_allclose(channel, np.eye(len(channel)), atol=1e-12)
     for q in range(7):
         np.testing.assert_allclose(model.readout[q], np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("per_operand", [False, True])
+def test_each_member_of_a_stacked_build_equals_its_one_xi_build(per_operand):
+    # a one-xi build is a stack of one through the same operations, so each member matches bit for bit
+    cal = jakarta_average_calibration()
+    if per_operand:  # each qubit its own T1/T2, and cx entries per ordered pair beside the wildcard
+        qubits = tuple(replace(q, t1_us=q.t1_us + 10.0 * i, t2_us=q.t2_us + 5.0 * i) for i, q in enumerate(cal.qubits))
+        pairs = tuple(
+            GateCalibration("cx", (a, b), 1e-2 + 1e-3 * a, 400.0 + 20.0 * b) for a in range(3) for b in range(3) if a != b
+        )
+        cal = CalibrationData(qubits, cal.gates + pairs)
+    xis = (0.01, 0.03, 0.1, 0.3, 1.0, 0.0)
+    stacked = build_noise_model(cal, xis)
+    assert isinstance(stacked, tuple) and len(stacked) == len(xis)
+    for xi, member in zip(xis, stacked):
+        alone = build_noise_model(cal, xi)
+        assert member.calibration == alone.calibration == scale_calibration(cal, xi)
+        assert member.channels.keys() == alone.channels.keys()
+        for key, channel in alone.channels.items():
+            assert np.array_equal(member.channels[key], channel), key
+        assert all(np.array_equal(a, b) for a, b in zip(member.readout, alone.readout))
+
+
+@pytest.mark.parametrize("xis", [(0.1, 1.5), (-0.2, 0.5, 1.0), (0.3, float("nan"))])
+def test_one_xi_outside_the_unit_interval_fails_before_any_channel(monkeypatch, xis):
+    built = []
+    monkeypatch.setattr(sbsim.noise, "thermal_relaxation_channel", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=re.escape("outside [0, 1]")):
+        build_noise_model(jakarta_average_calibration(), xis)
+    assert not built
+
+
+@pytest.mark.parametrize("operands, named", [(None, "sx on any operands"), ((0,), "sx on qubits (0,)")])
+def test_clamp_warning_names_the_one_clamped_member(operands, named):
+    # thermal infidelity grows slower than linearly in the gate time: at T1 = T2 = 100 us a 30 us
+    # gate has infidelity 0.130 at xi = 1 but 0.0015 at xi = 0.01, so an error of 0.14 clamps at
+    # xi = 0.01 only
+    qubits = (QubitCalibration(100.0, 100.0, 5.0, 0.01, 0.01),)
+    cal = CalibrationData(qubits, (GateCalibration("sx", operands, 0.14, 30000.0),))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = build_noise_model(cal, (1.0, 0.5, 0.01))
+    assert [str(w.message) for w in caught] == [
+        f"{named} at xi=0.01: thermal infidelity 1.498e-03 exceeds gate error 1.400e-03; "
+        "depolarizing probability clamped to 0"
+    ]
+    assert 1 - average_gate_fidelity(models[2].channels[("sx", operands)]) == pytest.approx(1.498e-3, abs=1e-6)
 
 
 def test_confusion_matrix_rows_sum_to_one():

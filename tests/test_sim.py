@@ -40,6 +40,7 @@ from sbsim.pauli import embed_operator
 from sbsim.sim import (
     _compile,
     _runs,
+    gate_unitary,
     ground_state,
     mitigate_readout,
     sample_counts,
@@ -507,6 +508,45 @@ def test_random_noisy_circuits_with_auxiliaries_match_bruteforce(rng, n_state, n
             assert len(result.snapshots) == len(snapshots)
             for got, want in zip([*result.snapshots, result.final], [*snapshots, final]):
                 assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _channel_on_kept(superop: np.ndarray, local: list[int], kept: tuple[int, ...]) -> np.ndarray:
+    """The channel on ``kept`` of a superoperator on ``local``: the others enter in |0>, traced out after."""
+    n, m = len(local), len(kept)
+    positions = tuple(local.index(q) for q in kept)
+    index = [sum(((i >> (m - 1 - t)) & 1) << (n - 1 - p) for t, p in enumerate(positions)) for i in range(2**m)]
+    columns = []
+    for i, j in itertools.product(range(2**m), repeat=2):
+        basis = np.zeros((2**n, 2**n), dtype=complex)
+        basis[index[i], index[j]] = 1.0
+        out = (superop @ basis.ravel()).reshape(2**n, 2**n)
+        columns.append(partial_trace(out, positions, n).ravel())
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("n_state", [2, 3])
+def test_chain_merged_compile_matches_gate_by_gate_product(rng, n_state):
+    # each gate's superoperator placed by basis-state bookkeeping and multiplied in one at a time
+    cal = jakarta_average_calibration()
+    models = (build_noise_model(cal, 0.3), None, build_noise_model(cal, 1.0))
+    reset = kraus_superop(np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]]))
+    for _ in range(3):
+        circuit = _random_collision_circuit(rng, n_state, 8)
+        runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
+        assert any(g.kind == "reset" for run in runs for g in run)
+        for run in runs:
+            superops, kept = _compile(run, models, circuit.aux_qubits, {})
+            local = list(dict.fromkeys(q for g in run for q in g.qubits))
+            n = len(local)
+            for model, got in zip(models, superops):
+                product = np.eye(4**n, dtype=complex)
+                for g in run:
+                    at = tuple(local.index(q) for q in g.qubits)
+                    superop = reset if g.kind == "reset" else kraus_superop(gate_unitary(g.kind, g.angle)[None])
+                    if model is not None and g.kind != "reset":
+                        superop = model.channel_for(g.kind, g.qubits) @ superop
+                    product = embed_bruteforce(superop, at + tuple(n + p for p in at), 2 * n) @ product
+                assert np.max(np.abs(got - _channel_on_kept(product, local, kept))) < 1e-13
 
 
 def test_six_qubit_stack_is_a_valid_state_and_each_member_runs_alone():
