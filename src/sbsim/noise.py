@@ -295,8 +295,8 @@ def depolarizing_probability(target_gate_infidelity, thermal: np.ndarray, labels
     thermal channel alone already exceeds the error budget; it is clamped
     to zero with a warning so scaled calibrations remain usable.
 
-    A stack of thermal channels (..., D, D) with one gate infidelity per
-    member gives one p_D per member.  ``labels``, one per member in
+    A stack of thermal channels (..., D, D), with one gate infidelity per
+    member or one for all, gives one p_D per member.  ``labels``, one per member in
     flattened order, name the members whose clamp is warned about; each
     clamped member warns once.
     """
@@ -307,12 +307,12 @@ def depolarizing_probability(target_gate_infidelity, thermal: np.ndarray, labels
     too_large = p > 1
     if np.any(too_large):
         raise ValueError(f"depolarizing probability {p[too_large][0]:.3f} > 1; calibration inconsistent")
-    thermal_infidelity = np.broadcast_to(1 - f_thermal, p.shape).ravel()
+    thermal_infidelity, gate_error = (np.broadcast_to(v, p.shape).ravel() for v in (1 - f_thermal, target))
     for i in np.flatnonzero(p <= -1e-9):  # above that, a negative p is numerically zero
         label = "" if labels is None else f"{labels[i]}: "
         warnings.warn(
             f"{label}thermal infidelity {thermal_infidelity[i]:.3e} exceeds gate error "
-            f"{np.ravel(target)[i]:.3e}; depolarizing probability clamped to 0",
+            f"{gate_error[i]:.3e}; depolarizing probability clamped to 0",
             stacklevel=2,
         )
     return _value_or_stack(np.where(p < 0, 0.0, p))
@@ -372,15 +372,15 @@ def build_noise_model(cal: CalibrationData, xi: float | tuple[float, ...] = 1.0)
     probabilities to the CPTP check, and each model holds its member of
     every stack.
     """
-    factors = xi if isinstance(xi, tuple) else (xi,)
-    scaled = [scale_calibration(cal, x) for x in factors]
-    stack = np.array(factors, dtype=float)
+    xis = xi if isinstance(xi, tuple) else (xi,)
+    scaled = [scale_calibration(cal, x) for x in xis]  # rejects an xi outside [0, 1] before any channel
+    factors = np.array(xis, dtype=float)
     channels = {}
     for entry in cal.gates:
         operands = "any operands" if entry.qubits is None else f"qubits {entry.qubits}"
-        thermal = _gate_thermal_channel(cal, entry, stack)
-        labels = [f"{entry.kind} on {operands} at xi={x:g}" for x in factors]
-        p_depol = depolarizing_probability(stack * entry.error, thermal, labels)
+        thermal = _gate_thermal_channel(cal, entry, factors)
+        labels = [f"{entry.kind} on {operands} at xi={x:g}" for x in xis]
+        p_depol = depolarizing_probability(factors * entry.error, thermal, labels)
         channel = depolarizing_channel(p_depol, _operand_count(entry.kind)) @ thermal
         if not np.all(is_cptp(channel)):
             raise RuntimeError(f"constructed channel for {entry.kind} is not CPTP")

@@ -159,6 +159,12 @@ def test_stacked_channel_helpers_match_one_channel_calls():
     np.testing.assert_allclose(p, singles, rtol=0, atol=1e-15)
     np.testing.assert_allclose(average_gate_fidelity(stack), [average_gate_fidelity(c) for c in stack], atol=1e-15)
     assert np.array_equal(depolarizing_channel(p, 1), np.stack([depolarizing_channel(x, 1) for x in p]))
+    with warnings.catch_warnings(record=True) as caught:  # one gate error for the whole stack
+        warnings.simplefilter("always")
+        assert depolarizing_probability(1e-6, stack[1:]).tolist() == [0.0] * 3
+    assert [str(w.message).split(" exceeds")[0] for w in caught] == [
+        f"thermal infidelity {1 - average_gate_fidelity(c):.3e}" for c in stack[1:]
+    ]
     with pytest.raises(ValueError, match=re.escape("depolarizing probability 1.5 outside [0, 1]")):
         depolarizing_channel(np.array([0.2, 1.5]), 1)
     with pytest.raises(ValueError, match="gate time must be nonnegative"):
