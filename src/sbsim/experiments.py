@@ -2,21 +2,20 @@
 
 Each experiment expands into an ordered grid of points.  ``run`` builds
 every input that points share once: the calibration (parsed once and kept
-on the config), the noise models of every xi (one stacked build), the
+on the config), one noise model with a member per xi of the run, the
 exact reference, one native one-step circuit per (order, gamma, dt), kept
-on the config beside the calibration, and one dict of compiled runs per
-tuple of noise models.  The exact reference is one stacked oracle call per
-run: every gamma of the run on the union of its dt grids, from which each
-(gamma, dt) reads the states at its own times.  Each circuit is simulated
-in one engine pass in the calling process: it replays its one-step circuit
-for its step count under the noise models of all its points at once, as
-one stacked state, and the circuits of one model tuple share its compiled
-runs.  One row pass then scores each simulated snapshot once against the
-reference, as stacks (infidelity against the reference's square roots
-alone), and emits the rows in grid order, so identical configs and seeds
-give byte-identical CSV output.  gate_counts instead counts the routed
-native step of each point of a fixed grid.  The ``workers`` field is
-deprecated and has no effect: every run is serial.
+on the config beside the calibration, and one dict of compiled runs.  The
+exact reference is one stacked oracle call per run: every gamma of the run
+on the union of its dt grids, from which each (gamma, dt) reads the states
+at its own times.  Each circuit is simulated in one engine pass in the
+calling process: it replays its one-step circuit for its step count under
+every member of the noise model at once, as one stacked state; its points
+are exactly those members.  One row pass then scores each simulated
+snapshot once against the reference, as stacks (infidelity against the
+reference's square roots alone), and emits the rows in grid order, so
+identical configs and seeds give byte-identical CSV output.  gate_counts
+instead counts the routed native step of each point of a fixed grid.  The
+``workers`` field is deprecated and has no effect: every run is serial.
 """
 
 from __future__ import annotations
@@ -164,14 +163,13 @@ class ExperimentConfig:
                     )
         except ValueError as exc:
             problems.append(str(exc))
-        uses_calibration = self.shots is not None or any(xi > 0 for xi in self.xi_list)
-        if self.experiment != "gate_counts" and (self.calibration is not None or uses_calibration):
+        if self.experiment != "gate_counts" and (self.calibration is not None or self.uses_calibration):
             try:
                 cal = self.calibration_data
             except (OSError, ValueError) as exc:
                 problems.append(f"cannot load calibration {self.calibration!r}: {exc}")
             else:
-                if uses_calibration and not problems:
+                if self.uses_calibration and not problems:
                     problems += self._calibration_gaps(cal)
         return tuple(problems)
 
@@ -197,6 +195,11 @@ class ExperimentConfig:
                 for kind, ops in missing.items()
             ]
         return problems
+
+    @property
+    def uses_calibration(self) -> bool:
+        """Whether the run reads the calibration: some xi is above 0, or shots are sampled."""
+        return self.shots is not None or any(xi > 0 for xi in self.xi_list)
 
     @property
     def _max_gamma(self) -> float:
@@ -373,39 +376,36 @@ def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     return rows
 
 
-def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], models: dict) -> list[np.ndarray]:
+def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], model) -> list[np.ndarray]:
     """Each point's simulated (n, d, d) snapshots, in grid order.
 
     Each distinct (order, gamma, dt) gets one native one-step circuit
     (``cfg.native_step``), simulated in this process in one engine pass
-    under the noise models of its points, in grid order; each distinct
-    tuple of those models gets one dict of compiled runs.  A point at
-    xi = 0 simulates without noise.
+    under every member of ``model``, and all of them share one dict of
+    compiled runs.  The circuit's points are its members in order, one per
+    xi of ``cfg.xi_list``; without a model each reads the one noiseless
+    member.
     """
     points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
     for i, t in enumerate(tasks):
         points.setdefault((t["order"], t["gamma"], t["dt"]), []).append(i)
     simulated: list = [None] * len(tasks)
-    caches: dict[tuple, dict] = {}  # one dict of compiled runs per model tuple
+    compiled: dict = {}
     for (order, gamma, dt), members in points.items():
-        stack = tuple(tasks[i]["xi"] for i in members)
-        results = sim.simulate(
-            cfg.native_step(order, gamma, dt),
-            tuple(models[xi] if xi > 0 else None for xi in stack),
-            repeat=steps_for(cfg.t_final, dt),
-            compiled=caches.setdefault(stack, {}),
-        )
-        for i, result in zip(members, results):
-            simulated[i] = result.snapshots
+        snapshots = sim.simulate(
+            cfg.native_step(order, gamma, dt), model, repeat=steps_for(cfg.t_final, dt), compiled=compiled
+        ).snapshots
+        for j, i in enumerate(members):
+            simulated[i] = snapshots[0 if model is None else j]
     return simulated
 
 
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     """Rows of every grid point in grid order, each simulated snapshot scored once.
 
-    The noise models of every xi of the run come from one stacked build,
-    and the points are simulated by ``_simulated_snapshots``.  A model at
-    xi = 0, built only when shots are sampled, serves the readout.  Each
+    One noise model with a member per xi of the run is built when some xi
+    is above 0 or shots are sampled (its readout serves the sampling), and
+    the points are simulated by ``_simulated_snapshots``.  Each
     simulated state is then scored once against the exact state of its
     gamma at the same time, read from the run's one stacked reference
     (``_references``).  The sweeps and infidelity_vs_time score by
@@ -415,10 +415,9 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     correlations score by state values, one stacked call per operator and
     point.
     """
-    xis = tuple(dict.fromkeys(t["xi"] for t in tasks if t["xi"] > 0 or cfg.shots is not None))
-    models = dict(zip(xis, noise.build_noise_model(cfg.calibration_data, xis))) if xis else {}
+    model = noise.build_noise_model(cfg.calibration_data, tuple(cfg.xi_list)) if cfg.uses_calibration else None
     references, ref_row, ref_index = _references(cfg, tasks)
-    simulated = _simulated_snapshots(cfg, tasks, models)
+    simulated = _simulated_snapshots(cfg, tasks, model)
 
     rows: list[tuple] = []
     if cfg.experiment in ("observables", "correlations"):
@@ -434,7 +433,7 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
                 # basis, so this applies the same operators as the exact rows.
                 # Each model qubit is read out through the circuit qubit holding it.
                 register = cfg.native_step(task["order"], task["gamma"], task["dt"]).model_register
-                confusions = [models[task["xi"]].readout[q] for q in register]
+                confusions = model.readout[cfg.xi_list.index(task["xi"]), list(register)]
                 sampled = []
                 for k, rho in enumerate(states):
                     seed = np.random.SeedSequence(

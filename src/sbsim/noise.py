@@ -19,19 +19,19 @@ kron of the operands' channels, with bits (first row, first column, second
 row, second column), placed by ``pauli.embed_operator`` in row-then-column
 order.  Qubit temperature is fixed at zero, so qubit frequency never enters.
 
-``build_noise_model`` builds one model per noise factor of a tuple in one
-pass: each gate entry's channels for every xi form one (X, 4^a, 4^a)
-stack, from the thermal channels through the back-solved depolarizing
-probabilities to the CPTP check, and each model holds its member of every
-stack.  The channel helpers take such stacks as well as single channels.
-A clamped depolarizing probability warns once per clamped member, naming
-its gate entry and xi.
+``build_noise_model`` builds one model for every noise factor of a run,
+and scales by xi in that one place: each gate entry's channels form one
+(X, 4^a, 4^a) stack, one member per xi, from the thermal channels through
+the back-solved depolarizing probabilities to the CPTP check, and the
+readout one (X, n_qubits, 2, 2) array.  The channel helpers take such
+stacks as well as single channels.  A clamped depolarizing probability
+warns once per clamped member, naming its gate entry and xi.
 
 Which calibration entry a gate uses is decided in one place,
 ``CalibrationData.gate_entry``: an entry on the gate's own operands beats
-the kind's wildcard entry.  ``NoiseModel.channel_for`` asks it, then reads
-that entry's channel.  A kind has at most one entry per operand list and
-one wildcard, so the two always agree.
+the kind's wildcard entry.  ``NoiseModel.channel_for`` asks it, then returns
+that entry's stack.  A kind has at most one entry per operand list and one
+wildcard, so the two always agree.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
@@ -186,15 +186,6 @@ def _calibration_from_dict(doc: dict) -> CalibrationData:
     return CalibrationData(qubits, gates)
 
 
-def scale_calibration(cal: CalibrationData, xi: float) -> CalibrationData:
-    """Scale gate infidelity, gate time, and readout flip probabilities by xi."""
-    if not 0 <= xi <= 1:
-        raise ValueError(f"noise factor {xi} outside [0, 1]")
-    qubits = tuple(replace(q, p10=xi * q.p10, p01=xi * q.p01) for q in cal.qubits)
-    gates = tuple(replace(g, error=xi * g.error, time_ns=xi * g.time_ns) for g in cal.gates)
-    return CalibrationData(qubits, gates)
-
-
 # ---------------------------------------------------------------------------
 # quantum channels
 
@@ -324,19 +315,22 @@ def depolarizing_probability(target_gate_infidelity, thermal: np.ndarray, labels
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-(gate kind, operands) channels plus per-qubit readout confusion matrices.
+    """Per-(gate kind, operands) channel stacks plus per-qubit readout confusion matrices.
 
-    ``calibration`` is the xi-scaled calibration the model was built from;
-    ``channels`` holds one channel per gate entry, keyed by the entry's kind
-    and operands (None for a wildcard entry).
+    ``xi`` holds the noise factors, one per member.  ``channels`` holds one
+    (X, 4^a, 4^a) stack per gate entry, keyed by the entry's kind and
+    operands (None for a wildcard entry); ``readout`` is the (X, n_qubits,
+    2, 2) array of confusion matrices M[m, n] = P(record n | true m); and
+    ``calibration`` is the unscaled calibration the model was built from.
     """
 
+    xi: tuple[float, ...]
     channels: dict
-    readout: tuple[np.ndarray, ...]
+    readout: np.ndarray
     calibration: CalibrationData
 
     def channel_for(self, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
-        """The channel of the calibration entry that ``gate_entry`` picks for the gate."""
+        """The channel stack of the calibration entry that ``gate_entry`` picks for the gate."""
         entry = self.calibration.gate_entry(kind, qubits)
         return self.channels[(entry.kind, entry.qubits)]
 
@@ -362,18 +356,20 @@ def _gate_thermal_channel(cal: CalibrationData, entry: GateCalibration, xi=1.0) 
     return embed_operator(product, (0, 2, 1, 3), 4)
 
 
-def build_noise_model(cal: CalibrationData, xi: float | tuple[float, ...] = 1.0):
+def build_noise_model(cal: CalibrationData, xi: float | tuple[float, ...] = 1.0) -> NoiseModel:
     """Compose thermal relaxation then depolarizing per gate entry, scaled by xi.
 
-    ``xi`` is one noise factor or a tuple of them; a tuple returns one model
-    per value, in order.  Every value is checked before any channel is
-    built.  Each gate entry's channels for all values are then built as one
-    stack, from the thermal channels through the back-solved depolarizing
-    probabilities to the CPTP check, and each model holds its member of
-    every stack.
+    ``xi`` is one noise factor or a tuple of them, each one member of the
+    model in order.  Every value is checked before any channel is built.
+    xi scales each entry's gate error and time, and each qubit's readout
+    flip probabilities; T1 and T2 stay unscaled.
     """
     xis = xi if isinstance(xi, tuple) else (xi,)
-    scaled = [scale_calibration(cal, x) for x in xis]  # rejects an xi outside [0, 1] before any channel
+    if not xis:
+        raise ValueError("need at least one noise factor")
+    for x in xis:
+        if not 0 <= x <= 1:
+            raise ValueError(f"noise factor {x} outside [0, 1]")
     factors = np.array(xis, dtype=float)
     channels = {}
     for entry in cal.gates:
@@ -385,15 +381,9 @@ def build_noise_model(cal: CalibrationData, xi: float | tuple[float, ...] = 1.0)
         if not np.all(is_cptp(channel)):
             raise RuntimeError(f"constructed channel for {entry.kind} is not CPTP")
         channels[(entry.kind, entry.qubits)] = channel
-    models = tuple(
-        NoiseModel(
-            {key: channel[j] for key, channel in channels.items()},
-            tuple(np.array([[1 - q.p10, q.p10], [q.p01, 1 - q.p01]]) for q in member.qubits),
-            member,
-        )
-        for j, member in enumerate(scaled)
-    )
-    return models if isinstance(xi, tuple) else models[0]
+    p10, p01 = np.array([[q.p10 for q in cal.qubits], [q.p01 for q in cal.qubits]])[:, None] * factors[:, None]
+    readout = np.stack([1 - p10, p10, p01, 1 - p01], axis=-1).reshape(len(xis), len(cal.qubits), 2, 2)
+    return NoiseModel(xis, channels, readout, cal)
 
 
 def error_source_ratio(cal: CalibrationData, kinds: tuple[str, ...] = ("cx", "sx", "x")) -> float:

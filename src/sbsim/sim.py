@@ -13,20 +13,19 @@ distinct chain product and two-qubit gate is placed once by
 ``pauli.embed_operator`` on the row and column bits of the run's qubits,
 and reused by every run that holds it.
 
-The state is held in the layout of the last applied run: grouped by model,
+The state is held in the layout of the last applied run: grouped by member,
 then by that run's operand bits.  Applying the next run is then one gather
 into its layout and one matrix product, with no scatter back; snapshots
 and the final state are one gather out of the current layout.
 
-One call simulates a circuit under one noise model or under a tuple of
-them.  The state is then a stack of density matrices, one per model, held
-as one flat vector, and every compiled run a stack of superoperators, one
-per model: the circuit is split, compiled, replayed and checked once for
-all its noise levels.  Compiled runs live in a dict bound to one model
-tuple, which a caller may keep and pass to every circuit it simulates
-under that tuple; it also holds one stack of channels per gate kind and
-operands, one stack of superoperators per one-qubit gate and each placed
-factor.
+One call simulates a circuit under every member of one noise model, one
+member per noise factor xi.  The state is a stack of density matrices, one
+per member, held as one flat vector, and every compiled run a stack of
+superoperators, one per member: the circuit is split, compiled, replayed
+and checked once for all its noise levels.  Compiled runs live in a dict,
+which a caller may keep and pass to every circuit it simulates under the
+same model; it also holds one stack of superoperators per one-qubit gate
+and each placed factor.
 
 A circuit whose time steps repeat one block is simulated from one step: the
 last barrier-delimited block is replayed ``repeat`` times, which gives
@@ -61,7 +60,7 @@ from .pauli import embed_operator, kron_all
 MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
 _AUX_TOL = 1e-12
 _TRACE_TOL = 1e-9
-_BOUND_MODELS = "noise models"  # key under which a compiled-run dict holds its model tuple
+_BOUND_MODEL = "noise model"  # key under which a compiled-run dict holds its noise model
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _RESET_KRAUS = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
@@ -109,7 +108,11 @@ def ground_state(width: int) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """States at each barrier (model register if mapped), as one (n, d, d) array, and the final full-register state."""
+    """States at each barrier (model register if mapped) and final full-register states, per noise member.
+
+    ``snapshots`` is one (k, n, d, d) array and ``final`` one (k, D, D)
+    array, k the members of the noise model (1 without one).
+    """
 
     snapshots: np.ndarray
     final: np.ndarray
@@ -121,19 +124,18 @@ def simulate(
     rho0: np.ndarray | None = None,
     repeat: int = 1,
     compiled: dict | None = None,
-) -> SimulationResult | list[SimulationResult]:
+) -> SimulationResult:
     """Run the circuit, applying the noise model's channel after each native gate.
 
-    ``noise`` is one noise model, ``None`` for a noiseless run, or a tuple
-    of those.  A tuple runs every member in this one call, from the same
-    ``rho0``, and returns one result per member in its order; the others
-    return one result.  Each member's result equals, bit for bit, that of
-    the member alone.
+    ``noise`` is a noise model, whose k members (one per xi) all run in
+    this one call from the same ``rho0``, or ``None`` for one noiseless
+    member.  Each member's states equal, bit for bit, those of a model of
+    that member alone; a member at xi = 0 equals the noiseless run.
 
     With a noise model the circuit must be native (no ry/cry); channels are
     applied on the gate operands right after the ideal unitary, and resets
-    stay ideal.  Barriers record snapshots.  After each run the trace of
-    every noisy member's state is checked against 1.
+    stay ideal.  Barriers record snapshots.  With a noise model, the trace
+    of every member's state is checked against 1 after each run.
 
     Gates are grouped into runs on at most two qubits (``_runs``): a run
     also takes later gates on its qubits that commute past the gates they
@@ -143,12 +145,10 @@ def simulate(
     is one gather into its own layout and one stacked matrix product; each
     snapshot is one gather into the model register's order.  Compiled runs,
     keyed by the run and the qubits the state holds, are kept in
-    ``compiled`` together with the gate superoperators and channel stacks
-    they were built from.
-    That dict is bound to the members on first use, and passing it again
-    with other members raises; without one, a fresh dict serves this call.
-
-    Each result holds its member's snapshots as one (n, d, d) array.
+    ``compiled`` together with the gate superoperators they were built
+    from.  That dict serves the noise model (or ``None``) it first served,
+    and passing it with any other raises; without one, a fresh dict serves
+    this call.
 
     ``repeat`` applies the circuit's last barrier-delimited block (the gates
     after the second-to-last barrier through the last one) that many times,
@@ -164,16 +164,12 @@ def simulate(
     """
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
-    models = noise if isinstance(noise, tuple) else (noise,)
-    if not models:
-        raise ValueError("need at least one noise model (None for a noiseless run)")
     compiled = {} if compiled is None else compiled
-    bound = compiled.setdefault(_BOUND_MODELS, models)
-    if len(bound) != len(models) or any(a is not b for a, b in zip(bound, models)):
+    if compiled.setdefault(_BOUND_MODEL, noise) is not noise:
         raise ValueError("compiled runs were built under another noise model")
     width, aux = circuit.width, circuit.aux_qubits
     kept = tuple(q for q in range(width) if q not in aux)
-    n, k = len(kept), len(models)
+    n, k = len(kept), 1 if noise is None else len(noise.xi)
     if n > MAX_SIM_WIDTH:
         raise ValueError(f"{n}-qubit state exceeds the dense engine limit {MAX_SIM_WIDTH}")
     aux_zero = tuple(0 if a % width in aux else slice(None) for a in range(2 * width))
@@ -195,7 +191,7 @@ def simulate(
         elif run[0].kind != "measure":
             entry = compiled.get((run, kept))
             if entry is None:
-                superops, qubits = _compile(run, models, aux, compiled)
+                superops, qubits = _compile(run, noise, aux, compiled)
                 entry = compiled[run, kept] = superops, tuple(kept.index(q) for q in qubits)
             program.append((*entry, run))
     start = stop = 0
@@ -209,7 +205,6 @@ def simulate(
         kept.index(q) for q in circuit.model_register
     )
     dim = 2**n
-    noisy = [j for j, model in enumerate(models) if model is not None]
     moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them
     # vec is held in the layout of the last applied run's operands; () is the natural order
     vec, layout = np.tile(rho.ravel(), k), ()
@@ -227,23 +222,19 @@ def simulate(
             continue
         superops, layout, run = op
         vec = (superops @ vec[move].reshape(*superops.shape[:2], -1)).reshape(-1)
-        if noisy:
+        if noise is not None:
             # real parts of every member's trace: one product with the layout's diagonal mask
             traces = (vec.view(float).reshape(k, -1) @ _layout(layout, n, k).diagonal).tolist()
-            drift, j = max((abs(traces[j] - 1.0), j) for j in noisy)
+            drift, j = max((abs(trace - 1.0), j) for j, trace in enumerate(traces))
             if drift > _TRACE_TOL:
                 kinds = "/".join(g.kind for g in run)
                 raise RuntimeError(
-                    f"trace drift {drift:.2e} after {kinds} under noise model {j}; "
+                    f"trace drift {drift:.2e} after {kinds} under noise member {j} (xi={noise.xi[j]:g}); "
                     "engine invariant broken"
                 )
-    results = []
-    states = vec[_layout(layout, n, k).inverse].reshape((k,) + (2,) * (2 * n))
-    for member, state in zip(snapshots, states):
-        final = np.zeros((2,) * (2 * width), dtype=complex)
-        final[aux_zero] = state
-        results.append(SimulationResult(member, final.reshape(2**width, 2**width)))
-    return results if isinstance(noise, tuple) else results[0]
+    final = np.zeros((k,) + (2,) * (2 * width), dtype=complex)
+    final[(slice(None), *aux_zero)] = vec[_layout(layout, n, k).inverse].reshape((k,) + (2,) * (2 * n))
+    return SimulationResult(snapshots, final.reshape(k, 2**width, 2**width))
 
 
 def _runs(gates: tuple[Gate, ...]):
@@ -302,7 +293,7 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
-    """The layout of a stack of k width-qubit rhos grouped by model, then by these operands' bits.
+    """The layout of a stack of k width-qubit rhos grouped by member, then by these operands' bits.
 
     Its ``index`` splits into k equal parts, one per stacked rho in order,
     and block l of each part (of ``4**len(operands)`` equal blocks) lists
@@ -325,9 +316,9 @@ def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
 
 
 def _compile(
-    run: tuple[Gate, ...], models: tuple, aux: tuple[int, ...], compiled: dict
+    run: tuple[Gate, ...], noise, aux: tuple[int, ...], compiled: dict
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A run's superoperators, one per noise model, and the qubits they act on, in order.
+    """A run's superoperators, one per noise member, and the qubits they act on, in order.
 
     The run's local register orders its qubits by first appearance.  The
     run's one-qubit gates are multiplied together at their own width: each
@@ -336,7 +327,7 @@ def _compile(
     does a reset, always its qubit's last gate in the run.  Each chain
     product and each two-qubit gate is then placed on the run's register
     by ``embed_operator``, as an operator on its row bits then column bits,
-    and the run's superoperator under each model is the product of those
+    and the run's superoperator under each member is the product of those
     placed factors.  Each placed factor and each one-qubit gate's
     superoperators are cached in ``compiled``, keyed by the gates and where
     they sit, so a chain that recurs in another run is neither multiplied
@@ -370,7 +361,7 @@ def _compile(
             for g in gates:
                 superop = compiled.get(g)
                 if superop is None:
-                    superop = _gate_superop(g, models, compiled)
+                    superop = _gate_superop(g, noise)
                     if len(g.qubits) == 1:  # a two-qubit gate is a placed factor of its own, cached as that
                         compiled[g] = superop
                 product = superop if product is None else superop @ product
@@ -402,25 +393,15 @@ def _drop_aux(superops: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
     return np.einsum(tensor, [..., *in_sub, *out_sub[2 * m:]], [..., *out_sub]).reshape(-1, 4**m, 4**m)
 
 
-def _gate_superop(gate: Gate, models: tuple, compiled: dict) -> np.ndarray:
-    """Superoperators of one gate on its operands, one per model: U x conj(U), then its channel's.
-
-    The stacked channels of each (kind, operands), the identity for a
-    ``None`` member, are cached in ``compiled``.
-    """
+def _gate_superop(gate: Gate, noise) -> np.ndarray:
+    """Superoperators of one gate on its operands, one per noise member: U x conj(U), then its channel's."""
+    k = 1 if noise is None else len(noise.xi)
     if gate.kind == "reset":
-        return np.stack([kraus_superop(_RESET_KRAUS)] * len(models))
-    if gate.kind in ("ry", "cry") and any(model is not None for model in models):
+        return np.stack([kraus_superop(_RESET_KRAUS)] * k)
+    if gate.kind in ("ry", "cry") and noise is not None:
         raise ValueError("noisy simulation requires a native circuit; transpile first")
     ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
-    key = (gate.kind, gate.qubits)
-    channels = compiled.get(key)
-    if channels is None:
-        channels = compiled[key] = np.stack([
-            np.eye(len(ideal)) if model is None else model.channel_for(gate.kind, gate.qubits)
-            for model in models
-        ])
-    return channels @ ideal
+    return ideal[None] if noise is None else noise.channel_for(gate.kind, gate.qubits) @ ideal
 
 
 def sample_counts(

@@ -87,11 +87,12 @@ def kraus_operators(channel, floor: float = 1e-14) -> list[np.ndarray]:
     return [np.sqrt(v) * vec.reshape(d, d) for v, vec in zip(vals, vecs.T) if v > floor]
 
 
-def simulate_bruteforce(circuit, noise=None):
-    """Full-width reference engine: (snapshots, final state) of the circuit.
+def simulate_bruteforce(circuit, noise=None, member=0):
+    """Full-width reference engine: (snapshots, final state) of the circuit under one noise member.
 
-    Each gate embeds its unitary, then each Kraus operator of its noise
-    channel (from ``kraus_operators``), onto the whole register; resets stay
+    Each gate embeds its unitary, then each Kraus operator of its channel
+    in member ``member`` of the noise model's stack (from
+    ``kraus_operators``), onto the whole register; resets stay
     ideal and barriers record the state, reduced to the model register when
     the circuit maps one.
     """
@@ -119,7 +120,7 @@ def simulate_bruteforce(circuit, noise=None):
         elif g.kind != "measure":
             rho = apply([gate_unitary(g.kind, g.angle)], g.qubits)
             if noise is not None:
-                rho = apply(kraus_operators(noise.channel_for(g.kind, g.qubits)), g.qubits)
+                rho = apply(kraus_operators(noise.channel_for(g.kind, g.qubits)[member]), g.qubits)
     return snapshots, rho
 
 

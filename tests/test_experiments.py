@@ -205,7 +205,7 @@ def test_worker_pool_matches_serial(tmp_path):
 
 def test_shot_sampled_observables_pool_matches_serial(tmp_path):
     # the deprecated workers field leaves the sampled output byte-identical;
-    # xi = 0 simulates without noise but still samples through the readout model
+    # the xi = 0 member of the noise model samples through its identity readout
     overrides = {"orders": (2,), "xi_list": (0.0, 0.1), "dt_grid": (0.5,), "t_final": 1.0,
                  "shots": 500, "seed": 4}
     for workers in (1, 2):
@@ -428,13 +428,67 @@ def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, 
     calls = []
     compile_run = sim._compile
 
-    def counted(run, models, aux, embedded):
-        calls.append((run, tuple(map(id, models))))
-        return compile_run(run, models, aux, embedded)
+    def counted(run, model, aux, embedded):
+        calls.append((run, id(model)))
+        return compile_run(run, model, aux, embedded)
 
     monkeypatch.setattr(sim, "_compile", counted)
     run(make_config(experiment, overrides={"out_dir": str(tmp_path)}))
     assert len(calls) == len(set(calls)) == distinct
+
+
+@pytest.mark.parametrize("experiment", [kind for kind in EXPERIMENT_KINDS if kind != "gate_counts"])
+def test_every_circuit_runs_under_the_whole_xi_stack(tmp_path, monkeypatch, experiment):
+    # the points of each (order, gamma, dt) circuit are the run's xi values in order, so one
+    # noise model, with a member per xi, and one dict of compiled runs serve every circuit
+    cfg = make_config(experiment, overrides={"out_dir": str(tmp_path)})
+    circuits: dict[tuple, list[float]] = {}
+    for t in experiments._tasks(cfg):
+        circuits.setdefault((t["order"], t["gamma"], t["dt"]), []).append(t["xi"])
+    assert all(tuple(xis) == cfg.xi_list for xis in circuits.values())
+    calls = []
+    simulate = sim.simulate
+
+    def recorded(circuit, model=None, rho0=None, repeat=1, compiled=None):
+        calls.append((model, compiled))
+        return simulate(circuit, model, rho0, repeat, compiled)
+
+    monkeypatch.setattr(sim, "simulate", recorded)
+    run(cfg)
+    assert len(calls) == len(circuits)
+    (model,) = {id(model): model for model, _ in calls}.values()
+    assert len({id(compiled) for _, compiled in calls}) == 1
+    assert (model is None) == (not cfg.uses_calibration)
+    if model is not None:
+        assert model.xi == cfg.xi_list
+
+
+def test_no_compiled_dict_holds_a_channel_of_its_own(tmp_path, monkeypatch):
+    # every gate reads its calibration entry's one channel stack; none is copied per operand list
+    calls = []
+    simulate = sim.simulate
+
+    def recorded(circuit, model=None, rho0=None, repeat=1, compiled=None):
+        calls.append((circuit, model, compiled))
+        return simulate(circuit, model, rho0, repeat, compiled)
+
+    monkeypatch.setattr(sim, "simulate", recorded)
+    run(make_config("correlations", overrides={"out_dir": str(tmp_path)}))
+    assert not any(g.kind == "id" for circuit, _, _ in calls for g in circuit.gates)  # U = 1 would match
+    channels = {stack.tobytes() for _, model, _ in calls for stack in model.channels.values()}
+    for compiled in {id(compiled): compiled for _, _, compiled in calls}.values():
+        held = [v for value in compiled.values() for v in (value if isinstance(value, tuple) else (value,))]
+        arrays = [array for array in held if isinstance(array, np.ndarray)]
+        assert arrays and not any(array.tobytes() in channels for array in arrays)
+
+
+@pytest.mark.parametrize("xi", ["0", "0.1"])
+def test_duplicate_xi_values_write_identical_rows(tmp_path, xi):
+    # two points of each circuit at one xi read two members, of the built stack or of the noiseless run
+    assert main(["noise_sweep", "--xi", xi, xi, "--t-final", "0.4", "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "noise_sweep.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[0] == rows[1]
+    assert rows[0].split(",")[header.split(",").index("xi")] == xi
 
 
 # a sweep scores each t > 0 snapshot once, all in one stacked call: trotter_sweep runs

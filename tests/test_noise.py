@@ -1,5 +1,6 @@
 """Noise channels, calibration identities, and noise-factor scaling."""
 
+import itertools
 import math
 import re
 import warnings
@@ -25,7 +26,6 @@ from sbsim.noise import (
     kraus_superop,
     load_calibration,
     process_fidelity,
-    scale_calibration,
     thermal_relaxation_channel,
 )
 
@@ -249,22 +249,29 @@ def test_composed_channel_hits_calibrated_infidelity():
     assert 1 - average_gate_fidelity(composed) == pytest.approx(target, abs=1e-9)
 
 
-def test_scale_calibration_endpoints():
+def test_noise_factor_endpoints():
+    # xi = 1 keeps the calibration's readout; xi = 0 zeroes every gate error, gate time and readout flip
     cal = jakarta_average_calibration()
-    same = scale_calibration(cal, 1.0)
-    assert same == cal
-    off = scale_calibration(cal, 0.0)
-    assert all(g.error == 0 and g.time_ns == 0 for g in off.gates)
-    assert all(q.p10 == 0 and q.p01 == 0 for q in off.qubits)
-    assert all(q.t1_us == cal.qubits[0].t1_us for q in off.qubits)
+    model = build_noise_model(cal, (1.0, 0.0))
+    assert model.xi == (1.0, 0.0) and model.calibration is cal
+    for q, qubit in enumerate(cal.qubits):
+        assert np.array_equal(model.readout[0, q], [[1 - qubit.p10, qubit.p10], [qubit.p01, 1 - qubit.p01]])
+        assert np.array_equal(model.readout[1, q], np.eye(2))
+    for stack in model.channels.values():
+        assert np.array_equal(stack[1], np.eye(stack.shape[-1]))
+    # T1 and T2 stay unscaled: a half-xi member relaxes as the thermal channel of half the gate time
+    entry = cal.gate_entry("sx")
+    thermal = thermal_relaxation_channel(cal.mean_qubit.t1_us, cal.mean_qubit.t2_us, 0.5 * entry.time_ns * 1e-3)
+    assert np.array_equal(_gate_thermal_channel(cal, entry, np.array([0.5]))[0], thermal)
 
 
-def test_scale_calibration_tenth():
-    cal = scale_calibration(jakarta_average_calibration(), 0.1)
-    assert cal.gate_entry("cx").error == pytest.approx(1.109e-3, rel=1e-12)
-    assert cal.qubits[0].p10 == pytest.approx(3.349e-3, rel=1e-12)
-    with pytest.raises(ValueError):
-        scale_calibration(cal, 1.5)
+def test_noise_factor_tenth():
+    cal = jakarta_average_calibration()
+    model = build_noise_model(cal, 0.1)
+    assert 1 - average_gate_fidelity(model.channel_for("cx", (0, 1))[0]) == pytest.approx(1.109e-3, rel=1e-9)
+    assert model.readout[0, 0, 0, 1] == pytest.approx(3.349e-3, rel=1e-12)  # qubit 0 p10
+    with pytest.raises(ValueError, match=re.escape("noise factor 1.5 outside [0, 1]")):
+        build_noise_model(cal, 1.5)
 
 
 @pytest.mark.parametrize("xi", [0.01, 0.1, 1.0])
@@ -272,7 +279,7 @@ def test_noise_model_calibration_identity(xi):
     # defining identity: composed channel fidelity == 1 - xi * I_gate
     cal = jakarta_average_calibration()
     model = build_noise_model(cal, xi)
-    for (kind, _), channel in model.channels.items():
+    for (kind, _), (channel,) in model.channels.items():
         assert is_cptp(channel, 1e-10), kind
         target = 1 - xi * cal.gate_entry(kind).error
         assert average_gate_fidelity(channel) == pytest.approx(target, abs=1e-6), kind
@@ -280,17 +287,16 @@ def test_noise_model_calibration_identity(xi):
 
 def test_noise_model_monotone_in_xi():
     cal = jakarta_average_calibration()
-    fid_01 = average_gate_fidelity(build_noise_model(cal, 0.1).channel_for("cx", (0, 1)))
-    fid_10 = average_gate_fidelity(build_noise_model(cal, 1.0).channel_for("cx", (0, 1)))
+    fid_01, fid_10 = average_gate_fidelity(build_noise_model(cal, (0.1, 1.0)).channel_for("cx", (0, 1)))
     assert fid_01 >= fid_10
 
 
 def test_noise_model_zero_is_noiseless():
     model = build_noise_model(jakarta_average_calibration(), 0.0)
-    for channel in model.channels.values():
-        np.testing.assert_allclose(channel, np.eye(len(channel)), atol=1e-12)
+    for (channel,) in model.channels.values():
+        np.testing.assert_array_equal(channel, np.eye(len(channel)))
     for q in range(7):
-        np.testing.assert_allclose(model.readout[q], np.eye(2), atol=1e-15)
+        np.testing.assert_array_equal(model.readout[0, q], np.eye(2))
 
 
 @pytest.mark.parametrize("per_operand", [False, True])
@@ -305,14 +311,15 @@ def test_each_member_of_a_stacked_build_equals_its_one_xi_build(per_operand):
         cal = CalibrationData(qubits, cal.gates + pairs)
     xis = (0.01, 0.03, 0.1, 0.3, 1.0, 0.0)
     stacked = build_noise_model(cal, xis)
-    assert isinstance(stacked, tuple) and len(stacked) == len(xis)
-    for xi, member in zip(xis, stacked):
+    assert stacked.xi == xis and stacked.calibration is cal
+    assert stacked.readout.shape == (len(xis), len(cal.qubits), 2, 2)
+    for j, xi in enumerate(xis):
         alone = build_noise_model(cal, xi)
-        assert member.calibration == alone.calibration == scale_calibration(cal, xi)
-        assert member.channels.keys() == alone.channels.keys()
+        assert alone.xi == (xi,) and alone.calibration is cal
+        assert stacked.channels.keys() == alone.channels.keys()
         for key, channel in alone.channels.items():
-            assert np.array_equal(member.channels[key], channel), key
-        assert all(np.array_equal(a, b) for a, b in zip(member.readout, alone.readout))
+            assert channel.shape[0] == 1 and np.array_equal(stacked.channels[key][j], channel[0]), key
+        assert np.array_equal(stacked.readout[j], alone.readout[0])
 
 
 @pytest.mark.parametrize("xis", [(0.1, 1.5), (-0.2, 0.5, 1.0), (0.3, float("nan"))])
@@ -333,18 +340,18 @@ def test_clamp_warning_names_the_one_clamped_member(operands, named):
     cal = CalibrationData(qubits, (GateCalibration("sx", operands, 0.14, 30000.0),))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        models = build_noise_model(cal, (1.0, 0.5, 0.01))
+        model = build_noise_model(cal, (1.0, 0.5, 0.01))
     assert [str(w.message) for w in caught] == [
         f"{named} at xi=0.01: thermal infidelity 1.498e-03 exceeds gate error 1.400e-03; "
         "depolarizing probability clamped to 0"
     ]
-    assert 1 - average_gate_fidelity(models[2].channels[("sx", operands)]) == pytest.approx(1.498e-3, abs=1e-6)
+    assert 1 - average_gate_fidelity(model.channels[("sx", operands)][2]) == pytest.approx(1.498e-3, abs=1e-6)
 
 
 def test_confusion_matrix_rows_sum_to_one():
     model = build_noise_model(jakarta_average_calibration(), 1.0)
-    m = model.readout[0]
-    np.testing.assert_allclose(m.sum(axis=1), [1.0, 1.0], atol=1e-15)
+    m = model.readout[0, 0]
+    np.testing.assert_allclose(model.readout.sum(axis=-1), 1.0, atol=1e-15)
     assert m[0, 1] == pytest.approx(0.03349)
 
 
@@ -357,9 +364,18 @@ def test_channel_for_takes_the_operand_entry_over_the_wildcard(xi, operand_entry
     qubits = (QubitCalibration(100.0, 80.0, 5.0, 0.01, 0.01),) * 3
     model = build_noise_model(CalibrationData(qubits, gates), xi)
     own, shared = model.channel_for("sx", (2,)), model.channel_for("sx", (0,))
-    assert average_gate_fidelity(own) == pytest.approx(1 - xi * on_two.error, abs=1e-9)
-    assert average_gate_fidelity(shared) == pytest.approx(1 - xi * wildcard.error, abs=1e-9)
+    assert average_gate_fidelity(own[0]) == pytest.approx(1 - xi * on_two.error, abs=1e-9)
+    assert average_gate_fidelity(shared[0]) == pytest.approx(1 - xi * wildcard.error, abs=1e-9)
     assert own is model.channels[("sx", (2,))] and shared is model.channels[("sx", None)]
+
+
+def test_every_operand_list_a_wildcard_serves_reads_its_one_stack():
+    # a wildcard entry's stack is shared, never copied per operand list
+    model = build_noise_model(jakarta_average_calibration(), (0.0, 0.1, 1.0))
+    for (kind, operands), stack in model.channels.items():
+        assert operands is None  # the bundled calibration holds wildcard entries only
+        for qubits in itertools.permutations(range(7), 2 if kind == "cx" else 1):
+            assert model.channel_for(kind, qubits) is stack, (kind, qubits)
 
 
 def test_two_qubit_thermal_channel_acts_on_each_operand_in_order(rng):
@@ -398,7 +414,8 @@ def test_error_source_ratio_scale_invariance():
     # uniform scaling leaves the thermal/depolarizing split roughly unchanged
     cal = jakarta_average_calibration()
     r1 = error_source_ratio(cal)
-    r01 = error_source_ratio(scale_calibration(cal, 0.1))
+    gates = tuple(replace(g, error=0.1 * g.error, time_ns=0.1 * g.time_ns) for g in cal.gates)
+    r01 = error_source_ratio(CalibrationData(cal.qubits, gates))
     assert r01 == pytest.approx(r1, rel=0.15)
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
-    NoiseModel,
     QubitCalibration,
     build_noise_model,
     jakarta_average_calibration,
@@ -91,13 +92,14 @@ def test_partial_trace_of_product_state(rng):
 def test_empty_circuit_returns_input():
     rho = np.diag([0.25, 0.75]).astype(complex)
     result = simulate(Circuit(1), rho0=rho)
-    np.testing.assert_allclose(result.final, rho)
+    assert result.final.shape == (1, 2, 2)
+    np.testing.assert_allclose(result.final[0], rho)
 
 
 def test_width_limit():
     # the limit counts state qubits: auxiliaries are not held in the state
-    assert simulate(Circuit(6)).final.shape == (64, 64)
-    assert simulate(Circuit(7, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 6)).final.shape == (128, 128)
+    assert simulate(Circuit(6)).final.shape == (1, 64, 64)
+    assert simulate(Circuit(7, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 6)).final.shape == (1, 128, 128)
     with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
         simulate(Circuit(7))
     with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
@@ -107,7 +109,7 @@ def test_width_limit():
 def test_collision_block_on_excited_spin():
     # single collision, paper convention, gamma=1, dt=0.2: p_up -> exp(-0.2)
     c = Circuit(2, tuple([Gate("x", (0,))]) + collision_block(1.0, 0.2, 0, 1).gates)
-    rho = simulate(c).final
+    rho = simulate(c).final[0]
     spin = partial_trace(rho, (0,), 2)
     assert spin[1, 1].real == pytest.approx(math.exp(-0.2), abs=1e-12)
 
@@ -119,7 +121,7 @@ def test_noiseless_circuit_approaches_reference_as_dt_shrinks():
     for dt in (0.2, 0.05):
         n = round(1.0 / dt)
         circuit = assemble_evolution(params, InitialStateSpec(), n, dt, order=2)
-        snaps = simulate(circuit).snapshots
+        snaps = simulate(circuit).snapshots[0]
         exact = evolve_exact(rho0, params, [dt * k for k in range(n + 1)])
         errors.append(time_averaged_infidelity(snaps, exact))
     assert errors[1] < errors[0]
@@ -158,7 +160,7 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
             # model basis unit [s, hi, lo] embedded into circuit order [hi, lo, s, aux]
             unit_circ = kron_all([partial_trace(unit, (1, 2, 0), 3), np.diag([1.0, 0.0])])
             out = simulate(stepped, rho0=unit_circ.astype(complex))
-            worst = max(worst, float(np.max(np.abs(out.snapshots[-1] - expected))))
+            worst = max(worst, float(np.max(np.abs(out.snapshots[0, -1] - expected))))
     assert worst < 1e-12
 
 
@@ -173,8 +175,8 @@ def _assert_matches_bruteforce(circuit, xi, cal=None):
     model = build_noise_model(cal, xi) if xi > 0 else None
     result = simulate(circuit, noise=model)
     snapshots, final = simulate_bruteforce(circuit, noise=model)
-    assert len(result.snapshots) == len(snapshots)
-    for got, want in zip([*result.snapshots, result.final], snapshots + [final]):
+    assert result.snapshots.shape[:2] == (1, len(snapshots)) and len(result.final) == 1
+    for got, want in zip([*result.snapshots[0], result.final[0]], snapshots + [final]):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -199,10 +201,10 @@ def test_one_step_replayed_equals_written_out_steps(n_spins, order, xi):
     model = build_noise_model(jakarta_average_calibration(), xi) if xi > 0 else None
     written = simulate(_native_evolution(n_spins, order, 3), noise=model)
     replayed = simulate(_native_evolution(n_spins, order, 1), noise=model, repeat=3)
-    assert len(replayed.snapshots) == len(written.snapshots) == 4
-    assert replayed.snapshots.ndim == 3  # one (n, d, d) array
-    for got, want in zip([*replayed.snapshots, replayed.final], [*written.snapshots, written.final]):
-        assert np.array_equal(got, want)
+    assert replayed.snapshots.shape[:2] == written.snapshots.shape[:2] == (1, 4)
+    assert replayed.snapshots.ndim == 4  # one (k, n, d, d) array
+    assert np.array_equal(replayed.snapshots, written.snapshots)
+    assert np.array_equal(replayed.final, written.final)
 
 
 def test_repeat_needs_a_block_between_two_barriers():
@@ -211,7 +213,7 @@ def test_repeat_needs_a_block_between_two_barriers():
         with pytest.raises(ValueError, match="repeat must be at least 1"):
             simulate(step, repeat=repeat)
     one_barrier = Circuit(1, (Gate("x", (0,)), Gate("barrier")))
-    assert len(simulate(one_barrier).snapshots) == 1
+    assert len(simulate(one_barrier).snapshots[0]) == 1
     with pytest.raises(ValueError, match="fewer"):
         simulate(one_barrier, repeat=2)
 
@@ -224,47 +226,57 @@ def test_compiled_runs_are_bound_to_one_noise_model():
     first = simulate(circuit, noise=model, compiled=compiled)
     again = simulate(circuit, noise=model, compiled=compiled)
     assert np.array_equal(first.final, again.final)
-    for wrong in (other, None):
+    for wrong in (other, None):  # an equal model is still another model
         with pytest.raises(ValueError, match="another noise model"):
             simulate(circuit, noise=wrong, compiled=compiled)
     stack: dict = {}
-    first = simulate(circuit, noise=(None, model), compiled=stack)
-    again = simulate(circuit, noise=(None, model), compiled=stack)  # an equal tuple is the same stack
-    assert all(np.array_equal(a.final, b.final) for a, b in zip(first, again))
-    for wrong in ((model, None), (None, other), (None,), (None, model, model), model):
+    model = build_noise_model(cal, (0.0, 0.1))
+    first = simulate(circuit, noise=model, compiled=stack)
+    again = simulate(circuit, noise=model, compiled=stack)
+    assert np.array_equal(first.final, again.final)
+    for wrong in (build_noise_model(cal, (0.0, 0.1)), build_noise_model(cal, (0.1, 0.0)),
+                  build_noise_model(cal, 0.0), build_noise_model(cal, (0.0, 0.1, 0.1)), None):
         with pytest.raises(ValueError, match="another noise model"):
             simulate(circuit, noise=wrong, compiled=stack)
-    with pytest.raises(ValueError, match="at least one noise model"):
-        simulate(circuit, noise=())
+    noiseless: dict = {}
+    simulate(circuit, compiled=noiseless)
+    simulate(circuit, compiled=noiseless)
+    with pytest.raises(ValueError, match="another noise model"):
+        simulate(circuit, noise=model, compiled=noiseless)
+    with pytest.raises(ValueError, match="at least one noise factor"):
+        build_noise_model(cal, ())
 
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("n_spins", [1, 2])
 def test_model_stack_matches_each_model_alone(n_spins, order):
+    # each member of a stacked model runs as its one-xi model alone, bit for bit
     cal = jakarta_average_calibration()
-    models = (None, build_noise_model(cal, 0.01), build_noise_model(cal, 1.0))
+    xis = (0.0, 0.01, 1.0)
     step = _native_evolution(n_spins, order, 1)
-    stacked = simulate(step, noise=models, repeat=3)
-    assert len(stacked) == len(models)
-    for model, got in zip(models, stacked):
-        alone = simulate(step, noise=model, repeat=3)
-        assert len(got.snapshots) == len(alone.snapshots) == 4
-        for a, b in zip([*got.snapshots, got.final], [*alone.snapshots, alone.final]):
-            assert np.array_equal(a, b)
+    stacked = simulate(step, noise=build_noise_model(cal, xis), repeat=3)
+    assert stacked.snapshots.shape[:2] == (len(xis), 4) and len(stacked.final) == len(xis)
+    for j, xi in enumerate(xis):
+        alone = simulate(step, noise=build_noise_model(cal, xi), repeat=3)
+        assert alone.snapshots.shape[:2] == (1, 4)
+        assert np.array_equal(stacked.snapshots[j], alone.snapshots[0])
+        assert np.array_equal(stacked.final[j], alone.final[0])
 
 
 def test_trace_drift_of_one_stack_member_is_caught():
+    # a leaky member, made by scaling one member of the sx stack, is caught at its index
     cal = jakarta_average_calibration()
-    leaky = build_noise_model(cal, 0.1)
-    key = ("sx", None)
-    channels = {**leaky.channels, key: 0.9 * leaky.channels[key]}
-    leaky = NoiseModel(channels, leaky.readout, leaky.calibration)
-    sound = build_noise_model(cal, 0.1)
     step = _native_evolution(1, 2, 1)
-    simulate(step, noise=(None, sound), repeat=2)
-    for models, j in (((None, sound, leaky), 2), ((leaky, None), 0), ((sound, leaky), 1)):
-        with pytest.raises(RuntimeError, match=f"trace drift .* under noise model {j}"):
-            simulate(step, noise=models, repeat=2)
+    key = ("sx", None)
+    for xis, j in (((0.0, 0.01, 0.1), 2), ((0.1, 0.0), 0), ((0.01, 0.1), 1)):
+        sound = build_noise_model(cal, xis)
+        simulate(step, noise=sound, repeat=2)
+        sx = sound.channels[key].copy()
+        sx[j] *= 0.9
+        leaky = replace(sound, channels={**sound.channels, key: sx})
+        message = f"trace drift .* under noise member {j} " + re.escape(f"(xi={xis[j]:g})")
+        with pytest.raises(RuntimeError, match=message):
+            simulate(step, noise=leaky, repeat=2)
 
 
 _COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
@@ -301,7 +313,7 @@ def test_initial_state_with_weight_outside_aux_ground_is_rejected():
         simulate(circuit, rho0=np.eye(4, dtype=complex) / 4)
     spin_mixed = kron_all([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
     result = simulate(circuit, rho0=spin_mixed)
-    np.testing.assert_allclose(partial_trace(result.final, (1,), 2), np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(partial_trace(result.final[0], (1,), 2), np.diag([1.0, 0.0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("xi", [0.0, 1.0])
@@ -351,22 +363,26 @@ def test_runs_stop_at_barriers_and_measurements():
     bounds = [0, 1, 2, 4, 5, 6, 7, 8]
     assert list(_runs(gates)) == [gates[a:b] for a, b in zip(bounds, bounds[1:])]
     circuit = Circuit(2, gates)
-    assert len(simulate(circuit).snapshots) == 2
+    assert len(simulate(circuit).snapshots[0]) == 2
     _assert_matches_bruteforce(circuit, 1.0)
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("n_spins", [1, 2])
 def test_every_compiled_run_is_cptp(n_spins, xi):
-    models = (build_noise_model(jakarta_average_calibration(), xi), None)
+    for noise, k in ((build_noise_model(jakarta_average_calibration(), (xi, 0.0)), 2), (None, 1)):
+        _assert_compiled_runs_are_cptp(n_spins, noise, k)
+
+
+def _assert_compiled_runs_are_cptp(n_spins, noise, k):
     for order in (1, 2):
         circuit = _native_evolution(n_spins, order, 1)
         runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
         reduced = 0
         for run in runs:
-            superops, qubits = _compile(run, models, circuit.aux_qubits, {})
+            superops, qubits = _compile(run, noise, circuit.aux_qubits, {})
             assert not set(qubits) & set(circuit.aux_qubits)
-            assert len(superops) == len(models)
+            assert len(superops) == k
             reduced += any(g.kind == "reset" for g in run)
             for superop in superops:
                 d = math.isqrt(superop.shape[0])
@@ -380,14 +396,15 @@ def test_every_compiled_run_is_cptp(n_spins, xi):
 
 
 def test_noisy_simulation_preserves_trace_and_hermiticity():
-    model = build_noise_model(jakarta_average_calibration(), 1.0)
+    model = build_noise_model(jakarta_average_calibration(), (1.0, 0.1))
     for n_spins in (1, 2):
         result = simulate(_native_evolution(n_spins, 2, 5), noise=model)
-        assert abs(np.trace(result.final).real - 1.0) < 1e-10
-        assert np.max(np.abs(result.final - result.final.conj().T)) < 1e-10
-        for snap in result.snapshots:
-            assert abs(np.trace(snap).real - 1.0) < 1e-10
-            assert np.min(np.linalg.eigvalsh((snap + snap.conj().T) / 2)) > -1e-9
+        for final, snapshots in zip(result.final, result.snapshots):
+            assert abs(np.trace(final).real - 1.0) < 1e-10
+            assert np.max(np.abs(final - final.conj().T)) < 1e-10
+            for snap in snapshots:
+                assert abs(np.trace(snap).real - 1.0) < 1e-10
+                assert np.min(np.linalg.eigvalsh((snap + snap.conj().T) / 2)) > -1e-9
 
 
 def test_noise_requires_native_circuit():
@@ -400,19 +417,33 @@ def test_noise_requires_native_circuit():
 
 
 def test_xi_zero_model_equals_no_model():
+    # a member at xi = 0 is exactly the identity channel, so it equals the noiseless run bit for bit
     params = ModelParams()
     circuit = decompose_native(assemble_evolution(params, InitialStateSpec(), 3, 0.2))
-    plain = simulate(circuit).final
-    nulled = simulate(circuit, noise=build_noise_model(jakarta_average_calibration(), 0.0)).final
-    assert np.max(np.abs(plain - nulled)) < 1e-10
+    cal = jakarta_average_calibration()
+    plain = simulate(circuit)
+    nulled = simulate(circuit, noise=build_noise_model(cal, 0.0))
+    assert np.array_equal(plain.final, nulled.final)
+    assert plain.snapshots.tobytes() == nulled.snapshots.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_xi_zero_member_of_a_noisy_stack_equals_no_model(n_spins):
+    step = _native_evolution(n_spins, 2, 1)
+    plain = simulate(step, repeat=3)
+    stacked = simulate(step, noise=build_noise_model(jakarta_average_calibration(), (0.0, 0.1)), repeat=3)
+    assert np.array_equal(stacked.snapshots[:1], plain.snapshots)
+    assert np.array_equal(stacked.final[:1], plain.final)
+    assert stacked.snapshots[0].tobytes() == plain.snapshots[0].tobytes()
+    assert not np.array_equal(stacked.snapshots[1], plain.snapshots[0])
 
 
 def test_transpiled_equals_ir_noiseless():
     params = ModelParams(n_spins=2, omega=6)
     circuit = assemble_evolution(params, InitialStateSpec(("up", "down")), 2, 0.2)
     native = decompose_native(circuit)
-    rho_a = simulate(circuit).snapshots[-1]
-    rho_b = simulate(native).snapshots[-1]
+    rho_a = simulate(circuit).snapshots[0, -1]
+    rho_b = simulate(native).snapshots[0, -1]
     assert fidelity(rho_a, rho_b) > 1 - 1e-9
 
 
@@ -498,15 +529,15 @@ def test_runs_commute_only_disjoint_gates(rng):
 
 @pytest.mark.parametrize("n_state, n_models", [(2, 1), (3, 2), (4, 1), (5, 3)])
 def test_random_noisy_circuits_with_auxiliaries_match_bruteforce(rng, n_state, n_models):
-    cal = jakarta_average_calibration()
-    models = (build_noise_model(cal, 0.3), None, build_noise_model(cal, 1.0))[:n_models]
+    model = build_noise_model(jakarta_average_calibration(), (0.3, 0.0, 1.0)[:n_models])
     for _ in range(2 if n_state < 5 else 1):
         circuit = _random_collision_circuit(rng, n_state, 8)
-        results = simulate(circuit, noise=models)
-        for model, result in zip(models, results):
-            snapshots, final = simulate_bruteforce(circuit, noise=model)
-            assert len(result.snapshots) == len(snapshots)
-            for got, want in zip([*result.snapshots, result.final], [*snapshots, final]):
+        result = simulate(circuit, noise=model)
+        assert len(result.snapshots) == len(result.final) == n_models
+        for j in range(n_models):
+            snapshots, final = simulate_bruteforce(circuit, noise=model, member=j)
+            assert len(result.snapshots[j]) == len(snapshots)
+            for got, want in zip([*result.snapshots[j], result.final[j]], [*snapshots, final]):
                 assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -527,42 +558,42 @@ def _channel_on_kept(superop: np.ndarray, local: list[int], kept: tuple[int, ...
 @pytest.mark.parametrize("n_state", [2, 3])
 def test_chain_merged_compile_matches_gate_by_gate_product(rng, n_state):
     # each gate's superoperator placed by basis-state bookkeeping and multiplied in one at a time
-    cal = jakarta_average_calibration()
-    models = (build_noise_model(cal, 0.3), None, build_noise_model(cal, 1.0))
+    model = build_noise_model(jakarta_average_calibration(), (0.3, 0.0, 1.0))
     reset = kraus_superop(np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]]))
     for _ in range(3):
         circuit = _random_collision_circuit(rng, n_state, 8)
         runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
         assert any(g.kind == "reset" for run in runs for g in run)
-        for run in runs:
-            superops, kept = _compile(run, models, circuit.aux_qubits, {})
+        for run, noise in itertools.product(runs, (model, None)):
+            superops, kept = _compile(run, noise, circuit.aux_qubits, {})
             local = list(dict.fromkeys(q for g in run for q in g.qubits))
             n = len(local)
-            for model, got in zip(models, superops):
+            assert len(superops) == (1 if noise is None else 3)
+            for j, got in enumerate(superops):
                 product = np.eye(4**n, dtype=complex)
                 for g in run:
                     at = tuple(local.index(q) for q in g.qubits)
                     superop = reset if g.kind == "reset" else kraus_superop(gate_unitary(g.kind, g.angle)[None])
-                    if model is not None and g.kind != "reset":
-                        superop = model.channel_for(g.kind, g.qubits) @ superop
+                    if noise is not None and g.kind != "reset":
+                        superop = noise.channel_for(g.kind, g.qubits)[j] @ superop
                     product = embed_bruteforce(superop, at + tuple(n + p for p in at), 2 * n) @ product
                 assert np.max(np.abs(got - _channel_on_kept(product, local, kept))) < 1e-13
 
 
 def test_six_qubit_stack_is_a_valid_state_and_each_member_runs_alone():
     cal = jakarta_average_calibration()
-    models = (None, build_noise_model(cal, 0.01), build_noise_model(cal, 1.0))
+    xis = (0.0, 0.01, 1.0)
     step = _native_evolution(2, 2, 1, d_ho=16)
     assert step.width - len(step.aux_qubits) == 6
-    stacked = simulate(step, noise=models, repeat=2)
-    for model, got in zip(models, stacked):
-        for rho in got.snapshots:
+    stacked = simulate(step, noise=build_noise_model(cal, xis), repeat=2)
+    for j, xi in enumerate(xis):
+        for rho in stacked.snapshots[j]:
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-10
-        alone = simulate(step, noise=model, repeat=2)
-        assert np.array_equal(got.snapshots, alone.snapshots)
-        assert np.array_equal(got.final, alone.final)
+        alone = simulate(step, noise=build_noise_model(cal, xi) if xi > 0 else None, repeat=2)
+        assert np.array_equal(stacked.snapshots[j], alone.snapshots[0])
+        assert np.array_equal(stacked.final[j], alone.final[0])
 
 
 def test_sample_counts_pure_state():

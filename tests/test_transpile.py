@@ -62,8 +62,8 @@ def test_decompose_preserves_circuit_channel(rng):
     params = ModelParams()
     c = assemble_evolution(params, InitialStateSpec(), 2, 0.3, order=1)
     native = decompose_native(c)
-    rho_ir = simulate(c).final
-    rho_native = simulate(native).final
+    rho_ir = simulate(c).final[0]
+    rho_native = simulate(native).final[0]
     assert np.max(np.abs(rho_ir - rho_native)) < 1e-10
 
 
@@ -124,8 +124,8 @@ def test_route_tracks_permutation_and_preserves_distribution(rng):
     line = CouplingMap(4, ((0, 1), (1, 2), (2, 3)))
     routed = route(c, line, layout=(0, 1, 2, 3))
 
-    probs_plain = np.diag(simulate(c).final).real
-    probs_routed = np.diag(simulate(routed.circuit).final).real
+    probs_plain = np.diag(simulate(c).final[0]).real
+    probs_routed = np.diag(simulate(routed.circuit).final[0]).real
 
     remapped = np.zeros_like(probs_plain)
     for idx in range(len(probs_routed)):
