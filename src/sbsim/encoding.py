@@ -13,14 +13,14 @@ string plus a width in bits.  The register layout (which qubit holds which
 spin or boson bit) is decided by ``ModelParams``; ``encode_hamiltonian``
 reads the positions from there.  With the register laid out as
 ``[spin 1, boson qubits, spin 2, ...]`` the encoded Hamiltonian
-for one spin at (h=1, eps=0.5, omega=4, lambda=2, d_ho=4, Gray) has exactly
+for one spin at (eps=0.5, omega=4, lambda=2, d_ho=4, Gray) has exactly
 the eight non-identity terms
 
     -sqrt(2) X0X1Z2 + sqrt(2) X0X1 + (1-sqrt(3)) X0Z1X2 + (1+sqrt(3)) X0X2
     + 1/4 X0 - 1/2 Z0 - 2 Z1Z2 - 4 Z1
 
 which the test suite pins down coefficient by coefficient.  The spin-z term
-enters as -h/2 Z, i.e. the excited spin state is the computational |1>.
+enters as -Z/2 (h = 1), i.e. the excited spin state is the computational |1>.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _embed(pattern: str, positions: tuple[int, ...], width: int) -> str:
 def encode_hamiltonian(params, kind: str = GRAY) -> PauliSum:
     """Encoded spin-boson Hamiltonian on the register ``params`` lays out.
 
-    Per spin the terms are ``-h/2 Z + eps/2 X + lambda X (a + a')`` with the
+    Per spin the terms are ``-Z/2 + eps/2 X + lambda X (a + a')`` with the
     encoded oscillator operators, plus ``omega`` times the encoded number
     operator; identity-only terms (a global phase) are dropped.
     """
@@ -141,7 +141,7 @@ def encode_hamiltonian(params, kind: str = GRAY) -> PauliSum:
     for t in number.terms:
         terms.append(PauliString(_embed(t.letters, bosons, width), params.omega * t.coefficient))
     for sq in params.spin_positions:
-        terms.append(PauliString(_embed("Z", (sq,), width), -params.h / 2))
+        terms.append(PauliString(_embed("Z", (sq,), width), -0.5))
         terms.append(PauliString(_embed("X", (sq,), width), params.epsilon / 2))
         for t in position.terms:
             pattern = _embed("X" + t.letters, (sq,) + bosons, width)

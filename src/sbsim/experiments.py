@@ -394,7 +394,7 @@ def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], model) -> lis
     for (order, gamma, dt), members in points.items():
         snapshots = sim.simulate(
             cfg.native_step(order, gamma, dt), model, repeat=steps_for(cfg.t_final, dt), compiled=compiled
-        ).snapshots
+        )
         for j, i in enumerate(members):
             simulated[i] = snapshots[0 if model is None else j]
     return simulated

@@ -6,7 +6,7 @@ the one place that writes the initial product state onto that register;
 the exact reference projects onto it and the circuit prepares it.
 
 Spin basis convention: the excited spin state |up> is the computational
-|1>, matching the -h/2 Z term of the encoded Hamiltonian, so the jump
+|1>, matching the -Z/2 term of the encoded Hamiltonian (h = 1), so the jump
 operator of each spin is |0><1| and state preparation is an X gate.
 
 Rate convention: the collision angle theta = arcsin(sqrt(1 - exp(-gamma t)))
@@ -60,10 +60,9 @@ class ModelParams:
     gamma: float = 1.0
     n_spins: int = 1
     d_ho: int = 4
-    h: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("h", "epsilon", "omega", "lambda_c", "gamma"):
+        for name in ("epsilon", "omega", "lambda_c", "gamma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.gamma < 0:

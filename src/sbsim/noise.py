@@ -69,12 +69,11 @@ def _require_finite(entry, label: str, names: tuple[str, ...]) -> None:
 class QubitCalibration:
     t1_us: float
     t2_us: float
-    freq_ghz: float
     p10: float  # P(read 1 | prepared 0)
     p01: float  # P(read 0 | prepared 1)
 
     def __post_init__(self) -> None:
-        _require_finite(self, "qubit entry", ("t1_us", "t2_us", "freq_ghz", "p10", "p01"))
+        _require_finite(self, "qubit entry", ("t1_us", "t2_us", "p10", "p01"))
         if self.t1_us <= 0 or not 0 < self.t2_us <= 2 * self.t1_us:
             raise ValueError(f"unphysical relaxation times T1={self.t1_us}, T2={self.t2_us}")
         for p in (self.p10, self.p01):
@@ -148,7 +147,6 @@ class CalibrationData:
         return QubitCalibration(
             float(np.mean([q.t1_us for q in self.qubits])),
             float(np.mean([q.t2_us for q in self.qubits])),
-            float(np.mean([q.freq_ghz for q in self.qubits])),
             float(np.mean([q.p10 for q in self.qubits])),
             float(np.mean([q.p01 for q in self.qubits])),
         )
@@ -168,10 +166,7 @@ def jakarta_average_calibration() -> CalibrationData:
 
 def _calibration_from_dict(doc: dict) -> CalibrationData:
     try:
-        qubits = tuple(
-            QubitCalibration(q["t1_us"], q["t2_us"], q.get("freq_ghz", 0.0), q["p10"], q["p01"])
-            for q in doc["qubits"]
-        )
+        qubits = tuple(QubitCalibration(q["t1_us"], q["t2_us"], q["p10"], q["p01"]) for q in doc["qubits"])
         gates = tuple(
             GateCalibration(
                 g["kind"],

@@ -15,8 +15,8 @@ and reused by every run that holds it.
 
 The state is held in the layout of the last applied run: grouped by member,
 then by that run's operand bits.  Applying the next run is then one gather
-into its layout and one matrix product, with no scatter back; snapshots
-and the final state are one gather out of the current layout.
+into its layout and one matrix product, with no scatter back; each
+snapshot is one gather out of the current layout.
 
 One call simulates a circuit under every member of one noise model, one
 member per noise factor xi.  The state is a stack of density matrices, one
@@ -37,7 +37,8 @@ Every run that touches one starts with it in |0> and ends by resetting it,
 so the run is exactly a channel on its other qubits (a collision, in the
 language of collision models); the run compiles to that channel.  The state
 thus holds only the non-auxiliary qubits, at most ``MAX_SIM_WIDTH`` of
-them, and snapshots reorder it into the model register.
+them.  The engine takes its initial state and returns its snapshots on the
+model register, in model order.
 
 Also measurement sampling and readout mitigation on plain arrays: counts
 are one multinomial count per basis state of the sampled register, and
@@ -47,7 +48,6 @@ readout error is one 2x2 confusion matrix per qubit of it, in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,7 +58,6 @@ from .noise import kraus_superop
 from .pauli import embed_operator, kron_all
 
 MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
-_AUX_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _BOUND_MODEL = "noise model"  # key under which a compiled-run dict holds its noise model
 
@@ -106,25 +105,13 @@ def ground_state(width: int) -> np.ndarray:
     return rho
 
 
-@dataclass
-class SimulationResult:
-    """States at each barrier (model register if mapped) and final full-register states, per noise member.
-
-    ``snapshots`` is one (k, n, d, d) array and ``final`` one (k, D, D)
-    array, k the members of the noise model (1 without one).
-    """
-
-    snapshots: np.ndarray
-    final: np.ndarray
-
-
 def simulate(
     circuit: Circuit,
     noise=None,
     rho0: np.ndarray | None = None,
     repeat: int = 1,
     compiled: dict | None = None,
-) -> SimulationResult:
+) -> np.ndarray:
     """Run the circuit, applying the noise model's channel after each native gate.
 
     ``noise`` is a noise model, whose k members (one per xi) all run in
@@ -156,11 +143,11 @@ def simulate(
     circuit with the block written out ``repeat`` times.  So one time step
     of an evolution circuit, with ``repeat=n_steps``, gives the n-step run.
 
-    The state holds only the non-auxiliary qubits, and ``MAX_SIM_WIDTH``
-    counts those.  ``rho0`` and ``final`` span the full register: ``rho0``
-    must hold every auxiliary in |0>, and ``final`` re-embeds each auxiliary
-    as |0><0|, which is exact because every run that touches an auxiliary
-    ends by resetting it.
+    ``rho0`` (default: all qubits in |0>) and the returned states at the
+    barriers, one (k, n_snapshots, d, d) array, are on the model register in
+    model order (``Circuit.model_register``, else the non-auxiliary qubits),
+    as for ``oracle.evolve_exact``.  The state holds only the non-auxiliary
+    qubits, and ``MAX_SIM_WIDTH`` counts those.
     """
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
@@ -172,16 +159,11 @@ def simulate(
     n, k = len(kept), 1 if noise is None else len(noise.xi)
     if n > MAX_SIM_WIDTH:
         raise ValueError(f"{n}-qubit state exceeds the dense engine limit {MAX_SIM_WIDTH}")
-    aux_zero = tuple(0 if a % width in aux else slice(None) for a in range(2 * width))
+    dim = 2**n
     if rho0 is None:
-        rho = ground_state(n)
-    else:
-        if rho0.shape != (2**width, 2**width):
-            raise ValueError("initial state does not match the register")
-        full = rho0.astype(complex).reshape((2,) * (2 * width))
-        rho = full[aux_zero].reshape(2**n, 2**n)
-        if np.abs(full).sum() - np.abs(rho).sum() > _AUX_TOL:
-            raise ValueError("initial state has weight outside auxiliary |0>")
+        rho0 = ground_state(n)
+    elif rho0.shape != (dim, dim):
+        raise ValueError(f"initial state of shape {rho0.shape} is not ({dim}, {dim}), the model register's")
 
     # one entry per run: None records a snapshot, else (superops, operands, run)
     program = []
@@ -204,10 +186,9 @@ def simulate(
     register = tuple(range(n)) if circuit.model_register is None else tuple(
         kept.index(q) for q in circuit.model_register
     )
-    dim = 2**n
     moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them
-    # vec is held in the layout of the last applied run's operands; () is the natural order
-    vec, layout = np.tile(rho.ravel(), k), ()
+    # vec is held in the layout of the last applied run's operands, rho0 in the model register's
+    vec, layout = np.tile(rho0.astype(complex).ravel(), k), register
     ops = program[:start] + program[start:stop] * repeat + program[stop:]
     snapshots = np.empty((k, ops.count(None), dim, dim), dtype=complex)
     taken = 0
@@ -225,16 +206,14 @@ def simulate(
         if noise is not None:
             # real parts of every member's trace: one product with the layout's diagonal mask
             traces = (vec.view(float).reshape(k, -1) @ _layout(layout, n, k).diagonal).tolist()
-            drift, j = max((abs(trace - 1.0), j) for j, trace in enumerate(traces))
-            if drift > _TRACE_TOL:
-                kinds = "/".join(g.kind for g in run)
-                raise RuntimeError(
-                    f"trace drift {drift:.2e} after {kinds} under noise member {j} (xi={noise.xi[j]:g}); "
-                    "engine invariant broken"
-                )
-    final = np.zeros((k,) + (2,) * (2 * width), dtype=complex)
-    final[(slice(None), *aux_zero)] = vec[_layout(layout, n, k).inverse].reshape((k,) + (2,) * (2 * n))
-    return SimulationResult(snapshots, final.reshape(k, 2**width, 2**width))
+            for j, trace in enumerate(traces):
+                if not abs(trace - 1.0) <= _TRACE_TOL:  # NaN fails too
+                    kinds = "/".join(g.kind for g in run)
+                    raise RuntimeError(
+                        f"trace drift {abs(trace - 1.0):.2e} after {kinds} under noise member {j} (xi={noise.xi[j]:g}); "
+                        "engine invariant broken"
+                    )
+    return snapshots
 
 
 def _runs(gates: tuple[Gate, ...]):
@@ -336,8 +315,8 @@ def _compile(
     Each auxiliary of the run is then removed: it enters in |0> (input row
     = column = 0) and is traced out of the output.  That is exact only if
     the run's last operation on it is a reset, so anything else is
-    rejected; with the initial state's auxiliaries in |0>, every auxiliary
-    is then clean whenever a run starts.
+    rejected; as every auxiliary starts in |0>, it is then clean whenever a
+    run starts.
     """
     local: list[int] = []
     for g in run:

@@ -87,18 +87,37 @@ def kraus_operators(channel, floor: float = 1e-14) -> list[np.ndarray]:
     return [np.sqrt(v) * vec.reshape(d, d) for v, vec in zip(vals, vecs.T) if v > floor]
 
 
-def simulate_bruteforce(circuit, noise=None, member=0):
+def model_qubits(circuit) -> tuple[int, ...]:
+    """The circuit qubits of the model register, in model order: the non-auxiliary qubits if none is mapped."""
+    if circuit.model_register is not None:
+        return circuit.model_register
+    return tuple(q for q in range(circuit.width) if q not in circuit.aux_qubits)
+
+
+def simulate_bruteforce(circuit, noise=None, member=0, rho0=None):
     """Full-width reference engine: (snapshots, final state) of the circuit under one noise member.
 
-    Each gate embeds its unitary, then each Kraus operator of its channel
-    in member ``member`` of the noise model's stack (from
-    ``kraus_operators``), onto the whole register; resets stay
-    ideal and barriers record the state, reduced to the model register when
-    the circuit maps one.
+    The register starts with ``rho0`` (a state on the model register, in
+    model order) on the model qubits and every other qubit in |0>, or all
+    in |0> without it.  Each gate embeds its unitary, then each Kraus
+    operator of its channel in member ``member`` of the noise model's stack
+    (from ``kraus_operators``), onto the whole register; resets stay ideal
+    and barriers record the state reduced to the model register.  The
+    final state spans the whole register.
     """
     width = circuit.width
+    model = model_qubits(circuit)
     rho = np.zeros((2**width, 2**width), dtype=complex)
     rho[0, 0] = 1.0
+    if rho0 is not None:
+        # kron(rho0, |0><0| on the other qubits) has its qubits in the order model + others
+        others = [q for q in range(width) if q not in model]
+        ground = np.zeros((2 ** len(others),) * 2)
+        ground[0, 0] = 1.0
+        order = list(model) + others
+        axes = [order.index(q) for q in range(width)]
+        tensor = np.kron(rho0, ground).reshape((2,) * (2 * width))
+        rho = tensor.transpose(axes + [width + a for a in axes]).reshape(rho.shape).astype(complex)
     embedded = {}
 
     def full(op, qubits):
@@ -113,8 +132,7 @@ def simulate_bruteforce(circuit, noise=None, member=0):
     snapshots = []
     for g in circuit.gates:
         if g.kind == "barrier":
-            reduce = circuit.model_register is not None
-            snapshots.append(partial_trace(rho, circuit.model_register, width) if reduce else rho)
+            snapshots.append(partial_trace(rho, model, width))
         elif g.kind == "reset":
             rho = apply([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])], g.qubits)
         elif g.kind != "measure":

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import partial_trace
 from sbsim import metrics, noise, sim, transpile
-from sbsim.circuits import assemble_evolution, collision_block
+from sbsim.circuits import Circuit, Gate, assemble_evolution, collision_block
 from sbsim.encoding import GRAY, code_permutation, encode_hamiltonian
 from sbsim.model import (
     EQ2_LITERAL,
@@ -39,7 +39,7 @@ def _run_circuit_traj(params, dt, n_steps, order, xi, convention=PAPER_COLLISION
     circuit = assemble_evolution(params, _init_for(params), n_steps, dt, order, GRAY, convention)
     circuit = transpile.decompose_native(circuit)
     model = noise.build_noise_model(noise.jakarta_average_calibration(), xi) if xi > 0 else None
-    return sim.simulate(circuit, noise=model).snapshots[0]
+    return sim.simulate(circuit, noise=model)[0]
 
 
 def _init_for(params):
@@ -72,6 +72,7 @@ def test_c01_collision_channel_exactness():
         dt = float(rng.uniform(0.02, 0.8))
         for convention in (PAPER_COLLISION, EQ2_LITERAL):
             block = collision_block(gamma, dt, 0, 1, convention)
+            marked = Circuit(block.width, block.gates + (Gate("barrier"),))  # its one snapshot is the final state
             p = 1 - math.exp(-gamma_eff(gamma, convention) * dt)
             k0 = np.diag([1.0, math.sqrt(1 - p)]).astype(complex)
             k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
@@ -82,7 +83,7 @@ def test_c01_collision_channel_exactness():
                     unit = np.zeros((2, 2), dtype=complex)
                     unit[i, j] = 1.0
                     rho_in = np.kron(unit, np.diag([1.0, 0.0])).astype(complex)
-                    out_full = sim.simulate(block, rho0=rho_in).final[0]
+                    (out_full,) = sim.simulate(marked, rho0=rho_in)[0]  # no roles: both qubits are held
                     out = partial_trace(out_full, (0,), 2)
                     choi_block += np.kron(unit, out)
                     choi_exact += np.kron(unit, k0 @ unit @ k0.conj().T + k1 @ unit @ k1.conj().T)
@@ -220,10 +221,10 @@ def test_c08_xi_zero_continuity():
     circuit = transpile.decompose_native(
         assemble_evolution(params, InitialStateSpec(), 10, 0.2, 2)
     )
-    plain = sim.simulate(circuit).final
+    plain = sim.simulate(circuit)
     zeroed = sim.simulate(
         circuit, noise=noise.build_noise_model(noise.jakarta_average_calibration(), 0.0)
-    ).final
+    )
     distance = float(np.max(np.abs(plain - zeroed)))
     assert distance < 1e-10
     report(8, f"xi=0 equals noiseless, state distance {distance:.2e}")

@@ -169,7 +169,7 @@ def test_hamiltonian_dense_equals_permuted_truncated_hamiltonian():
     for l in range(d - 1):
         a[l, l + 1] = math.sqrt(l + 1)
     number = np.diag(np.arange(d, dtype=float))
-    h_spin = params.h / 2 * (-PAULI["Z"])  # excited state is |1>
+    h_spin = 0.5 * (-PAULI["Z"])  # excited state is |1>
     h_trunc = (
         params.omega * np.kron(np.eye(2), number)
         + np.kron(h_spin + params.epsilon / 2 * PAULI["X"], np.eye(d))

@@ -175,7 +175,7 @@ def test_unphysical_t2_rejected():
     with pytest.raises(ValueError):
         thermal_relaxation_channel(100.0, 201.0, 0.1)
     with pytest.raises(ValueError):
-        QubitCalibration(100.0, 201.0, 5.0, 0.01, 0.01)
+        QubitCalibration(100.0, 201.0, 0.01, 0.01)
 
 
 def test_average_gate_fidelity_identity():
@@ -336,7 +336,7 @@ def test_clamp_warning_names_the_one_clamped_member(operands, named):
     # thermal infidelity grows slower than linearly in the gate time: at T1 = T2 = 100 us a 30 us
     # gate has infidelity 0.130 at xi = 1 but 0.0015 at xi = 0.01, so an error of 0.14 clamps at
     # xi = 0.01 only
-    qubits = (QubitCalibration(100.0, 100.0, 5.0, 0.01, 0.01),)
+    qubits = (QubitCalibration(100.0, 100.0, 0.01, 0.01),)
     cal = CalibrationData(qubits, (GateCalibration("sx", operands, 0.14, 30000.0),))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -361,7 +361,7 @@ def test_channel_for_takes_the_operand_entry_over_the_wildcard(xi, operand_entry
     wildcard = GateCalibration("sx", None, 1e-3, 35.0)
     on_two = GateCalibration("sx", (2,), 4e-3, 50.0)
     gates = (on_two, wildcard) if operand_entry_first else (wildcard, on_two)
-    qubits = (QubitCalibration(100.0, 80.0, 5.0, 0.01, 0.01),) * 3
+    qubits = (QubitCalibration(100.0, 80.0, 0.01, 0.01),) * 3
     model = build_noise_model(CalibrationData(qubits, gates), xi)
     own, shared = model.channel_for("sx", (2,)), model.channel_for("sx", (0,))
     assert average_gate_fidelity(own[0]) == pytest.approx(1 - xi * on_two.error, abs=1e-9)
@@ -380,7 +380,7 @@ def test_every_operand_list_a_wildcard_serves_reads_its_one_stack():
 
 def test_two_qubit_thermal_channel_acts_on_each_operand_in_order(rng):
     # distinct T1/T2 per qubit, so a product in the wrong order or on mixed-up bits shows
-    qubits = (QubitCalibration(120.0, 40.0, 5.0, 0.01, 0.01), QubitCalibration(50.0, 90.0, 5.0, 0.01, 0.01))
+    qubits = (QubitCalibration(120.0, 40.0, 0.01, 0.01), QubitCalibration(50.0, 90.0, 0.01, 0.01))
     time_ns = 5000.0
     singles = [thermal_relaxation_channel(q.t1_us, q.t2_us, time_ns * 1e-3) for q in qubits]
     states = [random_density_matrix(rng, 2) for _ in qubits]
@@ -394,7 +394,7 @@ def test_two_qubit_thermal_channel_acts_on_each_operand_in_order(rng):
 
 def test_missing_calibration_entry():
     cal = CalibrationData(
-        (QubitCalibration(100.0, 80.0, 5.0, 0.01, 0.01),),
+        (QubitCalibration(100.0, 80.0, 0.01, 0.01),),
         (GateCalibration("sx", (0,), 3e-4, 30.0),),
     )
     model = build_noise_model(cal, 1.0)
@@ -429,7 +429,7 @@ def test_calibration_loader_roundtrip(tmp_path):
         """
     )
     cal = load_calibration(path)
-    assert cal.qubits[0].t2_us == 60.0
+    assert cal.qubits == (QubitCalibration(120.0, 60.0, 0.02, 0.03),)  # freq_ghz is read by nothing, so ignored
     assert cal.gate_entry("sx", (0,)).error == 2e-4
     assert cal.gate_entry("cx", (3, 4)).time_ns == 400.0
 
@@ -444,9 +444,9 @@ def test_calibration_loader_rejects_malformed(tmp_path):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: QubitCalibration(float("nan"), 40.0, 5.0, 0.01, 0.01),
-        lambda: QubitCalibration(100.0, 80.0, float("inf"), 0.01, 0.01),
-        lambda: QubitCalibration(100.0, 80.0, 5.0, True, 0.01),
+        lambda: QubitCalibration(float("nan"), 40.0, 0.01, 0.01),
+        lambda: QubitCalibration(100.0, float("inf"), 0.01, 0.01),
+        lambda: QubitCalibration(100.0, 80.0, True, 0.01),
         lambda: GateCalibration("sx", None, 1e-3, float("nan")),
         lambda: GateCalibration("sx", None, 1e-3, float("inf")),
         lambda: GateCalibration("cx", None, True, 300.0),
@@ -470,7 +470,7 @@ def test_gate_operands_must_be_integers(qubits):
 )
 def test_duplicate_gate_entries_are_rejected(kind, operands, other, message):
     # two entries for one lookup would disagree: gate_entry reads the first, the channel table the last
-    qubits = (QubitCalibration(100.0, 80.0, 5.0, 0.01, 0.01),) * 3
+    qubits = (QubitCalibration(100.0, 80.0, 0.01, 0.01),) * 3
     first = GateCalibration(kind, operands, 1e-3, 35.0)
     with pytest.raises(ValueError, match=re.escape(message)):
         CalibrationData(qubits, (first, GateCalibration(kind, operands, 4e-3, 35.0)))

@@ -138,7 +138,7 @@ def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
         params, cfg.initial_state(), n_steps, dt, cfg.orders[0], cfg.code, cfg.convention
     )
     model = noise.build_noise_model(cfg.calibration_data, 0.01)
-    simulated = sim.simulate(transpile.decompose_native(circuit), noise=model).snapshots[0, -1]
+    simulated = sim.simulate(transpile.decompose_native(circuit), noise=model)[0, -1]
     rho0 = initial_density_matrix(cfg.initial_state(), params)
     expected = metrics.infidelity(simulated, _expm_reference(rho0, params, n_steps * dt))
     assert abs(float(row["final_infidelity"]) - expected) < 1e-10

@@ -42,7 +42,7 @@ def test_prepared_state_is_the_initial_state(n_spins, d_ho, kind):
         for level in range(d_ho):
             spec = InitialStateSpec(flags, level)
             circuit = assemble_evolution(params, spec, 0, 0.2, code_kind=kind)
-            ((snapshot,),) = simulate(circuit).snapshots
+            ((snapshot,),) = simulate(circuit)
             assert np.array_equal(snapshot, initial_density_matrix(spec, params, kind)), (flags, level)
 
 

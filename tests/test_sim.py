@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     embed_bruteforce,
     kron_all,
+    model_qubits,
     partial_trace,
     random_density_matrix,
     random_unitary,
@@ -91,15 +92,15 @@ def test_partial_trace_of_product_state(rng):
 
 def test_empty_circuit_returns_input():
     rho = np.diag([0.25, 0.75]).astype(complex)
-    result = simulate(Circuit(1), rho0=rho)
-    assert result.final.shape == (1, 2, 2)
-    np.testing.assert_allclose(result.final[0], rho)
+    snapshots = simulate(Circuit(1, (Gate("barrier"),)), rho0=rho)
+    assert snapshots.shape == (1, 1, 2, 2)
+    np.testing.assert_allclose(snapshots[0, -1], rho)
 
 
 def test_width_limit():
     # the limit counts state qubits: auxiliaries are not held in the state
-    assert simulate(Circuit(6)).final.shape == (1, 64, 64)
-    assert simulate(Circuit(7, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 6)).final.shape == (1, 128, 128)
+    assert simulate(Circuit(6, (Gate("barrier"),))).shape == (1, 1, 64, 64)
+    assert simulate(Circuit(7, (Gate("barrier"),), (ROLE_AUX,) + (ROLE_SPIN,) * 6)).shape == (1, 1, 64, 64)
     with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
         simulate(Circuit(7))
     with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
@@ -108,8 +109,8 @@ def test_width_limit():
 
 def test_collision_block_on_excited_spin():
     # single collision, paper convention, gamma=1, dt=0.2: p_up -> exp(-0.2)
-    c = Circuit(2, tuple([Gate("x", (0,))]) + collision_block(1.0, 0.2, 0, 1).gates)
-    rho = simulate(c).final[0]
+    c = Circuit(2, tuple([Gate("x", (0,))]) + collision_block(1.0, 0.2, 0, 1).gates + (Gate("barrier"),))
+    rho = simulate(c)[0, -1]
     spin = partial_trace(rho, (0,), 2)
     assert spin[1, 1].real == pytest.approx(math.exp(-0.2), abs=1e-12)
 
@@ -121,7 +122,7 @@ def test_noiseless_circuit_approaches_reference_as_dt_shrinks():
     for dt in (0.2, 0.05):
         n = round(1.0 / dt)
         circuit = assemble_evolution(params, InitialStateSpec(), n, dt, order=2)
-        snaps = simulate(circuit).snapshots[0]
+        snaps = simulate(circuit)[0]
         exact = evolve_exact(rho0, params, [dt * k for k in range(n + 1)])
         errors.append(time_averaged_infidelity(snaps, exact))
     assert errors[1] < errors[0]
@@ -157,10 +158,9 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
             unit[i, j] = 1.0
             expected = u_model @ unit @ u_model.conj().T
             expected = sum(k @ expected @ k.conj().T for k in damp)
-            # model basis unit [s, hi, lo] embedded into circuit order [hi, lo, s, aux]
-            unit_circ = kron_all([partial_trace(unit, (1, 2, 0), 3), np.diag([1.0, 0.0])])
-            out = simulate(stepped, rho0=unit_circ.astype(complex))
-            worst = max(worst, float(np.max(np.abs(out.snapshots[0, -1] - expected))))
+            # the engine reads and returns states in model order [s, hi, lo]
+            out = simulate(stepped, rho0=unit)
+            worst = max(worst, float(np.max(np.abs(out[0, -1] - expected))))
     assert worst < 1e-12
 
 
@@ -170,13 +170,20 @@ def _native_evolution(n_spins: int, order: int, n_steps: int, d_ho: int = 4):
     return decompose_native(assemble_evolution(params, spec, n_steps, 0.2, order))
 
 
+def _with_final_barrier(circuit: Circuit) -> Circuit:
+    """The circuit with a barrier before its measurements, so that its last snapshot is the final state."""
+    cut = len(circuit.gates) - sum(g.kind == "measure" for g in circuit.gates)  # measurements come last
+    return replace(circuit, gates=circuit.gates[:cut] + (Gate("barrier"),) + circuit.gates[cut:])
+
+
 def _assert_matches_bruteforce(circuit, xi, cal=None):
     cal = jakarta_average_calibration() if cal is None else cal
     model = build_noise_model(cal, xi) if xi > 0 else None
-    result = simulate(circuit, noise=model)
+    result = simulate(_with_final_barrier(circuit), noise=model)
     snapshots, final = simulate_bruteforce(circuit, noise=model)
-    assert result.snapshots.shape[:2] == (1, len(snapshots)) and len(result.final) == 1
-    for got, want in zip([*result.snapshots[0], result.final[0]], snapshots + [final]):
+    assert result.shape[:2] == (1, len(snapshots) + 1)
+    final = partial_trace(final, model_qubits(circuit), circuit.width)
+    for got, want in zip(result[0], snapshots + [final]):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -201,10 +208,9 @@ def test_one_step_replayed_equals_written_out_steps(n_spins, order, xi):
     model = build_noise_model(jakarta_average_calibration(), xi) if xi > 0 else None
     written = simulate(_native_evolution(n_spins, order, 3), noise=model)
     replayed = simulate(_native_evolution(n_spins, order, 1), noise=model, repeat=3)
-    assert replayed.snapshots.shape[:2] == written.snapshots.shape[:2] == (1, 4)
-    assert replayed.snapshots.ndim == 4  # one (k, n, d, d) array
-    assert np.array_equal(replayed.snapshots, written.snapshots)
-    assert np.array_equal(replayed.final, written.final)
+    assert replayed.shape[:2] == written.shape[:2] == (1, 4)
+    assert replayed.ndim == 4  # one (k, n, d, d) array
+    assert np.array_equal(replayed, written)  # the last snapshot is the final state
 
 
 def test_repeat_needs_a_block_between_two_barriers():
@@ -213,7 +219,7 @@ def test_repeat_needs_a_block_between_two_barriers():
         with pytest.raises(ValueError, match="repeat must be at least 1"):
             simulate(step, repeat=repeat)
     one_barrier = Circuit(1, (Gate("x", (0,)), Gate("barrier")))
-    assert len(simulate(one_barrier).snapshots[0]) == 1
+    assert len(simulate(one_barrier)[0]) == 1
     with pytest.raises(ValueError, match="fewer"):
         simulate(one_barrier, repeat=2)
 
@@ -225,7 +231,7 @@ def test_compiled_runs_are_bound_to_one_noise_model():
     compiled: dict = {}
     first = simulate(circuit, noise=model, compiled=compiled)
     again = simulate(circuit, noise=model, compiled=compiled)
-    assert np.array_equal(first.final, again.final)
+    assert np.array_equal(first, again)
     for wrong in (other, None):  # an equal model is still another model
         with pytest.raises(ValueError, match="another noise model"):
             simulate(circuit, noise=wrong, compiled=compiled)
@@ -233,7 +239,7 @@ def test_compiled_runs_are_bound_to_one_noise_model():
     model = build_noise_model(cal, (0.0, 0.1))
     first = simulate(circuit, noise=model, compiled=stack)
     again = simulate(circuit, noise=model, compiled=stack)
-    assert np.array_equal(first.final, again.final)
+    assert np.array_equal(first, again)
     for wrong in (build_noise_model(cal, (0.0, 0.1)), build_noise_model(cal, (0.1, 0.0)),
                   build_noise_model(cal, 0.0), build_noise_model(cal, (0.0, 0.1, 0.1)), None):
         with pytest.raises(ValueError, match="another noise model"):
@@ -255,12 +261,11 @@ def test_model_stack_matches_each_model_alone(n_spins, order):
     xis = (0.0, 0.01, 1.0)
     step = _native_evolution(n_spins, order, 1)
     stacked = simulate(step, noise=build_noise_model(cal, xis), repeat=3)
-    assert stacked.snapshots.shape[:2] == (len(xis), 4) and len(stacked.final) == len(xis)
+    assert stacked.shape[:2] == (len(xis), 4)
     for j, xi in enumerate(xis):
         alone = simulate(step, noise=build_noise_model(cal, xi), repeat=3)
-        assert alone.snapshots.shape[:2] == (1, 4)
-        assert np.array_equal(stacked.snapshots[j], alone.snapshots[0])
-        assert np.array_equal(stacked.final[j], alone.final[0])
+        assert alone.shape[:2] == (1, 4)
+        assert np.array_equal(stacked[j], alone[0])  # the last snapshot is the final state
 
 
 def test_trace_drift_of_one_stack_member_is_caught():
@@ -277,6 +282,21 @@ def test_trace_drift_of_one_stack_member_is_caught():
         message = f"trace drift .* under noise member {j} " + re.escape(f"(xi={xis[j]:g})")
         with pytest.raises(RuntimeError, match=message):
             simulate(step, noise=leaky, repeat=2)
+
+
+def test_nan_in_one_stack_member_is_caught():
+    # NaN fails every comparison, so a check written as drift > tolerance would let it through
+    cal = jakarta_average_calibration()
+    step = _native_evolution(1, 2, 1)
+    key = ("sx", None)
+    for xis, j in (((0.0, 0.1), 1), ((0.1, 0.01), 0)):
+        sound = build_noise_model(cal, xis)
+        sx = sound.channels[key].copy()
+        sx[j, 0, 0] = np.nan
+        broken = replace(sound, channels={**sound.channels, key: sx})
+        message = f"trace drift nan .* under noise member {j} " + re.escape(f"(xi={xis[j]:g})")
+        with pytest.raises(RuntimeError, match=message):
+            simulate(step, noise=broken, repeat=2)
 
 
 _COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
@@ -307,13 +327,30 @@ def test_aux_reset_commuted_past_a_gate_on_other_qubits_is_accepted():
     _assert_matches_bruteforce(circuit, 0.0)
 
 
-def test_initial_state_with_weight_outside_aux_ground_is_rejected():
-    circuit = Circuit(2, _COLLISION, (ROLE_SPIN, ROLE_AUX))
-    with pytest.raises(ValueError, match="outside auxiliary"):
-        simulate(circuit, rho0=np.eye(4, dtype=complex) / 4)
-    spin_mixed = kron_all([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
-    result = simulate(circuit, rho0=spin_mixed)
-    np.testing.assert_allclose(partial_trace(result.final[0], (1,), 2), np.diag([1.0, 0.0]), atol=1e-15)
+@pytest.mark.parametrize("xis", [None, (0.1, 1.0)])
+def test_initial_state_is_read_in_model_order(rng, xis):
+    # the 1-spin step's model register (nb, 0, ..., nb-1) is not the identity, so this pins
+    # the order rho0 is read in; the first snapshot follows the preparation's X on the spin
+    step = _native_evolution(1, 2, 1)
+    assert step.model_register != tuple(sorted(step.model_register))
+    model = None if xis is None else build_noise_model(jakarta_average_calibration(), xis)
+    rho0 = random_density_matrix(rng, 8)
+    result = simulate(step, noise=model, rho0=rho0)
+    assert result.shape == (1 if xis is None else 2, 2, 8, 8)
+    for j, got in enumerate(result):
+        snapshots, _ = simulate_bruteforce(step, noise=model, member=j, rho0=rho0)
+        assert len(snapshots) == len(got)
+        for a, b in zip(got, snapshots):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_initial_state_on_the_circuit_register_is_rejected():
+    step = _native_evolution(1, 2, 1)  # 4 circuit qubits, 3 of them on the model register
+    compiled: dict = {}
+    for rho0 in (ground_state(step.width), ground_state(3)[0], ground_state(2)):
+        with pytest.raises(ValueError, match=re.escape(f"initial state of shape {rho0.shape} is not (8, 8)")):
+            simulate(step, rho0=rho0, compiled=compiled)
+    assert len(compiled) == 1  # the noise model it is bound to, and no compiled run
 
 
 @pytest.mark.parametrize("xi", [0.0, 1.0])
@@ -330,7 +367,7 @@ def test_reversed_operands_and_mid_circuit_reset_match_bruteforce(xi):
 def _operand_specific_calibration() -> CalibrationData:
     """Every qubit, every sx and every ordered cx pair calibrated differently."""
     qubits = tuple(
-        QubitCalibration(90.0 + 10 * q, (120.0 if q % 3 == 0 else 40.0) + 5 * q, 5.0, 0.02, 0.03)
+        QubitCalibration(90.0 + 10 * q, (120.0 if q % 3 == 0 else 40.0) + 5 * q, 0.02, 0.03)
         for q in range(6)
     )
     gates = [GateCalibration("sx", (q,), 1e-3 + 2e-4 * q, 30.0 + 5 * q) for q in range(6)]
@@ -363,7 +400,7 @@ def test_runs_stop_at_barriers_and_measurements():
     bounds = [0, 1, 2, 4, 5, 6, 7, 8]
     assert list(_runs(gates)) == [gates[a:b] for a, b in zip(bounds, bounds[1:])]
     circuit = Circuit(2, gates)
-    assert len(simulate(circuit).snapshots[0]) == 2
+    assert len(simulate(circuit)[0]) == 2
     _assert_matches_bruteforce(circuit, 1.0)
 
 
@@ -398,12 +435,10 @@ def _assert_compiled_runs_are_cptp(n_spins, noise, k):
 def test_noisy_simulation_preserves_trace_and_hermiticity():
     model = build_noise_model(jakarta_average_calibration(), (1.0, 0.1))
     for n_spins in (1, 2):
-        result = simulate(_native_evolution(n_spins, 2, 5), noise=model)
-        for final, snapshots in zip(result.final, result.snapshots):
-            assert abs(np.trace(final).real - 1.0) < 1e-10
-            assert np.max(np.abs(final - final.conj().T)) < 1e-10
+        for snapshots in simulate(_native_evolution(n_spins, 2, 5), noise=model):  # the last is the final state
             for snap in snapshots:
                 assert abs(np.trace(snap).real - 1.0) < 1e-10
+                assert np.max(np.abs(snap - snap.conj().T)) < 1e-10
                 assert np.min(np.linalg.eigvalsh((snap + snap.conj().T) / 2)) > -1e-9
 
 
@@ -423,8 +458,8 @@ def test_xi_zero_model_equals_no_model():
     cal = jakarta_average_calibration()
     plain = simulate(circuit)
     nulled = simulate(circuit, noise=build_noise_model(cal, 0.0))
-    assert np.array_equal(plain.final, nulled.final)
-    assert plain.snapshots.tobytes() == nulled.snapshots.tobytes()  # signed zeros included
+    assert np.array_equal(plain, nulled)
+    assert plain.tobytes() == nulled.tobytes()  # signed zeros included
 
 
 @pytest.mark.parametrize("n_spins", [1, 2])
@@ -432,18 +467,17 @@ def test_xi_zero_member_of_a_noisy_stack_equals_no_model(n_spins):
     step = _native_evolution(n_spins, 2, 1)
     plain = simulate(step, repeat=3)
     stacked = simulate(step, noise=build_noise_model(jakarta_average_calibration(), (0.0, 0.1)), repeat=3)
-    assert np.array_equal(stacked.snapshots[:1], plain.snapshots)
-    assert np.array_equal(stacked.final[:1], plain.final)
-    assert stacked.snapshots[0].tobytes() == plain.snapshots[0].tobytes()
-    assert not np.array_equal(stacked.snapshots[1], plain.snapshots[0])
+    assert np.array_equal(stacked[:1], plain)
+    assert stacked[0].tobytes() == plain[0].tobytes()
+    assert not np.array_equal(stacked[1], plain[0])
 
 
 def test_transpiled_equals_ir_noiseless():
     params = ModelParams(n_spins=2, omega=6)
     circuit = assemble_evolution(params, InitialStateSpec(("up", "down")), 2, 0.2)
     native = decompose_native(circuit)
-    rho_a = simulate(circuit).snapshots[0, -1]
-    rho_b = simulate(native).snapshots[0, -1]
+    rho_a = simulate(circuit)[0, -1]
+    rho_b = simulate(native)[0, -1]
     assert fidelity(rho_a, rho_b) > 1 - 1e-9
 
 
@@ -533,11 +567,13 @@ def test_random_noisy_circuits_with_auxiliaries_match_bruteforce(rng, n_state, n
     for _ in range(2 if n_state < 5 else 1):
         circuit = _random_collision_circuit(rng, n_state, 8)
         result = simulate(circuit, noise=model)
-        assert len(result.snapshots) == len(result.final) == n_models
+        assert len(result) == n_models
+        assert circuit.gates[-1].kind == "barrier"  # so the last snapshot is the final state
         for j in range(n_models):
             snapshots, final = simulate_bruteforce(circuit, noise=model, member=j)
-            assert len(result.snapshots[j]) == len(snapshots)
-            for got, want in zip([*result.snapshots[j], result.final[j]], [*snapshots, final]):
+            assert len(result[j]) == len(snapshots)
+            final = partial_trace(final, circuit.model_register, circuit.width)
+            for got, want in zip([*result[j], result[j, -1]], [*snapshots, final]):
                 assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -587,13 +623,12 @@ def test_six_qubit_stack_is_a_valid_state_and_each_member_runs_alone():
     assert step.width - len(step.aux_qubits) == 6
     stacked = simulate(step, noise=build_noise_model(cal, xis), repeat=2)
     for j, xi in enumerate(xis):
-        for rho in stacked.snapshots[j]:
+        for rho in stacked[j]:
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-10
         alone = simulate(step, noise=build_noise_model(cal, xi) if xi > 0 else None, repeat=2)
-        assert np.array_equal(stacked.snapshots[j], alone.snapshots[0])
-        assert np.array_equal(stacked.final[j], alone.final[0])
+        assert np.array_equal(stacked[j], alone[0])  # the last snapshot is the final state
 
 
 def test_sample_counts_pure_state():
