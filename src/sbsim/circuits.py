@@ -7,7 +7,9 @@ per spin, with a barrier marking every time step.
 
 The model register (which model position holds which spin or boson bit)
 is ``ModelParams``'s; ``evolution_layout`` only places those positions on
-circuit qubits, and every gate is built directly on its circuit qubit.
+circuit qubits, and every gate is built directly on its circuit qubit.  A
+circuit's ``model_register`` is all it says about its qubits: it lists the
+model qubits in model order, and every other qubit is an auxiliary.
 
 Angle convention (pinned by the gate set): RY(t) = exp(-i t Y / 2) and
 RZ(t) = exp(-i t Z / 2), i.e. the gate argument is twice the rotation
@@ -30,16 +32,12 @@ from .model import (
     hamiltonian_sum,
     initial_bits,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, canonicalize
 
 UNITARY_KINDS = ("x", "sx", "rz", "ry", "cx", "cry", "id")
 MARKER_KINDS = ("reset", "measure", "barrier")
 ANGLED_KINDS = ("rz", "ry", "cry")
 TWO_QUBIT_KINDS = ("cx", "cry")
-
-ROLE_SPIN = "spin"
-ROLE_BOSON = "boson"
-ROLE_AUX = "aux"
 
 
 @dataclass(frozen=True)
@@ -65,21 +63,29 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a register with optional per-qubit role tags.
+    """Ordered gate list over a register of model and auxiliary qubits.
 
     ``model_register`` lists, in spin+boson register order, the circuit
-    index of each model qubit: a permutation of the non-auxiliary qubits.
+    index of each model qubit; every other qubit is an auxiliary, and only
+    an auxiliary may be reset.  Without it every qubit is a model qubit, in
+    circuit order, and any qubit may be reset.
     """
 
     width: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
-    roles: tuple[str, ...] | None = None
     model_register: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.roles is not None and len(self.roles) != self.width:
-            raise ValueError("one role per qubit required")
+        if self.model_register is not None:
+            object.__setattr__(self, "model_register", tuple(self.model_register))
+            if len(set(self.model_register)) != len(self.model_register) or any(
+                q >= self.width or q < 0 for q in self.model_register
+            ):
+                raise ValueError(
+                    f"model register {self.model_register} repeats a qubit or leaves the "
+                    f"register of width {self.width}"
+                )
         seen_measure = False
         for g in self.gates:
             if any(q >= self.width or q < 0 for q in g.qubits):
@@ -89,24 +95,17 @@ class Circuit:
             seen_measure = seen_measure or g.kind == "measure"
             if (
                 g.kind == "reset"
-                and self.roles is not None
-                and any(self.roles[q] != ROLE_AUX for q in g.qubits)
+                and self.model_register is not None
+                and any(q in self.model_register for q in g.qubits)
             ):
-                raise ValueError(f"reset on non-auxiliary qubit {g.qubits}")
-        if self.model_register is not None:
-            object.__setattr__(self, "model_register", tuple(self.model_register))
-            held = [q for q in range(self.width) if q not in self.aux_qubits]
-            if sorted(self.model_register) != held:
-                raise ValueError(
-                    f"model register {self.model_register} is not a permutation of the "
-                    f"non-auxiliary qubits {tuple(held)}"
-                )
+                raise ValueError(f"reset on model qubit {g.qubits}")
 
     @property
     def aux_qubits(self) -> tuple[int, ...]:
-        if self.roles is None:
+        """The qubits outside ``model_register``, in circuit order."""
+        if self.model_register is None:
             return ()
-        return tuple(q for q, r in enumerate(self.roles) if r == ROLE_AUX)
+        return tuple(q for q in range(self.width) if q not in self.model_register)
 
 
 # Basis changes V with V P V' = Z, as (pre, post) gate lists; the
@@ -173,7 +172,7 @@ def trotter_step(h_terms: PauliSum, dt: float, order: int) -> Circuit:
     """One product-formula step for the given Hamiltonian terms (canonical order)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    terms = h_terms.canonicalize().terms
+    terms = canonicalize(h_terms).terms
     if not terms:
         raise ValueError("empty Hamiltonian")
     return Circuit(h_terms.width, tuple(_trotter_gates(terms, dt, order, range(h_terms.width))))
@@ -205,8 +204,8 @@ def collision_block(
     return Circuit(width, tuple(_collision_gates(gamma, dt, spin_q, aux_q, convention)))
 
 
-def evolution_layout(params: ModelParams) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
-    """Roles, model->circuit map, and per-spin aux indices for the assembled circuit.
+def evolution_layout(params: ModelParams) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Width, model->circuit map, and per-spin aux indices for the assembled circuit.
 
     One spin: [bosons..., spin, aux]; two spins: [aux1, spin1, bosons...,
     spin2, aux2], i.e. auxiliaries sit at the circuit edges next to their
@@ -214,16 +213,14 @@ def evolution_layout(params: ModelParams) -> tuple[tuple[str, ...], tuple[int, .
     """
     nb = params.n_boson_qubits
     if params.n_spins == 1:
-        roles = (ROLE_BOSON,) * nb + (ROLE_SPIN, ROLE_AUX)
         model_register = (nb,) + tuple(range(nb))
         aux_for_spin = (nb + 1,)
     elif params.n_spins == 2:
-        roles = (ROLE_AUX, ROLE_SPIN) + (ROLE_BOSON,) * nb + (ROLE_SPIN, ROLE_AUX)
         model_register = (1,) + tuple(range(2, 2 + nb)) + (2 + nb,)
         aux_for_spin = (0, 3 + nb)
     else:
         raise ValueError("assembled circuits support one or two spins")
-    return roles, model_register, aux_for_spin
+    return len(model_register) + len(aux_for_spin), model_register, aux_for_spin
 
 
 def assemble_evolution(
@@ -243,8 +240,7 @@ def assemble_evolution(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    roles, model_register, aux_for_spin = evolution_layout(params)
-    width = len(roles)
+    width, model_register, aux_for_spin = evolution_layout(params)
 
     # State preparation: X on every 1-bit of the initial basis state.
     bits = initial_bits(spec, params, code_kind)
@@ -253,7 +249,7 @@ def assemble_evolution(
 
     if n_steps > 0:
         h_sum = hamiltonian_sum(params, code_kind)
-        step_gates = _trotter_gates(h_sum.canonicalize().terms, dt, order, model_register)
+        step_gates = _trotter_gates(canonicalize(h_sum).terms, dt, order, model_register)
         for _ in range(n_steps):
             gates.extend(step_gates)
             if params.gamma > 0:
@@ -265,7 +261,5 @@ def assemble_evolution(
                     )
             gates.append(Gate("barrier"))
 
-    for q, role in enumerate(roles):
-        if role != ROLE_AUX:
-            gates.append(Gate("measure", (q,)))
-    return Circuit(width, tuple(gates), roles, model_register)
+    gates.extend(Gate("measure", (q,)) for q in sorted(model_register))
+    return Circuit(width, tuple(gates), model_register)

@@ -41,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--convention", choices=RATE_CONVENTIONS)
         p.add_argument("--calibration", help="calibration JSON (default: bundled averages)")
         p.add_argument("--out", dest="out_dir")
+        # No effect, but the benchmark's xi_grid_pool workload passes it; it goes with that workload (ROADMAP item 1).
         p.add_argument("--workers", type=int, help="deprecated; has no effect, every run is serial")
     return parser
 

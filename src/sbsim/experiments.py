@@ -382,9 +382,9 @@ def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], model) -> lis
     Each distinct (order, gamma, dt) gets one native one-step circuit
     (``cfg.native_step``), simulated in this process in one engine pass
     under every member of ``model``, and all of them share one dict of
-    compiled runs.  The circuit's points are its members in order, one per
-    xi of ``cfg.xi_list``; without a model each reads the one noiseless
-    member.
+    compiled runs.  Each point reads the member of its xi (one per distinct
+    xi of ``cfg.xi_list``, so repeated values share one); without a model
+    each reads the one noiseless member.
     """
     points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
     for i, t in enumerate(tasks):
@@ -395,18 +395,18 @@ def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], model) -> lis
         snapshots = sim.simulate(
             cfg.native_step(order, gamma, dt), model, repeat=steps_for(cfg.t_final, dt), compiled=compiled
         )
-        for j, i in enumerate(members):
-            simulated[i] = snapshots[0 if model is None else j]
+        for i in members:
+            simulated[i] = snapshots[0 if model is None else model.xi.index(tasks[i]["xi"])]
     return simulated
 
 
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     """Rows of every grid point in grid order, each simulated snapshot scored once.
 
-    One noise model with a member per xi of the run is built when some xi
-    is above 0 or shots are sampled (its readout serves the sampling), and
-    the points are simulated by ``_simulated_snapshots``.  Each
-    simulated state is then scored once against the exact state of its
+    One noise model with a member per distinct xi of the run is built when
+    some xi is above 0 or shots are sampled (its readout serves the
+    sampling), and the points are simulated by ``_simulated_snapshots``.
+    Each simulated state is then scored once against the exact state of its
     gamma at the same time, read from the run's one stacked reference
     (``_references``).  The sweeps and infidelity_vs_time score by
     infidelity, all in one stacked call against the square roots of the
@@ -415,7 +415,8 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     correlations score by state values, one stacked call per operator and
     point.
     """
-    model = noise.build_noise_model(cfg.calibration_data, tuple(cfg.xi_list)) if cfg.uses_calibration else None
+    xis = tuple(dict.fromkeys(cfg.xi_list))  # a repeated xi is built and simulated once
+    model = noise.build_noise_model(cfg.calibration_data, xis) if cfg.uses_calibration else None
     references, ref_row, ref_index = _references(cfg, tasks)
     simulated = _simulated_snapshots(cfg, tasks, model)
 
@@ -433,7 +434,7 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
                 # basis, so this applies the same operators as the exact rows.
                 # Each model qubit is read out through the circuit qubit holding it.
                 register = cfg.native_step(task["order"], task["gamma"], task["dt"]).model_register
-                confusions = model.readout[cfg.xi_list.index(task["xi"]), list(register)]
+                confusions = model.readout[model.xi.index(task["xi"]), list(register)]
                 sampled = []
                 for k, rho in enumerate(states):
                     seed = np.random.SeedSequence(

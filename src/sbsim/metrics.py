@@ -69,6 +69,7 @@ def infidelity(rho: np.ndarray, sigma: np.ndarray, sigma_sqrt: np.ndarray | None
     return 1.0 - fidelity(rho, sigma, sigma_sqrt)
 
 
+# No sbsim caller: benchmarks/child.py traces it by name; it goes with that tracing (ROADMAP item 1).
 def time_averaged_infidelity(traj_sim: np.ndarray, traj_exact: np.ndarray) -> float:
     """Mean infidelity of two (n, d, d) trajectories on one time grid, its first time (t = 0) excluded."""
     if traj_sim.shape != traj_exact.shape:

@@ -253,25 +253,22 @@ def depolarizing_channel(p, n_qubits: int) -> np.ndarray:
     return ((1.0 - p) * np.eye(d * d) + p * np.outer(identity, identity) / d).astype(complex)
 
 
-def process_fidelity(channel: np.ndarray, target: np.ndarray | None = None):
-    """Tr(S_U^dag S) / d^2: the channel's overlap with the target unitary U.
+def process_fidelity(channel: np.ndarray):
+    """Tr(S_I^dag S) / d^2: the channel's overlap with the identity.
 
     A stack of channels (..., d^2, d^2) gives one value per member.
     """
     if not np.all(is_cptp(channel)):
         raise ValueError("channel is not CPTP")
     d = math.isqrt(channel.shape[-1])
-    target_u = np.eye(d, dtype=complex) if target is None else np.asarray(target, dtype=complex)
-    if target_u.shape != (d, d):
-        raise ValueError("target dimension mismatch")
-    overlap = np.einsum("ab,...ab->...", kraus_superop(target_u[None]).conj(), channel)
+    overlap = np.einsum("ab,...ab->...", kraus_superop(np.eye(d, dtype=complex)[None]).conj(), channel)
     return _value_or_stack(overlap.real / d**2)
 
 
-def average_gate_fidelity(channel: np.ndarray, target: np.ndarray | None = None):
-    """Haar-averaged gate fidelity, (d F_pro + 1) / (d + 1), per member of a stack."""
+def average_gate_fidelity(channel: np.ndarray):
+    """Haar-averaged gate fidelity against the identity, (d F_pro + 1) / (d + 1), per member of a stack."""
     d = math.isqrt(channel.shape[-1])
-    return (d * process_fidelity(channel, target) + 1.0) / (d + 1.0)
+    return (d * process_fidelity(channel) + 1.0) / (d + 1.0)
 
 
 def depolarizing_probability(target_gate_infidelity, thermal: np.ndarray, labels=None):

@@ -36,9 +36,9 @@ Auxiliary qubits (``Circuit.aux_qubits``) are never held in the state.
 Every run that touches one starts with it in |0> and ends by resetting it,
 so the run is exactly a channel on its other qubits (a collision, in the
 language of collision models); the run compiles to that channel.  The state
-thus holds only the non-auxiliary qubits, at most ``MAX_SIM_WIDTH`` of
-them.  The engine takes its initial state and returns its snapshots on the
-model register, in model order.
+thus holds only the model qubits, at most ``MAX_SIM_WIDTH`` of them.  The
+engine takes its initial state and returns its snapshots on the model
+register, in model order.
 
 Also measurement sampling and readout mitigation on plain arrays: counts
 are one multinomial count per basis state of the sampled register, and
@@ -145,9 +145,9 @@ def simulate(
 
     ``rho0`` (default: all qubits in |0>) and the returned states at the
     barriers, one (k, n_snapshots, d, d) array, are on the model register in
-    model order (``Circuit.model_register``, else the non-auxiliary qubits),
-    as for ``oracle.evolve_exact``.  The state holds only the non-auxiliary
-    qubits, and ``MAX_SIM_WIDTH`` counts those.
+    model order (``Circuit.model_register``, else every qubit), as for
+    ``oracle.evolve_exact``.  The state holds only the model qubits, and
+    ``MAX_SIM_WIDTH`` counts those.
     """
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")

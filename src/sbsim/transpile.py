@@ -94,7 +94,7 @@ def decompose_native(circuit: Circuit) -> Circuit:
             gates.extend(_cry_native(g.qubits[0], g.qubits[1], g.angle))
         else:
             gates.append(g)
-    return Circuit(circuit.width, tuple(gates), circuit.roles, circuit.model_register)
+    return Circuit(circuit.width, tuple(gates), circuit.model_register)
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,10 @@ def route(
             phys = tuple(l2p[q] for q in g.qubits)
         gates.append(Gate(g.kind, phys, g.angle))
 
-    # Roles are tied to logical qubits; after swaps they have no fixed
+    # The model register names logical qubits; after swaps they have no fixed
     # physical home, so the routed circuit carries none.  The layouts on the
     # result map logical to physical at entry and exit.
-    routed = Circuit(cmap.n_qubits, tuple(gates), None, None)
+    routed = Circuit(cmap.n_qubits, tuple(gates))
     return RoutedCircuit(routed, tuple(layout), tuple(l2p))
 
 

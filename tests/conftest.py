@@ -88,10 +88,10 @@ def kraus_operators(channel, floor: float = 1e-14) -> list[np.ndarray]:
 
 
 def model_qubits(circuit) -> tuple[int, ...]:
-    """The circuit qubits of the model register, in model order: the non-auxiliary qubits if none is mapped."""
+    """The circuit qubits of the model register, in model order: every qubit if none is mapped."""
     if circuit.model_register is not None:
         return circuit.model_register
-    return tuple(q for q in range(circuit.width) if q not in circuit.aux_qubits)
+    return tuple(range(circuit.width))
 
 
 def simulate_bruteforce(circuit, noise=None, member=0, rho0=None):

@@ -83,7 +83,7 @@ def test_c01_collision_channel_exactness():
                     unit = np.zeros((2, 2), dtype=complex)
                     unit[i, j] = 1.0
                     rho_in = np.kron(unit, np.diag([1.0, 0.0])).astype(complex)
-                    (out_full,) = sim.simulate(marked, rho0=rho_in)[0]  # no roles: both qubits are held
+                    (out_full,) = sim.simulate(marked, rho0=rho_in)[0]  # no model register: both qubits are held
                     out = partial_trace(out_full, (0,), 2)
                     choi_block += np.kron(unit, out)
                     choi_exact += np.kron(unit, k0 @ unit @ k0.conj().T + k1 @ unit @ k1.conj().T)

@@ -13,6 +13,7 @@ from sbsim.circuits import (
     assemble_evolution,
     collision_angle,
     collision_block,
+    evolution_layout,
     pauli_exponential,
     trotter_step,
 )
@@ -23,7 +24,7 @@ from sbsim.model import (
     ModelParams,
     hamiltonian_sum,
 )
-from sbsim.pauli import PauliString, PauliSum
+from sbsim.pauli import PauliString, PauliSum, canonicalize
 
 
 def _string_matrix(term: PauliString) -> np.ndarray:
@@ -87,7 +88,7 @@ def test_exponential_random_strings(rng):
 
 
 def test_single_term_orders_agree():
-    h = PauliSum.from_pairs([("XZ", 0.8)])
+    h = PauliSum((PauliString("XZ", 0.8),))
     u1 = circuit_unitary(trotter_step(h, 0.3, 1))
     u2 = circuit_unitary(trotter_step(h, 0.3, 2))
     np.testing.assert_allclose(u1, u2, atol=1e-13)
@@ -113,7 +114,7 @@ def test_second_order_is_first_order_with_reversed_half():
     # structural identity: U2(dt) = reversed-order U1(dt/2) times U1(dt/2)
     h = hamiltonian_sum(ModelParams())
     forward = circuit_unitary(trotter_step(h, 0.15, 1))
-    terms = h.canonicalize().terms
+    terms = canonicalize(h).terms
     reversed_sum = PauliSum(tuple(reversed(terms)))
     backward_gates = []
     for t in reversed_sum.terms:
@@ -125,7 +126,7 @@ def test_second_order_is_first_order_with_reversed_half():
 
 def test_unsupported_order():
     with pytest.raises(ValueError):
-        trotter_step(PauliSum.from_pairs([("X", 1.0)]), 0.1, 3)
+        trotter_step(PauliSum((PauliString("X", 1.0),)), 0.1, 3)
 
 
 def test_collision_angles():
@@ -206,7 +207,7 @@ def test_assemble_zero_steps():
     c = assemble_evolution(ModelParams(), InitialStateSpec(), 0, 0.2)
     kinds = [g.kind for g in c.gates]
     assert kinds == ["x", "barrier", "measure", "measure", "measure"]
-    assert c.roles == ("boson", "boson", "spin", "aux")
+    assert c.aux_qubits == (3,)
     assert c.model_register == (2, 0, 1)
 
 
@@ -222,7 +223,7 @@ def test_assemble_two_spins_collisions_per_step():
     params = ModelParams(n_spins=2, omega=6)
     c = assemble_evolution(params, InitialStateSpec(("up", "down")), 3, 0.2)
     assert c.width == 6
-    assert c.roles == ("aux", "spin", "boson", "boson", "spin", "aux")
+    assert c.aux_qubits == (0, 5)
     assert sum(1 for g in c.gates if g.kind == "cry") == 6  # two collisions per step
     assert c.model_register == (1, 2, 3, 4)
     assert {q for g in c.gates if g.kind == "measure" for q in g.qubits} == {1, 2, 3, 4}
@@ -261,17 +262,29 @@ def test_gate_validation():
 def test_circuit_invariants():
     with pytest.raises(ValueError):
         Circuit(1, (Gate("measure", (0,)), Gate("x", (0,))))
-    with pytest.raises(ValueError):
-        Circuit(2, (Gate("reset", (0,)),), roles=("spin", "aux"))
-    Circuit(2, (Gate("reset", (1,)),), roles=("spin", "aux"))
+    with pytest.raises(ValueError, match=r"reset on model qubit \(0,\)"):
+        Circuit(2, (Gate("reset", (0,)),), model_register=(0,))
+    assert Circuit(2, (Gate("reset", (1,)),), model_register=(0,)).aux_qubits == (1,)
+    assert Circuit(2, (Gate("reset", (0,)),)).aux_qubits == ()  # no register: every qubit a model qubit
 
 
 def test_model_register_must_permute_the_non_auxiliary_qubits():
-    roles = ("aux", "spin", "boson", "spin", "aux")
-    assert Circuit(5, roles=roles, model_register=[3, 1, 2]).model_register == (3, 1, 2)
-    assert Circuit(2, model_register=(1, 0)).model_register == (1, 0)
-    for register in ((1, 2), (1, 2, 3, 0), (1, 1, 3), (1, 2, 3, 3), (1, 2, 5)):
-        with pytest.raises(ValueError, match="not a permutation of the non-auxiliary qubits"):
-            Circuit(5, roles=roles, model_register=register)
-    with pytest.raises(ValueError, match=r"non-auxiliary qubits \(0, 1\)"):
-        Circuit(2, model_register=(0,))
+    # the auxiliaries are the qubits outside the register, so a register of distinct
+    # qubits inside the circuit permutes the rest; a repeated or outside qubit raises
+    for register in ((3, 1, 2), (1, 2), (1, 2, 3, 0), (4, 0, 2, 1, 3), ()):
+        c = Circuit(5, model_register=list(register))
+        assert c.model_register == register
+        assert sorted(register) == [q for q in range(5) if q not in c.aux_qubits]
+    for register in ((1, 1, 3), (1, 2, 3, 3), (1, 2, 5), (-1, 2)):
+        with pytest.raises(ValueError, match="repeats a qubit or leaves the register of width 5"):
+            Circuit(5, model_register=register)
+
+
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_assembled_auxiliaries_are_the_layout_auxiliaries(n_spins):
+    params = ModelParams(n_spins=n_spins)
+    c = assemble_evolution(params, InitialStateSpec(("up",) * n_spins), 1, 0.2)
+    width, model_register, aux_for_spin = evolution_layout(params)
+    assert (c.width, c.model_register) == (width, model_register)
+    assert c.aux_qubits == aux_for_spin
+    assert [g.qubits[0] for g in c.gates if g.kind == "measure"] == sorted(model_register)

@@ -491,6 +491,32 @@ def test_duplicate_xi_values_write_identical_rows(tmp_path, xi):
     assert rows[0].split(",")[header.split(",").index("xi")] == xi
 
 
+def test_repeated_xi_values_are_simulated_once(tmp_path, monkeypatch):
+    # --xi 0.1 0.1 0.01 builds and runs a member per distinct value; both 0.1 rows read one member
+    models = []
+    simulate = sim.simulate
+
+    def recorded(circuit, model=None, rho0=None, repeat=1, compiled=None):
+        models.append(model)
+        return simulate(circuit, model, rho0, repeat, compiled)
+
+    monkeypatch.setattr(sim, "simulate", recorded)
+    assert main(["noise_sweep", "--xi", "0.1", "0.1", "0.01", "--t-final", "0.4", "--out", str(tmp_path)]) == 0
+    assert models and all(model.xi == (0.1, 0.01) for model in models)
+    header, *rows = (tmp_path / "noise_sweep.csv").read_text().splitlines()
+    xi = header.split(",").index("xi")
+    assert [row.split(",")[xi] for row in rows] == ["0.1", "0.1", "0.01"]
+    assert rows[0] == rows[1] != rows[2]
+
+
+@pytest.mark.parametrize("argv", [["gamma_sweep", "--gamma-list", "0.5", "0.5"], ["noise_sweep", "--dt", "0.2", "0.2"]])
+def test_repeated_gamma_or_dt_values_write_each_row_twice(tmp_path, argv):
+    # a circuit's repeated points each read the member of their own xi, none past the stack
+    assert main([*argv, "--t-final", "0.4", "--out", str(tmp_path)]) == 0
+    _, *rows = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()
+    assert rows and rows[0::2] == rows[1::2] and len(set(rows)) == len(rows) // 2
+
+
 # a sweep scores each t > 0 snapshot once, all in one stacked call: trotter_sweep runs
 # 4 (order, gamma) curves of 20 + 10 + 7 + 5 + 4 steps, the xi grid 2 orders x 5 xi of 10 steps
 @pytest.mark.parametrize(

@@ -18,9 +18,6 @@ from conftest import (
     simulate_bruteforce,
 )
 from sbsim.circuits import (
-    ROLE_AUX,
-    ROLE_BOSON,
-    ROLE_SPIN,
     Circuit,
     Gate,
     assemble_evolution,
@@ -100,11 +97,11 @@ def test_empty_circuit_returns_input():
 def test_width_limit():
     # the limit counts state qubits: auxiliaries are not held in the state
     assert simulate(Circuit(6, (Gate("barrier"),))).shape == (1, 1, 64, 64)
-    assert simulate(Circuit(7, (Gate("barrier"),), (ROLE_AUX,) + (ROLE_SPIN,) * 6)).shape == (1, 1, 64, 64)
+    assert simulate(Circuit(7, (Gate("barrier"),), tuple(range(1, 7)))).shape == (1, 1, 64, 64)
     with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
         simulate(Circuit(7))
     with pytest.raises(ValueError, match="7-qubit state exceeds the dense engine limit 6"):
-        simulate(Circuit(8, roles=(ROLE_AUX,) + (ROLE_SPIN,) * 7))
+        simulate(Circuit(8, model_register=tuple(range(1, 8))))
 
 
 def test_collision_block_on_excited_spin():
@@ -148,9 +145,7 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
 
     body = [g for g in circuit.gates if g.kind not in ("measure",)]
     first_barrier = next(i for i, g in enumerate(body) if g.kind == "barrier")
-    stepped = Circuit(
-        circuit.width, tuple(body[first_barrier + 1 :]), circuit.roles, circuit.model_register
-    )
+    stepped = Circuit(circuit.width, tuple(body[first_barrier + 1 :]), circuit.model_register)
     worst = 0.0
     for i in range(8):
         for j in range(8):
@@ -302,10 +297,18 @@ def test_nan_in_one_stack_member_is_caught():
 _COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.1])
+def test_qubit_outside_the_model_register_is_an_auxiliary(xi):
+    # a one-qubit register on two qubits leaves qubit 1 to the collision as its auxiliary
+    circuit = decompose_native(Circuit(2, _COLLISION, (0,)))
+    assert circuit.aux_qubits == (1,)
+    _assert_matches_bruteforce(circuit, xi)
+
+
 def test_aux_used_again_after_its_reset_without_reset_is_rejected():
     gates = _COLLISION + (Gate("barrier"), Gate("cx", (0, 1)))
     with pytest.raises(ValueError, match="auxiliary 1 is not reset"):
-        simulate(Circuit(2, gates, (ROLE_SPIN, ROLE_AUX)))
+        simulate(Circuit(2, gates, (0,)))
 
 
 def test_aux_not_clean_when_its_run_starts_is_rejected():
@@ -315,7 +318,7 @@ def test_aux_not_clean_when_its_run_starts_is_rejected():
     gates = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 1)), Gate("reset", (2,)))
     assert [len(run) for run in _runs(gates)] == [1, 2]
     with pytest.raises(ValueError, match="auxiliary 2 is not reset"):
-        simulate(Circuit(3, gates, (ROLE_SPIN, ROLE_BOSON, ROLE_AUX)))
+        simulate(Circuit(3, gates, (0, 1)))
 
 
 def test_aux_reset_commuted_past_a_gate_on_other_qubits_is_accepted():
@@ -323,7 +326,7 @@ def test_aux_reset_commuted_past_a_gate_on_other_qubits_is_accepted():
     prep = (Gate("x", (0,)), Gate("sx", (1,)), Gate("barrier"))
     collision = (Gate("cry", (0, 2), 0.9), Gate("cx", (2, 0)), Gate("cx", (1, 0)), Gate("reset", (2,)))
     assert list(_runs(collision)) == [collision[:2] + collision[3:], collision[2:3]]
-    circuit = Circuit(3, prep + collision + (Gate("barrier"),), (ROLE_SPIN, ROLE_BOSON, ROLE_AUX), (1, 0))
+    circuit = Circuit(3, prep + collision + (Gate("barrier"),), (1, 0))
     _assert_matches_bruteforce(circuit, 0.0)
 
 
@@ -521,8 +524,7 @@ def _random_collision_circuit(rng, n_state: int, n_blocks: int) -> Circuit:
             gates += _random_gates(rng, others, int(rng.integers(0, 3)))
         gates.append(Gate("reset", (a,)))
     gates.append(Gate("barrier"))
-    roles = (ROLE_SPIN,) * n_state + (ROLE_AUX,) * 2
-    return Circuit(width, tuple(gates), roles, tuple(int(q) for q in rng.permutation(n_state)))
+    return Circuit(width, tuple(gates), tuple(int(q) for q in rng.permutation(n_state)))
 
 
 def test_runs_commute_only_disjoint_gates(rng):
