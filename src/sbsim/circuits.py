@@ -15,6 +15,12 @@ Angle convention (pinned by the gate set): RY(t) = exp(-i t Y / 2) and
 RZ(t) = exp(-i t Z / 2), i.e. the gate argument is twice the rotation
 angle.  The collision block therefore carries CRY(2*theta) with
 theta = arcsin(sqrt(1 - exp(-gamma_eff dt))).
+
+A stacked circuit holds several points of one gate structure: each angle
+that differs between them is a tuple with one float per point, and the
+circuit's ``points`` is their common length.  ``assemble_evolution`` given
+a tuple of dt values builds one, each point's floats the same bits as the
+build at that dt alone.
 """
 
 from __future__ import annotations
@@ -42,9 +48,16 @@ TWO_QUBIT_KINDS = ("cx", "cry")
 
 @dataclass(frozen=True)
 class Gate:
+    """A gate kind on its operands, with its angle if the kind takes one.
+
+    ``angle`` is a float, or a tuple with one float per point of a stacked
+    circuit.  The hash of (kind, qubits, angle) is computed once, here;
+    equality compares the three fields.
+    """
+
     kind: str
     qubits: tuple[int, ...] = ()
-    angle: float | None = None
+    angle: float | tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in UNITARY_KINDS + MARKER_KINDS:
@@ -55,10 +68,24 @@ class Gate:
         if self.kind in TWO_QUBIT_KINDS and len(self.qubits) != 2:
             raise ValueError(f"{self.kind} needs two operands")
         if self.kind in ANGLED_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} needs a finite angle")
+            angles = self.angle if isinstance(self.angle, tuple) else (self.angle,)
+            if not angles or any(a is None or not math.isfinite(a) for a in angles):
+                raise ValueError(f"{self.kind} needs a finite angle or a non-empty tuple of them, got {self.angle}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
+        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.angle)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string's hash differs between processes
+        return Gate, (self.kind, self.qubits, self.angle)
+
+
+def per_point(fn, angle):
+    """``fn`` of a float angle, or the tuple of ``fn`` of each point's angle."""
+    return tuple(map(fn, angle)) if isinstance(angle, tuple) else fn(angle)
 
 
 @dataclass(frozen=True)
@@ -69,6 +96,9 @@ class Circuit:
     index of each model qubit; every other qubit is an auxiliary, and only
     an auxiliary may be reset.  Without it every qubit is a model qubit, in
     circuit order, and any qubit may be reset.
+
+    Its angle tuples, if any, share one length: ``points``, the number of
+    points the circuit stacks.
     """
 
     width: int
@@ -86,6 +116,10 @@ class Circuit:
                     f"model register {self.model_register} repeats a qubit or leaves the "
                     f"register of width {self.width}"
                 )
+        lengths = {len(g.angle) for g in self.gates if isinstance(g.angle, tuple)}
+        if len(lengths) > 1:
+            raise ValueError(f"angle tuples of lengths {sorted(lengths)} in one circuit; all must have one per point")
+        object.__setattr__(self, "_points", lengths.pop() if lengths else None)
         seen_measure = False
         for g in self.gates:
             if any(q >= self.width or q < 0 for q in g.qubits):
@@ -99,6 +133,11 @@ class Circuit:
                 and any(q in self.model_register for q in g.qubits)
             ):
                 raise ValueError(f"reset on model qubit {g.qubits}")
+
+    @property
+    def points(self) -> int | None:
+        """The length of every angle tuple of the circuit; None when every angle is a float."""
+        return self._points
 
     @property
     def aux_qubits(self) -> tuple[int, ...]:
@@ -126,8 +165,11 @@ def _basis_change(letter: str, q: int) -> tuple[list[Gate], list[Gate]]:
     )
 
 
-def _pauli_exponential_gates(term: PauliString, angle: float, qubits: Sequence[int]) -> list[Gate]:
-    """Gates of exp(-i angle coeff P), letter k of P acting on circuit qubit ``qubits[k]``."""
+def _pauli_exponential_gates(term: PauliString, angle, qubits: Sequence[int]) -> list[Gate]:
+    """Gates of exp(-i angle coeff P), letter k of P acting on circuit qubit ``qubits[k]``.
+
+    ``angle`` is a float or a tuple of per-point floats.
+    """
     if abs(term.coefficient.imag) > 1e-12:
         raise ValueError(f"coefficient {term.coefficient} is not real")
     active = [(qubits[k], c) for k, c in enumerate(term.letters) if c != "I"]
@@ -141,7 +183,8 @@ def _pauli_exponential_gates(term: PauliString, angle: float, qubits: Sequence[i
         post = u + post
     qs = [q for q, _ in active]
     stair = [Gate("cx", (qs[i], qs[i + 1])) for i in range(len(qs) - 1)]
-    rz = Gate("rz", (qs[-1],), 2.0 * angle * term.coefficient.real)
+    coefficient = term.coefficient.real
+    rz = Gate("rz", (qs[-1],), per_point(lambda a: 2.0 * a * coefficient, angle))
     return pre + stair + [rz] + stair[::-1] + post
 
 
@@ -150,7 +193,7 @@ def pauli_exponential(term: PauliString, angle: float) -> Circuit:
     return Circuit(term.width, tuple(_pauli_exponential_gates(term, angle, range(term.width))))
 
 
-def _trotter_gates(terms: tuple[PauliString, ...], dt: float, order: int, qubits: Sequence[int]) -> list[Gate]:
+def _trotter_gates(terms: tuple[PauliString, ...], dt, order: int, qubits: Sequence[int]) -> list[Gate]:
     gates: list[Gate] = []
     if order == 1:
         for t in terms:
@@ -158,11 +201,12 @@ def _trotter_gates(terms: tuple[PauliString, ...], dt: float, order: int, qubits
     elif order == 2:
         # Half-angle sweep forward, then reverse; the doubled turning-point
         # exponential is merged into a single full-angle one.
+        half = per_point(lambda d: d / 2, dt)
         for t in terms[:-1]:
-            gates.extend(_pauli_exponential_gates(t, dt / 2, qubits))
+            gates.extend(_pauli_exponential_gates(t, half, qubits))
         gates.extend(_pauli_exponential_gates(terms[-1], dt, qubits))
         for t in terms[-2::-1]:
-            gates.extend(_pauli_exponential_gates(t, dt / 2, qubits))
+            gates.extend(_pauli_exponential_gates(t, half, qubits))
     else:
         raise ValueError(f"unsupported product-formula order {order}")
     return gates
@@ -185,12 +229,10 @@ def collision_angle(gamma: float, dt: float, convention: str = PAPER_COLLISION) 
     return math.asin(math.sqrt(1.0 - math.exp(-gamma_eff(gamma, convention) * dt)))
 
 
-def _collision_gates(
-    gamma: float, dt: float, spin_q: int, aux_q: int, convention: str
-) -> list[Gate]:
-    theta = collision_angle(gamma, dt, convention)
+def _collision_gates(gamma: float, dt, spin_q: int, aux_q: int, convention: str) -> list[Gate]:
+    angle = per_point(lambda d: 2.0 * collision_angle(gamma, d, convention), dt)
     return [
-        Gate("cry", (spin_q, aux_q), 2.0 * theta),
+        Gate("cry", (spin_q, aux_q), angle),
         Gate("cx", (aux_q, spin_q)),
         Gate("reset", (aux_q,)),
     ]
@@ -227,7 +269,7 @@ def assemble_evolution(
     params: ModelParams,
     spec: InitialStateSpec,
     n_steps: int,
-    dt: float,
+    dt: float | tuple[float, ...],
     order: int = 2,
     code_kind: str = GRAY,
     convention: str = PAPER_COLLISION,
@@ -237,6 +279,11 @@ def assemble_evolution(
     Collisions are omitted entirely for gamma = 0, where the run is a plain
     Hamiltonian simulation.  A barrier follows the preparation and every
     step, so the marked states align with the reference grid t = k dt.
+
+    ``dt`` is one time step, or a tuple of them: the circuit then stacks
+    one point per dt (``Circuit.points``), every dt-dependent angle a tuple
+    whose entry p has the same bits as that angle in the build at ``dt[p]``
+    alone, and every other gate the same.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")

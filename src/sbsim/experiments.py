@@ -3,17 +3,21 @@
 Each experiment expands into an ordered grid of points.  ``run`` builds
 every input that points share once: the calibration (parsed once and kept
 on the config), one noise model with a member per xi of the run, the
-exact reference, one native one-step circuit per (order, gamma, dt), kept
-on the config beside the calibration, and one dict of compiled runs.  The
-exact reference is one stacked oracle call per run: every gamma of the run
-on the union of its dt grids, from which each (gamma, dt) reads the states
-at its own times.  Each circuit is simulated in one engine pass in the
-calling process: it replays its one-step circuit for its step count under
-every member of the noise model at once, as one stacked state; its points
-are exactly those members.  One row pass then scores each simulated
-snapshot once against the reference, as stacks (infidelity against the
-reference's square roots alone), and emits the rows in grid order, so
-identical configs and seeds give byte-identical CSV output.  gate_counts
+exact reference, one native one-step circuit per (order, gamma), kept on
+the config beside the calibration, and one dict of compiled runs.  Each
+circuit stacks the run's dt values as its points: every dt-dependent angle
+is a tuple with one value per dt (``ExperimentConfig.step_dts``), each the
+same bits as in the circuit built at that dt alone.  The exact reference
+is one stacked oracle call per run: every gamma of the run on the union of
+its dt grids, from which each (gamma, dt) reads the states at its own
+times.  Each circuit is simulated in one engine pass in the calling
+process: it replays its one-step circuit under every member of the noise
+model and for every dt at once, each dt for its own step count, as one
+stacked state; its grid points are exactly those (dt, member) pairs.  One
+row pass then scores each simulated snapshot once against the reference,
+as stacks (infidelity against the reference's square roots alone), and
+emits the rows in grid order, so identical configs and seeds give
+byte-identical CSV output.  gate_counts
 instead counts the routed native step of each point of a fixed grid.  The
 ``workers`` field is deprecated and has no effect: every run is serial.
 """
@@ -176,14 +180,14 @@ class ExperimentConfig:
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
         problems = []
-        register = self.native_step(self.orders[0], self._max_gamma, self.dt_grid[0]).model_register
+        register = self.native_step(self.orders[0], self._max_gamma).model_register
         needed = max(register) + 1  # each model qubit is read out on the circuit qubit holding it
         if self.shots is not None and len(cal.qubits) < needed:
             problems.append(f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {needed}")
         if any(xi > 0 for xi in self.xi_list):
             missing: dict[str, list[tuple[int, ...]]] = {}
             for order in self.orders:
-                for g in self.native_step(order, self._max_gamma, self.dt_grid[0]).gates:
+                for g in self.native_step(order, self._max_gamma).gates:
                     if g.kind in MARKER_KINDS or g.qubits in missing.get(g.kind, ()):
                         continue
                     try:
@@ -227,15 +231,23 @@ class ExperimentConfig:
         return noise.load_calibration(self.calibration)
 
     @cached_property
+    def step_dts(self) -> tuple[float, ...]:
+        """The distinct dt values of the grid, in decreasing order of their step counts: the points of every step."""
+        return tuple(sorted(dict.fromkeys(self.dt_grid), key=lambda dt: -steps_for(self.t_final, dt)))
+
+    @cached_property
     def _native_steps(self) -> dict[tuple, Circuit]:
         return {}
 
-    def native_step(self, order: int, gamma: float, dt: float) -> Circuit:
-        """The native one-step circuit at (order, gamma, dt), built on first use and kept on this config."""
-        key = (order, gamma, dt)
+    def native_step(self, order: int, gamma: float) -> Circuit:
+        """The native one-step circuit at (order, gamma), stacking one point per dt of ``step_dts``.
+
+        Built on first use and kept on this config.
+        """
+        key = (order, gamma)
         if key not in self._native_steps:
             self._native_steps[key] = transpile.decompose_native(assemble_evolution(
-                self.model_params(gamma), self.initial_state(), 1, dt, order, self.code, self.convention
+                self.model_params(gamma), self.initial_state(), 1, self.step_dts, order, self.code, self.convention
             ))
         return self._native_steps[key]
 
@@ -370,7 +382,7 @@ def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     for t in tasks:
         point = replace(cfg, n_spins=t["n_spins"], d_ho=t["d_ho"], code=t["code"],
                         omega=6.0 if t["n_spins"] == 2 else cfg.omega)
-        native = point.native_step(t["order"], gamma, cfg.dt_grid[0])
+        native = point.native_step(t["order"], gamma)
         counts = transpile.count_gates(transpile.route(native, transpile.JAKARTA).circuit)
         rows.append((t["n_spins"], t["d_ho"], t["order"], t["code"], counts.single_qubit, counts.cx))
     return rows
@@ -379,25 +391,25 @@ def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
 def _simulated_snapshots(cfg: ExperimentConfig, tasks: list[dict], model) -> list[np.ndarray]:
     """Each point's simulated (n, d, d) snapshots, in grid order.
 
-    Each distinct (order, gamma, dt) gets one native one-step circuit
-    (``cfg.native_step``), simulated in this process in one engine pass
-    under every member of ``model``, and all of them share one dict of
-    compiled runs.  Each point reads the member of its xi (one per distinct
-    xi of ``cfg.xi_list``, so repeated values share one); without a model
-    each reads the one noiseless member.
+    Each distinct (order, gamma) gets one native one-step circuit
+    (``cfg.native_step``) with a point per dt of ``cfg.step_dts``,
+    simulated in this process in one engine pass for every dt, each at its
+    own step count, under every member of ``model``; all of them share one
+    dict of compiled runs.  Each grid point reads the point of its dt and
+    the member of its xi (one per distinct xi of ``cfg.xi_list``, so
+    repeated values share one); without a model each reads the one
+    noiseless member.
     """
-    points: dict[tuple, list[int]] = {}  # circuit key -> its points, in grid order
-    for i, t in enumerate(tasks):
-        points.setdefault((t["order"], t["gamma"], t["dt"]), []).append(i)
-    simulated: list = [None] * len(tasks)
+    repeat = tuple(steps_for(cfg.t_final, dt) for dt in cfg.step_dts)
     compiled: dict = {}
-    for (order, gamma, dt), members in points.items():
-        snapshots = sim.simulate(
-            cfg.native_step(order, gamma, dt), model, repeat=steps_for(cfg.t_final, dt), compiled=compiled
-        )
-        for i in members:
-            simulated[i] = snapshots[0 if model is None else model.xi.index(tasks[i]["xi"])]
-    return simulated
+    runs = {
+        key: sim.simulate(cfg.native_step(*key), model, repeat=repeat, compiled=compiled)
+        for key in dict.fromkeys((t["order"], t["gamma"]) for t in tasks)
+    }
+    return [
+        runs[t["order"], t["gamma"]][cfg.step_dts.index(t["dt"])][0 if model is None else model.xi.index(t["xi"])]
+        for t in tasks
+    ]
 
 
 def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
@@ -433,7 +445,7 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
                 # state diag(quasi): both observables are diagonal in the measured
                 # basis, so this applies the same operators as the exact rows.
                 # Each model qubit is read out through the circuit qubit holding it.
-                register = cfg.native_step(task["order"], task["gamma"], task["dt"]).model_register
+                register = cfg.native_step(task["order"], task["gamma"]).model_register
                 confusions = model.readout[model.xi.index(task["xi"]), list(register)]
                 sampled = []
                 for k, rho in enumerate(states):

@@ -201,8 +201,8 @@ def kraus_superop(kraus) -> np.ndarray:
     return np.einsum("kab,kcd->acbd", kraus, kraus.conj()).reshape(d * d, d * d)
 
 
-def is_cptp(superop: np.ndarray, tol: float = CPTP_TOL):
-    """Trace preserving, and a Hermitian positive semidefinite Choi matrix.
+def is_cptp(superop: np.ndarray):
+    """Trace preserving, and a Hermitian positive semidefinite Choi matrix, each to ``CPTP_TOL``.
 
     ``superop`` is one channel or a stack of them (..., 4^n, 4^n); a stack
     gives one bool per member.
@@ -210,10 +210,10 @@ def is_cptp(superop: np.ndarray, tol: float = CPTP_TOL):
     superop = np.asarray(superop)
     d = math.isqrt(superop.shape[-1])
     identity = np.eye(d).ravel()
-    trace_kept = np.max(np.abs(identity @ superop - identity), axis=-1) <= tol
+    trace_kept = np.max(np.abs(identity @ superop - identity), axis=-1) <= CPTP_TOL
     choi = superop.reshape(superop.shape[:-2] + (d,) * 4).swapaxes(-3, -2).reshape(superop.shape)
-    hermitian = np.max(np.abs(choi - choi.conj().swapaxes(-2, -1)), axis=(-2, -1)) <= tol
-    positive = np.linalg.eigvalsh(choi).min(axis=-1) >= -tol
+    hermitian = np.max(np.abs(choi - choi.conj().swapaxes(-2, -1)), axis=(-2, -1)) <= CPTP_TOL
+    positive = np.linalg.eigvalsh(choi).min(axis=-1) >= -CPTP_TOL
     return _value_or_stack(trace_kept & hermitian & positive)
 
 

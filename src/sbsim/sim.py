@@ -19,10 +19,13 @@ into its layout and one matrix product, with no scatter back; each
 snapshot is one gather out of the current layout.
 
 One call simulates a circuit under every member of one noise model, one
-member per noise factor xi.  The state is a stack of density matrices, one
-per member, held as one flat vector, and every compiled run a stack of
-superoperators, one per member: the circuit is split, compiled, replayed
-and checked once for all its noise levels.  Compiled runs live in a dict,
+member per noise factor xi, and at every point of a stacked circuit (one
+per dt of a grid, whose dt-dependent angles hold one value per point).
+The state is a stack of density matrices, one per point and member, held
+as one flat vector, and every compiled run a stack of superoperators, one
+per member, or one per point and member for a run with per-point angles:
+the circuit is split, compiled, replayed and checked once for all its
+points and noise levels.  Compiled runs live in a dict,
 which a caller may keep and pass to every circuit it simulates under the
 same model; it also holds one stack of superoperators per one-qubit gate
 and each placed factor.
@@ -109,15 +112,19 @@ def simulate(
     circuit: Circuit,
     noise=None,
     rho0: np.ndarray | None = None,
-    repeat: int = 1,
+    repeat: int | tuple[int, ...] = 1,
     compiled: dict | None = None,
-) -> np.ndarray:
+):
     """Run the circuit, applying the noise model's channel after each native gate.
 
     ``noise`` is a noise model, whose k members (one per xi) all run in
     this one call from the same ``rho0``, or ``None`` for one noiseless
     member.  Each member's states equal, bit for bit, those of a model of
     that member alone; a member at xi = 0 equals the noiseless run.
+
+    A stacked circuit (``Circuit.points``) runs every point in this call
+    too, each under every member, and each point's states equal, bit for
+    bit, those of the circuit built at that point alone.
 
     With a noise model the circuit must be native (no ry/cry); channels are
     applied on the gate operands right after the ideal unitary, and resets
@@ -127,11 +134,12 @@ def simulate(
     Gates are grouped into runs on at most two qubits (``_runs``): a run
     also takes later gates on its qubits that commute past the gates they
     jump, and barriers and measurements end every run.  Each distinct run is
-    compiled once into a stack of local superoperators, one per member.  The
-    stacked state stays in the layout of the last applied run, so each run
-    is one gather into its own layout and one stacked matrix product; each
-    snapshot is one gather into the model register's order.  Compiled runs,
-    keyed by the run and the qubits the state holds, are kept in
+    compiled once into a stack of local superoperators, one per member, and
+    a run with per-point angles into one per point and member, point-major.
+    The stacked state stays in the layout of the last applied run, so each
+    run is one gather into its own layout and one stacked matrix product;
+    each snapshot is one gather into the model register's order.  Compiled
+    runs, keyed by the run and the qubits the state holds, are kept in
     ``compiled`` together with the gate superoperators they were built
     from.  That dict serves the noise model (or ``None``) it first served,
     and passing it with any other raises; without one, a fresh dict serves
@@ -142,15 +150,30 @@ def simulate(
     one snapshot per pass: the result equals, bit for bit, that of the
     circuit with the block written out ``repeat`` times.  So one time step
     of an evolution circuit, with ``repeat=n_steps``, gives the n-step run.
+    It is one count for every point, or a tuple with one count per point
+    (a circuit without per-point angles has one point).  The block is
+    replayed for every point still running: points are held in decreasing
+    order of their count, and one that has finished leaves the end of the
+    stack.  Counts that differ need a circuit with nothing but
+    measurements after its last barrier.
 
-    ``rho0`` (default: all qubits in |0>) and the returned states at the
-    barriers, one (k, n_snapshots, d, d) array, are on the model register in
-    model order (``Circuit.model_register``, else every qubit), as for
-    ``oracle.evolve_exact``.  The state holds only the model qubits, and
-    ``MAX_SIM_WIDTH`` counts those.
+    ``rho0`` (default: all qubits in |0>) is on the model register in model
+    order (``Circuit.model_register``, else every qubit), as for
+    ``oracle.evolve_exact``, and so are the states at the barriers: one
+    (k, n_snapshots, d, d) array, or for a stacked circuit a list with one
+    such array per point, in point order.  The state holds only the model
+    qubits, and ``MAX_SIM_WIDTH`` counts those.
     """
-    if repeat < 1:
+    n_points = circuit.points or 1
+    repeats = repeat if isinstance(repeat, tuple) else (repeat,) * n_points
+    if len(repeats) != n_points:
+        raise ValueError(f"repeat gives {len(repeats)} counts for the circuit's {n_points} points")
+    if min(repeats) < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
+    if len(set(repeats)) > 1:
+        last = max((i for i, g in enumerate(circuit.gates) if g.kind == "barrier"), default=-1)
+        if any(g.kind != "measure" for g in circuit.gates[last + 1:]):
+            raise ValueError("repeat counts that differ need a circuit with only measurements after its last barrier")
     compiled = {} if compiled is None else compiled
     if compiled.setdefault(_BOUND_MODEL, noise) is not noise:
         raise ValueError("compiled runs were built under another noise model")
@@ -164,6 +187,9 @@ def simulate(
         rho0 = ground_state(n)
     elif rho0.shape != (dim, dim):
         raise ValueError(f"initial state of shape {rho0.shape} is not ({dim}, {dim}), the model register's")
+    # the stack holds the points in decreasing order of their counts, so finished ones leave its end
+    order = sorted(range(n_points), key=lambda p: -repeats[p])
+    reordered = order != sorted(order)
 
     # one entry per run: None records a snapshot, else (superops, operands, run)
     program = []
@@ -175,45 +201,68 @@ def simulate(
             if entry is None:
                 superops, qubits = _compile(run, noise, aux, compiled)
                 entry = compiled[run, kept] = superops, tuple(kept.index(q) for q in qubits)
+            if reordered and entry[0].ndim == 4:
+                entry = entry[0][order], entry[1]
             program.append((*entry, run))
     start = stop = 0
-    if repeat > 1:
+    if max(repeats) > 1:
         marks = [i for i, op in enumerate(program) if op is None]
         if len(marks) < 2:
             raise ValueError("repeat needs a block between two barriers; the circuit has fewer")
         start, stop = marks[-2] + 1, marks[-1] + 1
+    # ops: runs, None for a snapshot, and after a pass of the block an int, the points still running
+    counts = [repeats[p] for p in order]
+    ops = program[:start]
+    for done in range(1, counts[0] + 1):
+        ops += program[start:stop]
+        running = sum(c > done for c in counts)
+        if 0 < running < n_points:
+            ops.append(running)
+    ops += program[stop:]
 
     register = tuple(range(n)) if circuit.model_register is None else tuple(
         kept.index(q) for q in circuit.model_register
     )
-    moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them
+    moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them, for every point
     # vec is held in the layout of the last applied run's operands, rho0 in the model register's
-    vec, layout = np.tile(rho0.astype(complex).ravel(), k), register
-    ops = program[:start] + program[start:stop] * repeat + program[stop:]
-    snapshots = np.empty((k, ops.count(None), dim, dim), dtype=complex)
+    vec, layout, active = np.tile(rho0.astype(complex).ravel(), n_points * k), register, n_points
+    per_pass, fixed = program[start:stop].count(None), program[:start].count(None) + program[stop:].count(None)
+    lengths = [fixed + c * per_pass for c in counts]  # snapshots of each point, in stack order
+    snapshots = np.empty((n_points, k, lengths[0], dim, dim), dtype=complex)
     taken = 0
     for op in ops:
+        if isinstance(op, int):
+            active = op
+            vec = vec[: active * k * dim * dim]
+            continue
         nxt = register if op is None else op[1]
         move = moves.get((layout, nxt))
         if move is None:
-            move = moves[layout, nxt] = _layout(layout, n, k).inverse[_layout(nxt, n, k).index]
+            move = moves[layout, nxt] = _layout(layout, n, n_points * k).inverse[_layout(nxt, n, n_points * k).index]
+        if active < n_points:
+            move = move[: vec.size]
         if op is None:
-            snapshots[:, taken] = vec[move].reshape(k, dim, dim)
+            snapshots[:active, :, taken] = vec[move].reshape(active, k, dim, dim)
             taken += 1
             continue
         superops, layout, run = op
-        vec = (superops @ vec[move].reshape(*superops.shape[:2], -1)).reshape(-1)
+        if superops.ndim == 4 and active < n_points:
+            superops = superops[:active]
+        vec = (superops @ vec[move].reshape(active, k, superops.shape[-1], -1)).reshape(-1)
         if noise is not None:
             # real parts of every member's trace: one product with the layout's diagonal mask
-            traces = (vec.view(float).reshape(k, -1) @ _layout(layout, n, k).diagonal).tolist()
+            traces = (vec.view(float).reshape(active * k, -1) @ _layout(layout, n, n_points * k).diagonal).tolist()
             for j, trace in enumerate(traces):
                 if not abs(trace - 1.0) <= _TRACE_TOL:  # NaN fails too
                     kinds = "/".join(g.kind for g in run)
+                    at = "" if circuit.points is None else f" at point {order[j // k]}"
                     raise RuntimeError(
-                        f"trace drift {abs(trace - 1.0):.2e} after {kinds} under noise member {j} (xi={noise.xi[j]:g}); "
-                        "engine invariant broken"
+                        f"trace drift {abs(trace - 1.0):.2e} after {kinds} under noise member {j % k} "
+                        f"(xi={noise.xi[j % k]:g}){at}; engine invariant broken"
                     )
-    return snapshots
+    if circuit.points is None:
+        return snapshots[0]
+    return [snapshots[i, :, : lengths[i]] for i in map(order.index, range(n_points))]
 
 
 def _runs(gates: tuple[Gate, ...]):
@@ -299,6 +348,9 @@ def _compile(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """A run's superoperators, one per noise member, and the qubits they act on, in order.
 
+    A run with per-point angles has one per point and member, point-major:
+    each factor's stack broadcasts over the points of the others.
+
     The run's local register orders its qubits by first appearance.  The
     run's one-qubit gates are multiplied together at their own width: each
     chain of consecutive one-qubit gates on one qubit is one stacked
@@ -364,23 +416,31 @@ def _drop_aux(superops: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
     kept = [p for p in range(n) if p not in dropped]
     m = len(kept)
     # axes: the stack, then output row and column bits, then input row and column bits, n each
-    tensor = superops.reshape((len(superops),) + (2,) * (4 * n))
+    tensor = superops.reshape(superops.shape[:-2] + (2,) * (4 * n))
     zero_in = (0 if a >= 2 * n and a % n in dropped else slice(None) for a in range(4 * n))
     tensor = tensor[(..., *zero_in)]
     in_sub = list(range(n)) + [n + p if p in kept else p for p in range(n)]
     out_sub = kept + [n + p for p in kept] + list(range(2 * n, 2 * n + 2 * m))
-    return np.einsum(tensor, [..., *in_sub, *out_sub[2 * m:]], [..., *out_sub]).reshape(-1, 4**m, 4**m)
+    traced = np.einsum(tensor, [..., *in_sub, *out_sub[2 * m:]], [..., *out_sub])
+    return traced.reshape(superops.shape[:-2] + (4**m, 4**m))
 
 
 def _gate_superop(gate: Gate, noise) -> np.ndarray:
-    """Superoperators of one gate on its operands, one per noise member: U x conj(U), then its channel's."""
+    """Superoperators of one gate on its operands, one per noise member: U x conj(U), then its channel's.
+
+    A gate with per-point angles gives a (points, members, ...) stack, its
+    one-point slices the same bits as the gate at that point's angle.
+    """
     k = 1 if noise is None else len(noise.xi)
     if gate.kind == "reset":
         return np.stack([kraus_superop(_RESET_KRAUS)] * k)
     if gate.kind in ("ry", "cry") and noise is not None:
         raise ValueError("noisy simulation requires a native circuit; transpile first")
-    ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])
-    return ideal[None] if noise is None else noise.channel_for(gate.kind, gate.qubits) @ ideal
+    if isinstance(gate.angle, tuple):
+        ideal = np.stack([kraus_superop(gate_unitary(gate.kind, a)[None]) for a in gate.angle])[:, None]
+    else:
+        ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])[None]
+    return ideal if noise is None else noise.channel_for(gate.kind, gate.qubits) @ ideal
 
 
 def sample_counts(

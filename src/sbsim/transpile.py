@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, per_point
 
 NATIVE_KINDS = ("cx", "id", "rz", "sx", "x")
 
@@ -66,26 +66,30 @@ class GateCount:
     cx: int
 
 
-def _ry_native(q: int, theta: float) -> list[Gate]:
+def _ry_native(q: int, theta) -> list[Gate]:
     # RY(t) = RZ(pi) SX RZ(t+pi) SX up to a global phase.
     return [
         Gate("sx", (q,)),
-        Gate("rz", (q,), theta + math.pi),
+        Gate("rz", (q,), per_point(lambda t: t + math.pi, theta)),
         Gate("sx", (q,)),
         Gate("rz", (q,), math.pi),
     ]
 
 
-def _cry_native(control: int, target: int, theta: float) -> list[Gate]:
-    gates = _ry_native(target, theta / 2)
+def _cry_native(control: int, target: int, theta) -> list[Gate]:
+    gates = _ry_native(target, per_point(lambda t: t / 2, theta))
     gates.append(Gate("cx", (control, target)))
-    gates.extend(_ry_native(target, -theta / 2))
+    gates.extend(_ry_native(target, per_point(lambda t: -t / 2, theta)))
     gates.append(Gate("cx", (control, target)))
     return gates
 
 
 def decompose_native(circuit: Circuit) -> Circuit:
-    """Rewrite ry/cry in terms of the native set; everything else passes through."""
+    """Rewrite ry/cry in terms of the native set; everything else passes through.
+
+    A gate with per-point angles becomes gates with per-point angles, each
+    point's the same bits as the rewrite of that point's angle alone.
+    """
     gates: list[Gate] = []
     for g in circuit.gates:
         if g.kind == "ry":

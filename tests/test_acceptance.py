@@ -193,8 +193,9 @@ def test_c06_noise_model_calibration_identity():
     xis = np.array([0.01, 0.1, 1.0])
     worst = 0.0
     model = noise.build_noise_model(cal, tuple(xis))
+    assert noise.CPTP_TOL <= 1e-10  # the tolerance is_cptp checks to
     for (kind, _), stack in model.channels.items():
-        assert np.all(noise.is_cptp(stack, 1e-10))
+        assert np.all(noise.is_cptp(stack))
         target = 1 - xis * cal.gate_entry(kind).error
         worst = max(worst, float(np.max(np.abs(noise.average_gate_fidelity(stack) - target))))
     assert worst < 1e-6

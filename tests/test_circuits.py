@@ -25,6 +25,7 @@ from sbsim.model import (
     hamiltonian_sum,
 )
 from sbsim.pauli import PauliString, PauliSum, canonicalize
+from sbsim.transpile import decompose_native
 
 
 def _string_matrix(term: PauliString) -> np.ndarray:
@@ -257,6 +258,57 @@ def test_gate_validation():
         Gate("warp", (0,))
     with pytest.raises(ValueError):
         Circuit(1, (Gate("x", (3,)),))
+
+
+def test_angle_tuples_are_checked_when_built():
+    with pytest.raises(ValueError, match="non-empty tuple"):
+        Gate("rz", (0,), ())
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="needs a finite angle"):
+            Gate("cry", (0, 1), (0.1, bad))
+    with pytest.raises(ValueError, match=r"angle tuples of lengths \[2, 3\] in one circuit"):
+        Circuit(1, (Gate("rz", (0,), (0.1, 0.2)), Gate("ry", (0,), (0.1, 0.2, 0.3))))
+    with pytest.raises(ValueError, match="non-empty tuple"):
+        assemble_evolution(ModelParams(), InitialStateSpec(("up",)), 1, ())
+    assert Circuit(1, (Gate("rz", (0,), (0.1, 0.2)), Gate("rz", (0,), 0.3))).points == 2
+    assert Circuit(1, (Gate("rz", (0,), 0.3),)).points is None
+
+
+def test_gate_hash_is_fixed_at_construction_and_equality_compares_fields():
+    import pickle
+
+    gate = Gate("rz", (1,), (0.1, 0.2))
+    assert hash(gate) == hash(("rz", (1,), (0.1, 0.2)))
+    assert gate == Gate("rz", (1,), (0.1, 0.2)) and gate != Gate("rz", (1,), (0.1, 0.3))
+    assert gate != Gate("rz", (1,), 0.1) and Gate("x", (0,)) != Gate("x", (1,))
+    copy = pickle.loads(pickle.dumps(gate))
+    assert copy == gate and hash(copy) == hash(gate)
+
+
+def _bits(angle) -> str | None:
+    return None if angle is None else float(angle).hex()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_dt_tuple_build_stacks_the_bits_of_each_scalar_build(n_spins, order, gamma):
+    # point p of every angle has the bits of the build at dts[p] alone, before and after
+    # decomposition; every other gate and the structure are the same
+    params = ModelParams(n_spins=n_spins, gamma=gamma)
+    spec = InitialStateSpec(("up", "down")[:n_spins])
+    dts = (0.3, 0.1, 0.3, 0.25)
+    stacked = assemble_evolution(params, spec, 2, dts, order)
+    for build in (lambda c: c, decompose_native):
+        circuit = build(stacked)
+        assert circuit.points == len(dts)
+        for p, dt in enumerate(dts):
+            alone = build(assemble_evolution(params, spec, 2, dt, order))
+            assert alone.points is None
+            assert (circuit.width, circuit.model_register) == (alone.width, alone.model_register)
+            assert [(g.kind, g.qubits) for g in circuit.gates] == [(g.kind, g.qubits) for g in alone.gates]
+            angles = [_bits(g.angle[p] if isinstance(g.angle, tuple) else g.angle) for g in circuit.gates]
+            assert angles == [_bits(g.angle) for g in alone.gates]
 
 
 def test_circuit_invariants():

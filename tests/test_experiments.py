@@ -1,5 +1,6 @@
 """Experiment harness: config validation, determinism, CSV/manifest output."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -416,12 +417,13 @@ def test_two_spins_at_d_ho_8_validate():
     assert cfg.validate() == [] and cfg.d_ho == 8
 
 
-# trotter_sweep runs every circuit noiseless, so all 20 circuits share one one-member stack;
-# gamma_sweep runs each of its 6 circuits under the same (None, xi 0.01) stack.  The counts
-# are of the commutation-aware runs (sim._runs) of those circuits' steps and preparations.
+# trotter_sweep runs every circuit noiseless, so its 4 circuits, one per (order, gamma), each
+# stacking its 5 dt values, share one one-member stack; gamma_sweep runs each of its 6 circuits
+# under the same (None, xi 0.01) stack.  The counts are of the commutation-aware runs
+# (sim._runs) of those circuits' steps and preparations.
 @pytest.mark.parametrize(
     "experiment, distinct",
-    [("trotter_sweep", 78), ("gamma_sweep", 18)],
+    [("trotter_sweep", 20), ("gamma_sweep", 18)],
     ids=["trotter_sweep", "gamma_sweep"],
 )
 def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, experiment, distinct):
@@ -439,18 +441,20 @@ def test_each_distinct_run_compiles_once_per_noise_model(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("experiment", [kind for kind in EXPERIMENT_KINDS if kind != "gate_counts"])
 def test_every_circuit_runs_under_the_whole_xi_stack(tmp_path, monkeypatch, experiment):
-    # the points of each (order, gamma, dt) circuit are the run's xi values in order, so one
-    # noise model, with a member per xi, and one dict of compiled runs serve every circuit
+    # the grid points of each (order, gamma) circuit are its dt values times the run's xi
+    # values, so one call per circuit stacks every dt, and one noise model, with a member per
+    # xi, and one dict of compiled runs serve every circuit
     cfg = make_config(experiment, overrides={"out_dir": str(tmp_path)})
     circuits: dict[tuple, list[float]] = {}
     for t in experiments._tasks(cfg):
-        circuits.setdefault((t["order"], t["gamma"], t["dt"]), []).append(t["xi"])
-    assert all(tuple(xis) == cfg.xi_list for xis in circuits.values())
+        circuits.setdefault((t["order"], t["gamma"]), []).append((t["dt"], t["xi"]))
+    assert all(sorted(points) == sorted(itertools.product(cfg.dt_grid, cfg.xi_list)) for points in circuits.values())
     calls = []
     simulate = sim.simulate
 
     def recorded(circuit, model=None, rho0=None, repeat=1, compiled=None):
         calls.append((model, compiled))
+        assert circuit.points == len(set(cfg.dt_grid)) == len(repeat)
         return simulate(circuit, model, rho0, repeat, compiled)
 
     monkeypatch.setattr(sim, "simulate", recorded)
@@ -515,6 +519,40 @@ def test_repeated_gamma_or_dt_values_write_each_row_twice(tmp_path, argv):
     assert main([*argv, "--t-final", "0.4", "--out", str(tmp_path)]) == 0
     _, *rows = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()
     assert rows and rows[0::2] == rows[1::2] and len(set(rows)) == len(rows) // 2
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [("noise_sweep", {"xi_list": (0.01, 0.1)}), ("infidelity_vs_time", {"orders": (1,), "xi_list": (0.3, 0.0)}),
+     ("trotter_sweep", {"n_spins": 2, "gamma_list": (0.0, 1.0)})],
+    ids=["noise_sweep", "infidelity_vs_time", "trotter_sweep-2spins"],
+)
+def test_each_dt_of_a_stacked_grid_simulates_as_that_dt_alone(experiment, overrides):
+    # the run stacks its dt values as points of one step per (order, gamma), here unsorted and
+    # ragged in step count; each grid point's snapshots are the bits of a run at its dt alone
+    def snapshots(dts):
+        cfg = make_config(experiment, overrides={**overrides, "dt_grid": dts, "t_final": 0.6})
+        model = noise.build_noise_model(cfg.calibration_data, cfg.xi_list) if cfg.uses_calibration else None
+        tasks = experiments._tasks(cfg)
+        return tasks, experiments._simulated_snapshots(cfg, tasks, model)
+
+    tasks, stacked = snapshots((0.2, 0.3, 0.1))
+    for dt in (0.2, 0.3, 0.1):
+        alone = iter(snapshots((dt,))[1])
+        for task, states in zip(tasks, stacked):
+            if task["dt"] == dt:
+                assert np.array_equal(states, next(alone))
+        assert next(alone, None) is None
+
+
+def test_each_dt_of_the_ci_grid_writes_the_rows_of_that_dt_alone(tmp_path):
+    argv = ["noise_sweep", "--xi", "0.01", "0.1", "--t-final", "0.6"]
+    assert main([*argv, "--dt", "0.1", "0.2", "0.3", "--out", str(tmp_path / "grid")]) == 0
+    _, *rows = (tmp_path / "grid" / "noise_sweep.csv").read_text().splitlines()
+    for dt in ("0.1", "0.2", "0.3"):
+        assert main([*argv, "--dt", dt, "--out", str(tmp_path / dt)]) == 0
+        _, *alone = (tmp_path / dt / "noise_sweep.csv").read_text().splitlines()
+        assert alone and [row for row in rows if row.split(",")[3] == dt] == alone  # column 3 is dt
 
 
 # a sweep scores each t > 0 snapshot once, all in one stacked call: trotter_sweep runs
@@ -612,13 +650,13 @@ def test_calibration_check_and_run_share_the_native_circuits(tmp_path, monkeypat
     assemble = experiments.assemble_evolution
 
     def counted(*args):
-        calls.append(args[3:5])  # (dt, order)
+        calls.append(args[3:5])  # (dt values, order)
         return assemble(*args)
 
     monkeypatch.setattr(experiments, "assemble_evolution", counted)
     argv = ["noise_sweep", "--order", "1", "2", "--xi", "0.01", "0.03", "0.1", "0.3", "1"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [(0.2, 1), (0.2, 2)]
+    assert calls == [((0.2,), 1), ((0.2,), 2)]
 
 
 def test_import_loads_no_process_pool_machinery():

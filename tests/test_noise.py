@@ -272,7 +272,7 @@ def test_noise_model_calibration_identity(xi):
     cal = jakarta_average_calibration()
     model = build_noise_model(cal, xi)
     for (kind, _), (channel,) in model.channels.items():
-        assert is_cptp(channel, 1e-10), kind
+        assert is_cptp(channel), kind
         target = 1 - xi * cal.gate_entry(kind).error
         assert average_gate_fidelity(channel) == pytest.approx(target, abs=1e-6), kind
 

@@ -159,10 +159,10 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
     assert worst < 1e-12
 
 
-def _native_evolution(n_spins: int, order: int, n_steps: int, d_ho: int = 4):
+def _native_evolution(n_spins: int, order: int, n_steps: int, d_ho: int = 4, dt=0.2):
     params = ModelParams(n_spins=n_spins, omega=6.0 if n_spins == 2 else 4.0, d_ho=d_ho)
     spec = InitialStateSpec(("up", "down")[:n_spins])
-    return decompose_native(assemble_evolution(params, spec, n_steps, 0.2, order))
+    return decompose_native(assemble_evolution(params, spec, n_steps, dt, order))
 
 
 def _with_final_barrier(circuit: Circuit) -> Circuit:
@@ -292,6 +292,58 @@ def test_nan_in_one_stack_member_is_caught():
         message = f"trace drift nan .* under noise member {j} " + re.escape(f"(xi={xis[j]:g})")
         with pytest.raises(RuntimeError, match=message):
             simulate(step, noise=broken, repeat=2)
+
+
+@pytest.mark.parametrize("xis", [None, (0.1, 1.0), (0.0, 0.01, 0.3)], ids=["noiseless", "xi2", "xi3"])
+@pytest.mark.parametrize(
+    "dts", [(0.3, 0.1, 0.2), (0.2, 0.2), (0.1, 0.25, 0.1, 0.5)], ids=["unsorted", "repeated", "ragged"]
+)
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_each_point_of_a_stacked_step_equals_that_point_alone(n_spins, order, dts, xis):
+    # one call runs every dt of the step, each for its own step count up to t = 0.6
+    model = None if xis is None else build_noise_model(jakarta_average_calibration(), xis)
+    counts = tuple(max(1, round(0.6 / dt)) for dt in dts)
+    repeat = counts[0] if len(set(counts)) == 1 else counts  # equal counts also go as one int
+    stacked = simulate(_native_evolution(n_spins, order, 1, dt=dts), noise=model, repeat=repeat)
+    assert isinstance(stacked, list) and len(stacked) == len(dts)
+    for point, dt, count in zip(stacked, dts, counts):
+        alone = simulate(_native_evolution(n_spins, order, 1, dt=dt), noise=model, repeat=count)
+        assert point.shape == alone.shape == (1 if xis is None else len(xis), count + 1, *alone.shape[2:])
+        assert np.array_equal(point, alone)
+
+
+def test_bad_repeat_for_a_stacked_step_raises_before_compiling():
+    step = _native_evolution(1, 2, 1, dt=(0.1, 0.2))
+    compiled: dict = {}
+    for repeat, count in (((3,), 1), ((3, 2, 1), 3), ((), 0)):
+        with pytest.raises(ValueError, match=f"repeat gives {count} counts for the circuit's 2 points"):
+            simulate(step, repeat=repeat, compiled=compiled)
+    with pytest.raises(ValueError, match="repeat gives 2 counts for the circuit's 1 points"):
+        simulate(_native_evolution(1, 2, 1), repeat=(2, 2), compiled=compiled)
+    with pytest.raises(ValueError, match="repeat must be at least 1"):
+        simulate(step, repeat=(2, 0), compiled=compiled)
+    # a point that finishes early leaves the stack, so nothing but measurements may follow the block
+    trailing = Circuit(1, (Gate("rz", (0,), (0.1, 0.2)), Gate("barrier"), Gate("rz", (0,), (0.3, 0.4)),
+                           Gate("barrier"), Gate("x", (0,))))
+    with pytest.raises(ValueError, match="only measurements after its last barrier"):
+        simulate(trailing, repeat=(2, 1), compiled=compiled)
+    assert compiled == {}
+    assert [len(s[0]) for s in simulate(trailing, repeat=2)] == [3, 3]  # equal counts may run the tail
+
+
+def test_trace_drift_in_a_stacked_step_names_its_point():
+    # the point with the most steps leads the stack, so its member is the first caught
+    cal = jakarta_average_calibration()
+    step = _native_evolution(1, 2, 1, dt=(0.2, 0.1, 0.3))
+    xis = (0.01, 0.1)
+    sound = build_noise_model(cal, xis)
+    sx = sound.channels[("sx", None)].copy()
+    sx[1] *= 0.9
+    leaky = replace(sound, channels={**sound.channels, ("sx", None): sx})
+    message = "trace drift .* under noise member 1 " + re.escape("(xi=0.1) at point 1;")
+    with pytest.raises(RuntimeError, match=message):
+        simulate(step, noise=leaky, repeat=(3, 6, 2))
 
 
 _COLLISION = (Gate("x", (0,)), Gate("cry", (0, 1), 0.9), Gate("cx", (1, 0)), Gate("reset", (1,)))
