@@ -295,8 +295,8 @@ def assemble_evolution(
     gates.append(Gate("barrier"))
 
     if n_steps > 0:
-        h_sum = hamiltonian_sum(params, code_kind)
-        step_gates = _trotter_gates(canonicalize(h_sum).terms, dt, order, model_register)
+        # the encoded Hamiltonian is already canonical
+        step_gates = _trotter_gates(hamiltonian_sum(params, code_kind).terms, dt, order, model_register)
         for _ in range(n_steps):
             gates.extend(step_gates)
             if params.gamma > 0:

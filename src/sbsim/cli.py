@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float)
         p.add_argument("--omega", type=float)
         p.add_argument("--lambda", dest="lambda_c", type=float)
-        p.add_argument("--gamma", type=float)
+        p.add_argument("--gamma", type=float, nargs="+")
         p.add_argument("--n-spins", dest="n_spins", type=int)
         p.add_argument("--d-ho", dest="d_ho", type=int)
         p.add_argument("--code", choices=("gray", "binary"))
@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", dest="dt_grid", type=float, nargs="+")
         p.add_argument("--t-final", dest="t_final", type=float)
         p.add_argument("--xi", dest="xi_list", type=float, nargs="+")
-        p.add_argument("--gamma-list", dest="gamma_list", type=float, nargs="+")
         p.add_argument("--shots", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--convention", choices=RATE_CONVENTIONS)

@@ -1,25 +1,21 @@
 """Config-driven experiment harness: sweeps, observables, correlations, gate counts.
 
-Each experiment expands into an ordered grid of points.  ``run`` builds
-every input that points share once: the calibration (parsed once and kept
-on the config), one noise model with a member per xi of the run, the
-exact reference, one native one-step circuit per (order, gamma), kept on
-the config beside the calibration, and one dict of compiled runs.  Each
-circuit stacks the run's dt values as its points: every dt-dependent angle
-is a tuple with one value per dt (``ExperimentConfig.step_dts``), each the
-same bits as in the circuit built at that dt alone.  The exact reference
-is one stacked oracle call per run: every gamma of the run on the union of
-its dt grids, from which each (gamma, dt) reads the states at its own
-times.  Each circuit is simulated in one engine pass in the calling
-process: it replays its one-step circuit under every member of the noise
-model and for every dt at once, each dt for its own step count, as one
-stacked state; its grid points are exactly those (dt, member) pairs.  One
-row pass then scores each simulated snapshot once against the reference,
-as stacks (infidelity against the reference's square roots alone), and
-emits the rows in grid order, so identical configs and seeds give
-byte-identical CSV output.  gate_counts
-instead counts the routed native step of each point of a fixed grid.  The
-``workers`` field is deprecated and has no effect: every run is serial.
+Each experiment expands into an ordered grid over four axes, each one tuple
+field of ``ExperimentConfig``: ``orders``, ``gamma``, ``xi_list`` and
+``dt_grid``; ``validate`` rejects every setting a run would not read.
+``run`` builds every input that points share once: the calibration, one
+noise model with a member per xi, one native one-step circuit per
+(order, gamma) stacking every dt as a point (``ExperimentConfig.step_dts``;
+each per-point angle has the bits of the build at that dt alone), one dict
+of compiled runs, and the exact reference, one stacked oracle call for every
+gamma on the union of the dt grids (so adding a dt to a run can move the
+last printed digit of another dt's rows).  Each circuit is simulated in one
+engine pass in the calling process, under every noise member and for every
+dt at its own step count.  One row pass scores each snapshot once against
+the reference, as stacks, and emits the rows in grid order, so identical
+configs and seeds give byte-identical CSV output.  gate_counts instead
+counts the routed native step, at gamma = 1, of each point of a fixed grid.
+The ``workers`` field is deprecated and has no effect: every run is serial.
 """
 
 from __future__ import annotations
@@ -69,8 +65,10 @@ _HEADERS = {
 
 
 # Settings gate_counts does not use, so they must keep their defaults there: its fixed grid
-# replaces the model ones, and it reads no calibration.
-_GATE_COUNT_UNUSED = ("n_spins", "d_ho", "code", "orders", "t_final", "xi_list", "gamma_list", "calibration")
+# replaces the model ones, its counts depend on neither gamma, convention nor dt, and it
+# reads no calibration.
+_GATE_COUNT_UNUSED = ("n_spins", "d_ho", "code", "orders", "t_final", "xi_list", "gamma", "convention",
+                      "dt_grid", "calibration")
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class ExperimentConfig:
     epsilon: float = 0.5
     omega: float = 4.0
     lambda_c: float = 2.0
-    gamma: float = 1.0
+    gamma: tuple[float, ...] = (1.0,)
     n_spins: int = 1
     d_ho: int = 4
     code: str = GRAY
@@ -87,7 +85,6 @@ class ExperimentConfig:
     dt_grid: tuple[float, ...] = (0.2,)
     t_final: float = 2.0
     xi_list: tuple[float, ...] = (0.0,)
-    gamma_list: tuple[float, ...] = ()
     shots: int | None = None
     seed: int = 0
     convention: str = PAPER_COLLISION
@@ -96,7 +93,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> list[str]:
-        """All problems at once, so a batch job fails before any computation."""
+        """All problems at once, unread settings among them, so a batch job fails before any computation."""
         return list(self._problems)
 
     @cached_property
@@ -117,8 +114,8 @@ class ExperimentConfig:
             problems.append("t_final must be positive and finite")
         if not self.xi_list or not all(0 <= x <= 1 for x in self.xi_list):
             problems.append(f"xi values must lie in [0, 1], got {self.xi_list}")
-        if not all(0 <= g < np.inf for g in self.gamma_list):
-            problems.append("gamma values must be nonnegative and finite")
+        if not self.gamma or not all(0 <= g < np.inf for g in self.gamma):
+            problems.append(f"gamma values must be non-empty, nonnegative and finite, got {self.gamma}")
         if self.shots is not None and self.shots < 1:
             problems.append("shots must be at least 1 when given")
         if self.seed < 0:
@@ -127,10 +124,11 @@ class ExperimentConfig:
             problems.append(f"seed={self.seed} only seeds shot sampling; it needs --shots")
         if self.shots is not None and self.experiment != "observables":
             problems.append("shot sampling is only supported for the observables experiment")
-        if self.experiment in ("observables", "correlations") and len(self.dt_grid) != 1:
-            problems.append("observables/correlations need a single dt (exact rows share its grid)")
-        if self.experiment in ("observables", "correlations") and self.gamma_list:
-            problems.append("observables/correlations run at the single gamma; gamma_list is not used")
+        if self.experiment in ("observables", "correlations"):
+            many = [f"{name}={getattr(self, name)}" for name in ("gamma", "dt_grid") if len(getattr(self, name)) > 1]
+            if many:
+                problems.append(f"{self.experiment} has no gamma or dt column, so it takes one value of each; "
+                                f"got {', '.join(many)}")
         if self.experiment == "correlations" and self.n_spins != 2:
             problems.append("correlations need n_spins = 2")
         if self.workers < 1:
@@ -138,12 +136,10 @@ class ExperimentConfig:
         if self.experiment == "gate_counts":
             unused = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
                       if f.name in _GATE_COUNT_UNUSED and getattr(self, f.name) != f.default]
-            if len(self.dt_grid) > 1:
-                unused.append(f"dt_grid={self.dt_grid}")
             if unused:
                 problems.append(
-                    "gate_counts runs a fixed grid (1-2 spins, d_ho 4 and 8, orders 1 and 2, both codes) "
-                    f"at a single dt; it does not use {', '.join(unused)}"
+                    "gate_counts runs a fixed grid (1-2 spins, d_ho 4 and 8, orders 1 and 2, both codes); "
+                    f"it does not use {', '.join(unused)}"
                 )
         existing = os.path.abspath(self.out_dir)
         while not os.path.lexists(existing):
@@ -151,43 +147,45 @@ class ExperimentConfig:
         if not os.path.isdir(existing):
             problems.append(f"cannot write to out_dir {self.out_dir!r}: {existing!r} is not a directory")
         try:
-            params = self.model_params()
+            params = self.model_params(0.0)  # the register does not depend on gamma
             if self.experiment != "gate_counts":
                 evolution_layout(params)  # raises for spin counts circuits do not support
                 width = params.register_width
                 if width > sim.MAX_SIM_WIDTH:
                     problems.append(f"{width}-qubit model register exceeds the engine limit {sim.MAX_SIM_WIDTH}")
                 elif not problems and exceeds_substep_cap(
-                    self.model_params(self._max_gamma), max(self.dt_grid), self.convention, self.code
+                    self.model_params(max(self.gamma)), max(self.dt_grid), self.convention, self.code
                 ):
                     problems.append(
                         f"the exact oracle would need more than {MAX_SUBSTEPS} Taylor substeps per interval at "
                         f"epsilon={self.epsilon:g}, omega={self.omega:g}, lambda={self.lambda_c:g}, "
-                        f"gamma={self._max_gamma:g}, dt={max(self.dt_grid):g}"
+                        f"gamma={max(self.gamma):g}, dt={max(self.dt_grid):g}"
                     )
         except ValueError as exc:
             problems.append(str(exc))
-        if self.experiment != "gate_counts" and (self.calibration is not None or self.uses_calibration):
+        if self.experiment != "gate_counts" and self.uses_calibration:
             try:
                 cal = self.calibration_data
             except (OSError, ValueError) as exc:
                 problems.append(f"cannot load calibration {self.calibration!r}: {exc}")
             else:
-                if self.uses_calibration and not problems:
+                if not problems:
                     problems += self._calibration_gaps(cal)
+        elif self.experiment != "gate_counts" and self.calibration is not None:
+            problems.append(f"calibration={self.calibration!r} is not read: every xi is 0 and no shots are sampled")
         return tuple(problems)
 
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
         problems = []
-        register = self.native_step(self.orders[0], self._max_gamma).model_register
+        register = self.native_step(self.orders[0], max(self.gamma)).model_register
         needed = max(register) + 1  # each model qubit is read out on the circuit qubit holding it
         if self.shots is not None and len(cal.qubits) < needed:
             problems.append(f"calibration lists {len(cal.qubits)} qubits; reading out the register needs {needed}")
         if any(xi > 0 for xi in self.xi_list):
             missing: dict[str, list[tuple[int, ...]]] = {}
             for order in self.orders:
-                for g in self.native_step(order, self._max_gamma).gates:
+                for g in self.native_step(order, max(self.gamma)).gates:
                     if g.kind in MARKER_KINDS or g.qubits in missing.get(g.kind, ()):
                         continue
                     try:
@@ -205,16 +203,12 @@ class ExperimentConfig:
         """Whether the run reads the calibration: some xi is above 0, or shots are sampled."""
         return self.shots is not None or any(xi > 0 for xi in self.xi_list)
 
-    @property
-    def _max_gamma(self) -> float:
-        return max(self.gamma_list or (self.gamma,))
-
-    def model_params(self, gamma: float | None = None) -> ModelParams:
+    def model_params(self, gamma: float) -> ModelParams:
         return ModelParams(
             epsilon=self.epsilon,
             omega=self.omega,
             lambda_c=self.lambda_c,
-            gamma=self.gamma if gamma is None else gamma,
+            gamma=gamma,
             n_spins=self.n_spins,
             d_ho=self.d_ho,
         )
@@ -253,11 +247,11 @@ class ExperimentConfig:
 
 
 _KIND_DEFAULTS: dict[str, dict] = {
-    "trotter_sweep": {"dt_grid": (0.1, 0.2, 0.3, 0.4, 0.5), "gamma_list": (0.0, 1.0)},
+    "trotter_sweep": {"dt_grid": (0.1, 0.2, 0.3, 0.4, 0.5), "gamma": (0.0, 1.0)},
     "noise_sweep": {"orders": (2,), "xi_list": (0.01, 0.1, 1.0)},
     "infidelity_vs_time": {"xi_list": (0.01, 0.1, 1.0)},
     "gamma_sweep": {"orders": (2,), "xi_list": (0.0, 0.01),
-                    "gamma_list": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)},
+                    "gamma": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)},
     "observables": {"xi_list": (0.01, 0.1, 1.0)},
     "correlations": {"n_spins": 2, "omega": 6.0, "xi_list": (0.01, 0.1, 1.0)},
     "gate_counts": {},
@@ -323,12 +317,11 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
             for o in (1, 2)
             for code in (GRAY, STANDARD_BINARY)
         ]
-    gammas = cfg.gamma_list or (cfg.gamma,)
     if cfg.experiment == "gamma_sweep":
         # xi outside gamma: each xi's rows trace one curve over gamma
-        grid = [(o, g, xi) for o in cfg.orders for xi in cfg.xi_list for g in gammas]
+        grid = [(o, g, xi) for o in cfg.orders for xi in cfg.xi_list for g in cfg.gamma]
     else:
-        grid = [(o, g, xi) for o in cfg.orders for g in gammas for xi in cfg.xi_list]
+        grid = [(o, g, xi) for o in cfg.orders for g in cfg.gamma for xi in cfg.xi_list]
     return [{"order": o, "gamma": g, "xi": xi, "dt": dt} for o, g, xi in grid for dt in cfg.dt_grid]
 
 
@@ -375,14 +368,14 @@ def _state_values(cfg: ExperimentConfig, params: ModelParams):
 def _gate_count_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     """Routed native gate counts of one time step at each point of the fixed grid.
 
-    Two spins run at omega = 6, as correlations does; gamma = 0 counts the step at gamma = 1.
+    Two spins run at omega = 6, as correlations does; every step is counted at gamma = 1,
+    where its collisions are applied.
     """
-    gamma = cfg.gamma if cfg.gamma > 0 else 1.0
     rows = []
     for t in tasks:
         point = replace(cfg, n_spins=t["n_spins"], d_ho=t["d_ho"], code=t["code"],
                         omega=6.0 if t["n_spins"] == 2 else cfg.omega)
-        native = point.native_step(t["order"], gamma)
+        native = point.native_step(t["order"], 1.0)
         counts = transpile.count_gates(transpile.route(native, transpile.JAKARTA).circuit)
         rows.append((t["n_spins"], t["d_ho"], t["order"], t["code"], counts.single_qubit, counts.cx))
     return rows
@@ -434,9 +427,9 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
 
     rows: list[tuple] = []
     if cfg.experiment in ("observables", "correlations"):
-        state_values = _state_values(cfg, cfg.model_params())
-        dt = cfg.dt_grid[0]
-        exact = references[ref_row[cfg.gamma]][ref_index[dt]]
+        (gamma,), (dt,) = cfg.gamma, cfg.dt_grid  # validated: one value on each axis
+        state_values = _state_values(cfg, cfg.model_params(gamma))
+        exact = references[ref_row[gamma]][ref_index[dt]]
         rows += [("exact", 0, 0.0, k * dt, *values) for k, values in enumerate(zip(*state_values(exact)))]
         for task, states in zip(tasks, simulated):
             if cfg.shots is not None:

@@ -21,7 +21,7 @@ from sbsim.encoding import (
     encode_hamiltonian,
     encode_transition,
 )
-from sbsim.model import ModelParams
+from sbsim.model import ModelParams, hamiltonian_sum
 from sbsim.pauli import PauliString, PauliSum, canonicalize
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
@@ -182,3 +182,13 @@ def test_hamiltonian_dense_equals_permuted_truncated_hamiltonian():
     offset = np.trace(permuted - dense) / permuted.shape[0]
     np.testing.assert_allclose(dense + offset * np.eye(8), permuted, atol=1e-12)
     assert abs(offset - params.omega * 1.5) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [GRAY, STANDARD_BINARY])
+@pytest.mark.parametrize("d_ho", [4, 8, 16])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_hamiltonian_sum_is_canonical(n_spins, d_ho, kind):
+    # assemble_evolution steps through these terms as they are, without canonicalizing them again
+    h = hamiltonian_sum(ModelParams(n_spins=n_spins, d_ho=d_ho), kind)
+    assert h.terms and canonicalize(h) == h
+    assert [t.letters for t in h.terms] == sorted({t.letters for t in h.terms})

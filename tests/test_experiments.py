@@ -28,7 +28,7 @@ from sbsim.experiments import (
 
 def test_validation_collects_all_problems():
     cfg = ExperimentConfig(
-        experiment="mystery", orders=(3,), dt_grid=(), xi_list=(2.0,), gamma=-1.0
+        experiment="mystery", orders=(3,), dt_grid=(), xi_list=(2.0,), gamma=(-1.0,)
     )
     problems = cfg.validate()
     assert len(problems) >= 5
@@ -42,7 +42,7 @@ def test_make_config_rejects_bad_values():
 
 def test_make_config_kind_defaults():
     cfg = make_config("gamma_sweep")
-    assert cfg.gamma_list == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+    assert cfg.gamma == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
     assert cfg.orders == (2,)
     cfg = make_config("correlations")
     assert cfg.n_spins == 2 and cfg.omega == 6.0
@@ -51,11 +51,11 @@ def test_make_config_kind_defaults():
 def test_make_config_file_then_flag_precedence():
     cfg = make_config(
         "noise_sweep",
-        file_values={"xi_list": [0.5], "gamma": 0.9},
-        overrides={"gamma": 1.1},
+        file_values={"xi_list": [0.5], "gamma": [0.9]},
+        overrides={"gamma": (1.1,)},
     )
     assert cfg.xi_list == (0.5,)
-    assert cfg.gamma == 1.1
+    assert cfg.gamma == (1.1,)
 
 
 def test_steps_for_rounds_to_nearest():
@@ -84,7 +84,7 @@ def test_trotter_sweep_rows_and_truthful_t_final(tmp_path):
         "trotter_sweep",
         overrides={
             "orders": (1,),
-            "gamma_list": (1.0,),
+            "gamma": (1.0,),
             "dt_grid": (0.3, 0.5),
             "out_dir": str(tmp_path),
         },
@@ -108,7 +108,7 @@ def test_rerun_is_byte_identical(tmp_path):
     for out in (out_a, out_b):
         cfg = make_config(
             "noise_sweep",
-            overrides={"xi_list": (0.1,), "dt_grid": (0.5,), "out_dir": out, "gamma": 0.7},
+            overrides={"xi_list": (0.1,), "dt_grid": (0.5,), "out_dir": out, "gamma": (0.7,)},
         )
         run(cfg)
     csv_a, csv_b = (Path(out) / "noise_sweep.csv" for out in (out_a, out_b))
@@ -189,7 +189,7 @@ def test_gate_counts_csv_shape(tmp_path):
 
 def test_worker_pool_matches_serial(tmp_path):
     # workers is deprecated and has no effect: the output stays byte-identical
-    overrides = {"orders": (1,), "gamma_list": (0.0, 1.0), "dt_grid": (0.5,)}
+    overrides = {"orders": (1,), "gamma": (0.0, 1.0), "dt_grid": (0.5,)}
     serial = make_config(
         "trotter_sweep", overrides={**overrides, "out_dir": str(tmp_path / "s")}
     )
@@ -254,7 +254,7 @@ def test_cli_runs_and_prints_outputs(tmp_path, capsys):
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
-    config = {"dt_grid": [0.5], "xi_list": [0.5], "gamma": 0.7}
+    config = {"dt_grid": [0.5], "xi_list": [0.5], "gamma": [0.7]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     code = main(
@@ -263,15 +263,40 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "r" / "noise_sweep_manifest.json").read_text())
     assert manifest["config"]["xi_list"] == [0.2]
-    assert manifest["config"]["gamma"] == 0.7
+    assert manifest["config"]["gamma"] == [0.7]
 
 
 @pytest.mark.parametrize("experiment", ["observables", "correlations"])
-def test_cli_gamma_list_rejected_without_gamma_column(tmp_path, capsys, experiment):
+def test_cli_gamma_grid_rejected_without_gamma_column(tmp_path, capsys, experiment):
+    # neither has a gamma or a dt column, so each takes one value on both axes
     out = tmp_path / "out"
-    assert main([experiment, "--gamma-list", "0", "5", "--out", str(out)]) == 2
-    assert "gamma_list" in capsys.readouterr().err
+    for flag, values, named in (("--gamma", ["0", "1"], "gamma=(0.0, 1.0)"),
+                                ("--dt", ["0.1", "0.2"], "dt_grid=(0.1, 0.2)")):
+        assert main([experiment, flag, *values, "--out", str(out)]) == 2
+        assert f"{experiment} has no gamma or dt column, so it takes one value of each; got {named}" in (
+            capsys.readouterr().err
+        )
     assert not out.exists()
+
+
+def test_cli_gamma_list_flag_is_gone(tmp_path, capsys):
+    # --gamma takes the whole gamma axis; the old flag is an argparse error, exit 2
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["trotter_sweep", "--gamma-list", "0", "1", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --gamma-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gamma_writes_rows_at_its_values_only(tmp_path):
+    # a sweep's kind default gamma axis is replaced, not kept beside --gamma
+    for experiment, gammas in (("trotter_sweep", ["0.5"]), ("gamma_sweep", ["0.7", "0.2"])):
+        out = tmp_path / experiment
+        assert main([experiment, "--gamma", *gammas, "--t-final", "0.4", "--out", str(out)]) == 0
+        header, *rows = (out / f"{experiment}.csv").read_text().splitlines()
+        column = header.split(",").index("gamma")
+        assert rows and {row.split(",")[column] for row in rows} == set(gammas)
 
 
 def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
@@ -307,8 +332,8 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--workers", "0"], "workers must be at least 1"),
         (["gate_counts", "--d-ho", "16", "--order", "1", "--code", "binary", "--n-spins", "3"],
          "it does not use n_spins=3, d_ho=16, code=binary, orders=(1,)"),
-        (["gate_counts", "--dt", "0.1", "0.2", "--t-final", "1", "--xi", "0.1", "--gamma-list", "1"],
-         "it does not use t_final=1.0, xi_list=(0.1,), gamma_list=(1.0,), dt_grid=(0.1, 0.2)"),
+        (["gate_counts", "--t-final", "1", "--xi", "0.1", "--convention", "eq2-literal"],
+         "it does not use t_final=1.0, xi_list=(0.1,), convention=eq2-literal"),
         (["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid"),
         (["gate_counts", "--calibration", "{tmp}/truncated.json"], "it does not use calibration="),
         (["--calibration", "{tmp}/qubits_string.json"], "cx entry: qubits must be a list of integers"),
@@ -316,6 +341,14 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--calibration", "{tmp}/sx_twice.json"], "two sx entries on qubits (2,)"),
         (["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
         (["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
+        (["gate_counts", "--gamma", "0.5"], "it does not use gamma=(0.5,)"),
+        (["gate_counts", "--convention", "eq2-literal"], "it does not use convention=eq2-literal"),
+        (["gate_counts", "--dt", "0.3"], "it does not use dt_grid=(0.3,)"),
+        (["gate_counts", "--dt", "0.1", "0.2"], "it does not use dt_grid=(0.1, 0.2)"),
+        (["trotter_sweep", "--calibration", "{tmp}/valid.json", "--t-final", "0.4"],
+         "valid.json' is not read: every xi is 0 and no shots are sampled"),
+        (["--config", "{tmp}/gamma_list.json"], "unknown config key 'gamma_list'"),
+        (["--config", "{tmp}/scalar_gamma.json"], "gamma must be a list of float, got 0.5"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -323,7 +356,10 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bogus.json").write_text('{"bogus": 1}')
     (tmp_path / "mistyped.json").write_text('{"xi_list": "abc"}')
+    (tmp_path / "gamma_list.json").write_text('{"gamma_list": [0.5]}')
+    (tmp_path / "scalar_gamma.json").write_text('{"gamma": 0.5}')
     doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
+    (tmp_path / "valid.json").write_text(json.dumps(doc))
     no_sx = {**doc, "gates": [g for g in doc["gates"] if g["kind"] != "sx"]}
     (tmp_path / "no_sx.json").write_text(json.dumps(no_sx))
     off_chip = {**doc, "gates": doc["gates"] + [{**doc["gates"][0], "qubits": [0, 9]}]}
@@ -513,7 +549,7 @@ def test_repeated_xi_values_are_simulated_once(tmp_path, monkeypatch):
     assert rows[0] == rows[1] != rows[2]
 
 
-@pytest.mark.parametrize("argv", [["gamma_sweep", "--gamma-list", "0.5", "0.5"], ["noise_sweep", "--dt", "0.2", "0.2"]])
+@pytest.mark.parametrize("argv", [["gamma_sweep", "--gamma", "0.5", "0.5"], ["noise_sweep", "--dt", "0.2", "0.2"]])
 def test_repeated_gamma_or_dt_values_write_each_row_twice(tmp_path, argv):
     # a circuit's repeated points each read the member of their own xi, none past the stack
     assert main([*argv, "--t-final", "0.4", "--out", str(tmp_path)]) == 0
@@ -524,7 +560,7 @@ def test_repeated_gamma_or_dt_values_write_each_row_twice(tmp_path, argv):
 @pytest.mark.parametrize(
     "experiment, overrides",
     [("noise_sweep", {"xi_list": (0.01, 0.1)}), ("infidelity_vs_time", {"orders": (1,), "xi_list": (0.3, 0.0)}),
-     ("trotter_sweep", {"n_spins": 2, "gamma_list": (0.0, 1.0)})],
+     ("trotter_sweep", {"n_spins": 2, "gamma": (0.0, 1.0)})],
     ids=["noise_sweep", "infidelity_vs_time", "trotter_sweep-2spins"],
 )
 def test_each_dt_of_a_stacked_grid_simulates_as_that_dt_alone(experiment, overrides):
@@ -631,7 +667,7 @@ def test_sampled_unused_code_word_reads_as_zero_occupation(tmp_path, monkeypatch
         overrides={"d_ho": 3, "shots": 10, "xi_list": (0.1,), "orders": (1,), "dt_grid": (0.5,),
                    "t_final": 0.5, "out_dir": str(tmp_path)},
     )
-    params = cfg.model_params()
+    params = cfg.model_params(*cfg.gamma)
     bits = [0] * params.register_width  # spin in |0>, the ground state
     for q, b in zip(params.boson_positions, code_bits(3, cfg.code, 2)):
         bits[q] = b

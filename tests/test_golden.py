@@ -30,10 +30,10 @@ SHOTS = {"shots": 500, "seed": 4}
 
 _SHORT = {"dt_grid": (0.5,), "t_final": 1.0}
 TINY_CONFIGS = {
-    "trotter_sweep": {**_SHORT, "gamma_list": (0.0, 1.0), "xi_list": (0.0, 0.1)},
+    "trotter_sweep": {**_SHORT, "gamma": (0.0, 1.0), "xi_list": (0.0, 0.1)},
     "noise_sweep": {**_SHORT, "xi_list": (0.01, 1.0)},
     "infidelity_vs_time": {**_SHORT, "orders": (1,), "xi_list": (0.1,)},
-    "gamma_sweep": {**_SHORT, "xi_list": (0.0, 0.1), "gamma_list": (0.0, 1.0)},
+    "gamma_sweep": {**_SHORT, "xi_list": (0.0, 0.1), "gamma": (0.0, 1.0)},
     "observables": {**_SHORT, "orders": (2,), "xi_list": (0.1, 1.0)},
     "correlations": {**_SHORT, "orders": (1,), "xi_list": (0.1,)},
     "gate_counts": {},

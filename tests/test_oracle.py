@@ -126,7 +126,7 @@ def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
     # approximate reference are amplified by the square roots in the fidelity
     cfg = make_config(
         "gamma_sweep",
-        overrides={"gamma_list": (0.0,), "xi_list": (0.01,), "out_dir": str(tmp_path)},
+        overrides={"gamma": (0.0,), "xi_list": (0.01,), "out_dir": str(tmp_path)},
     )
     csv_path, _ = run(cfg)
     with open(csv_path) as fh:
@@ -262,7 +262,7 @@ def test_union_grid_reference_equals_the_per_dt_reference():
     cfg = make_config("trotter_sweep")
     states, rows, index = experiments._references(cfg, experiments._tasks(cfg))
     assert states.shape[:2] == (2, 22)  # 0, 0.1, ..., 2.0, and 2.1 from dt 0.3's seven steps
-    for gamma in cfg.gamma_list:
+    for gamma in cfg.gamma:
         params = cfg.model_params(gamma)
         rho0 = initial_density_matrix(cfg.initial_state(), params)
         for dt in cfg.dt_grid:

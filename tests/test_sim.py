@@ -497,6 +497,21 @@ def test_noisy_simulation_preserves_trace_and_hermiticity():
                 assert np.min(np.linalg.eigvalsh((snap + snap.conj().T) / 2)) > -1e-9
 
 
+@pytest.mark.parametrize("xis", [None, (0.0, 0.1, 1.0)], ids=["noiseless", "stack"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_spins", [1, 2])
+def test_every_snapshot_is_a_physical_state(n_spins, order, xis):
+    # every snapshot of every point and member of a ragged dt stack is Hermitian, of unit trace and PSD
+    model = None if xis is None else build_noise_model(jakarta_average_calibration(), xis)
+    dts = (0.1, 0.25, 0.1, 0.5)
+    repeat = tuple(max(1, round(0.6 / dt)) for dt in dts)
+    for point in simulate(_native_evolution(n_spins, order, 1, dt=dts), noise=model, repeat=repeat):
+        for snap in point.reshape(-1, *point.shape[2:]):
+            assert np.max(np.abs(snap - snap.conj().T)) <= 1e-12
+            assert abs(np.trace(snap) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh((snap + snap.conj().T) / 2).min() >= -1e-12
+
+
 def test_noise_requires_native_circuit():
     model = build_noise_model(jakarta_average_calibration(), 0.1)
     alone = (Gate("cry", (0, 1), 0.3),)
