@@ -1,8 +1,9 @@
-"""Command-line entry point: one subcommand per experiment kind.
+"""Command-line entry point: ``sbsim EXPERIMENT [flags]``, one flag per ``ExperimentConfig`` field.
 
-A JSON config file supplies the base settings; any flag given on the
-command line overrides the file.  Results are written as one CSV per
-experiment plus a JSON run manifest.
+Each flag is its field's name with ``-`` for ``_`` (but for ``_SPELLINGS``),
+typed by the field's annotation.  A JSON config file supplies the base
+settings; any flag given on the command line overrides the file.  Results
+are written as one CSV per experiment plus a JSON run manifest.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .experiments import EXPERIMENT_KINDS, make_config, run
-from .model import RATE_CONVENTIONS
+from .experiments import EXPERIMENT_KINDS, ExperimentConfig, field_type, make_config, run
+
+_SPELLINGS = {"lambda_c": "--lambda", "orders": "--order", "dt_grid": "--dt", "xi_list": "--xi", "out_dir": "--out"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -20,36 +23,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sbsim",
         description="Open spin-boson circuit simulation experiments",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--lambda", dest="lambda_c", type=float)
-        p.add_argument("--gamma", type=float, nargs="+")
-        p.add_argument("--n-spins", dest="n_spins", type=int)
-        p.add_argument("--d-ho", dest="d_ho", type=int)
-        p.add_argument("--code", choices=("gray", "binary"))
-        p.add_argument("--order", dest="orders", type=int, nargs="+")
-        p.add_argument("--dt", dest="dt_grid", type=float, nargs="+")
-        p.add_argument("--t-final", dest="t_final", type=float)
-        p.add_argument("--xi", dest="xi_list", type=float, nargs="+")
-        p.add_argument("--shots", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--convention", choices=RATE_CONVENTIONS)
-        p.add_argument("--calibration", help="calibration JSON (default: bundled averages)")
-        p.add_argument("--out", dest="out_dir")
-        # No effect, but the benchmark's xi_grid_pool workload passes it; it goes with that workload (ROADMAP item 1).
-        p.add_argument("--workers", type=int, help="deprecated; has no effect, every run is serial")
+    parser.add_argument("experiment", choices=EXPERIMENT_KINDS)
+    parser.add_argument("--config", help="JSON config file (flags override it)")
+    for f in fields(ExperimentConfig)[1:]:
+        item, many = field_type(f.type)
+        flag = _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, type=item, nargs="+" if many else None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    values = vars(args)
+    values = vars(_build_parser().parse_args(argv))
     experiment = values.pop("experiment")
-    config_path = values.pop("config", None)
+    config_path = values.pop("config")
     file_values = {}
     if config_path:
         try:

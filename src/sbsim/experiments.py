@@ -1,21 +1,24 @@
 """Config-driven experiment harness: sweeps, observables, correlations, gate counts.
 
-Each experiment expands into an ordered grid over four axes, each one tuple
-field of ``ExperimentConfig``: ``orders``, ``gamma``, ``xi_list`` and
+``ExperimentConfig`` is the one list of settings (the command line has one
+flag per field).  Each experiment expands into an ordered grid over four
+axes, each one tuple field: ``orders``, ``gamma``, ``xi_list`` and
 ``dt_grid``; ``validate`` rejects every setting a run would not read.
 ``run`` builds every input that points share once: the calibration, one
 noise model with a member per xi, one native one-step circuit per
-(order, gamma) stacking every dt as a point (``ExperimentConfig.step_dts``;
-each per-point angle has the bits of the build at that dt alone), one dict
-of compiled runs, and the exact reference, one stacked oracle call for every
-gamma on the union of the dt grids (so adding a dt to a run can move the
-last printed digit of another dt's rows).  Each circuit is simulated in one
-engine pass in the calling process, under every noise member and for every
-dt at its own step count.  One row pass scores each snapshot once against
-the reference, as stacks, and emits the rows in grid order, so identical
-configs and seeds give byte-identical CSV output.  gate_counts instead
-counts the routed native step, at gamma = 1, of each point of a fixed grid.
-The ``workers`` field is deprecated and has no effect: every run is serial.
+(order, gamma) stacking every distinct dt as a point, in grid order
+(``ExperimentConfig.step_dts``; each per-point angle has the bits of the
+build at that dt alone), one dict of compiled runs, and the exact
+reference, one stacked oracle call for every gamma on the union of the dt
+grids (so adding a dt to a run can move the last printed digit of another
+dt's rows).  Each circuit is simulated in one engine pass in the calling
+process, under every noise member and for every dt at its own step count
+(the engine orders the points).  One row pass scores each snapshot once
+against the reference, as stacks, and emits the rows in grid order, so
+identical configs and seeds give byte-identical CSV output.  gate_counts
+instead counts the routed native step of the paper's model, at gamma = 1,
+of each point of a fixed grid, and reads no setting but ``out_dir``.  The
+``workers`` field is deprecated and has no effect: every run is serial.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import __version__, metrics, noise, sim, transpile
 from .circuits import MARKER_KINDS, Circuit, assemble_evolution, evolution_layout
-from .encoding import GRAY, STANDARD_BINARY
+from .encoding import CODE_KINDS, GRAY
 from .model import (
     PAPER_COLLISION,
     RATE_CONVENTIONS,
@@ -40,16 +43,6 @@ from .model import (
     initial_density_matrix,
 )
 from .oracle import MAX_SUBSTEPS, evolve_exact, exceeds_substep_cap
-
-EXPERIMENT_KINDS = (
-    "trotter_sweep",
-    "noise_sweep",
-    "infidelity_vs_time",
-    "gamma_sweep",
-    "observables",
-    "correlations",
-    "gate_counts",
-)
 
 _HEADERS = {
     "trotter_sweep": ("order", "gamma", "xi", "dt", "n_steps", "t_final",
@@ -63,23 +56,22 @@ _HEADERS = {
     "gate_counts": ("n_spins", "d_ho", "order", "code", "single_qubit", "cx"),
 }
 
+EXPERIMENT_KINDS = tuple(_HEADERS)
 
-# Settings gate_counts does not use, so they must keep their defaults there: its fixed grid
-# replaces the model ones, its counts depend on neither gamma, convention nor dt, and it
-# reads no calibration.
-_GATE_COUNT_UNUSED = ("n_spins", "d_ho", "code", "orders", "t_final", "xi_list", "gamma", "convention",
-                      "dt_grid", "calibration")
+# The only settings gate_counts reads: it counts the paper's model on a fixed grid, so every
+# other setting must keep its default there, a field added later included.
+_GATE_COUNT_READS = ("experiment", "out_dir", "workers")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    epsilon: float = 0.5
-    omega: float = 4.0
-    lambda_c: float = 2.0
-    gamma: tuple[float, ...] = (1.0,)
-    n_spins: int = 1
-    d_ho: int = 4
+    epsilon: float = ModelParams.epsilon
+    omega: float = ModelParams.omega
+    lambda_c: float = ModelParams.lambda_c
+    gamma: tuple[float, ...] = (ModelParams.gamma,)
+    n_spins: int = ModelParams.n_spins
+    d_ho: int = ModelParams.d_ho
     code: str = GRAY
     orders: tuple[int, ...] = (1, 2)
     dt_grid: tuple[float, ...] = (0.2,)
@@ -90,6 +82,7 @@ class ExperimentConfig:
     convention: str = PAPER_COLLISION
     calibration: str | None = None
     out_dir: str = "results"
+    # No effect, but the benchmark's xi_grid_pool workload passes it; it goes with that workload (ROADMAP item 1).
     workers: int = 1
 
     def validate(self) -> list[str]:
@@ -102,10 +95,10 @@ class ExperimentConfig:
         problems = []
         if self.experiment not in EXPERIMENT_KINDS:
             problems.append(f"unknown experiment {self.experiment!r}")
-        if self.code not in (GRAY, STANDARD_BINARY):
-            problems.append(f"unknown code {self.code!r}")
+        if self.code not in CODE_KINDS:
+            problems.append(f"unknown code {self.code!r}; choose from {', '.join(CODE_KINDS)}")
         if self.convention not in RATE_CONVENTIONS:
-            problems.append(f"unknown rate convention {self.convention!r}")
+            problems.append(f"unknown rate convention {self.convention!r}; choose from {', '.join(RATE_CONVENTIONS)}")
         if not self.orders or any(o not in (1, 2) for o in self.orders):
             problems.append(f"orders must be a non-empty subset of (1, 2), got {self.orders}")
         if not self.dt_grid or not all(0 < dt < np.inf for dt in self.dt_grid):
@@ -134,12 +127,12 @@ class ExperimentConfig:
         if self.workers < 1:
             problems.append("workers must be at least 1")
         if self.experiment == "gate_counts":
-            unused = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
-                      if f.name in _GATE_COUNT_UNUSED and getattr(self, f.name) != f.default]
-            if unused:
+            unread = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+                      if f.name not in _GATE_COUNT_READS and getattr(self, f.name) != f.default]
+            if unread:
                 problems.append(
-                    "gate_counts runs a fixed grid (1-2 spins, d_ho 4 and 8, orders 1 and 2, both codes); "
-                    f"it does not use {', '.join(unused)}"
+                    "gate_counts runs a fixed grid of the paper's model (1-2 spins, d_ho 4 and 8, orders 1 and 2, "
+                    f"both codes); it does not use {', '.join(unread)}"
                 )
         existing = os.path.abspath(self.out_dir)
         while not os.path.lexists(existing):
@@ -226,8 +219,8 @@ class ExperimentConfig:
 
     @cached_property
     def step_dts(self) -> tuple[float, ...]:
-        """The distinct dt values of the grid, in decreasing order of their step counts: the points of every step."""
-        return tuple(sorted(dict.fromkeys(self.dt_grid), key=lambda dt: -steps_for(self.t_final, dt)))
+        """The distinct dt values of the grid, in grid order: the points of every step."""
+        return tuple(dict.fromkeys(self.dt_grid))
 
     @cached_property
     def _native_steps(self) -> dict[tuple, Circuit]:
@@ -273,7 +266,7 @@ def make_config(experiment: str, file_values: dict | None = None, overrides: dic
         if problem:
             problems.append(problem)
             del values[key]
-        elif annotations[key].startswith("tuple["):
+        elif field_type(annotations[key])[1]:
             values[key] = tuple(value)
     cfg = ExperimentConfig(experiment=experiment, **values)
     problems += cfg.validate()
@@ -282,22 +275,26 @@ def make_config(experiment: str, file_values: dict | None = None, overrides: dic
     return cfg
 
 
-_ITEM_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+def field_type(annotation: str) -> tuple[type, bool]:
+    """The item type (int, float or str) named by a field's annotation, and whether the field is a tuple of them."""
+    item = annotation.removesuffix(" | None")
+    many = item.startswith("tuple[")
+    if many:
+        item = item[len("tuple["):-len(", ...]")]
+    return {"int": int, "float": float, "str": str}[item], many
 
 
 def _entry_problem(key: str, value, annotation: str | None) -> str | None:
     """Why a config entry does not fit its ExperimentConfig field, or None if it does."""
     if annotation is None:
         return f"unknown config key {key!r}"
-    item = annotation.removesuffix(" | None")
-    many = item.startswith("tuple[")
-    if many:
-        item = item[len("tuple["):-len(", ...]")]
+    item, many = field_type(annotation)
+    accepted = {int: numbers.Integral, float: numbers.Real}.get(item, item)  # a float field takes an int too
     items = value if many else (value,)
     ok = isinstance(items, (list, tuple)) and all(
-        isinstance(v, _ITEM_TYPES[item]) and not isinstance(v, bool) for v in items
+        isinstance(v, accepted) and not isinstance(v, bool) for v in items
     )
-    return None if ok else f"{key} must be {'a list of ' + item if many else item}, got {value!r}"
+    return None if ok else f"{key} must be {'a list of ' if many else ''}{item.__name__}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,7 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
             for ns in (1, 2)
             for d in (4, 8)
             for o in (1, 2)
-            for code in (GRAY, STANDARD_BINARY)
+            for code in CODE_KINDS
         ]
     if cfg.experiment == "gamma_sweep":
         # xi outside gamma: each xi's rows trace one curve over gamma

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -279,6 +280,55 @@ def test_cli_gamma_grid_rejected_without_gamma_column(tmp_path, capsys, experime
     assert not out.exists()
 
 
+# one flag per ExperimentConfig field after experiment, with a value away from the field's default
+_FLAGS = {
+    "epsilon": (["--epsilon", "0.3"], 0.3),
+    "omega": (["--omega", "5"], 5.0),
+    "lambda_c": (["--lambda", "0.3"], 0.3),
+    "gamma": (["--gamma", "0", "0.5"], [0.0, 0.5]),
+    "n_spins": (["--n-spins", "2"], 2),
+    "d_ho": (["--d-ho", "8"], 8),
+    "code": (["--code", "binary"], "binary"),
+    "orders": (["--order", "2", "1"], [2, 1]),
+    "dt_grid": (["--dt", "0.1", "0.3"], [0.1, 0.3]),
+    "t_final": (["--t-final", "0.4"], 0.4),
+    "xi_list": (["--xi", "0.01", "0.03"], [0.01, 0.03]),
+    "shots": (["--shots", "100"], 100),
+    "seed": (["--seed", "3"], 3),
+    "convention": (["--convention", "eq2-literal"], "eq2-literal"),
+    "calibration": (["--calibration", "cal.json"], "cal.json"),
+    "out_dir": (["--out", "elsewhere"], "elsewhere"),
+    "workers": (["--workers", "2"], 2),
+}
+
+
+def test_every_setting_has_one_flag_that_reaches_make_config(monkeypatch):
+    settings = [f for f in fields(ExperimentConfig) if f.name != "experiment"]
+    assert [f.name for f in settings] == list(_FLAGS)
+    dests = [action.dest for action in cli._build_parser()._actions]
+    assert all(dests.count(name) == 1 for name in _FLAGS)
+    seen = []
+
+    def recorded(experiment, file_values, overrides):
+        seen.append(overrides)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli, "make_config", recorded)
+    for f in settings:
+        argv, value = _FLAGS[f.name]
+        assert (tuple(value) if isinstance(value, list) else value) != f.default
+        assert main(["noise_sweep", *argv]) == 2
+        assert {k: v for k, v in seen.pop().items() if v is not None} == {f.name: value}
+
+
+def test_cli_help_names_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    printed = capsys.readouterr().out
+    assert all(kind in printed for kind in EXPERIMENT_KINDS)
+
+
 def test_cli_gamma_list_flag_is_gone(tmp_path, capsys):
     # --gamma takes the whole gamma axis; the old flag is an argparse error, exit 2
     out = tmp_path / "out"
@@ -349,6 +399,11 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
          "valid.json' is not read: every xi is 0 and no shots are sampled"),
         (["--config", "{tmp}/gamma_list.json"], "unknown config key 'gamma_list'"),
         (["--config", "{tmp}/scalar_gamma.json"], "gamma must be a list of float, got 0.5"),
+        (["gate_counts", "--epsilon", "0.3"], "it does not use epsilon=0.3"),
+        (["gate_counts", "--lambda", "0.3"], "it does not use lambda_c=0.3"),
+        (["gate_counts", "--omega", "5"], "it does not use omega=5.0"),
+        (["--code", "foo"], "unknown code 'foo'; choose from gray, binary"),
+        (["--convention", "foo"], "unknown rate convention 'foo'; choose from paper-collision, eq2-literal"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -581,14 +636,36 @@ def test_each_dt_of_a_stacked_grid_simulates_as_that_dt_alone(experiment, overri
         assert next(alone, None) is None
 
 
-def test_each_dt_of_the_ci_grid_writes_the_rows_of_that_dt_alone(tmp_path):
+@pytest.mark.parametrize("dts", [("0.1", "0.2", "0.3"), ("0.3", "0.1", "0.2")], ids=["sorted", "unsorted"])
+def test_each_dt_of_the_ci_grid_writes_the_rows_of_that_dt_alone(tmp_path, dts):
     argv = ["noise_sweep", "--xi", "0.01", "0.1", "--t-final", "0.6"]
-    assert main([*argv, "--dt", "0.1", "0.2", "0.3", "--out", str(tmp_path / "grid")]) == 0
+    assert main([*argv, "--dt", *dts, "--out", str(tmp_path / "grid")]) == 0
     _, *rows = (tmp_path / "grid" / "noise_sweep.csv").read_text().splitlines()
-    for dt in ("0.1", "0.2", "0.3"):
+    for dt in dts:
         assert main([*argv, "--dt", dt, "--out", str(tmp_path / dt)]) == 0
         _, *alone = (tmp_path / dt / "noise_sweep.csv").read_text().splitlines()
         assert alone and [row for row in rows if row.split(",")[3] == dt] == alone  # column 3 is dt
+
+
+def test_each_dt_of_a_two_spin_grid_scores_its_rows_within_1e_14_of_that_dt_alone(tmp_path):
+    # the exact reference runs on the union of the run's dt grids, so a score may move in its
+    # last printed digit (0.000355252097216 against ...217 at order 2, gamma 0, dt 0.1); the
+    # keys are equal and every score lies within 1e-14 of that dt's own run, not byte for byte
+    argv = ["trotter_sweep", "--n-spins", "2", "--gamma", "0", "1", "--t-final", "0.6"]
+    assert main([*argv, "--dt", "0.2", "0.3", "0.1", "--out", str(tmp_path / "grid")]) == 0
+    header, *rows = (tmp_path / "grid" / "trotter_sweep.csv").read_text().splitlines()
+    names = header.split(",")
+    scores = [i for i, name in enumerate(names) if name.endswith("infidelity")]
+    keys = [i for i in range(len(names)) if i not in scores]
+    dt = names.index("dt")
+    for value in ("0.2", "0.3", "0.1"):
+        assert main([*argv, "--dt", value, "--out", str(tmp_path / value)]) == 0
+        _, *alone = (tmp_path / value / "trotter_sweep.csv").read_text().splitlines()
+        stacked = [row.split(",") for row in rows if row.split(",")[dt] == value]
+        assert alone and len(stacked) == len(alone)
+        for grid_row, alone_row in zip(stacked, (row.split(",") for row in alone)):
+            assert [grid_row[i] for i in keys] == [alone_row[i] for i in keys]
+            assert all(abs(float(grid_row[i]) - float(alone_row[i])) <= 1e-14 for i in scores)
 
 
 # a sweep scores each t > 0 snapshot once, all in one stacked call: trotter_sweep runs
