@@ -1,9 +1,10 @@
 """Gate-level IR and circuit constructors.
 
-Builds Pauli-exponential staircases, first/second-order product-formula
-steps, the two-qubit collision block realizing amplitude damping, and the
-full evolution circuit that alternates a unitary step with one collision
-per spin, with a barrier marking every time step.
+Builds the full evolution circuit: first/second-order product-formula
+steps of Pauli-exponential staircases, each followed by one collision per
+spin (a two-qubit block realizing amplitude damping), with a barrier
+marking every time step.  A circuit holds no measurement: what is read
+out is its model register.
 
 The model register (which model position holds which spin or boson bit)
 is ``ModelParams``'s; ``evolution_layout`` only places those positions on
@@ -38,10 +39,10 @@ from .model import (
     hamiltonian_sum,
     initial_bits,
 )
-from .pauli import PauliString, PauliSum, canonicalize
+from .pauli import PauliString
 
 UNITARY_KINDS = ("x", "sx", "rz", "ry", "cx", "cry", "id")
-MARKER_KINDS = ("reset", "measure", "barrier")
+MARKER_KINDS = ("reset", "barrier")
 ANGLED_KINDS = ("rz", "ry", "cry")
 TWO_QUBIT_KINDS = ("cx", "cry")
 
@@ -120,13 +121,9 @@ class Circuit:
         if len(lengths) > 1:
             raise ValueError(f"angle tuples of lengths {sorted(lengths)} in one circuit; all must have one per point")
         object.__setattr__(self, "_points", lengths.pop() if lengths else None)
-        seen_measure = False
         for g in self.gates:
             if any(q >= self.width or q < 0 for q in g.qubits):
                 raise ValueError(f"gate {g} outside register of width {self.width}")
-            if seen_measure and g.kind != "measure":
-                raise ValueError("measurements must come last")
-            seen_measure = seen_measure or g.kind == "measure"
             if (
                 g.kind == "reset"
                 and self.model_register is not None
@@ -188,11 +185,6 @@ def _pauli_exponential_gates(term: PauliString, angle, qubits: Sequence[int]) ->
     return pre + stair + [rz] + stair[::-1] + post
 
 
-def pauli_exponential(term: PauliString, angle: float) -> Circuit:
-    """Circuit realizing exp(-i angle coeff P) exactly (no phase slack)."""
-    return Circuit(term.width, tuple(_pauli_exponential_gates(term, angle, range(term.width))))
-
-
 def _trotter_gates(terms: tuple[PauliString, ...], dt, order: int, qubits: Sequence[int]) -> list[Gate]:
     gates: list[Gate] = []
     if order == 1:
@@ -212,16 +204,6 @@ def _trotter_gates(terms: tuple[PauliString, ...], dt, order: int, qubits: Seque
     return gates
 
 
-def trotter_step(h_terms: PauliSum, dt: float, order: int) -> Circuit:
-    """One product-formula step for the given Hamiltonian terms (canonical order)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    terms = canonicalize(h_terms).terms
-    if not terms:
-        raise ValueError("empty Hamiltonian")
-    return Circuit(h_terms.width, tuple(_trotter_gates(terms, dt, order, range(h_terms.width))))
-
-
 def collision_angle(gamma: float, dt: float, convention: str = PAPER_COLLISION) -> float:
     """theta = arcsin(sqrt(1 - exp(-gamma_eff dt)))."""
     if gamma < 0:
@@ -236,14 +218,6 @@ def _collision_gates(gamma: float, dt, spin_q: int, aux_q: int, convention: str)
         Gate("cx", (aux_q, spin_q)),
         Gate("reset", (aux_q,)),
     ]
-
-
-def collision_block(
-    gamma: float, dt: float, spin_q: int, aux_q: int, convention: str = PAPER_COLLISION
-) -> Circuit:
-    """One collision: CRY(2 theta) spin->aux, CX aux->spin, reset of the aux."""
-    width = max(spin_q, aux_q) + 1
-    return Circuit(width, tuple(_collision_gates(gamma, dt, spin_q, aux_q, convention)))
 
 
 def evolution_layout(params: ModelParams) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -274,11 +248,12 @@ def assemble_evolution(
     code_kind: str = GRAY,
     convention: str = PAPER_COLLISION,
 ) -> Circuit:
-    """Full evolution circuit: preparation, n_steps of [unitary; collisions], measurement.
+    """Full evolution circuit: preparation, then n_steps of [unitary; collisions].
 
     Collisions are omitted entirely for gamma = 0, where the run is a plain
     Hamiltonian simulation.  A barrier follows the preparation and every
-    step, so the marked states align with the reference grid t = k dt.
+    step, so the marked states align with the reference grid t = k dt, and
+    the last one ends the circuit.
 
     ``dt`` is one time step, or a tuple of them: the circuit then stacks
     one point per dt (``Circuit.points``), every dt-dependent angle a tuple
@@ -307,6 +282,4 @@ def assemble_evolution(
                         )
                     )
             gates.append(Gate("barrier"))
-
-    gates.extend(Gate("measure", (q,)) for q in sorted(model_register))
     return Circuit(width, tuple(gates), model_register)

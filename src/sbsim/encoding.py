@@ -28,8 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .pauli import PauliString, PauliSum, canonicalize
 
 GRAY = "gray"
@@ -60,16 +58,6 @@ def code_bits(i: int, kind: str, width: int) -> tuple[int, ...]:
         raise ValueError(f"index {i} out of range for width {width}")
     word = i ^ (i >> 1) if kind == GRAY else i
     return tuple((word >> (width - 1 - k)) & 1 for k in range(width))
-
-
-def code_permutation(kind: str, width: int) -> np.ndarray:
-    """Permutation matrix P with P|i> = |code word of i>."""
-    dim = 2**width
-    perm = np.zeros((dim, dim))
-    for i in range(dim):
-        word = int("".join(map(str, code_bits(i, kind, width))), 2)
-        perm[word, i] = 1
-    return perm
 
 
 def encode_transition(l: int, lp: int, kind: str, width: int, d_ho: int | None = None) -> PauliSum:

@@ -3,7 +3,8 @@
 ``ExperimentConfig`` is the one list of settings (the command line has one
 flag per field).  Each experiment expands into an ordered grid over four
 axes, each one tuple field: ``orders``, ``gamma``, ``xi_list`` and
-``dt_grid``; ``validate`` rejects every setting a run would not read.
+``dt_grid``; ``validate`` rejects every setting a run would not read, and
+a grid whose step count or state stacks the host could not hold.
 ``run`` builds every input that points share once: the calibration, one
 noise model with a member per xi, one native one-step circuit per
 (order, gamma) stacking every distinct dt as a point, in grid order
@@ -146,14 +147,16 @@ class ExperimentConfig:
                 width = params.register_width
                 if width > sim.MAX_SIM_WIDTH:
                     problems.append(f"{width}-qubit model register exceeds the engine limit {sim.MAX_SIM_WIDTH}")
-                elif not problems and exceeds_substep_cap(
-                    self.model_params(max(self.gamma)), max(self.dt_grid), self.convention, self.code
-                ):
-                    problems.append(
-                        f"the exact oracle would need more than {MAX_SUBSTEPS} Taylor substeps per interval at "
-                        f"epsilon={self.epsilon:g}, omega={self.omega:g}, lambda={self.lambda_c:g}, "
-                        f"gamma={max(self.gamma):g}, dt={max(self.dt_grid):g}"
-                    )
+                elif not problems:
+                    problems += self._size_problems(width)
+                    if exceeds_substep_cap(
+                        self.model_params(max(self.gamma)), max(self.dt_grid), self.convention, self.code
+                    ):
+                        problems.append(
+                            f"the exact oracle would need more than {MAX_SUBSTEPS} Taylor substeps per interval at "
+                            f"epsilon={self.epsilon:g}, omega={self.omega:g}, lambda={self.lambda_c:g}, "
+                            f"gamma={max(self.gamma):g}, dt={max(self.dt_grid):g}"
+                        )
         except ValueError as exc:
             problems.append(str(exc))
         if self.experiment != "gate_counts" and self.uses_calibration:
@@ -167,6 +170,23 @@ class ExperimentConfig:
         elif self.experiment != "gate_counts" and self.calibration is not None:
             problems.append(f"calibration={self.calibration!r} is not read: every xi is 0 and no shots are sampled")
         return tuple(problems)
+
+    def _size_problems(self, width: int) -> list[str]:
+        """Why the run's step count, or its largest state stacks on a ``width``-qubit register, cannot be held."""
+        try:
+            steps = [steps_for(self.t_final, dt) for dt in self.step_dts]
+        except OverflowError:
+            return [f"t_final={self.t_final:g} at dt={min(self.dt_grid):g} is not a finite number of steps"]
+        state = 16 * 4**width  # bytes of one complex density matrix on the register
+        # the exact reference: every gamma on the union of the dt grids; one engine pass: every dt and xi
+        reference = len(set(self.gamma)) * sum(n + 1 for n in steps) * state
+        snapshots = len(steps) * len(self.xi_list) * (max(steps) + 1) * state
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if max(reference, snapshots) <= memory:
+            return []
+        return [f"t_final={self.t_final:g} at dt={min(self.dt_grid):g} takes {max(steps)} steps, whose states need "
+                f"{reference / 2**30:.3g} GiB (exact reference) and {snapshots / 2**30:.3g} GiB (one engine pass); "
+                f"this host has {memory / 2**30:.3g} GiB"]
 
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
@@ -258,9 +278,10 @@ def make_config(experiment: str, file_values: dict | None = None, overrides: dic
     values: dict = dict(_KIND_DEFAULTS.get(experiment, {}))
     for source in (file_values or {}), (overrides or {}):
         values.update({k: v for k, v in source.items() if v is not None})
-    values.pop("experiment", None)
+    # a run manifest's config block names its experiment; a config naming another one is a mistake
+    named = values.pop("experiment", experiment)
+    problems = [] if named == experiment else [f"the config is for experiment {named!r}, not {experiment!r}"]
     annotations = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "experiment"}
-    problems = []
     for key, value in list(values.items()):
         problem = _entry_problem(key, value, annotations.get(key))
         if problem:

@@ -1,4 +1,4 @@
-"""Model parameters, the register layout, dense Hamiltonian, jump operators, and initial states.
+"""Model parameters, the register layout, dense Hamiltonian, and initial states.
 
 ``ModelParams`` owns the model register: spin 1 at position 0, the boson
 code bits after it, the other spins after the bosons.  ``initial_bits`` is
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import encoding
 from .encoding import GRAY
-from .pauli import PauliSum, embed_operator
+from .pauli import PauliSum
 
 PAPER_COLLISION = "paper-collision"
 EQ2_LITERAL = "eq2-literal"
@@ -39,8 +39,6 @@ RATE_CONVENTIONS = (PAPER_COLLISION, EQ2_LITERAL)
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
-
-_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |down><up| = |0><1|
 
 
 def gamma_eff(gamma: float, convention: str = PAPER_COLLISION) -> float:
@@ -113,15 +111,6 @@ def hamiltonian_sum(params: ModelParams, code_kind: str = GRAY) -> PauliSum:
 
 def dense_hamiltonian(params: ModelParams, code_kind: str = GRAY) -> np.ndarray:
     return hamiltonian_sum(params, code_kind).to_dense()
-
-
-def lindblad_operators(
-    params: ModelParams, convention: str = PAPER_COLLISION
-) -> list[tuple[np.ndarray, float]]:
-    """One lowering operator per spin on the full register, with its rate."""
-    rate = gamma_eff(params.gamma, convention)
-    width = params.register_width
-    return [(embed_operator(_LOWER, (sq,), width), rate) for sq in params.spin_positions]
 
 
 def initial_bits(spec: InitialStateSpec, params: ModelParams, code_kind: str = GRAY) -> tuple[int, ...]:

@@ -377,25 +377,3 @@ def build_noise_model(cal: CalibrationData, xi: float | tuple[float, ...] = 1.0)
     readout = np.stack([1 - p10, p10, p01, 1 - p01], axis=-1).reshape(len(xis), len(cal.qubits), 2, 2)
     return NoiseModel(xis, channels, readout, cal)
 
-
-def error_source_ratio(cal: CalibrationData, kinds: tuple[str, ...] = ("cx", "sx", "x")) -> float:
-    """Device-level thermal/depolarizing infidelity ratio, averaged per kind.
-
-    Virtual gates (zero duration and zero error) are skipped.
-    """
-    per_kind = []
-    for kind in kinds:
-        ratios = []
-        for entry in cal.gates:
-            if entry.kind != kind or (entry.time_ns == 0 and entry.error == 0):
-                continue
-            i_thermal = 1.0 - average_gate_fidelity(_gate_thermal_channel(cal, entry))
-            i_depol = entry.error - i_thermal
-            if i_depol <= 0:
-                raise ValueError(f"thermal error exceeds calibrated error for {kind}")
-            ratios.append(i_thermal / i_depol)
-        if ratios:
-            per_kind.append(float(np.mean(ratios)))
-    if not per_kind:
-        raise ValueError("no non-virtual gate entries among requested kinds")
-    return float(np.mean(per_kind))

@@ -3,12 +3,12 @@
 Splits each circuit into runs of gates (unitary, noisy or reset) whose
 operands together cover at most two qubits, the width of the widest native
 gate.  A run takes later gates on its qubits past gates on other qubits,
-which commute with them exactly; nothing crosses a barrier or a
-measurement.  Each distinct run is compiled into one local superoperator on
-its qubits (no full-register operators), the product of its gates'
-superoperators.  Its one-qubit gates are multiplied at their own width:
-each chain of consecutive one-qubit gates on one qubit, ended by a
-two-qubit gate on that qubit or by a reset, is one 4x4 product.  Each
+which commute with them exactly; nothing crosses a barrier.  Each
+distinct run is compiled into one local superoperator on its qubits (no
+full-register operators), the product of its gates' superoperators.  Its
+one-qubit gates are multiplied at their own width: each chain of
+consecutive one-qubit gates on one qubit, ended by a two-qubit gate on
+that qubit or by a reset, is one 4x4 product.  Each
 distinct chain product and two-qubit gate is placed once by
 ``pauli.embed_operator`` on the row and column bits of the run's qubits,
 and reused by every run that holds it.
@@ -133,7 +133,7 @@ def simulate(
 
     Gates are grouped into runs on at most two qubits (``_runs``): a run
     also takes later gates on its qubits that commute past the gates they
-    jump, and barriers and measurements end every run.  Each distinct run is
+    jump, and barriers end every run.  Each distinct run is
     compiled once into a stack of local superoperators, one per member, and
     a run with per-point angles into one per point and member, point-major.
     The stacked state stays in the layout of the last applied run, so each
@@ -154,8 +154,8 @@ def simulate(
     (a circuit without per-point angles has one point).  The block is
     replayed for every point still running: points are held in decreasing
     order of their count, and one that has finished leaves the end of the
-    stack.  Counts that differ need a circuit with nothing but
-    measurements after its last barrier.
+    stack.  Counts that differ need a circuit with nothing after its last
+    barrier.
 
     ``rho0`` (default: all qubits in |0>) is on the model register in model
     order (``Circuit.model_register``, else every qubit), as for
@@ -170,10 +170,8 @@ def simulate(
         raise ValueError(f"repeat gives {len(repeats)} counts for the circuit's {n_points} points")
     if min(repeats) < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
-    if len(set(repeats)) > 1:
-        last = max((i for i, g in enumerate(circuit.gates) if g.kind == "barrier"), default=-1)
-        if any(g.kind != "measure" for g in circuit.gates[last + 1:]):
-            raise ValueError("repeat counts that differ need a circuit with only measurements after its last barrier")
+    if len(set(repeats)) > 1 and circuit.gates and circuit.gates[-1].kind != "barrier":
+        raise ValueError("repeat counts that differ need a circuit with nothing after its last barrier")
     compiled = {} if compiled is None else compiled
     if compiled.setdefault(_BOUND_MODEL, noise) is not noise:
         raise ValueError("compiled runs were built under another noise model")
@@ -196,7 +194,7 @@ def simulate(
     for run in _runs(circuit.gates):
         if run[0].kind == "barrier":
             program.append(None)
-        elif run[0].kind != "measure":
+        else:
             entry = compiled.get((run, kept))
             if entry is None:
                 superops, qubits = _compile(run, noise, aux, compiled)
@@ -266,9 +264,9 @@ def simulate(
 
 
 def _runs(gates: tuple[Gate, ...]):
-    """Runs of gates on at most two qubits, commuted together; markers stand alone.
+    """Runs of gates on at most two qubits, commuted together; barriers stand alone.
 
-    Between markers, a run starts at the first gate not yet taken and takes
+    Between barriers, a run starts at the first gate not yet taken and takes
     each later gate that shares a qubit with it, keeps it on at most two
     qubits, and shares no qubit with a gate it skips or with a reset it has
     taken.  A taken gate thus commutes exactly past every gate it jumps
@@ -277,7 +275,7 @@ def _runs(gates: tuple[Gate, ...]):
     """
     segment: list[Gate] = []
     for g in gates:
-        if g.kind in ("barrier", "measure"):
+        if g.kind == "barrier":
             yield from _split(segment)
             segment = []
             yield (g,)
@@ -287,7 +285,7 @@ def _runs(gates: tuple[Gate, ...]):
 
 
 def _split(pending: list[Gate]) -> list[tuple[Gate, ...]]:
-    """The runs of one marker-free gate list, in the order of their first gates.
+    """The runs of one barrier-free gate list, in the order of their first gates.
 
     Each gate joins the first open run that takes it, closes its qubits in
     every open run before that, and starts a run if none takes it.

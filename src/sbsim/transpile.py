@@ -4,7 +4,8 @@ The native set is {cx, id, rz, sx, x}.  Routing is a deterministic greedy
 scheme: every two-qubit gate on non-adjacent physical qubits walks one
 endpoint along the lexicographically smallest shortest path, each hop a
 SWAP spelled as three CX.  Reproducibility is preferred over optimality at
-these widths.
+these widths.  Gate counts leave out barriers and resets; a circuit holds
+no measurement.
 """
 
 from __future__ import annotations
@@ -168,11 +169,11 @@ def route(
 
 
 def count_gates(circuit: Circuit) -> GateCount:
-    """Single-qubit and CX totals; barriers, measurements and resets excluded."""
+    """Single-qubit and CX totals; barriers and resets excluded."""
     single = 0
     cx = 0
     for g in circuit.gates:
-        if g.kind in ("reset", "measure", "barrier"):
+        if g.kind in ("reset", "barrier"):
             continue
         if g.kind not in NATIVE_KINDS:
             raise ValueError(f"non-native gate {g.kind!r}; decompose first")

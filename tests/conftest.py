@@ -1,8 +1,10 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and reference constructions for the test suite.
 
 These helpers deliberately avoid the package's own embedding/conjugation
 code paths: operators are expanded by enumerating basis states, so circuit
 unitaries and channels are checked against an independent construction.
+The code permutation and the jump operators are references that the
+package itself never builds.
 """
 
 import math
@@ -10,6 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from sbsim.circuits import Circuit
+from sbsim.encoding import code_bits
+from sbsim.model import PAPER_COLLISION, gamma_eff
 from sbsim.sim import gate_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -66,12 +71,41 @@ def circuit_unitary(circuit) -> np.ndarray:
     dim = 2**circuit.width
     total = np.eye(dim, dtype=complex)
     for g in circuit.gates:
-        if g.kind in ("barrier", "measure"):
+        if g.kind == "barrier":
             continue
         if g.kind == "reset":
             raise ValueError("circuit is not unitary")
         total = embed_bruteforce(gate_unitary(g.kind, g.angle), g.qubits, circuit.width) @ total
     return total
+
+
+def circuit_of(gates, width: int | None = None) -> Circuit:
+    """A circuit of the gates that a private builder of ``sbsim.circuits`` returns, every qubit a model qubit.
+
+    ``width`` defaults to one past the highest operand.
+    """
+    gates = tuple(gates)
+    return Circuit(1 + max(q for g in gates for q in g.qubits) if width is None else width, gates)
+
+
+def code_permutation(kind: str, width: int) -> np.ndarray:
+    """Permutation matrix P with P|i> = |code word of i>."""
+    dim = 2**width
+    perm = np.zeros((dim, dim))
+    for i in range(dim):
+        word = int("".join(map(str, code_bits(i, kind, width))), 2)
+        perm[word, i] = 1
+    return perm
+
+
+_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |down><up| = |0><1|
+
+
+def lindblad_operators(params, convention: str = PAPER_COLLISION) -> list[tuple[np.ndarray, float]]:
+    """One lowering operator per spin on the full register, with its rate."""
+    rate = gamma_eff(params.gamma, convention)
+    width = params.register_width
+    return [(embed_bruteforce(_LOWER, (sq,), width), rate) for sq in params.spin_positions]
 
 
 def kraus_operators(channel, floor: float = 1e-14) -> list[np.ndarray]:
@@ -135,7 +169,7 @@ def simulate_bruteforce(circuit, noise=None, member=0, rho0=None):
             snapshots.append(partial_trace(rho, model, width))
         elif g.kind == "reset":
             rho = apply([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])], g.qubits)
-        elif g.kind != "measure":
+        else:
             rho = apply([gate_unitary(g.kind, g.angle)], g.qubits)
             if noise is not None:
                 rho = apply(kraus_operators(noise.channel_for(g.kind, g.qubits)[member]), g.qubits)

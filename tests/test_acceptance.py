@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import partial_trace
+from conftest import circuit_of, code_permutation, partial_trace
 from sbsim import metrics, noise, sim, transpile
-from sbsim.circuits import Circuit, Gate, assemble_evolution, collision_block
-from sbsim.encoding import GRAY, code_permutation, encode_hamiltonian
+from sbsim.circuits import Gate, assemble_evolution
+from sbsim.encoding import GRAY, encode_hamiltonian
 from sbsim.model import (
     EQ2_LITERAL,
     PAPER_COLLISION,
@@ -71,8 +71,16 @@ def test_c01_collision_channel_exactness():
         gamma = float(rng.uniform(0.05, 3.0))
         dt = float(rng.uniform(0.02, 0.8))
         for convention in (PAPER_COLLISION, EQ2_LITERAL):
-            block = collision_block(gamma, dt, 0, 1, convention)
-            marked = Circuit(block.width, block.gates + (Gate("barrier"),))  # its one snapshot is the final state
+            # the gates on the auxiliary of an assembled one-step circuit, moved to (spin, aux) = (0, 1)
+            params = ModelParams(gamma=gamma)
+            circuit = assemble_evolution(params, _init_for(params), 1, dt, 1, GRAY, convention)
+            (aux,) = circuit.aux_qubits
+            spin = circuit.model_register[0]
+            block = [g for g in circuit.gates if aux in g.qubits]
+            assert [g.kind for g in block] == ["cry", "cx", "reset"]
+            assert {q for g in block for q in g.qubits} == {spin, aux}
+            moved = [Gate(g.kind, tuple({spin: 0, aux: 1}[q] for q in g.qubits), g.angle) for g in block]
+            marked = circuit_of([*moved, Gate("barrier")])  # its one snapshot is the final state
             p = 1 - math.exp(-gamma_eff(gamma, convention) * dt)
             k0 = np.diag([1.0, math.sqrt(1 - p)]).astype(complex)
             k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)

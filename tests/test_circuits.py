@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import circuit_unitary, embed_bruteforce, kron_all, PAULI
+from conftest import circuit_of, circuit_unitary, embed_bruteforce, kron_all, PAULI
 from sbsim.circuits import (
     Circuit,
     Gate,
+    _collision_gates,
+    _pauli_exponential_gates,
+    _trotter_gates,
     assemble_evolution,
     collision_angle,
-    collision_block,
     evolution_layout,
-    pauli_exponential,
-    trotter_step,
 )
 from sbsim.model import (
     EQ2_LITERAL,
@@ -32,8 +32,18 @@ def _string_matrix(term: PauliString) -> np.ndarray:
     return term.to_dense()
 
 
+def _exponential(term: PauliString, angle: float) -> Circuit:
+    """exp(-i angle coeff P), letter k of P on qubit k."""
+    return circuit_of(_pauli_exponential_gates(term, angle, range(term.width)), term.width)
+
+
+def _step(h: PauliSum, dt: float, order: int) -> Circuit:
+    """One product-formula step of the Hamiltonian's terms in canonical order, letter k on qubit k."""
+    return circuit_of(_trotter_gates(canonicalize(h).terms, dt, order, range(h.width)), h.width)
+
+
 def test_single_z_is_one_rz():
-    frag = pauli_exponential(PauliString("Z"), 0.3)
+    frag = _exponential(PauliString("Z"), 0.3)
     assert [g.kind for g in frag.gates] == ["rz"]
     assert frag.gates[0].angle == pytest.approx(0.6)
     np.testing.assert_allclose(
@@ -42,7 +52,7 @@ def test_single_z_is_one_rz():
 
 
 def test_zz_staircase_pattern():
-    frag = pauli_exponential(PauliString("ZZ"), 0.45)
+    frag = _exponential(PauliString("ZZ"), 0.45)
     assert [g.kind for g in frag.gates] == ["cx", "rz", "cx"]
     np.testing.assert_allclose(
         circuit_unitary(frag),
@@ -52,25 +62,25 @@ def test_zz_staircase_pattern():
 
 
 def test_zero_angle_is_identity():
-    frag = pauli_exponential(PauliString("XYZ"), 0.0)
+    frag = _exponential(PauliString("XYZ"), 0.0)
     np.testing.assert_allclose(circuit_unitary(frag), np.eye(8), atol=1e-13)
 
 
 def test_identity_string_rejected():
     with pytest.raises(ValueError):
-        pauli_exponential(PauliString("II"), 0.1)
+        _exponential(PauliString("II"), 0.1)
 
 
 def test_complex_coefficient_rejected():
     with pytest.raises(ValueError):
-        pauli_exponential(PauliString("X", 1j), 0.1)
+        _exponential(PauliString("X", 1j), 0.1)
 
 
 @pytest.mark.parametrize("letters", ["X", "Y", "XZ", "YY", "XIZ", "IYX", "XYZI"])
 def test_exponential_matches_expm_exactly(letters):
     # exact including global phase, per the staircase construction
     coeff = 0.731
-    frag = pauli_exponential(PauliString(letters, coeff), 0.37)
+    frag = _exponential(PauliString(letters, coeff), 0.37)
     target = scipy.linalg.expm(-1j * 0.37 * coeff * _string_matrix(PauliString(letters)))
     np.testing.assert_allclose(circuit_unitary(frag), target, atol=1e-12)
 
@@ -83,51 +93,51 @@ def test_exponential_random_strings(rng):
             continue
         coeff = float(rng.normal())
         angle = float(rng.normal())
-        frag = pauli_exponential(PauliString(letters, coeff), angle)
+        frag = _exponential(PauliString(letters, coeff), angle)
         target = scipy.linalg.expm(-1j * angle * coeff * _string_matrix(PauliString(letters)))
         np.testing.assert_allclose(circuit_unitary(frag), target, atol=1e-12)
 
 
 def test_single_term_orders_agree():
     h = PauliSum((PauliString("XZ", 0.8),))
-    u1 = circuit_unitary(trotter_step(h, 0.3, 1))
-    u2 = circuit_unitary(trotter_step(h, 0.3, 2))
+    u1 = circuit_unitary(_step(h, 0.3, 1))
+    u2 = circuit_unitary(_step(h, 0.3, 2))
     np.testing.assert_allclose(u1, u2, atol=1e-13)
 
 
 def test_second_order_beats_first_order():
     h = hamiltonian_sum(ModelParams())
     exact = scipy.linalg.expm(-0.1j * h.to_dense())
-    err1 = np.linalg.norm(circuit_unitary(trotter_step(h, 0.1, 1)) - exact)
-    err2 = np.linalg.norm(circuit_unitary(trotter_step(h, 0.1, 2)) - exact)
+    err1 = np.linalg.norm(circuit_unitary(_step(h, 0.1, 1)) - exact)
+    err2 = np.linalg.norm(circuit_unitary(_step(h, 0.1, 2)) - exact)
     assert err2 < err1
 
 
 def test_two_half_steps_beat_one_full_step():
     h = hamiltonian_sum(ModelParams())
     exact = scipy.linalg.expm(-0.2j * h.to_dense())
-    full = circuit_unitary(trotter_step(h, 0.2, 1))
-    half = circuit_unitary(trotter_step(h, 0.1, 1))
+    full = circuit_unitary(_step(h, 0.2, 1))
+    half = circuit_unitary(_step(h, 0.1, 1))
     assert np.linalg.norm(half @ half - exact) < np.linalg.norm(full - exact)
 
 
 def test_second_order_is_first_order_with_reversed_half():
     # structural identity: U2(dt) = reversed-order U1(dt/2) times U1(dt/2)
     h = hamiltonian_sum(ModelParams())
-    forward = circuit_unitary(trotter_step(h, 0.15, 1))
+    forward = circuit_unitary(_step(h, 0.15, 1))
     terms = canonicalize(h).terms
     reversed_sum = PauliSum(tuple(reversed(terms)))
     backward_gates = []
     for t in reversed_sum.terms:
-        backward_gates.extend(pauli_exponential(t, 0.15).gates)
+        backward_gates.extend(_exponential(t, 0.15).gates)
     backward = circuit_unitary(Circuit(h.width, tuple(backward_gates)))
-    u2 = circuit_unitary(trotter_step(h, 0.3, 2))
+    u2 = circuit_unitary(_step(h, 0.3, 2))
     np.testing.assert_allclose(u2, backward @ forward, atol=1e-12)
 
 
 def test_unsupported_order():
     with pytest.raises(ValueError):
-        trotter_step(PauliSum((PauliString("X", 1.0),)), 0.1, 3)
+        _step(PauliSum((PauliString("X", 1.0),)), 0.1, 3)
 
 
 def test_collision_angles():
@@ -146,7 +156,7 @@ def _collision_channel_on_spin(gamma, dt, convention):
     """Brute-force channel tomography of the block, aux traced out."""
     from sbsim.sim import gate_unitary
 
-    block = collision_block(gamma, dt, 0, 1, convention)
+    block = circuit_of(_collision_gates(gamma, dt, 0, 1, convention))
 
     def apply_block(rho_spin):
         rho = np.kron(rho_spin, np.diag([1.0, 0.0]).astype(complex))
@@ -191,7 +201,7 @@ def test_collision_block_is_amplitude_damping(convention, scale):
 
 
 def test_collision_block_gate_order():
-    block = collision_block(1.0, 0.2, 3, 4)
+    block = circuit_of(_collision_gates(1.0, 0.2, 3, 4, PAPER_COLLISION))
     kinds = [g.kind for g in block.gates]
     assert kinds == ["cry", "cx", "reset"]
     assert block.gates[0].qubits == (3, 4)  # spin controls the aux rotation
@@ -207,7 +217,7 @@ def test_collision_gamma_zero_identity_channel():
 def test_assemble_zero_steps():
     c = assemble_evolution(ModelParams(), InitialStateSpec(), 0, 0.2)
     kinds = [g.kind for g in c.gates]
-    assert kinds == ["x", "barrier", "measure", "measure", "measure"]
+    assert kinds == ["x", "barrier"]
     assert c.aux_qubits == (3,)
     assert c.model_register == (2, 0, 1)
 
@@ -227,7 +237,6 @@ def test_assemble_two_spins_collisions_per_step():
     assert c.aux_qubits == (0, 5)
     assert sum(1 for g in c.gates if g.kind == "cry") == 6  # two collisions per step
     assert c.model_register == (1, 2, 3, 4)
-    assert {q for g in c.gates if g.kind == "measure" for q in g.qubits} == {1, 2, 3, 4}
 
 
 def test_assemble_gamma_zero_has_no_collisions():
@@ -235,10 +244,11 @@ def test_assemble_gamma_zero_has_no_collisions():
     assert all(g.kind not in ("cry", "reset") for g in c.gates)
 
 
-def test_assemble_measures_after_final_barrier():
-    c = assemble_evolution(ModelParams(), InitialStateSpec(), 2, 0.2)
-    last_barrier = max(i for i, g in enumerate(c.gates) if g.kind == "barrier")
-    assert all(g.kind == "measure" for g in c.gates[last_barrier + 1 :])
+def test_assemble_ends_with_the_final_barrier():
+    for gamma in (0.0, 1.0):
+        c = assemble_evolution(ModelParams(gamma=gamma), InitialStateSpec(), 2, 0.2)
+        assert c.gates[-1].kind == "barrier"
+        assert c.gates[-2].kind != "barrier"
 
 
 def test_assemble_boson_level_preparation():
@@ -312,8 +322,8 @@ def test_dt_tuple_build_stacks_the_bits_of_each_scalar_build(n_spins, order, gam
 
 
 def test_circuit_invariants():
-    with pytest.raises(ValueError):
-        Circuit(1, (Gate("measure", (0,)), Gate("x", (0,))))
+    with pytest.raises(ValueError, match="unknown gate kind 'measure'"):
+        Gate("measure", (0,))
     with pytest.raises(ValueError, match=r"reset on model qubit \(0,\)"):
         Circuit(2, (Gate("reset", (0,)),), model_register=(0,))
     assert Circuit(2, (Gate("reset", (1,)),), model_register=(0,)).aux_qubits == (1,)
@@ -339,4 +349,3 @@ def test_assembled_auxiliaries_are_the_layout_auxiliaries(n_spins):
     width, model_register, aux_for_spin = evolution_layout(params)
     assert (c.width, c.model_register) == (width, model_register)
     assert c.aux_qubits == aux_for_spin
-    assert [g.qubits[0] for g in c.gates if g.kind == "measure"] == sorted(model_register)

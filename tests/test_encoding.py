@@ -10,13 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import kron_all, PAULI
+from conftest import code_permutation, kron_all, PAULI
 from sbsim.encoding import (
     GRAY,
     STANDARD_BINARY,
     boson_qubit_count,
     code_bits,
-    code_permutation,
     encode_boson_operator,
     encode_hamiltonian,
     encode_transition,

@@ -404,6 +404,10 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["gate_counts", "--omega", "5"], "it does not use omega=5.0"),
         (["--code", "foo"], "unknown code 'foo'; choose from gray, binary"),
         (["--convention", "foo"], "unknown rate convention 'foo'; choose from paper-collision, eq2-literal"),
+        (["--config", "{tmp}/other_experiment.json"], "the config is for experiment 'gate_counts', not 'noise_sweep'"),
+        (["trotter_sweep", "--t-final", "1e300", "--dt", "1e-300"],
+         "t_final=1e+300 at dt=1e-300 is not a finite number of steps"),
+        (["--t-final", "1e12", "--dt", "1"], "t_final=1e+12 at dt=1 takes 1000000000000 steps, whose states need"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -413,6 +417,7 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     (tmp_path / "mistyped.json").write_text('{"xi_list": "abc"}')
     (tmp_path / "gamma_list.json").write_text('{"gamma_list": [0.5]}')
     (tmp_path / "scalar_gamma.json").write_text('{"gamma": 0.5}')
+    (tmp_path / "other_experiment.json").write_text('{"experiment": "gate_counts", "xi_list": [0.1]}')
     doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
     (tmp_path / "valid.json").write_text(json.dumps(doc))
     no_sx = {**doc, "gates": [g for g in doc["gates"] if g["kind"] != "sx"]}
@@ -441,6 +446,19 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_runs_a_manifest_config_block_again_byte_for_byte(tmp_path):
+    # the config block names its own experiment, which a config file may repeat
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["observables", "--shots", "100", "--seed", "3", "--xi", "0.1", "--t-final", "0.4",
+                 "--out", str(first)]) == 0
+    config = json.loads((first / "observables_manifest.json").read_text())["config"]
+    assert config["experiment"] == "observables"
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["observables", "--config", str(tmp_path / "config.json"), "--out", str(again)]) == 0
+    assert (again / "observables.csv").read_bytes() == (first / "observables.csv").read_bytes()
+    assert json.loads((again / "observables_manifest.json").read_text())["config"] == {**config, "out_dir": str(again)}
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import lindblad_operators
 from sbsim.model import (
     EQ2_LITERAL,
     PAPER_COLLISION,
@@ -12,7 +13,6 @@ from sbsim.model import (
     gamma_eff,
     hamiltonian_sum,
     initial_density_matrix,
-    lindblad_operators,
 )
 
 

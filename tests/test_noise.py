@@ -20,7 +20,6 @@ from sbsim.noise import (
     build_noise_model,
     depolarizing_channel,
     depolarizing_probability,
-    error_source_ratio,
     is_cptp,
     jakarta_average_calibration,
     kraus_superop,
@@ -394,21 +393,6 @@ def test_missing_calibration_entry():
         model.channel_for("cx", (0, 1))
     with pytest.raises(KeyError):
         cal.gate_entry("cx")
-
-
-def test_error_source_ratio_near_device_estimate():
-    # thermal dominates depolarizing by roughly an order of magnitude
-    ratio = error_source_ratio(jakarta_average_calibration())
-    assert 15.4 * 0.7 <= ratio <= 15.4 * 1.3
-
-
-def test_error_source_ratio_scale_invariance():
-    # uniform scaling leaves the thermal/depolarizing split roughly unchanged
-    cal = jakarta_average_calibration()
-    r1 = error_source_ratio(cal)
-    gates = tuple(replace(g, error=0.1 * g.error, time_ns=0.1 * g.time_ns) for g in cal.gates)
-    r01 = error_source_ratio(CalibrationData(cal.qubits, gates))
-    assert r01 == pytest.approx(r1, rel=0.15)
 
 
 def test_calibration_loader_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import liouvillian, random_density_matrix
+from conftest import lindblad_operators, liouvillian, random_density_matrix
 from sbsim import experiments, metrics, noise, oracle, sim, transpile
 from sbsim.circuits import assemble_evolution
 from sbsim.experiments import make_config, run
@@ -22,7 +22,6 @@ from sbsim.model import (
     gamma_eff,
     hamiltonian_sum,
     initial_density_matrix,
-    lindblad_operators,
 )
 from sbsim.oracle import evolve_exact
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    circuit_of,
     embed_bruteforce,
     kron_all,
     model_qubits,
@@ -20,12 +21,12 @@ from conftest import (
 from sbsim.circuits import (
     Circuit,
     Gate,
+    _collision_gates,
+    _trotter_gates,
     assemble_evolution,
-    collision_block,
-    trotter_step,
 )
 from sbsim.metrics import fidelity, time_averaged_infidelity
-from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
+from sbsim.model import PAPER_COLLISION, InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
@@ -106,7 +107,7 @@ def test_width_limit():
 
 def test_collision_block_on_excited_spin():
     # single collision, paper convention, gamma=1, dt=0.2: p_up -> exp(-0.2)
-    c = Circuit(2, tuple([Gate("x", (0,))]) + collision_block(1.0, 0.2, 0, 1).gates + (Gate("barrier"),))
+    c = circuit_of([Gate("x", (0,)), *_collision_gates(1.0, 0.2, 0, 1, PAPER_COLLISION), Gate("barrier")])
     rho = simulate(c)[0, -1]
     spin = partial_trace(rho, (0,), 2)
     assert spin[1, 1].real == pytest.approx(math.exp(-0.2), abs=1e-12)
@@ -135,17 +136,17 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
     circuit = assemble_evolution(params, InitialStateSpec(), 1, dt, order=1)
     from conftest import circuit_unitary
 
-    step_unitary_gates = trotter_step(hamiltonian_sum(params), dt, 1)
-    u_model = circuit_unitary(step_unitary_gates)  # on [spin, b hi, b lo]
+    h = hamiltonian_sum(params)
+    # on [spin, b hi, b lo]
+    u_model = circuit_unitary(circuit_of(_trotter_gates(h.terms, dt, 1, range(h.width)), h.width))
 
     p = 1 - math.exp(-params.gamma * dt)
     k0 = np.diag([1.0, math.sqrt(1 - p)]).astype(complex)
     k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
     damp = [embed_bruteforce(k, (0,), 3) for k in (k0, k1)]
 
-    body = [g for g in circuit.gates if g.kind not in ("measure",)]
-    first_barrier = next(i for i, g in enumerate(body) if g.kind == "barrier")
-    stepped = Circuit(circuit.width, tuple(body[first_barrier + 1 :]), circuit.model_register)
+    first_barrier = next(i for i, g in enumerate(circuit.gates) if g.kind == "barrier")
+    stepped = Circuit(circuit.width, circuit.gates[first_barrier + 1 :], circuit.model_register)
     worst = 0.0
     for i in range(8):
         for j in range(8):
@@ -166,9 +167,8 @@ def _native_evolution(n_spins: int, order: int, n_steps: int, d_ho: int = 4, dt=
 
 
 def _with_final_barrier(circuit: Circuit) -> Circuit:
-    """The circuit with a barrier before its measurements, so that its last snapshot is the final state."""
-    cut = len(circuit.gates) - sum(g.kind == "measure" for g in circuit.gates)  # measurements come last
-    return replace(circuit, gates=circuit.gates[:cut] + (Gate("barrier"),) + circuit.gates[cut:])
+    """The circuit with a barrier at its end, so that its last snapshot is the final state."""
+    return replace(circuit, gates=circuit.gates + (Gate("barrier"),))
 
 
 def _assert_matches_bruteforce(circuit, xi, cal=None):
@@ -323,10 +323,10 @@ def test_bad_repeat_for_a_stacked_step_raises_before_compiling():
         simulate(_native_evolution(1, 2, 1), repeat=(2, 2), compiled=compiled)
     with pytest.raises(ValueError, match="repeat must be at least 1"):
         simulate(step, repeat=(2, 0), compiled=compiled)
-    # a point that finishes early leaves the stack, so nothing but measurements may follow the block
+    # a point that finishes early leaves the stack, so nothing may follow the block
     trailing = Circuit(1, (Gate("rz", (0,), (0.1, 0.2)), Gate("barrier"), Gate("rz", (0,), (0.3, 0.4)),
                            Gate("barrier"), Gate("x", (0,))))
-    with pytest.raises(ValueError, match="only measurements after its last barrier"):
+    with pytest.raises(ValueError, match="nothing after its last barrier"):
         simulate(trailing, repeat=(2, 1), compiled=compiled)
     assert compiled == {}
     assert [len(s[0]) for s in simulate(trailing, repeat=2)] == [3, 3]  # equal counts may run the tail
@@ -447,12 +447,12 @@ def test_operand_specific_noise_matches_bruteforce(n_spins, xi):
     _assert_matches_bruteforce(_native_evolution(n_spins, 2, 2), xi, cal)
 
 
-def test_runs_stop_at_barriers_and_measurements():
+def test_runs_stop_at_barriers():
     gates = (
         Gate("sx", (0,)), Gate("barrier"), Gate("cx", (0, 1)), Gate("sx", (1,)), Gate("barrier"),
-        Gate("rz", (0,), 0.3), Gate("measure", (0,)), Gate("measure", (1,)),
+        Gate("rz", (0,), 0.3),
     )
-    bounds = [0, 1, 2, 4, 5, 6, 7, 8]
+    bounds = [0, 1, 2, 4, 5, 6]
     assert list(_runs(gates)) == [gates[a:b] for a, b in zip(bounds, bounds[1:])]
     circuit = Circuit(2, gates)
     assert len(simulate(circuit)[0]) == 2
@@ -469,7 +469,7 @@ def test_every_compiled_run_is_cptp(n_spins, xi):
 def _assert_compiled_runs_are_cptp(n_spins, noise, k):
     for order in (1, 2):
         circuit = _native_evolution(n_spins, order, 1)
-        runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
+        runs = {run for run in _runs(circuit.gates) if run[0].kind != "barrier"}
         reduced = 0
         for run in runs:
             superops, qubits = _compile(run, noise, circuit.aux_qubits, {})
@@ -601,7 +601,7 @@ def test_runs_commute_only_disjoint_gates(rng):
         for _ in range(int(rng.integers(0, 30))):
             roll = rng.random()
             if roll < 0.1:
-                gates.append(Gate(str(rng.choice(["barrier", "measure"]))))
+                gates.append(Gate("barrier"))
             elif roll < 0.25:
                 gates.append(Gate("reset", (int(rng.integers(width)),)))
             else:
@@ -611,10 +611,10 @@ def test_runs_commute_only_disjoint_gates(rng):
         order = [where[id(g)] for run in runs for g in run]
         assert sorted(order) == list(range(len(gates)))  # every gate once
         for run in runs:
-            if run[0].kind in ("barrier", "measure"):
+            if run[0].kind == "barrier":
                 assert len(run) == 1
                 continue
-            assert all(g.kind not in ("barrier", "measure") for g in run)
+            assert all(g.kind != "barrier" for g in run)
             assert len({q for g in run for q in g.qubits}) <= 2
             reset: set[int] = set()
             for g in run:
@@ -622,8 +622,8 @@ def test_runs_commute_only_disjoint_gates(rng):
                 if g.kind == "reset":
                     reset.update(g.qubits)
         for pos, i in enumerate(order):
-            if gates[i].kind in ("barrier", "measure"):
-                assert pos == i  # markers keep their positions
+            if gates[i].kind == "barrier":
+                assert pos == i  # barriers keep their positions
         for a, i in enumerate(order):
             for j in order[a + 1:]:
                 if set(gates[i].qubits) & set(gates[j].qubits):
@@ -667,7 +667,7 @@ def test_chain_merged_compile_matches_gate_by_gate_product(rng, n_state):
     reset = kraus_superop(np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]]))
     for _ in range(3):
         circuit = _random_collision_circuit(rng, n_state, 8)
-        runs = {run for run in _runs(circuit.gates) if run[0].kind not in ("barrier", "measure")}
+        runs = {run for run in _runs(circuit.gates) if run[0].kind != "barrier"}
         assert any(g.kind == "reset" for run in runs for g in run)
         for run, noise in itertools.product(runs, (model, None)):
             superops, kept = _compile(run, noise, circuit.aux_qubits, {})
