@@ -66,8 +66,9 @@ class Gate:
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated operands {self.qubits}")
-        if self.kind in TWO_QUBIT_KINDS and len(self.qubits) != 2:
-            raise ValueError(f"{self.kind} needs two operands")
+        operands = 2 if self.kind in TWO_QUBIT_KINDS else 1
+        if self.kind != "barrier" and len(self.qubits) != operands:
+            raise ValueError(f"{self.kind} needs {operands} operand(s), got {self.qubits}")
         if self.kind in ANGLED_KINDS:
             angles = self.angle if isinstance(self.angle, tuple) else (self.angle,)
             if not angles or any(a is None or not math.isfinite(a) for a in angles):

@@ -4,7 +4,8 @@
 flag per field).  Each experiment expands into an ordered grid over four
 axes, each one tuple field: ``orders``, ``gamma``, ``xi_list`` and
 ``dt_grid``; ``validate`` rejects every setting a run would not read, and
-a grid whose step count or state stacks the host could not hold.
+a grid whose step count, or the state arrays it holds at once, the host
+could not hold.
 ``run`` builds every input that points share once: the calibration, one
 noise model with a member per xi, one native one-step circuit per
 (order, gamma) stacking every distinct dt as a point, in grid order
@@ -15,8 +16,9 @@ grids (so adding a dt to a run can move the last printed digit of another
 dt's rows).  Each circuit is simulated in one engine pass in the calling
 process, under every noise member and for every dt at its own step count
 (the engine orders the points).  One row pass scores each snapshot once
-against the reference, as stacks, and emits the rows in grid order, so
-identical configs and seeds give byte-identical CSV output.  gate_counts
+against the reference, one stacked call per grid point on the array the
+engine returned, and emits the rows in grid order, so identical configs
+and seeds give byte-identical CSV output.  gate_counts
 instead counts the routed native step of the paper's model, at gamma = 1,
 of each point of a fixed grid, and reads no setting but ``out_dir``.  The
 ``workers`` field is deprecated and has no effect: every run is serial.
@@ -112,6 +114,8 @@ class ExperimentConfig:
             problems.append(f"gamma values must be non-empty, nonnegative and finite, got {self.gamma}")
         if self.shots is not None and self.shots < 1:
             problems.append("shots must be at least 1 when given")
+        elif self.shots is not None and self.shots > np.iinfo(np.int64).max:
+            problems.append(f"shots must be at most 2**63 - 1, the most one multinomial draw takes; got {self.shots}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
         elif self.shots is None and self.seed != ExperimentConfig.seed:  # its default
@@ -172,21 +176,33 @@ class ExperimentConfig:
         return tuple(problems)
 
     def _size_problems(self, width: int) -> list[str]:
-        """Why the run's step count, or its largest state stacks on a ``width``-qubit register, cannot be held."""
+        """Why the run's step count, or the state arrays it holds on a ``width``-qubit register, cannot be held."""
         try:
-            steps = [steps_for(self.t_final, dt) for dt in self.step_dts]
+            held = self._state_bytes(width)
         except OverflowError:
             return [f"t_final={self.t_final:g} at dt={min(self.dt_grid):g} is not a finite number of steps"]
-        state = 16 * 4**width  # bytes of one complex density matrix on the register
-        # the exact reference: every gamma on the union of the dt grids; one engine pass: every dt and xi
-        reference = len(set(self.gamma)) * sum(n + 1 for n in steps) * state
-        snapshots = len(steps) * len(self.xi_list) * (max(steps) + 1) * state
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if max(reference, snapshots) <= memory:
+        if sum(held.values()) <= memory:
             return []
-        return [f"t_final={self.t_final:g} at dt={min(self.dt_grid):g} takes {max(steps)} steps, whose states need "
-                f"{reference / 2**30:.3g} GiB (exact reference) and {snapshots / 2**30:.3g} GiB (one engine pass); "
-                f"this host has {memory / 2**30:.3g} GiB"]
+        steps = steps_for(self.t_final, min(self.dt_grid))
+        terms = ", ".join(f"{size / 2**30:.3g} GiB {name}" for name, size in held.items())
+        return [f"t_final={self.t_final:g} at dt={min(self.dt_grid):g} takes {steps} steps, whose states need "
+                f"{sum(held.values()) / 2**30:.3g} GiB at once ({terms}); this host has {memory / 2**30:.3g} GiB"]
+
+    def _state_bytes(self, width: int) -> dict[str, int]:
+        """Bytes of the state arrays a run on a ``width``-qubit register holds at once, at most, by holder."""
+        steps = [steps_for(self.t_final, dt) for dt in self.step_dts]  # OverflowError if not finite
+        state = 16 * 4**width  # bytes of one complex density matrix on the register
+        reference = len(set(self.gamma)) * sum(n + 1 for n in steps) * state  # every gamma on the union of the dt grids
+        return {
+            "exact reference and its square roots": 2 * reference,
+            # one buffer per (order, gamma) circuit: every dt and distinct xi, each at the longest dt's length
+            "engine snapshots": len(set(self.orders)) * len(set(self.gamma)) * len(steps) * len(set(self.xi_list))
+                                * (max(steps) + 1) * state,
+            # one scoring call roots the reference or one point's snapshots, and holds at most six stacks of that
+            # size: the picked roots, sqrtm_psd's four intermediates and the product it takes singular values of
+            "scoring": 6 * max(reference, (max(steps) + 1) * state),
+        }
 
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
@@ -432,11 +448,10 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
     Each simulated state is then scored once against the exact state of its
     gamma at the same time, read from the run's one stacked reference
     (``_references``).  The sweeps and infidelity_vs_time score by
-    infidelity, all in one stacked call against the square roots of the
-    reference states alone, each root taken once; the per-point snapshot
-    arrays are released once they are stacked.  Observables and
-    correlations score by state values, one stacked call per operator and
-    point.
+    infidelity, one stacked call per point on the engine's array for it,
+    against the square roots of the reference states alone, each root
+    taken once.  Observables and correlations score by state values, one
+    stacked call per operator and point.
     """
     xis = tuple(dict.fromkeys(cfg.xi_list))  # a repeated xi is built and simulated once
     model = noise.build_noise_model(cfg.calibration_data, xis) if cfg.uses_calibration else None
@@ -471,23 +486,16 @@ def _trajectory_rows(cfg: ExperimentConfig, tasks: list[dict]) -> list[tuple]:
         return rows
 
     first = 0 if cfg.experiment == "infidelity_vs_time" else 1  # no sweep column reads t = 0
-    roots = metrics.sqrtm_psd(references.reshape(-1, *references.shape[2:]))
-    picks = np.concatenate([
-        ref_row[t["gamma"]] * references.shape[1] + ref_index[t["dt"]][first:] for t in tasks
-    ])
-    n_snapshots = [len(states) for states in simulated]
-    stack = np.concatenate([states[first:] for states in simulated])
-    del simulated, references  # the stack holds every scored snapshot; free the engine's arrays
-    scores = metrics.infidelity(stack, None, roots[picks])
-    bounds = np.cumsum([n - first for n in n_snapshots])
-    for task, n, task_scores in zip(tasks, n_snapshots, np.split(scores, bounds[:-1])):
+    roots = metrics.sqrtm_psd(references)
+    for task, states in zip(tasks, simulated):
+        scores = metrics.infidelity(states[first:], None, roots[ref_row[task["gamma"]], ref_index[task["dt"]][first:]])
         if cfg.experiment == "infidelity_vs_time":
             rows += [(task["order"], task["gamma"], task["xi"], task["dt"], k * task["dt"], score)
-                     for k, score in enumerate(task_scores.tolist())]
+                     for k, score in enumerate(scores.tolist())]
             continue
-        n_steps = n - 1
+        n_steps = len(states) - 1
         values = {**task, "n_steps": n_steps, "t_final": n_steps * task["dt"],
-                  "avg_infidelity": float(np.mean(task_scores)), "final_infidelity": float(task_scores[-1])}
+                  "avg_infidelity": float(np.mean(scores)), "final_infidelity": float(scores[-1])}
         rows.append(tuple(values[name] for name in _HEADERS[cfg.experiment]))
     return rows
 

@@ -268,6 +268,12 @@ def test_gate_validation():
         Gate("warp", (0,))
     with pytest.raises(ValueError):
         Circuit(1, (Gate("x", (3,)),))
+    with pytest.raises(ValueError, match=r"x needs 1 operand\(s\), got \(0, 1\)"):
+        Gate("x", (0, 1))
+    with pytest.raises(ValueError, match=r"rz needs 1 operand\(s\), got \(\)"):
+        Gate("rz", (), 0.3)
+    with pytest.raises(ValueError, match=r"reset needs 1 operand\(s\), got \(0, 1\)"):
+        Gate("reset", (0, 1))
 
 
 def test_angle_tuples_are_checked_when_built():

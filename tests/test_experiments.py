@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from importlib import resources
@@ -408,6 +409,11 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["trotter_sweep", "--t-final", "1e300", "--dt", "1e-300"],
          "t_final=1e+300 at dt=1e-300 is not a finite number of steps"),
         (["--t-final", "1e12", "--dt", "1"], "t_final=1e+12 at dt=1 takes 1000000000000 steps, whose states need"),
+        (["--shots", "9223372036854775808", "--t-final", "0.4"],
+         "shots must be at most 2**63 - 1, the most one multinomial draw takes; got 9223372036854775808"),
+        (["correlations", "--n-spins", "1"], "correlations need n_spins = 2"),
+        (["noise_sweep", "--shots", "10"], "shot sampling is only supported for the observables experiment"),
+        (["--shots", "0"], "shots must be at least 1 when given"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -686,14 +692,15 @@ def test_each_dt_of_a_two_spin_grid_scores_its_rows_within_1e_14_of_that_dt_alon
             assert all(abs(float(grid_row[i]) - float(alone_row[i])) <= 1e-14 for i in scores)
 
 
-# a sweep scores each t > 0 snapshot once, all in one stacked call: trotter_sweep runs
-# 4 (order, gamma) curves of 20 + 10 + 7 + 5 + 4 steps, the xi grid 2 orders x 5 xi of 10 steps
+# a sweep scores each t > 0 snapshot once, in one stacked call per grid point: trotter_sweep runs
+# 4 (order, gamma) curves of 20 + 10 + 7 + 5 + 4 steps (20 points), the xi grid 2 orders x 5 xi
+# of 10 steps (10 points)
 @pytest.mark.parametrize(
-    "argv, calls",
+    "argv, snapshots",
     [(["trotter_sweep"], 184),
      (["noise_sweep", "--order", "1", "2", "--xi", "0.01", "0.03", "0.1", "0.3", "1"], 100)],
 )
-def test_each_simulated_snapshot_is_scored_once(tmp_path, monkeypatch, argv, calls):
+def test_each_simulated_snapshot_is_scored_once(tmp_path, monkeypatch, argv, snapshots):
     scored = []
     infidelity = metrics.infidelity
 
@@ -703,8 +710,26 @@ def test_each_simulated_snapshot_is_scored_once(tmp_path, monkeypatch, argv, cal
 
     monkeypatch.setattr(metrics, "infidelity", counted)
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    (stack,) = scored
-    assert stack.shape[0] == len({rho.tobytes() for rho in stack}) == calls
+    _, *rows = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()
+    assert len(scored) == len(rows) == {"trotter_sweep": 20, "noise_sweep": 10}[argv[0]]
+    states = [rho.tobytes() for stack in scored for rho in stack]
+    assert len(states) == len(set(states)) == snapshots
+
+
+# validate's memory bound counts every state array a run holds at once: on grids where those
+# dominate, the traced peak of run stays under the bound and above half of it
+@pytest.mark.parametrize("experiment, t_final", [("trotter_sweep", 40.0), ("noise_sweep", 100.0),
+                                                 ("gamma_sweep", 20.0)])
+def test_memory_bound_holds_the_traced_peak_of_run(tmp_path, experiment, t_final):
+    cfg = make_config(experiment, overrides={"t_final": t_final, "out_dir": str(tmp_path)})
+    bound = sum(cfg._state_bytes(cfg.model_params(0.0).register_width).values())
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound <= 2 * peak
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_KINDS)
