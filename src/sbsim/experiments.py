@@ -4,8 +4,8 @@
 flag per field).  Each experiment expands into an ordered grid over four
 axes, each one tuple field: ``orders``, ``gamma``, ``xi_list`` and
 ``dt_grid``; ``validate`` rejects every setting a run would not read, and
-a grid whose step count, or the state arrays it holds at once, the host
-could not hold.
+a grid whose step count, or the state arrays and rows it holds at once,
+the host could not hold.
 ``run`` builds every input that points share once: the calibration, one
 noise model with a member per xi, one native one-step circuit per
 (order, gamma) stacking every distinct dt as a point, in grid order
@@ -26,7 +26,6 @@ of each point of a fixed grid, and reads no setting but ``out_dir``.  The
 
 from __future__ import annotations
 
-import hashlib
 import json
 import numbers
 import os
@@ -64,6 +63,10 @@ EXPERIMENT_KINDS = tuple(_HEADERS)
 # The only settings gate_counts reads: it counts the paper's model on a fixed grid, so every
 # other setting must keep its default there, a field added later included.
 _GATE_COUNT_READS = ("experiment", "out_dir", "workers")
+
+# Bytes of one result row as _trajectory_rows builds it, rounded up from tracemalloc: 144 B for
+# infidelity_vs_time, 168 B for observables and correlations, 149-195 B for a sweep's one row per point.
+_ROW_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ class ExperimentConfig:
         return tuple(problems)
 
     def _size_problems(self, width: int) -> list[str]:
-        """Why the run's step count, or the state arrays it holds on a ``width``-qubit register, cannot be held."""
+        """Why the run's step count, or what it holds on a ``width``-qubit register, cannot be held."""
         try:
             held = self._state_bytes(width)
         except OverflowError:
@@ -190,7 +193,7 @@ class ExperimentConfig:
                 f"{sum(held.values()) / 2**30:.3g} GiB at once ({terms}); this host has {memory / 2**30:.3g} GiB"]
 
     def _state_bytes(self, width: int) -> dict[str, int]:
-        """Bytes of the state arrays a run on a ``width``-qubit register holds at once, at most, by holder."""
+        """Bytes of the state arrays and rows a run on a ``width``-qubit register holds at once, at most, by holder."""
         steps = [steps_for(self.t_final, dt) for dt in self.step_dts]  # OverflowError if not finite
         state = 16 * 4**width  # bytes of one complex density matrix on the register
         reference = len(set(self.gamma)) * sum(n + 1 for n in steps) * state  # every gamma on the union of the dt grids
@@ -202,7 +205,17 @@ class ExperimentConfig:
             # one scoring call roots the reference or one point's snapshots, and holds at most six stacks of that
             # size: the picked roots, sqrtm_psd's four intermediates and the product it takes singular values of
             "scoring": 6 * max(reference, (max(steps) + 1) * state),
+            "result rows": _ROW_BYTES * self._row_count(),
         }
+
+    def _row_count(self) -> int:
+        """Rows of the run's CSV: one per grid point for the sweeps, one per snapshot otherwise."""
+        points = len(self.orders) * len(self.gamma) * len(self.xi_list)  # grid points per dt
+        if self.experiment in ("trotter_sweep", "noise_sweep", "gamma_sweep"):
+            return points * len(self.dt_grid)
+        snapshots = sum(steps_for(self.t_final, dt) + 1 for dt in self.dt_grid)
+        exact = snapshots if self.experiment in ("observables", "correlations") else 0  # validated: one gamma and dt
+        return points * snapshots + exact
 
     def _calibration_gaps(self, cal: noise.CalibrationData) -> list[str]:
         """What the run would look up in the calibration but not find."""
@@ -541,9 +554,6 @@ def run(cfg: ExperimentConfig) -> list[str]:
     manifest = {
         "experiment": cfg.experiment,
         "config": asdict(cfg),
-        "config_sha256": hashlib.sha256(
-            json.dumps(asdict(cfg), sort_keys=True).encode()
-        ).hexdigest(),
         "package_version": __version__,
         "rate_convention": cfg.convention,
         "outputs": [csv_path],

@@ -39,10 +39,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
@@ -160,8 +160,7 @@ def load_calibration(path) -> CalibrationData:
 
 def jakarta_average_calibration() -> CalibrationData:
     """Bundled device averages (processor-wide means of the published calibration)."""
-    text = resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text()
-    return _calibration_from_dict(json.loads(text))
+    return load_calibration(os.path.join(os.path.dirname(__file__), "data", "jakarta-avg.json"))
 
 
 def _calibration_from_dict(doc: dict) -> CalibrationData:

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, determinism, CSV/manifest output."""
 
+import ast
 import itertools
 import json
 import os
@@ -99,6 +100,7 @@ def test_trotter_sweep_rows_and_truthful_t_final(tmp_path):
     assert rows[0][4] == "7" and rows[0][5] == "2.1"
     assert rows[1][4] == "4" and rows[1][5] == "2"
     manifest = json.loads(Path(manifest_path).read_text())
+    assert set(manifest) == {"experiment", "config", "package_version", "rate_convention", "outputs"}
     assert manifest["experiment"] == "trotter_sweep"
     assert manifest["package_version"]
     assert manifest["rate_convention"] == "paper-collision"
@@ -716,12 +718,14 @@ def test_each_simulated_snapshot_is_scored_once(tmp_path, monkeypatch, argv, sna
     assert len(states) == len(set(states)) == snapshots
 
 
-# validate's memory bound counts every state array a run holds at once: on grids where those
+# validate's memory bound counts every state array and row a run holds at once: on grids where those
 # dominate, the traced peak of run stays under the bound and above half of it
 @pytest.mark.parametrize("experiment, t_final", [("trotter_sweep", 40.0), ("noise_sweep", 100.0),
-                                                 ("gamma_sweep", 20.0)])
+                                                 ("gamma_sweep", 20.0), ("infidelity_vs_time", 100.0)])
 def test_memory_bound_holds_the_traced_peak_of_run(tmp_path, experiment, t_final):
-    cfg = make_config(experiment, overrides={"t_final": t_final, "out_dir": str(tmp_path)})
+    # infidelity_vs_time holds one row per snapshot: at 10 xi, 10 020 rows, about a tenth of its peak
+    xi = {"infidelity_vs_time": {"xi_list": tuple(k / 100 for k in range(1, 11))}}.get(experiment, {})
+    cfg = make_config(experiment, overrides={"t_final": t_final, "out_dir": str(tmp_path), **xi})
     bound = sum(cfg._state_bytes(cfg.model_params(0.0).register_width).values())
     tracemalloc.start()
     try:
@@ -815,15 +819,29 @@ def test_calibration_check_and_run_share_the_native_circuits(tmp_path, monkeypat
     assert calls == [((0.2,), 1), ((0.2,), 2)]
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports sbsim from this source tree."""
+    src = str(Path(experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
 def test_import_loads_no_process_pool_machinery():
     code = (
         "import sys, sbsim.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     )
-    src = str(Path(experiments.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto; a run without shots hashes nothing, so it loads hashlib only if numpy does
+    listed = "; import sys; print(sorted(sys.modules))"
+    numpy = _fresh_python("import numpy" + listed)
+    run = _fresh_python(f"import sbsim.cli; assert sbsim.cli.main(['noise_sweep', '--t-final', '0.4', "
+                        f"'--out', {str(tmp_path)!r}]) == 0" + listed)
+    added = set(ast.literal_eval(run.splitlines()[-1])) - set(ast.literal_eval(numpy))
+    assert not added & {"hashlib", "_hashlib"}
 
 
 def test_workers_2_starts_no_process(tmp_path, monkeypatch, capsys):
