@@ -15,7 +15,7 @@ model qubits in model order, and every other qubit is an auxiliary.
 Angle convention (pinned by the gate set): RY(t) = exp(-i t Y / 2) and
 RZ(t) = exp(-i t Z / 2), i.e. the gate argument is twice the rotation
 angle.  The collision block therefore carries CRY(2*theta) with
-theta = arcsin(sqrt(1 - exp(-gamma_eff dt))).
+theta = arcsin(sqrt(1 - exp(-gamma dt))).
 
 A stacked circuit holds several points of one gate structure: each angle
 that differs between them is a tuple with one float per point, and the
@@ -31,14 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .encoding import GRAY
-from .model import (
-    PAPER_COLLISION,
-    InitialStateSpec,
-    ModelParams,
-    gamma_eff,
-    hamiltonian_sum,
-    initial_bits,
-)
+from .model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_bits
 from .pauli import PauliString
 
 UNITARY_KINDS = ("x", "sx", "rz", "ry", "cx", "cry", "id")
@@ -205,15 +198,15 @@ def _trotter_gates(terms: tuple[PauliString, ...], dt, order: int, qubits: Seque
     return gates
 
 
-def collision_angle(gamma: float, dt: float, convention: str = PAPER_COLLISION) -> float:
-    """theta = arcsin(sqrt(1 - exp(-gamma_eff dt)))."""
+def collision_angle(gamma: float, dt: float) -> float:
+    """theta = arcsin(sqrt(1 - exp(-gamma dt)))."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    return math.asin(math.sqrt(1.0 - math.exp(-gamma_eff(gamma, convention) * dt)))
+    return math.asin(math.sqrt(1.0 - math.exp(-gamma * dt)))
 
 
-def _collision_gates(gamma: float, dt, spin_q: int, aux_q: int, convention: str) -> list[Gate]:
-    angle = per_point(lambda d: 2.0 * collision_angle(gamma, d, convention), dt)
+def _collision_gates(gamma: float, dt, spin_q: int, aux_q: int) -> list[Gate]:
+    angle = per_point(lambda d: 2.0 * collision_angle(gamma, d), dt)
     return [
         Gate("cry", (spin_q, aux_q), angle),
         Gate("cx", (aux_q, spin_q)),
@@ -247,7 +240,6 @@ def assemble_evolution(
     dt: float | tuple[float, ...],
     order: int = 2,
     code_kind: str = GRAY,
-    convention: str = PAPER_COLLISION,
 ) -> Circuit:
     """Full evolution circuit: preparation, then n_steps of [unitary; collisions].
 
@@ -277,10 +269,6 @@ def assemble_evolution(
             gates.extend(step_gates)
             if params.gamma > 0:
                 for model_pos, aux_q in zip(params.spin_positions, aux_for_spin):
-                    gates.extend(
-                        _collision_gates(
-                            params.gamma, dt, model_register[model_pos], aux_q, convention
-                        )
-                    )
+                    gates.extend(_collision_gates(params.gamma, dt, model_register[model_pos], aux_q))
             gates.append(Gate("barrier"))
     return Circuit(width, tuple(gates), model_register)

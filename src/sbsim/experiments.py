@@ -37,13 +37,7 @@ import numpy as np
 from . import __version__, metrics, noise, sim, transpile
 from .circuits import MARKER_KINDS, Circuit, assemble_evolution, evolution_layout
 from .encoding import CODE_KINDS, GRAY
-from .model import (
-    PAPER_COLLISION,
-    RATE_CONVENTIONS,
-    InitialStateSpec,
-    ModelParams,
-    initial_density_matrix,
-)
+from .model import InitialStateSpec, ModelParams, initial_density_matrix
 from .oracle import MAX_SUBSTEPS, evolve_exact, exceeds_substep_cap
 
 _HEADERS = {
@@ -85,7 +79,6 @@ class ExperimentConfig:
     xi_list: tuple[float, ...] = (0.0,)
     shots: int | None = None
     seed: int = 0
-    convention: str = PAPER_COLLISION
     calibration: str | None = None
     out_dir: str = "results"
     # No effect, but the benchmark's xi_grid_pool workload passes it; it goes with that workload (ROADMAP item 1).
@@ -103,8 +96,6 @@ class ExperimentConfig:
             problems.append(f"unknown experiment {self.experiment!r}")
         if self.code not in CODE_KINDS:
             problems.append(f"unknown code {self.code!r}; choose from {', '.join(CODE_KINDS)}")
-        if self.convention not in RATE_CONVENTIONS:
-            problems.append(f"unknown rate convention {self.convention!r}; choose from {', '.join(RATE_CONVENTIONS)}")
         if not self.orders or any(o not in (1, 2) for o in self.orders):
             problems.append(f"orders must be a non-empty subset of (1, 2), got {self.orders}")
         if not self.dt_grid or not all(0 < dt < np.inf for dt in self.dt_grid):
@@ -156,9 +147,7 @@ class ExperimentConfig:
                     problems.append(f"{width}-qubit model register exceeds the engine limit {sim.MAX_SIM_WIDTH}")
                 elif not problems:
                     problems += self._size_problems(width)
-                    if exceeds_substep_cap(
-                        self.model_params(max(self.gamma)), max(self.dt_grid), self.convention, self.code
-                    ):
+                    if exceeds_substep_cap(self.model_params(max(self.gamma)), max(self.dt_grid), self.code):
                         problems.append(
                             f"the exact oracle would need more than {MAX_SUBSTEPS} Taylor substeps per interval at "
                             f"epsilon={self.epsilon:g}, omega={self.omega:g}, lambda={self.lambda_c:g}, "
@@ -283,7 +272,7 @@ class ExperimentConfig:
         key = (order, gamma)
         if key not in self._native_steps:
             self._native_steps[key] = transpile.decompose_native(assemble_evolution(
-                self.model_params(gamma), self.initial_state(), 1, self.step_dts, order, self.code, self.convention
+                self.model_params(gamma), self.initial_state(), 1, self.step_dts, order, self.code
             ))
         return self._native_steps[key]
 
@@ -391,7 +380,7 @@ def _references(cfg: ExperimentConfig, tasks: list[dict]) -> tuple[np.ndarray, d
     index = {dt: np.searchsorted(union, t - _TIME_TOL) for dt, t in times.items()}
     params = tuple(cfg.model_params(g) for g in gammas)
     rho0 = initial_density_matrix(cfg.initial_state(), params[0], cfg.code)
-    states = evolve_exact(rho0, params, union, cfg.convention, cfg.code)
+    states = evolve_exact(rho0, params, union, code_kind=cfg.code)
     return states, {g: b for b, g in enumerate(gammas)}, index
 
 
@@ -555,7 +544,6 @@ def run(cfg: ExperimentConfig) -> list[str]:
         "experiment": cfg.experiment,
         "config": asdict(cfg),
         "package_version": __version__,
-        "rate_convention": cfg.convention,
         "outputs": [csv_path],
     }
     manifest_path = os.path.join(cfg.out_dir, f"{cfg.experiment}_manifest.json")

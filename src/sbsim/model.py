@@ -9,17 +9,11 @@ Spin basis convention: the excited spin state |up> is the computational
 |1>, matching the -Z/2 term of the encoded Hamiltonian (h = 1), so the jump
 operator of each spin is |0><1| and state preparation is an X gate.
 
-Rate convention: the collision angle theta = arcsin(sqrt(1 - exp(-gamma t)))
-produces excited-population decay exp(-gamma t), whereas the master equation
-written with gamma * sum(2 L rho L' - {L'L, rho}) decays as exp(-2 gamma t).
-Both pipelines here share a single effective rate so they are mutually
-consistent by construction:
-
-* ``"paper-collision"`` (default): gamma_eff = gamma, i.e. the reference
-  evolution uses dissipator gamma * (L rho L' - {L'L, rho}/2) and the
-  collision angle formula holds verbatim;
-* ``"eq2-literal"``: gamma_eff = 2 * gamma, keeping the doubled dissipator
-  and using theta = arcsin(sqrt(1 - exp(-2 gamma t))) in the circuits.
+Rate: gamma is the decay rate of an excited spin, exp(-gamma t), in both
+pipelines: the collision angle is theta = arcsin(sqrt(1 - exp(-gamma t))) and
+the reference dissipator is gamma * (L rho L' - {L'L, rho}/2).  The paper's
+eq. 2 writes the dissipator as gamma * sum(2 L rho L' - {L'L, rho}), so its
+gamma is half of this one: its rate G is gamma 2G here.
 """
 
 from __future__ import annotations
@@ -33,19 +27,8 @@ from . import encoding
 from .encoding import GRAY
 from .pauli import PauliSum
 
-PAPER_COLLISION = "paper-collision"
-EQ2_LITERAL = "eq2-literal"
-RATE_CONVENTIONS = (PAPER_COLLISION, EQ2_LITERAL)
-
 SPIN_UP = "up"
 SPIN_DOWN = "down"
-
-
-def gamma_eff(gamma: float, convention: str = PAPER_COLLISION) -> float:
-    """Effective damping rate of the standard-form dissipator."""
-    if convention not in RATE_CONVENTIONS:
-        raise ValueError(f"unknown rate convention {convention!r}")
-    return gamma if convention == PAPER_COLLISION else 2.0 * gamma
 
 
 @dataclass(frozen=True)

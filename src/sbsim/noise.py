@@ -79,6 +79,12 @@ class QubitCalibration:
         for p in (self.p10, self.p01):
             if not 0 <= p <= 1:
                 raise ValueError(f"readout probability {p} outside [0, 1]")
+        if self.p10 + self.p01 >= 1:
+            # the confusion matrix at xi has determinant 1 - xi (p10 + p01), so some xi <= 1 makes it singular
+            raise ValueError(
+                f"qubit entry: p10={self.p10!r} and p01={self.p01!r} must sum to below 1, or readout "
+                "mitigation cannot invert the confusion matrix at xi = 1 / (p10 + p01)"
+            )
 
 
 def _operand_count(kind: str) -> int:
@@ -120,6 +126,8 @@ class CalibrationData:
     gates: tuple[GateCalibration, ...]
 
     def __post_init__(self) -> None:
+        if not self.qubits:
+            raise ValueError("calibration lists no qubits")
         seen = set()
         for g in self.gates:
             if g.qubits is not None and not all(0 <= q < len(self.qubits) for q in g.qubits):

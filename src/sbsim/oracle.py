@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .encoding import GRAY
-from .model import PAPER_COLLISION, ModelParams, dense_hamiltonian, gamma_eff
+from .model import ModelParams, dense_hamiltonian
 
 MAX_SUBSTEPS = 10**4  # per interval; the default configs need 1 or 2
 TRACE_TOL = 1e-6
@@ -46,7 +46,7 @@ HERM_TOL = 1e-8
 
 
 @lru_cache(maxsize=32)
-def _generator_for(params: ModelParams, convention: str, code_kind: str) -> tuple[np.ndarray, float, float]:
+def _generator_for(params: ModelParams, code_kind: str) -> tuple[np.ndarray, float, float]:
     """G = -iH - 1/2 sum_k r J_k^dag J_k, the jump rate r, and the exact ||L||_1.
 
     Column (a, b) of L, the image of |a><b|, sums to
@@ -54,7 +54,7 @@ def _generator_for(params: ModelParams, convention: str, code_kind: str) -> tupl
     with c the absolute column sums of G: the entries of G|a><b| and |a><b|G^dag
     meet only at (a, b), and each jump moves |a><b| to its own entry.
     """
-    rate = gamma_eff(params.gamma, convention)
+    rate = params.gamma
     width = params.register_width
     # excited[k, a] = bit_k(a): 1 where spin k is excited in basis state a
     excited = np.array([(np.arange(2**width) >> (width - 1 - q)) & 1 for q in params.spin_positions])
@@ -90,9 +90,7 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     )
 
 
-def exceeds_substep_cap(
-    params: ModelParams, h: float, convention: str = PAPER_COLLISION, code_kind: str = GRAY
-) -> bool:
+def exceeds_substep_cap(params: ModelParams, h: float, code_kind: str = GRAY) -> bool:
     """Whether the plan for one interval h needs more than ``MAX_SUBSTEPS`` substeps.
 
     Judged from the exact ||L||_1 that ``evolve_exact`` plans from.  Past
@@ -100,7 +98,7 @@ def exceeds_substep_cap(
     plan does.
     """
     with np.errstate(all="ignore"):  # parameters near overflow give an infinite or NaN norm
-        norm = _generator_for(params, convention, code_kind)[2] * h
+        norm = _generator_for(params, code_kind)[2] * h
     return not norm <= max(_THETA.values()) * MAX_SUBSTEPS or _taylor_plan(norm)[1] > MAX_SUBSTEPS
 
 
@@ -131,7 +129,8 @@ def evolve_exact(
     rho0: np.ndarray,
     params: ModelParams | tuple[ModelParams, ...],
     t_grid,
-    convention: str = PAPER_COLLISION,
+    # Only "paper-collision": benchmarks/child.py reads it by name; it goes with that tracing (ROADMAP item 1).
+    convention: str = "paper-collision",
     code_kind: str = GRAY,
 ) -> np.ndarray:
     """Reference states rho(t) on the given ascending time grid (t_grid[0] = 0).
@@ -146,6 +145,8 @@ def evolve_exact(
     steps = np.diff(t_grid)
     if t_grid[0] != 0.0 or (steps <= 0).any():
         raise ValueError("time grid must be ascending and start at 0")
+    if convention != "paper-collision":
+        raise ValueError(f"rate convention must be 'paper-collision', got {convention!r}")
     members = params if isinstance(params, tuple) else (params,)
     if not members:
         raise ValueError("need at least one model")
@@ -156,7 +157,7 @@ def evolve_exact(
     if rho0.shape != (dim, dim):
         raise ValueError("initial state dimension does not match the model register")
 
-    gens, rates, norms = zip(*(_generator_for(p, convention, code_kind) for p in members))
+    gens, rates, norms = zip(*(_generator_for(p, code_kind) for p in members))
     gen = np.stack(gens)
     rates = np.array(rates).reshape(-1, 1, 1, 1, 1)
     norm = max(norms)

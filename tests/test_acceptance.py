@@ -11,18 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import circuit_of, code_permutation, partial_trace
+from conftest import RATE_READINGS, circuit_of, code_permutation, partial_trace
 from sbsim import metrics, noise, sim, transpile
 from sbsim.circuits import Gate, assemble_evolution
 from sbsim.encoding import GRAY, encode_hamiltonian
-from sbsim.model import (
-    EQ2_LITERAL,
-    PAPER_COLLISION,
-    InitialStateSpec,
-    ModelParams,
-    gamma_eff,
-    initial_density_matrix,
-)
+from sbsim.model import InitialStateSpec, ModelParams, initial_density_matrix
 from sbsim.oracle import evolve_exact
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
@@ -35,8 +28,8 @@ def report(number: int, message: str) -> None:
 # -- shared pipeline helpers -------------------------------------------------
 
 
-def _run_circuit_traj(params, dt, n_steps, order, xi, convention=PAPER_COLLISION):
-    circuit = assemble_evolution(params, _init_for(params), n_steps, dt, order, GRAY, convention)
+def _run_circuit_traj(params, dt, n_steps, order, xi):
+    circuit = assemble_evolution(params, _init_for(params), n_steps, dt, order, GRAY)
     circuit = transpile.decompose_native(circuit)
     model = noise.build_noise_model(noise.jakarta_average_calibration(), xi) if xi > 0 else None
     return sim.simulate(circuit, noise=model)[0]
@@ -46,15 +39,15 @@ def _init_for(params):
     return InitialStateSpec(("up",) if params.n_spins == 1 else ("up", "down"), 0)
 
 
-def _exact_traj(params, dt, n_steps, convention=PAPER_COLLISION):
+def _exact_traj(params, dt, n_steps):
     rho0 = initial_density_matrix(_init_for(params), params)
-    return evolve_exact(rho0, params, [k * dt for k in range(n_steps + 1)], convention)
+    return evolve_exact(rho0, params, [k * dt for k in range(n_steps + 1)])
 
 
-def _avg_final_infidelity(params, dt, order, xi, t_final=2.0, convention=PAPER_COLLISION):
+def _avg_final_infidelity(params, dt, order, xi, t_final=2.0):
     n = max(1, round(t_final / dt))
-    simulated = _run_circuit_traj(params, dt, n, order, xi, convention)
-    exact = _exact_traj(params, dt, n, convention)
+    simulated = _run_circuit_traj(params, dt, n, order, xi)
+    exact = _exact_traj(params, dt, n)
     avg = metrics.time_averaged_infidelity(simulated, exact)
     final = metrics.infidelity(simulated[-1], exact[-1])
     return avg, final
@@ -70,10 +63,10 @@ def test_c01_collision_channel_exactness():
     for _ in range(20):
         gamma = float(rng.uniform(0.05, 3.0))
         dt = float(rng.uniform(0.02, 0.8))
-        for convention in (PAPER_COLLISION, EQ2_LITERAL):
+        for scale in RATE_READINGS.values():
             # the gates on the auxiliary of an assembled one-step circuit, moved to (spin, aux) = (0, 1)
-            params = ModelParams(gamma=gamma)
-            circuit = assemble_evolution(params, _init_for(params), 1, dt, 1, GRAY, convention)
+            params = ModelParams(gamma=gamma * scale)
+            circuit = assemble_evolution(params, _init_for(params), 1, dt, 1, GRAY)
             (aux,) = circuit.aux_qubits
             spin = circuit.model_register[0]
             block = [g for g in circuit.gates if aux in g.qubits]
@@ -81,7 +74,7 @@ def test_c01_collision_channel_exactness():
             assert {q for g in block for q in g.qubits} == {spin, aux}
             moved = [Gate(g.kind, tuple({spin: 0, aux: 1}[q] for q in g.qubits), g.angle) for g in block]
             marked = circuit_of([*moved, Gate("barrier")])  # its one snapshot is the final state
-            p = 1 - math.exp(-gamma_eff(gamma, convention) * dt)
+            p = 1 - math.exp(-params.gamma * dt)
             k0 = np.diag([1.0, math.sqrt(1 - p)]).astype(complex)
             k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
             choi_block = np.zeros((4, 4), dtype=complex)
@@ -100,14 +93,14 @@ def test_c01_collision_channel_exactness():
     report(1, f"collision channel == amplitude damping, worst Choi distance {worst:.2e}")
 
 
-@pytest.mark.parametrize("convention", [PAPER_COLLISION, EQ2_LITERAL])
-def test_c02_oracle_decoupled_decay(convention):
-    """Decoupled spin decays as exp(-gamma_eff t) to 1e-6; drift below 1e-9."""
-    params = ModelParams(epsilon=0.0, lambda_c=0.0, omega=0.0, gamma=1.0)
-    rate = gamma_eff(params.gamma, convention)
+@pytest.mark.parametrize("reading", RATE_READINGS)
+def test_c02_oracle_decoupled_decay(reading):
+    """Decoupled spin decays as exp(-gamma t) to 1e-6; drift below 1e-9."""
+    params = ModelParams(epsilon=0.0, lambda_c=0.0, omega=0.0, gamma=RATE_READINGS[reading])
+    rate = params.gamma
     grid = [0.1 * k for k in range(21)]
     rho0 = initial_density_matrix(InitialStateSpec(), params)
-    traj = evolve_exact(rho0, params, grid, convention)
+    traj = evolve_exact(rho0, params, grid)
     proj_up = np.zeros((8, 8))
     proj_up[4:, 4:] = np.eye(4)
     worst_pop, worst_trace, worst_herm = 0.0, 0.0, 0.0
@@ -119,7 +112,7 @@ def test_c02_oracle_decoupled_decay(convention):
     assert worst_pop < 1e-6
     assert worst_trace < 1e-9
     assert worst_herm < 1e-9
-    report(2, f"{convention}: max population error {worst_pop:.2e}, drift "
+    report(2, f"gamma {rate:g}: max population error {worst_pop:.2e}, drift "
               f"{max(worst_trace, worst_herm):.2e}")
 
 

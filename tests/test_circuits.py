@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import circuit_of, circuit_unitary, embed_bruteforce, kron_all, PAULI
+from conftest import RATE_READINGS, circuit_of, circuit_unitary, embed_bruteforce, kron_all, PAULI
 from sbsim.circuits import (
     Circuit,
     Gate,
@@ -17,13 +17,7 @@ from sbsim.circuits import (
     collision_angle,
     evolution_layout,
 )
-from sbsim.model import (
-    EQ2_LITERAL,
-    PAPER_COLLISION,
-    InitialStateSpec,
-    ModelParams,
-    hamiltonian_sum,
-)
+from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum
 from sbsim.pauli import PauliString, PauliSum, canonicalize
 from sbsim.transpile import decompose_native
 
@@ -142,21 +136,21 @@ def test_unsupported_order():
 
 def test_collision_angles():
     assert collision_angle(0.0, 0.2) == 0.0
-    assert collision_angle(1.0, 0.2, PAPER_COLLISION) == pytest.approx(
+    assert collision_angle(1.0, 0.2) == pytest.approx(
         math.asin(math.sqrt(1 - math.exp(-0.2))), abs=1e-12
     )
     # frozen from the closed form: arcsin(sqrt(1 - exp(-0.2))), arcsin(sqrt(1 - exp(-0.4)))
-    assert collision_angle(1.0, 0.2, PAPER_COLLISION) == pytest.approx(0.4397986259359949, abs=1e-12)
-    assert collision_angle(1.0, 0.2, EQ2_LITERAL) == pytest.approx(0.6115993522446161, abs=1e-12)
+    assert collision_angle(1.0, 0.2) == pytest.approx(0.4397986259359949, abs=1e-12)
+    assert collision_angle(2.0, 0.2) == pytest.approx(0.6115993522446161, abs=1e-12)
     with pytest.raises(ValueError):
         collision_angle(-1.0, 0.2)
 
 
-def _collision_channel_on_spin(gamma, dt, convention):
+def _collision_channel_on_spin(gamma, dt):
     """Brute-force channel tomography of the block, aux traced out."""
     from sbsim.sim import gate_unitary
 
-    block = circuit_of(_collision_gates(gamma, dt, 0, 1, convention))
+    block = circuit_of(_collision_gates(gamma, dt, 0, 1))
 
     def apply_block(rho_spin):
         rho = np.kron(rho_spin, np.diag([1.0, 0.0]).astype(complex))
@@ -192,16 +186,16 @@ def _amplitude_damping_choi(p):
     return choi
 
 
-@pytest.mark.parametrize("convention,scale", [(PAPER_COLLISION, 1.0), (EQ2_LITERAL, 2.0)])
-def test_collision_block_is_amplitude_damping(convention, scale):
+@pytest.mark.parametrize("reading,scale", RATE_READINGS.items())
+def test_collision_block_is_amplitude_damping(reading, scale):
     gamma, dt = 1.3, 0.17
-    choi = _collision_channel_on_spin(gamma, dt, convention)
+    choi = _collision_channel_on_spin(scale * gamma, dt)
     expected = _amplitude_damping_choi(1 - math.exp(-scale * gamma * dt))
     assert np.max(np.abs(choi - expected)) < 1e-12
 
 
 def test_collision_block_gate_order():
-    block = circuit_of(_collision_gates(1.0, 0.2, 3, 4, PAPER_COLLISION))
+    block = circuit_of(_collision_gates(1.0, 0.2, 3, 4))
     kinds = [g.kind for g in block.gates]
     assert kinds == ["cry", "cx", "reset"]
     assert block.gates[0].qubits == (3, 4)  # spin controls the aux rotation
@@ -210,7 +204,7 @@ def test_collision_block_gate_order():
 
 
 def test_collision_gamma_zero_identity_channel():
-    choi = _collision_channel_on_spin(0.0, 0.2, PAPER_COLLISION)
+    choi = _collision_channel_on_spin(0.0, 0.2)
     assert np.max(np.abs(choi - _amplitude_damping_choi(0.0))) < 1e-14
 
 

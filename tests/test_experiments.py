@@ -100,10 +100,9 @@ def test_trotter_sweep_rows_and_truthful_t_final(tmp_path):
     assert rows[0][4] == "7" and rows[0][5] == "2.1"
     assert rows[1][4] == "4" and rows[1][5] == "2"
     manifest = json.loads(Path(manifest_path).read_text())
-    assert set(manifest) == {"experiment", "config", "package_version", "rate_convention", "outputs"}
+    assert set(manifest) == {"experiment", "config", "package_version", "outputs"}
     assert manifest["experiment"] == "trotter_sweep"
     assert manifest["package_version"]
-    assert manifest["rate_convention"] == "paper-collision"
     assert os.path.basename(manifest["outputs"][0]) == "trotter_sweep.csv"
 
 
@@ -298,7 +297,6 @@ _FLAGS = {
     "xi_list": (["--xi", "0.01", "0.03"], [0.01, 0.03]),
     "shots": (["--shots", "100"], 100),
     "seed": (["--seed", "3"], 3),
-    "convention": (["--convention", "eq2-literal"], "eq2-literal"),
     "calibration": (["--calibration", "cal.json"], "cal.json"),
     "out_dir": (["--out", "elsewhere"], "elsewhere"),
     "workers": (["--workers", "2"], 2),
@@ -339,6 +337,16 @@ def test_cli_gamma_list_flag_is_gone(tmp_path, capsys):
         main(["trotter_sweep", "--gamma-list", "0", "1", "--out", str(out)])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --gamma-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_convention_flag_is_gone(tmp_path, capsys):
+    # gamma is the decay rate exp(-gamma t); the paper's eq. 2 reading of G is --gamma 2G
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["noise_sweep", "--convention", "eq2-literal", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --convention" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -385,8 +393,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--workers", "0"], "workers must be at least 1"),
         (["gate_counts", "--d-ho", "16", "--order", "1", "--code", "binary", "--n-spins", "3"],
          "it does not use n_spins=3, d_ho=16, code=binary, orders=(1,)"),
-        (["gate_counts", "--t-final", "1", "--xi", "0.1", "--convention", "eq2-literal"],
-         "it does not use t_final=1.0, xi_list=(0.1,), convention=eq2-literal"),
+        (["gate_counts", "--t-final", "1", "--xi", "0.1"], "it does not use t_final=1.0, xi_list=(0.1,)"),
         (["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid"),
         (["gate_counts", "--calibration", "{tmp}/truncated.json"], "it does not use calibration="),
         (["--calibration", "{tmp}/qubits_string.json"], "cx entry: qubits must be a list of integers"),
@@ -395,7 +402,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
         (["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
         (["gate_counts", "--gamma", "0.5"], "it does not use gamma=(0.5,)"),
-        (["gate_counts", "--convention", "eq2-literal"], "it does not use convention=eq2-literal"),
+        (["--calibration", "{tmp}/no_qubits.json"], "calibration lists no qubits"),
         (["gate_counts", "--dt", "0.3"], "it does not use dt_grid=(0.3,)"),
         (["gate_counts", "--dt", "0.1", "0.2"], "it does not use dt_grid=(0.1, 0.2)"),
         (["trotter_sweep", "--calibration", "{tmp}/valid.json", "--t-final", "0.4"],
@@ -406,7 +413,7 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["gate_counts", "--lambda", "0.3"], "it does not use lambda_c=0.3"),
         (["gate_counts", "--omega", "5"], "it does not use omega=5.0"),
         (["--code", "foo"], "unknown code 'foo'; choose from gray, binary"),
-        (["--convention", "foo"], "unknown rate convention 'foo'; choose from paper-collision, eq2-literal"),
+        (["--config", "{tmp}/convention.json"], "unknown config key 'convention'"),
         (["--config", "{tmp}/other_experiment.json"], "the config is for experiment 'gate_counts', not 'noise_sweep'"),
         (["trotter_sweep", "--t-final", "1e300", "--dt", "1e-300"],
          "t_final=1e+300 at dt=1e-300 is not a finite number of steps"),
@@ -416,6 +423,8 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
         (["correlations", "--n-spins", "1"], "correlations need n_spins = 2"),
         (["noise_sweep", "--shots", "10"], "shot sampling is only supported for the observables experiment"),
         (["--shots", "0"], "shots must be at least 1 when given"),
+        (["--calibration", "{tmp}/readout_half.json", "--shots", "100", "--xi", "1", "--t-final", "0.4"],
+         "qubit entry: p10=0.5 and p01=0.5 must sum to below 1, or readout mitigation cannot invert"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -426,6 +435,7 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     (tmp_path / "gamma_list.json").write_text('{"gamma_list": [0.5]}')
     (tmp_path / "scalar_gamma.json").write_text('{"gamma": 0.5}')
     (tmp_path / "other_experiment.json").write_text('{"experiment": "gate_counts", "xi_list": [0.1]}')
+    (tmp_path / "convention.json").write_text('{"convention": "eq2-literal"}')
     doc = json.loads(resources.files("sbsim").joinpath("data/jakarta-avg.json").read_text())
     (tmp_path / "valid.json").write_text(json.dumps(doc))
     no_sx = {**doc, "gates": [g for g in doc["gates"] if g["kind"] != "sx"]}
@@ -435,6 +445,9 @@ def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message
     one_operand = {**doc, "gates": doc["gates"] + [{**doc["gates"][0], "qubits": [0]}]}
     (tmp_path / "cx_one_operand.json").write_text(json.dumps(one_operand))
     (tmp_path / "two_qubits.json").write_text(json.dumps({**doc, "qubits": doc["qubits"][:2]}))
+    (tmp_path / "no_qubits.json").write_text(json.dumps({**doc, "qubits": []}))
+    readout_half = [{**q, "p10": 0.5, "p01": 0.5} for q in doc["qubits"]]
+    (tmp_path / "readout_half.json").write_text(json.dumps({**doc, "qubits": readout_half}))
     assert doc["gates"][0]["kind"] == "cx"
     for name, field, value in (("time_nan", "time_ns", float("nan")),
                                ("time_inf", "time_ns", float("inf")), ("error_true", "error", True)):

@@ -5,22 +5,12 @@ import pytest
 
 from conftest import lindblad_operators
 from sbsim.model import (
-    EQ2_LITERAL,
-    PAPER_COLLISION,
     InitialStateSpec,
     ModelParams,
     dense_hamiltonian,
-    gamma_eff,
     hamiltonian_sum,
     initial_density_matrix,
 )
-
-
-def test_gamma_eff_conventions():
-    assert gamma_eff(1.3, PAPER_COLLISION) == 1.3
-    assert gamma_eff(1.3, EQ2_LITERAL) == 2.6
-    with pytest.raises(ValueError):
-        gamma_eff(1.0, "bogus")
 
 
 def test_params_validation():
@@ -71,7 +61,7 @@ def test_single_spin_jump_operator_is_matrix_unit():
 
 
 def test_two_spin_jump_operators_disjoint():
-    ops = lindblad_operators(ModelParams(n_spins=2, omega=6), EQ2_LITERAL)
+    ops = lindblad_operators(ModelParams(n_spins=2, omega=6, gamma=2.0))
     assert len(ops) == 2
     assert all(rate == 2.0 for _, rate in ops)
     supports = []

@@ -434,6 +434,26 @@ def test_calibration_values_must_be_finite_numbers(make):
         make()
 
 
+def test_readout_errors_must_leave_mitigation_invertible_at_every_xi():
+    # the confusion matrix at xi has determinant 1 - xi (p10 + p01), 0 at xi = 1 / (p10 + p01)
+    QubitCalibration(100.0, 80.0, 0.6, 0.39)
+    for p10, p01 in ((0.5, 0.5), (1.0, 0.0), (0.7, 0.6)):
+        with pytest.raises(ValueError, match="must sum to below 1"):
+            QubitCalibration(100.0, 80.0, p10, p01)
+
+
+def test_bundled_thermal_to_depolarizing_ratio_is_the_readmes():
+    # README: the single-qubit entries are chosen so the device-level ratio comes out at 15.4
+    cal = jakarta_average_calibration()
+    ratios = []
+    for entry in cal.gates:
+        if entry.kind in ("cx", "sx", "x") and (entry.time_ns or entry.error):
+            thermal = 1 - average_gate_fidelity(_gate_thermal_channel(cal, entry))
+            ratios.append(thermal / (entry.error - thermal))
+    assert len(ratios) == 3
+    assert round(float(np.mean(ratios)), 1) == 15.4
+
+
 @pytest.mark.parametrize("qubits", [("0", "1"), (True, 1), (0, 1.0), tuple("01")])
 def test_gate_operands_must_be_integers(qubits):
     with pytest.raises(ValueError, match="qubits must be a list of integers"):

@@ -26,7 +26,7 @@ from sbsim.circuits import (
     assemble_evolution,
 )
 from sbsim.metrics import fidelity, time_averaged_infidelity
-from sbsim.model import PAPER_COLLISION, InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
+from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
@@ -106,8 +106,8 @@ def test_width_limit():
 
 
 def test_collision_block_on_excited_spin():
-    # single collision, paper convention, gamma=1, dt=0.2: p_up -> exp(-0.2)
-    c = circuit_of([Gate("x", (0,)), *_collision_gates(1.0, 0.2, 0, 1, PAPER_COLLISION), Gate("barrier")])
+    # single collision, gamma=1, dt=0.2: p_up -> exp(-0.2)
+    c = circuit_of([Gate("x", (0,)), *_collision_gates(1.0, 0.2, 0, 1), Gate("barrier")])
     rho = simulate(c)[0, -1]
     spin = partial_trace(rho, (0,), 2)
     assert spin[1, 1].real == pytest.approx(math.exp(-0.2), abs=1e-12)

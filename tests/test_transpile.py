@@ -5,7 +5,7 @@ import pytest
 
 from conftest import circuit_of, circuit_unitary
 from sbsim.circuits import Circuit, Gate, _collision_gates, assemble_evolution
-from sbsim.model import PAPER_COLLISION, InitialStateSpec, ModelParams
+from sbsim.model import InitialStateSpec, ModelParams
 from sbsim.sim import gate_unitary, simulate
 from sbsim.transpile import (
     JAKARTA,
@@ -51,7 +51,7 @@ def test_cry_decomposition_shape_and_unitary():
 
 
 def test_collision_block_decomposes_to_two_cx_plus_singles():
-    native = decompose_native(circuit_of(_collision_gates(1.0, 0.2, 0, 1, PAPER_COLLISION)))
+    native = decompose_native(circuit_of(_collision_gates(1.0, 0.2, 0, 1)))
     before_reset = [g for g in native.gates if g.kind != "reset"]
     assert sum(1 for g in before_reset if g.kind == "cx") == 3  # 2 from cry + 1 explicit
     assert all(g.kind in ("rz", "sx", "cx") for g in before_reset)
