@@ -16,7 +16,10 @@ the d^2 x d^2 generator is formed: exp(L h) acts on the state through s
 substeps of an m-term Taylor series, with (m, s) chosen from ||L||_1 h by
 the backward-error bounds of Al-Mohy and Higham, "Computing the action of
 the matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011).  ||L||_1 is
-exact, taken from G and the rates in O(d^2) work.
+exact, taken from G and the rates in O(d^2) work.  The Taylor terms
+alternate between two buffers allocated once per call, and each spin's
+jump blocks of those buffers are viewed once, so a generator application
+allocates nothing.
 
 One call evolves one model, or a tuple of models on one register (the
 gammas of a run) as one (B, d, d) stack, each member under its own G and
@@ -102,16 +105,30 @@ def exceeds_substep_cap(params: ModelParams, h: float, code_kind: str = GRAY) ->
     return not norm <= max(_THETA.values()) * MAX_SUBSTEPS or _taylor_plan(norm)[1] > MAX_SUBSTEPS
 
 
-def _generator_action(gen: np.ndarray, rates: np.ndarray, blocks: list[tuple], x: np.ndarray) -> np.ndarray:
-    """L(X) for a stack of Hermitian X, one G and one rate per member.
+def _jump_views(blocks: list[tuple], x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+    """Per spin: X's bit-1/bit-1 block of the spin's qubit, ``out``'s bit-0/bit-0 block, and ``scratch`` in their shape.
 
     ``blocks`` holds one shape per spin that splits each row and column
-    index around the spin's bit; ``rates`` broadcasts against those blocks.
+    index around the spin's bit; ``scratch`` is flat, of at least a
+    quarter of X's size.
     """
-    y = gen @ x
-    out = y + y.conj().swapaxes(-1, -2)
-    for shape in blocks:
-        out.reshape(shape)[:, :, 0, :, :, 0] += rates * x.reshape(shape)[:, :, 1, :, :, 1]
+    return [(x.reshape(shape)[:, :, 1, :, :, 1], out.reshape(shape)[:, :, 0, :, :, 0],
+             scratch[: x.size // 4].reshape(shape[:2] + shape[3:5] + shape[6:])) for shape in blocks]
+
+
+def _generator_action(gen: np.ndarray, rates: np.ndarray, x: np.ndarray, out: np.ndarray, y: np.ndarray,
+                      jumps: list[tuple]) -> np.ndarray:
+    """L(X) into ``out`` for a stack of Hermitian X, one G and one rate per member; ``y`` is scratch.
+
+    ``jumps`` are ``_jump_views`` of X and ``out``; ``rates`` broadcasts
+    against them.
+    """
+    np.matmul(gen, x, out=y)
+    np.conjugate(y.swapaxes(-1, -2), out=out)
+    np.add(y, out, out=out)
+    for excited, ground, scratch in jumps:
+        np.multiply(rates, excited, out=scratch)
+        ground += scratch
     return out
 
 
@@ -171,13 +188,18 @@ def evolve_exact(
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2  # the d x d form needs a Hermitian state
     states = np.empty((len(members), len(t_grid), dim, dim), dtype=complex)
     states[:, 0] = rho
+    # Taylor terms alternate between two buffers, the first read from rho: one (input, output, jump views) per move
+    terms, y = (np.empty_like(rho), np.empty_like(rho)), np.empty_like(rho)
+    scratch = np.empty(rho.size // 4, dtype=complex)
+    moves = [(x, out, _jump_views(blocks, x, out, scratch))
+             for x, out in ((rho, terms[0]), (terms[0], terms[1]), (terms[1], terms[0]))]
     for i, h in enumerate(steps, start=1):
         m, s = _taylor_plan(norm * h)
         tau = h / s
         for _ in range(s):
-            term = rho
             for k in range(1, m + 1):
-                term = _generator_action(gen, rates, blocks, term)
+                x, out, jumps = moves[0 if k == 1 else 1 + k % 2]
+                term = _generator_action(gen, rates, x, out, y, jumps)
                 term *= tau / k
                 rho += term  # rho is this loop's own array; states holds copies
         _check_drift(rho)

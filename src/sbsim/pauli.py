@@ -8,7 +8,8 @@ Conventions used throughout the package:
   no terms with ``|coefficient| < COEFF_TOL``, and its terms sorted
   lexicographically by letters;
 * ``embed_operator`` alone places local operators on a larger register:
-  observables, jump operators, gate superoperators and two-qubit channels.
+  observables, jump operators, two-qubit channels, and the engine's gate
+  Pauli transfer matrices and its two-qubit change of basis.
 """
 
 from __future__ import annotations
@@ -121,19 +122,22 @@ def embed_operator(op: np.ndarray, qubits: tuple[int, ...], width: int) -> np.nd
     """Place each (2^k, 2^k) operator of a (..., 2^k, 2^k) stack on ``qubits`` of the register.
 
     Its i-th qubit lands on ``qubits[i]`` (qubit 0 leftmost); the result is
-    complex.  A superoperator on qubits ``at`` of an n-qubit register, in
-    ``kraus_superop``'s row-major convention, is an operator on the 2n-bit
-    (row bits, then column bits) register at ``at + tuple(n + p for p in at)``.
+    real for a real input and complex otherwise.  A superoperator on qubits
+    ``at`` of an n-qubit register, in ``kraus_superop``'s row-major
+    convention, is an operator on the 2n-bit (row bits, then column bits)
+    register at ``at + tuple(n + p for p in at)``, and so is a Pauli
+    transfer matrix whose labels sit on (x, z) bits in the same places.
     """
     k = len(qubits)
     if op.shape[-2:] != (2**k, 2**k):
         raise ValueError("operator shape does not match operand count")
-    if tuple(qubits) == tuple(range(width)):  # already in place: a copy, as complex
-        return op.astype(complex)
+    dtype = np.result_type(op, float)
+    if tuple(qubits) == tuple(range(width)):  # already in place: a copy
+        return op.astype(dtype)
     order = list(qubits) + [q for q in range(width) if q not in qubits]
     perm = [1 + order.index(q) for q in range(width)]
     # op x identity by broadcasting, on axes (stack, op row, rest row, op column, rest column)
-    full = op.reshape(-1, 2**k, 1, 2**k, 1) * np.eye(2 ** (width - k), dtype=complex)[:, None, :]
+    full = op.reshape(-1, 2**k, 1, 2**k, 1) * np.eye(2 ** (width - k), dtype=dtype)[:, None, :]
     tensor = full.reshape((-1,) + (2,) * (2 * width)).transpose([0] + perm + [width + p for p in perm])
     return tensor.reshape(op.shape[:-2] + (2**width, 2**width))
 

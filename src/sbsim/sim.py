@@ -1,16 +1,30 @@
-"""Density-matrix execution engine.
+"""Density-matrix execution engine, run in the real Pauli basis.
+
+The state is held as real Pauli coefficients c_P = Tr(P rho), and every
+gate, channel and compiled run as a real Pauli transfer matrix (PTM): a
+channel written in that basis, real for every Hermiticity-preserving map
+(Greenbaum, arXiv:1509.02921), so each product does a quarter of the flops
+of its complex superoperator.  Each qubit's Pauli label sits on two bits,
+x on the qubit's row axis and z on its column axis (I = 00, Z = 01, X = 10,
+Y = 11), so coefficients and PTMs are laid out, placed and gathered
+exactly as row-major density matrices and superoperators are, and each
+state's identity coefficient is its trace.  States are converted only at
+the edges: ``rho0`` once per call, and each point's written snapshots once
+per call.  Each ideal gate is converted once per (kind, angle) and each
+noise channel stack once per calibration entry; everything after that is
+real arithmetic.
 
 Splits each circuit into runs of gates (unitary, noisy or reset) whose
 operands together cover at most two qubits, the width of the widest native
 gate.  A run takes later gates on its qubits past gates on other qubits,
 which commute with them exactly; nothing crosses a barrier.  Each
-distinct run is compiled into one local superoperator on its qubits (no
-full-register operators), the product of its gates' superoperators.  Its
+distinct run is compiled into one local PTM on its qubits (no
+full-register operators), the product of its gates' PTMs.  Its
 one-qubit gates are multiplied at their own width: each chain of
 consecutive one-qubit gates on one qubit, ended by a two-qubit gate on
 that qubit or by a reset, is one 4x4 product.  Each
 distinct chain product and two-qubit gate is placed once by
-``pauli.embed_operator`` on the row and column bits of the run's qubits,
+``pauli.embed_operator`` on the x and z bits of the run's qubits,
 and reused by every run that holds it.
 
 The state is held in the layout of the last applied run: grouped by member,
@@ -21,14 +35,14 @@ snapshot is one gather out of the current layout.
 One call simulates a circuit under every member of one noise model, one
 member per noise factor xi, and at every point of a stacked circuit (one
 per dt of a grid, whose dt-dependent angles hold one value per point).
-The state is a stack of density matrices, one per point and member, held
-as one flat vector, and every compiled run a stack of superoperators, one
+The state is a stack of coefficient vectors, one per point and member, held
+as one flat vector, and every compiled run a stack of PTMs, one
 per member, or one per point and member for a run with per-point angles:
 the circuit is split, compiled, replayed and checked once for all its
 points and noise levels.  Compiled runs live in a dict,
 which a caller may keep and pass to every circuit it simulates under the
-same model; it also holds one stack of superoperators per one-qubit gate
-and each placed factor.
+same model; it also holds the converted gates and channels, one stack of
+PTMs per one-qubit gate and each placed factor.
 
 A circuit whose time steps repeat one block is simulated from one step: the
 last barrier-delimited block is replayed ``repeat`` times, which gives
@@ -40,8 +54,8 @@ Every run that touches one starts with it in |0> and ends by resetting it,
 so the run is exactly a channel on its other qubits (a collision, in the
 language of collision models); the run compiles to that channel.  The state
 thus holds only the model qubits, at most ``MAX_SIM_WIDTH`` of them.  The
-engine takes its initial state and returns its snapshots on the model
-register, in model order.
+engine takes its initial state and returns its snapshots as density
+matrices on the model register, in model order.
 
 Also measurement sampling and readout mitigation on plain arrays: counts
 are one multinomial count per basis state of the sampled register, and
@@ -64,8 +78,18 @@ MAX_SIM_WIDTH = 6  # state qubits, auxiliaries not counted
 _TRACE_TOL = 1e-9
 _BOUND_MODEL = "noise model"  # key under which a compiled-run dict holds its noise model
 
+_REAL_TOL = 1e-12  # largest imaginary part a converted PTM or an initial state's asymmetry may have
+
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-_RESET_KRAUS = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
+# the reset to |0>: every state's trace, its I coefficient, goes to I and to Z
+_RESET_PTM = np.array([[1.0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+# One qubit's change of basis: row (x, z) of _T is P^T of that label, row-major, so _T @ vec(rho) lists
+# Tr(P rho) for I, Z, X, Y; _T_INV = _T^dag / 2 takes the coefficients back.
+_T = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1j, -1j, 0]])
+_T_INV = _T.conj().T / 2
+# by dimension: (T, T^-1) on one qubit, and on two with bits (x0, x1, z0, z1) as for superoperators
+_BASIS = {4: (_T, _T_INV), 16: tuple(embed_operator(np.kron(t, t), (0, 2, 1, 3), 4) for t in (_T, _T_INV))}
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -108,6 +132,79 @@ def ground_state(width: int) -> np.ndarray:
     return rho
 
 
+def _ptm(superops: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrices of a (..., 4^a, 4^a) stack of superoperators, a = 1 or 2.
+
+    The superoperators are in ``kraus_superop``'s convention; a map that
+    does not preserve Hermiticity beyond ``_REAL_TOL`` raises.  NaN passes,
+    for the trace check to name its member.
+    """
+    t, t_inv = _BASIS[superops.shape[-1]]
+    ptm = t @ superops @ t_inv
+    imag = np.max(np.abs(ptm.imag))
+    if imag > _REAL_TOL:
+        raise ValueError(f"superoperator has a Pauli transfer matrix with imaginary part {imag:.2e}")
+    return np.ascontiguousarray(ptm.real)
+
+
+def _pairs_converted(vectors: np.ndarray, n: int, to_pauli: bool) -> np.ndarray:
+    """Each qubit's four entries of a stack of n-qubit vectors, converted between the two bases.
+
+    ``vectors`` (..., 4^n) holds each qubit's two bits side by side, qubit
+    0 last (``_paired``): (row, column) bits of a row-major density matrix,
+    or the (x, z) bits of its Pauli label.  One qubit at a time, from qubit
+    0, its four entries are converted and moved in front of the stack's
+    axes, so that each step reads and writes whole strided rows; the
+    result is a (4,) * n + (stack size,) array, qubit 0 last again.
+    Density matrices come out doubled on each qubit.  Elementwise only, so
+    each vector's bits do not depend on the others.
+    """
+    flat = vectors.reshape(-1, 4)
+    for _ in range(n):
+        a, b, c, d = flat.T  # each qubit's entries at bits 00, 01, 10 and 11, for every other index
+        out = np.empty((4, len(flat)), dtype=complex)
+        if to_pauli:  # (rho_00, rho_01, rho_10, rho_11) -> (I, Z, X, Y)
+            np.add(a, d, out=out[0])
+            np.subtract(a, d, out=out[1])
+            np.add(b, c, out=out[2])
+            np.subtract(b, c, out=out[3])
+            out[3] *= 1j
+        else:  # (I, Z, X, Y) -> 2 (rho_00, rho_01, rho_10, rho_11)
+            iy = 1j * d
+            np.add(a, b, out=out[0])
+            np.subtract(c, iy, out=out[1])
+            np.add(c, iy, out=out[2])
+            np.subtract(a, b, out=out[3])
+        flat = out.reshape(-1, 4)
+    return flat.reshape((4,) * n + (-1,))
+
+
+def _paired(n: int) -> tuple[int, ...]:
+    """Axes that put each qubit's two bits side by side, qubit 0 last, from all first bits then all second bits."""
+    return tuple(a for q in reversed(range(n)) for a in (q, n + q))
+
+
+def _to_pauli(rho: np.ndarray) -> np.ndarray:
+    """The Pauli coefficients Tr(P rho) of a Hermitian state, flat in the engine's bit order (x bits, then z bits)."""
+    n = rho.shape[0].bit_length() - 1
+    paired = rho.reshape((2,) * (2 * n)).transpose(_paired(n))
+    coeffs = _pairs_converted(np.ascontiguousarray(paired, dtype=complex), n, to_pauli=True)
+    return np.ascontiguousarray(coeffs.real.reshape((2,) * (2 * n)).transpose(np.argsort(_paired(n)))).ravel()
+
+
+def _from_pauli(coeffs: np.ndarray, n: int) -> None:
+    """Turn a (..., 4^n) stack of Pauli coefficient vectors, in place, into row-major density matrices.
+
+    Each vector holds each qubit's x and z bits side by side, as the
+    snapshot gather leaves them; each comes out as a flat (2^n, 2^n) state.
+    """
+    converted = _pairs_converted(coeffs, n, to_pauli=False)
+    converted *= 0.5**n
+    rows = coeffs.shape[:-1]
+    axes = tuple(range(2 * n, 2 * n + len(rows))) + tuple(np.argsort(_paired(n)))
+    coeffs.reshape(rows + (2,) * (2 * n))[...] = converted.reshape((2,) * (2 * n) + rows).transpose(axes)
+
+
 def simulate(
     circuit: Circuit,
     noise=None,
@@ -129,18 +226,21 @@ def simulate(
     With a noise model the circuit must be native (no ry/cry); channels are
     applied on the gate operands right after the ideal unitary, and resets
     stay ideal.  Barriers record snapshots.  With a noise model, the trace
-    of every member's state is checked against 1 after each run.
+    of every member's state, its identity coefficient, is checked against 1
+    after each run.
 
     Gates are grouped into runs on at most two qubits (``_runs``): a run
     also takes later gates on its qubits that commute past the gates they
     jump, and barriers end every run.  Each distinct run is
-    compiled once into a stack of local superoperators, one per member, and
+    compiled once into a stack of local PTMs, one per member, and
     a run with per-point angles into one per point and member, point-major.
-    The stacked state stays in the layout of the last applied run, so each
-    run is one gather into its own layout and one stacked matrix product;
-    each snapshot is one gather into the model register's order.  Compiled
+    The stacked state of Pauli coefficients stays in the layout of the last
+    applied run, so each run is one gather into its own layout and one
+    stacked real matrix product; each snapshot is one gather into the model
+    register's order, and each point's snapshots are turned into density
+    matrices once, at the end.  Compiled
     runs, keyed by the run and the qubits the state holds, are kept in
-    ``compiled`` together with the gate superoperators they were built
+    ``compiled`` together with the gate and channel PTMs they were built
     from.  That dict serves the noise model (or ``None``) it first served,
     and passing it with any other raises; without one, a fresh dict serves
     this call.
@@ -157,7 +257,8 @@ def simulate(
     stack.  Counts that differ need a circuit with nothing after its last
     barrier.
 
-    ``rho0`` (default: all qubits in |0>) is on the model register in model
+    ``rho0`` (default: all qubits in |0>) is a Hermitian state, to
+    ``_REAL_TOL``, on the model register in model
     order (``Circuit.model_register``, else every qubit), as for
     ``oracle.evolve_exact``, and so are the states at the barriers: one
     (k, n_snapshots, d, d) array, or for a stacked circuit a list with one
@@ -185,11 +286,14 @@ def simulate(
         rho0 = ground_state(n)
     elif rho0.shape != (dim, dim):
         raise ValueError(f"initial state of shape {rho0.shape} is not ({dim}, {dim}), the model register's")
+    asymmetry = np.max(np.abs(rho0 - rho0.conj().T))
+    if not asymmetry <= _REAL_TOL:  # NaN fails too
+        raise ValueError(f"initial state is not Hermitian: rho0 - rho0^dag reaches {asymmetry:.2e}")
     # the stack holds the points in decreasing order of their counts, so finished ones leave its end
     order = sorted(range(n_points), key=lambda p: -repeats[p])
     reordered = order != sorted(order)
 
-    # one entry per run: None records a snapshot, else (superops, operands, run)
+    # one entry per run: None records a snapshot, else (ptms, operands, run)
     program = []
     for run in _runs(circuit.gates):
         if run[0].kind == "barrier":
@@ -197,8 +301,8 @@ def simulate(
         else:
             entry = compiled.get((run, kept))
             if entry is None:
-                superops, qubits = _compile(run, noise, aux, compiled)
-                entry = compiled[run, kept] = superops, tuple(kept.index(q) for q in qubits)
+                ptms, qubits = _compile(run, noise, aux, compiled)
+                entry = compiled[run, kept] = ptms, tuple(kept.index(q) for q in qubits)
             if reordered and entry[0].ndim == 4:
                 entry = entry[0][order], entry[1]
             program.append((*entry, run))
@@ -222,35 +326,40 @@ def simulate(
         kept.index(q) for q in circuit.model_register
     )
     moves: dict[tuple, np.ndarray] = {}  # (layout, next layout) -> the gather between them, for every point
-    # vec is held in the layout of the last applied run's operands, rho0 in the model register's
-    vec, layout, active = np.tile(rho0.astype(complex).ravel(), n_points * k), register, n_points
+    # vec holds Pauli coefficients in the layout of the last applied run's operands, rho0's in the model register's
+    vec, layout, active = np.tile(_to_pauli(rho0), n_points * k), register, n_points
     per_pass, fixed = program[start:stop].count(None), program[:start].count(None) + program[stop:].count(None)
     lengths = [fixed + c * per_pass for c in counts]  # snapshots of each point, in stack order
-    snapshots = np.empty((n_points, k, lengths[0], dim, dim), dtype=complex)
+    # the coefficients of each snapshot, each point's written rows turned into density matrices at the end
+    snapshots = np.empty((n_points, k, lengths[0], dim * dim), dtype=complex)
     taken = 0
     for op in ops:
         if isinstance(op, int):
             active = op
             vec = vec[: active * k * dim * dim]
             continue
-        nxt = register if op is None else op[1]
+        nxt = None if op is None else op[1]
         move = moves.get((layout, nxt))
         if move is None:
-            move = moves[layout, nxt] = _layout(layout, n, n_points * k).inverse[_layout(nxt, n, n_points * k).index]
+            if nxt is None:  # a snapshot: the model register's order, each qubit's x and z bits side by side
+                target = _layout(register, n, n_points * k).index.reshape((-1,) + (2,) * (2 * n))
+                target = target.transpose((0, *(1 + a for a in _paired(n)))).ravel()
+            else:
+                target = _layout(nxt, n, n_points * k).index
+            move = moves[layout, nxt] = _layout(layout, n, n_points * k).inverse[target]
         if active < n_points:
             move = move[: vec.size]
         if op is None:
-            snapshots[:active, :, taken] = vec[move].reshape(active, k, dim, dim)
+            snapshots[:active, :, taken] = vec[move].reshape(active, k, -1)
             taken += 1
             continue
-        superops, layout, run = op
-        if superops.ndim == 4 and active < n_points:
-            superops = superops[:active]
-        vec = (superops @ vec[move].reshape(active, k, superops.shape[-1], -1)).reshape(-1)
+        ptms, layout, run = op
+        if ptms.ndim == 4 and active < n_points:
+            ptms = ptms[:active]
+        vec = (ptms @ vec[move].reshape(active, k, ptms.shape[-1], -1)).reshape(-1)
         if noise is not None:
-            # real parts of every member's trace: one product with the layout's diagonal mask
-            traces = (vec.view(float).reshape(active * k, -1) @ _layout(layout, n, n_points * k).diagonal).tolist()
-            for j, trace in enumerate(traces):
+            # every member's trace: its identity coefficient, first in each layout
+            for j, trace in enumerate(vec[:: dim * dim].tolist()):
                 if not abs(trace - 1.0) <= _TRACE_TOL:  # NaN fails too
                     kinds = "/".join(g.kind for g in run)
                     at = "" if circuit.points is None else f" at point {order[j // k]}"
@@ -258,9 +367,13 @@ def simulate(
                         f"trace drift {abs(trace - 1.0):.2e} after {kinds} under noise member {j % k} "
                         f"(xi={noise.xi[j % k]:g}){at}; engine invariant broken"
                     )
-    if circuit.points is None:
-        return snapshots[0]
-    return [snapshots[i, :, : lengths[i]] for i in map(order.index, range(n_points))]
+    points = [snapshots[i, :, : lengths[i]] for i in range(n_points)]
+    # only the written rows, as a point that finished early leaves the others unset; one member at a time,
+    # so the conversion's temporaries are a few copies of one member's rows, not of the buffer
+    for member in (member for point in points for member in point):
+        _from_pauli(member, n)
+    points = [points[i].reshape(k, -1, dim, dim) for i in map(order.index, range(n_points))]
+    return points[0] if circuit.points is None else points
 
 
 def _runs(gates: tuple[Gate, ...]):
@@ -314,7 +427,6 @@ def _split(pending: list[Gate]) -> list[tuple[Gate, ...]]:
 class _Layout(NamedTuple):
     index: np.ndarray  # flat natural-order entry held at each position of the layout
     inverse: np.ndarray  # position in the layout of each flat natural-order entry
-    diagonal: np.ndarray  # on the float view of the first rho: 1 at the real part of a diagonal entry
 
 
 @lru_cache(maxsize=64)
@@ -332,19 +444,15 @@ def _layout(operands: tuple[int, ...], width: int, k: int) -> _Layout:
     index = np.arange(k * 4**width).reshape((k,) + (2,) * (2 * width)).transpose(axes).ravel()
     inverse = np.empty_like(index)
     inverse[index] = np.arange(index.size)
-    dim = 2**width
-    first = index[: dim * dim]
-    diagonal = np.zeros(2 * dim * dim)
-    diagonal[::2] = first // dim == first % dim
-    for array in (index, inverse, diagonal):
+    for array in (index, inverse):
         array.flags.writeable = False
-    return _Layout(index, inverse, diagonal)
+    return _Layout(index, inverse)
 
 
 def _compile(
     run: tuple[Gate, ...], noise, aux: tuple[int, ...], compiled: dict
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A run's superoperators, one per noise member, and the qubits they act on, in order.
+    """A run's PTMs, one per noise member, and the qubits they act on, in order.
 
     A run with per-point angles has one per point and member, point-major:
     each factor's stack broadcasts over the points of the others.
@@ -355,15 +463,16 @@ def _compile(
     (k, 4, 4) product, which a two-qubit gate on that qubit ends, and so
     does a reset, always its qubit's last gate in the run.  Each chain
     product and each two-qubit gate is then placed on the run's register
-    by ``embed_operator``, as an operator on its row bits then column bits,
-    and the run's superoperator under each member is the product of those
+    by ``embed_operator``, as an operator on its x bits then z bits,
+    and the run's PTM under each member is the product of those
     placed factors.  Each placed factor and each one-qubit gate's
-    superoperators are cached in ``compiled``, keyed by the gates and where
+    PTMs are cached in ``compiled``, keyed by the gates and where
     they sit, so a chain that recurs in another run is neither multiplied
     nor placed again.
 
-    Each auxiliary of the run is then removed: it enters in |0> (input row
-    = column = 0) and is traced out of the output.  That is exact only if
+    Each auxiliary of the run is then removed: it enters in |0>, whose
+    coefficients are 1 on I and on Z, and leaves through its I component,
+    the trace over it.  That is exact only if
     the run's last operation on it is a reset, so anything else is
     rejected; as every auxiliary starts in |0>, it is then clean whenever a
     run starts.
@@ -382,20 +491,20 @@ def _compile(
             factors += [(tuple(chains.pop(p)), (p,)) for p in at if p in chains]
             factors.append(((g,), at))
     factors += [(tuple(chain), (p,)) for p, chain in chains.items()]
-    superops = None
+    ptms = None
     for gates, at in factors:
         placed = compiled.get((gates, at, n))
         if placed is None:
             product = None
             for g in gates:
-                superop = compiled.get(g)
-                if superop is None:
-                    superop = _gate_superop(g, noise)
+                ptm = compiled.get(g)
+                if ptm is None:
+                    ptm = _gate_ptm(g, noise, compiled)
                     if len(g.qubits) == 1:  # a two-qubit gate is a placed factor of its own, cached as that
-                        compiled[g] = superop
-                product = superop if product is None else superop @ product
+                        compiled[g] = ptm
+                product = ptm if product is None else ptm @ product
             placed = compiled[gates, at, n] = embed_operator(product, at + tuple(n + p for p in at), 2 * n)
-        superops = placed if superops is None else placed @ superops
+        ptms = placed if ptms is None else placed @ ptms
     dropped = [i for i, q in enumerate(local) if q in aux]
     for i in dropped:
         last = next(g for g in reversed(run) if local[i] in g.qubits)
@@ -405,40 +514,46 @@ def _compile(
                 "an auxiliary must enter each run in |0> and leave it reset"
             )
     if dropped:
-        superops = _drop_aux(superops, n, dropped)
-    return superops, tuple(q for q in local if q not in aux)
+        # axes: the stack, then output x and z bits, then input x and z bits, n each; an auxiliary's
+        # output is read at I (x = z = 0), and its input at x = 0 summed over z (I + Z)
+        tensor = ptms.reshape(ptms.shape[:-2] + (2,) * (4 * n))
+        index = [slice(None)] * (4 * n)
+        for p in dropped:
+            index[p] = index[n + p] = index[2 * n + p] = 0
+        m = n - len(dropped)
+        summed = tuple(p - n for p in dropped)  # the auxiliaries' input z axes, among the last n left
+        ptms = tensor[(..., *index)].sum(axis=summed).reshape(ptms.shape[:-2] + (4**m, 4**m))
+    return ptms, tuple(q for q in local if q not in aux)
 
 
-def _drop_aux(superops: np.ndarray, n: int, dropped: list[int]) -> np.ndarray:
-    """Stacked superoperators on the other local qubits: auxiliaries in |0>, traced out after."""
-    kept = [p for p in range(n) if p not in dropped]
-    m = len(kept)
-    # axes: the stack, then output row and column bits, then input row and column bits, n each
-    tensor = superops.reshape(superops.shape[:-2] + (2,) * (4 * n))
-    zero_in = (0 if a >= 2 * n and a % n in dropped else slice(None) for a in range(4 * n))
-    tensor = tensor[(..., *zero_in)]
-    in_sub = list(range(n)) + [n + p if p in kept else p for p in range(n)]
-    out_sub = kept + [n + p for p in kept] + list(range(2 * n, 2 * n + 2 * m))
-    traced = np.einsum(tensor, [..., *in_sub, *out_sub[2 * m:]], [..., *out_sub])
-    return traced.reshape(superops.shape[:-2] + (4**m, 4**m))
-
-
-def _gate_superop(gate: Gate, noise) -> np.ndarray:
-    """Superoperators of one gate on its operands, one per noise member: U x conj(U), then its channel's.
+def _gate_ptm(gate: Gate, noise, compiled: dict) -> np.ndarray:
+    """PTMs of one gate on its operands, one per noise member: U's, then its channel's.
 
     A gate with per-point angles gives a (points, members, ...) stack, its
-    one-point slices the same bits as the gate at that point's angle.
+    one-point slices the same bits as the gate at that point's angle.  The
+    ideal PTMs of each (kind, angle) and the channel PTMs of each
+    calibration entry are converted once and kept in ``compiled``.
     """
     k = 1 if noise is None else len(noise.xi)
     if gate.kind == "reset":
-        return np.stack([kraus_superop(_RESET_KRAUS)] * k)
+        return np.repeat(_RESET_PTM[None], k, axis=0)
     if gate.kind in ("ry", "cry") and noise is not None:
         raise ValueError("noisy simulation requires a native circuit; transpile first")
-    if isinstance(gate.angle, tuple):
-        ideal = np.stack([kraus_superop(gate_unitary(gate.kind, a)[None]) for a in gate.angle])[:, None]
-    else:
-        ideal = kraus_superop(gate_unitary(gate.kind, gate.angle)[None])[None]
-    return ideal if noise is None else noise.channel_for(gate.kind, gate.qubits) @ ideal
+    key = ("ideal", gate.kind, gate.angle)
+    ideal = compiled.get(key)
+    if ideal is None:
+        stacked = isinstance(gate.angle, tuple)
+        angles = gate.angle if stacked else (gate.angle,)
+        ideal = _ptm(np.stack([kraus_superop(gate_unitary(gate.kind, a)[None]) for a in angles]))
+        compiled[key] = ideal = ideal[:, None] if stacked else ideal
+    if noise is None:
+        return ideal
+    entry = noise.calibration.gate_entry(gate.kind, gate.qubits)  # the entry whose stack channel_for returns
+    key = ("channel", entry.kind, entry.qubits)
+    channel = compiled.get(key)
+    if channel is None:
+        channel = compiled[key] = _ptm(noise.channel_for(gate.kind, gate.qubits))
+    return channel @ ideal
 
 
 def sample_counts(

@@ -7,6 +7,7 @@ The code permutation and the jump operators are references that the
 package itself never builds.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -63,6 +64,43 @@ def embed_bruteforce(op: np.ndarray, qubits, width: int) -> np.ndarray:
                 row = (row << 1) | b
             full[row, col] += amp
     return full
+
+
+def hermitian_basis(dim: int) -> list[np.ndarray]:
+    """A basis of the (dim, dim) matrices made of Hermitian ones.
+
+    Each |i><i|, and for i < j, |i><j| + |j><i| and i(|i><j| - |j><i|):
+    the span of the matrix units |i><j|, as inputs that a Hermitian-only
+    engine accepts.
+    """
+    basis = []
+    for i, j in itertools.product(range(dim), repeat=2):
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[i, j] = 1.0
+        if i == j:
+            basis.append(unit)
+        elif i < j:
+            basis += [unit + unit.T, 1j * (unit - unit.T)]
+    return basis
+
+
+# each qubit's Pauli label by its two bits (x, z), which the engine places on the qubit's row and column axes
+PAULI_BY_BITS = {(0, 0): I2, (0, 1): Z, (1, 0): X, (1, 1): Y}
+
+
+def superop_from_ptm(ptm: np.ndarray, n: int) -> np.ndarray:
+    """The row-major superoperator (``kraus_superop``'s convention) of n-qubit Pauli transfer matrices.
+
+    Built from explicit Pauli matrices: row (x bits, z bits) of T lists
+    the entries of P^T for the label of those bits, so that T vec(rho) are
+    the coefficients Tr(P rho), and S = T^-1 R T with T^-1 = T^dag / 2^n.
+    """
+    t = np.zeros((4**n, 4**n), dtype=complex)
+    for xs in itertools.product((0, 1), repeat=n):
+        for zs in itertools.product((0, 1), repeat=n):
+            pauli = kron_all([PAULI_BY_BITS[x, z] for x, z in zip(xs, zs)])
+            t[int("".join(map(str, xs + zs)), 2)] = pauli.T.ravel()
+    return t.conj().T / 2**n @ ptm @ t
 
 
 def circuit_unitary(circuit) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RATE_READINGS, circuit_of, code_permutation, partial_trace
+from conftest import RATE_READINGS, circuit_of, code_permutation, hermitian_basis, partial_trace
 from sbsim import metrics, noise, sim, transpile
 from sbsim.circuits import Gate, assemble_evolution
 from sbsim.encoding import GRAY, encode_hamiltonian
@@ -79,15 +79,14 @@ def test_c01_collision_channel_exactness():
             k1 = np.array([[0.0, math.sqrt(p)], [0.0, 0.0]], dtype=complex)
             choi_block = np.zeros((4, 4), dtype=complex)
             choi_exact = np.zeros((4, 4), dtype=complex)
-            for i in range(2):
-                for j in range(2):
-                    unit = np.zeros((2, 2), dtype=complex)
-                    unit[i, j] = 1.0
-                    rho_in = np.kron(unit, np.diag([1.0, 0.0])).astype(complex)
-                    (out_full,) = sim.simulate(marked, rho0=rho_in)[0]  # no model register: both qubits are held
-                    out = partial_trace(out_full, (0,), 2)
-                    choi_block += np.kron(unit, out)
-                    choi_exact += np.kron(unit, k0 @ unit @ k0.conj().T + k1 @ unit @ k1.conj().T)
+            # the Choi matrix sum_ij |i><j| x E(|i><j|), summed over a Hermitian basis H and its dual H / Tr(H^2)
+            for unit in hermitian_basis(2):
+                dual = unit.conj() / np.vdot(unit, unit).real
+                rho_in = np.kron(unit, np.diag([1.0, 0.0])).astype(complex)
+                (out_full,) = sim.simulate(marked, rho0=rho_in)[0]  # no model register: both qubits are held
+                out = partial_trace(out_full, (0,), 2)
+                choi_block += np.kron(dual, out)
+                choi_exact += np.kron(dual, k0 @ unit @ k0.conj().T + k1 @ unit @ k1.conj().T)
             worst = max(worst, float(np.max(np.abs(choi_block - choi_exact))))
     assert worst < 1e-12
     report(1, f"collision channel == amplitude damping, worst Choi distance {worst:.2e}")

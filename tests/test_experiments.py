@@ -369,62 +369,108 @@ def test_cli_invalid_config_exits_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--calibration", "{tmp}/missing.json"], "calibration"),
-        (["--calibration", "{tmp}/truncated.json"], "calibration"),
-        (["--config", "{tmp}/missing.json"], "config"),
-        (["--config", "{tmp}/truncated.json"], "config"),
-        (["--omega", "nan"], "omega must be finite"),
-        (["--dt", "nan"], "dt grid must be non-empty, positive and finite"),
-        (["--xi", "nan"], "xi values must lie in [0, 1]"),
-        (["--d-ho", "64"], "7-qubit model register exceeds the engine limit 6"),
-        (["--config", "{tmp}/list.json"], "config must be a JSON object, got list"),
-        (["--config", "{tmp}/bogus.json"], "unknown config key 'bogus'"),
-        (["--config", "{tmp}/mistyped.json"], "xi_list must be a list of float, got 'abc'"),
-        (["--calibration", "{tmp}/no_sx.json"], "calibration has no sx entry for operands (0,)"),
-        (["--calibration", "{tmp}/cx_off_chip.json"], "cx entry on qubits (0, 9), but only 7"),
-        (["--calibration", "{tmp}/two_qubits.json", "--shots", "100"],
-         "calibration lists 2 qubits; reading out the register needs 3"),
-        (["--calibration", "{tmp}/cx_one_operand.json"],
-         "cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
-        (["--shots", "10", "--seed", "-1"], "seed must be non-negative, got -1"),
-        (["--calibration", "{tmp}/time_nan.json"], "cx entry: time_ns must be a finite number, got nan"),
-        (["--calibration", "{tmp}/time_inf.json"], "cx entry: time_ns must be a finite number, got inf"),
-        (["--calibration", "{tmp}/error_true.json"], "cx entry: error must be a finite number, got True"),
-        (["--workers", "0"], "workers must be at least 1"),
-        (["gate_counts", "--d-ho", "16", "--order", "1", "--code", "binary", "--n-spins", "3"],
-         "it does not use n_spins=3, d_ho=16, code=binary, orders=(1,)"),
-        (["gate_counts", "--t-final", "1", "--xi", "0.1"], "it does not use t_final=1.0, xi_list=(0.1,)"),
-        (["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid"),
-        (["gate_counts", "--calibration", "{tmp}/truncated.json"], "it does not use calibration="),
-        (["--calibration", "{tmp}/qubits_string.json"], "cx entry: qubits must be a list of integers"),
-        (["--calibration", "{tmp}/qubits_bool.json"], "cx entry: qubits must be a list of integers"),
-        (["--calibration", "{tmp}/sx_twice.json"], "two sx entries on qubits (2,)"),
-        (["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
-        (["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots"),
-        (["gate_counts", "--gamma", "0.5"], "it does not use gamma=(0.5,)"),
-        (["--calibration", "{tmp}/no_qubits.json"], "calibration lists no qubits"),
-        (["gate_counts", "--dt", "0.3"], "it does not use dt_grid=(0.3,)"),
-        (["gate_counts", "--dt", "0.1", "0.2"], "it does not use dt_grid=(0.1, 0.2)"),
-        (["trotter_sweep", "--calibration", "{tmp}/valid.json", "--t-final", "0.4"],
-         "valid.json' is not read: every xi is 0 and no shots are sampled"),
-        (["--config", "{tmp}/gamma_list.json"], "unknown config key 'gamma_list'"),
-        (["--config", "{tmp}/scalar_gamma.json"], "gamma must be a list of float, got 0.5"),
-        (["gate_counts", "--epsilon", "0.3"], "it does not use epsilon=0.3"),
-        (["gate_counts", "--lambda", "0.3"], "it does not use lambda_c=0.3"),
-        (["gate_counts", "--omega", "5"], "it does not use omega=5.0"),
-        (["--code", "foo"], "unknown code 'foo'; choose from gray, binary"),
-        (["--config", "{tmp}/convention.json"], "unknown config key 'convention'"),
-        (["--config", "{tmp}/other_experiment.json"], "the config is for experiment 'gate_counts', not 'noise_sweep'"),
-        (["trotter_sweep", "--t-final", "1e300", "--dt", "1e-300"],
-         "t_final=1e+300 at dt=1e-300 is not a finite number of steps"),
-        (["--t-final", "1e12", "--dt", "1"], "t_final=1e+12 at dt=1 takes 1000000000000 steps, whose states need"),
-        (["--shots", "9223372036854775808", "--t-final", "0.4"],
-         "shots must be at most 2**63 - 1, the most one multinomial draw takes; got 9223372036854775808"),
-        (["correlations", "--n-spins", "1"], "correlations need n_spins = 2"),
-        (["noise_sweep", "--shots", "10"], "shot sampling is only supported for the observables experiment"),
-        (["--shots", "0"], "shots must be at least 1 when given"),
-        (["--calibration", "{tmp}/readout_half.json", "--shots", "100", "--xi", "1", "--t-final", "0.4"],
-         "qubit entry: p10=0.5 and p01=0.5 must sum to below 1, or readout mitigation cannot invert"),
+        pytest.param(["--calibration", "{tmp}/missing.json"], "calibration", id="args0-calibration"),
+        pytest.param(["--calibration", "{tmp}/truncated.json"], "calibration", id="args1-calibration"),
+        pytest.param(["--config", "{tmp}/missing.json"], "config", id="args2-config"),
+        pytest.param(["--config", "{tmp}/truncated.json"], "config", id="args3-config"),
+        pytest.param(["--omega", "nan"], "omega must be finite", id="args4-omega must be finite"),
+        pytest.param(["--dt", "nan"], "dt grid must be non-empty, positive and finite",
+                     id="args5-dt grid must be non-empty, positive and finite"),
+        pytest.param(["--xi", "nan"], "xi values must lie in [0, 1]", id="args6-xi values must lie in [0, 1]"),
+        pytest.param(["--d-ho", "64"], "7-qubit model register exceeds the engine limit 6",
+                     id="args7-7-qubit model register exceeds the engine limit 6"),
+        pytest.param(["--config", "{tmp}/list.json"], "config must be a JSON object, got list",
+                     id="args8-config must be a JSON object, got list"),
+        pytest.param(["--config", "{tmp}/bogus.json"], "unknown config key 'bogus'",
+                     id="args9-unknown config key 'bogus'"),
+        pytest.param(["--config", "{tmp}/mistyped.json"], "xi_list must be a list of float, got 'abc'",
+                     id="args10-xi_list must be a list of float, got 'abc'"),
+        pytest.param(["--calibration", "{tmp}/no_sx.json"], "calibration has no sx entry for operands (0,)",
+                     id="args11-calibration has no sx entry for operands (0,)"),
+        pytest.param(["--calibration", "{tmp}/cx_off_chip.json"], "cx entry on qubits (0, 9), but only 7",
+                     id="args12-cx entry on qubits (0, 9), but only 7"),
+        pytest.param(["--calibration", "{tmp}/two_qubits.json", "--shots", "100"],
+                     "calibration lists 2 qubits; reading out the register needs 3",
+                     id="args13-calibration lists 2 qubits; reading out the register needs 3"),
+        pytest.param(["--calibration", "{tmp}/cx_one_operand.json"],
+                     "cx entry on qubits (0,) has 1 operand(s); cx takes 2",
+                     id="args14-cx entry on qubits (0,) has 1 operand(s); cx takes 2"),
+        pytest.param(["--shots", "10", "--seed", "-1"], "seed must be non-negative, got -1",
+                     id="args15-seed must be non-negative, got -1"),
+        pytest.param(["--calibration", "{tmp}/time_nan.json"], "cx entry: time_ns must be a finite number, got nan",
+                     id="args16-cx entry: time_ns must be a finite number, got nan"),
+        pytest.param(["--calibration", "{tmp}/time_inf.json"], "cx entry: time_ns must be a finite number, got inf",
+                     id="args17-cx entry: time_ns must be a finite number, got inf"),
+        pytest.param(["--calibration", "{tmp}/error_true.json"], "cx entry: error must be a finite number, got True",
+                     id="args18-cx entry: error must be a finite number, got True"),
+        pytest.param(["--workers", "0"], "workers must be at least 1", id="args19-workers must be at least 1"),
+        pytest.param(["gate_counts", "--d-ho", "16", "--order", "1", "--code", "binary", "--n-spins", "3"],
+                     "it does not use n_spins=3, d_ho=16, code=binary, orders=(1,)",
+                     id="args20-it does not use n_spins=3, d_ho=16, code=binary, orders=(1,)"),
+        pytest.param(["gate_counts", "--t-final", "1", "--xi", "0.1"], "it does not use t_final=1.0, xi_list=(0.1,)",
+                     id="args21-it does not use t_final=1.0, xi_list=(0.1,)"),
+        pytest.param(["gate_counts", "--d-ho", "8"], "gate_counts runs a fixed grid",
+                     id="args22-gate_counts runs a fixed grid"),
+        pytest.param(["gate_counts", "--calibration", "{tmp}/truncated.json"], "it does not use calibration=",
+                     id="args23-it does not use calibration="),
+        pytest.param(["--calibration", "{tmp}/qubits_string.json"], "cx entry: qubits must be a list of integers",
+                     id="args24-cx entry: qubits must be a list of integers"),
+        pytest.param(["--calibration", "{tmp}/qubits_bool.json"], "cx entry: qubits must be a list of integers",
+                     id="args25-cx entry: qubits must be a list of integers"),
+        pytest.param(["--calibration", "{tmp}/sx_twice.json"], "two sx entries on qubits (2,)",
+                     id="args26-two sx entries on qubits (2,)"),
+        pytest.param(["--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots",
+                     id="args27-seed=5 only seeds shot sampling; it needs --shots"),
+        pytest.param(["gate_counts", "--seed", "5"], "seed=5 only seeds shot sampling; it needs --shots",
+                     id="args28-seed=5 only seeds shot sampling; it needs --shots"),
+        pytest.param(["gate_counts", "--gamma", "0.5"], "it does not use gamma=(0.5,)",
+                     id="args29-it does not use gamma=(0.5,)"),
+        pytest.param(["--calibration", "{tmp}/no_qubits.json"], "calibration lists no qubits",
+                     id="args30-calibration lists no qubits"),
+        pytest.param(["gate_counts", "--dt", "0.3"], "it does not use dt_grid=(0.3,)",
+                     id="args31-it does not use dt_grid=(0.3,)"),
+        pytest.param(["gate_counts", "--dt", "0.1", "0.2"], "it does not use dt_grid=(0.1, 0.2)",
+                     id="args32-it does not use dt_grid=(0.1, 0.2)"),
+        pytest.param(["trotter_sweep", "--calibration", "{tmp}/valid.json", "--t-final", "0.4"],
+                     "valid.json' is not read: every xi is 0 and no shots are sampled",
+                     id="args33-valid.json' is not read: every xi is 0 and no shots are sampled"),
+        pytest.param(["--config", "{tmp}/gamma_list.json"], "unknown config key 'gamma_list'",
+                     id="args34-unknown config key 'gamma_list'"),
+        pytest.param(["--config", "{tmp}/scalar_gamma.json"], "gamma must be a list of float, got 0.5",
+                     id="args35-gamma must be a list of float, got 0.5"),
+        pytest.param(["gate_counts", "--epsilon", "0.3"], "it does not use epsilon=0.3",
+                     id="args36-it does not use epsilon=0.3"),
+        pytest.param(["gate_counts", "--lambda", "0.3"], "it does not use lambda_c=0.3",
+                     id="args37-it does not use lambda_c=0.3"),
+        pytest.param(["gate_counts", "--omega", "5"], "it does not use omega=5.0",
+                     id="args38-it does not use omega=5.0"),
+        pytest.param(["--code", "foo"], "unknown code 'foo'; choose from gray, binary",
+                     id="args39-unknown code 'foo'; choose from gray, binary"),
+        pytest.param(["--config", "{tmp}/convention.json"], "unknown config key 'convention'",
+                     id="args40-unknown config key 'convention'"),
+        pytest.param(["--config", "{tmp}/other_experiment.json"],
+                     "the config is for experiment 'gate_counts', not 'noise_sweep'",
+                     id="args41-the config is for experiment 'gate_counts', not 'noise_sweep'"),
+        pytest.param(["trotter_sweep", "--t-final", "1e300", "--dt", "1e-300"],
+                     "t_final=1e+300 at dt=1e-300 is not a finite number of steps",
+                     id="args42-t_final=1e+300 at dt=1e-300 is not a finite number of steps"),
+        pytest.param(["--t-final", "1e12", "--dt", "1"],
+                     "t_final=1e+12 at dt=1 takes 1000000000000 steps, whose states need",
+                     id="args43-t_final=1e+12 at dt=1 takes 1000000000000 steps, whose states need"),
+        pytest.param(["--shots", "9223372036854775808", "--t-final", "0.4"],
+                     "shots must be at most 2**63 - 1, the most one multinomial draw takes; got 9223372036854775808",
+                     id="args44-shots must be at most 2**63 - 1, the most one multinomial draw takes; "
+                        "got 9223372036854775808"),
+        pytest.param(["correlations", "--n-spins", "1"], "correlations need n_spins = 2",
+                     id="args45-correlations need n_spins = 2"),
+        pytest.param(["noise_sweep", "--shots", "10"], "shot sampling is only supported for the observables experiment",
+                     id="args46-shot sampling is only supported for the observables experiment"),
+        pytest.param(["--shots", "0"], "shots must be at least 1 when given",
+                     id="args47-shots must be at least 1 when given"),
+        pytest.param(["--calibration", "{tmp}/readout_half.json", "--shots", "100", "--xi", "1", "--t-final", "0.4"],
+                     "qubit entry: p10=0.5 and p01=0.5 must sum to below 1, or readout mitigation cannot invert",
+                     id="args48-qubit entry: p10=0.5 and p01=0.5 must sum to below 1, "
+                        "or readout mitigation cannot invert"),
     ],
 )
 def test_cli_bad_input_exits_2_before_any_output(tmp_path, capsys, args, message):
@@ -684,6 +730,20 @@ def test_each_dt_of_the_ci_grid_writes_the_rows_of_that_dt_alone(tmp_path, dts):
         assert main([*argv, "--dt", dt, "--out", str(tmp_path / dt)]) == 0
         _, *alone = (tmp_path / dt / "noise_sweep.csv").read_text().splitlines()
         assert alone and [row for row in rows if row.split(",")[3] == dt] == alone  # column 3 is dt
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[kind, "--t-final", "0.4"] for kind in EXPERIMENT_KINDS if kind != "gate_counts"]
+    + [["gate_counts"], ["trotter_sweep", "--dt", "0.3", "0.1", "0.2", "--t-final", "0.6"]],
+    ids=[kind for kind in EXPERIMENT_KINDS if kind != "gate_counts"] + ["gate_counts", "trotter_sweep-ragged-dt"],
+)
+def test_no_default_run_warns(tmp_path, argv):
+    # every experiment at a short length, gate_counts at its fixed grid, and a ragged dt grid whose
+    # points end at 2, 3 and 6 steps, leaving rows of the engine's snapshot buffer that no point wrote
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(tmp_path)]) == 0
 
 
 def test_each_dt_of_a_two_spin_grid_scores_its_rows_within_1e_14_of_that_dt_alone(tmp_path):

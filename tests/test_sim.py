@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAULI_BY_BITS,
     circuit_of,
     embed_bruteforce,
+    hermitian_basis,
     kron_all,
     model_qubits,
     partial_trace,
     random_density_matrix,
     random_unitary,
     simulate_bruteforce,
+    superop_from_ptm,
 )
 from sbsim.circuits import (
     Circuit,
@@ -39,7 +42,9 @@ from sbsim.oracle import evolve_exact
 from sbsim.pauli import embed_operator
 from sbsim.sim import (
     _compile,
+    _ptm,
     _runs,
+    _to_pauli,
     gate_unitary,
     ground_state,
     mitigate_readout,
@@ -130,7 +135,7 @@ def test_noiseless_circuit_approaches_reference_as_dt_shrinks():
 def test_one_step_channel_equals_damping_after_trotter_unitary():
     # full channel tomography on the 3-qubit model register: the assembled
     # step must act as [amplitude damping on the spin] after [the trotter
-    # unitary], matrix unit by matrix unit
+    # unitary], on each operator of a Hermitian basis
     params = ModelParams()
     dt = 0.25
     circuit = assemble_evolution(params, InitialStateSpec(), 1, dt, order=1)
@@ -148,15 +153,12 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
     first_barrier = next(i for i, g in enumerate(circuit.gates) if g.kind == "barrier")
     stepped = Circuit(circuit.width, circuit.gates[first_barrier + 1 :], circuit.model_register)
     worst = 0.0
-    for i in range(8):
-        for j in range(8):
-            unit = np.zeros((8, 8), dtype=complex)
-            unit[i, j] = 1.0
-            expected = u_model @ unit @ u_model.conj().T
-            expected = sum(k @ expected @ k.conj().T for k in damp)
-            # the engine reads and returns states in model order [s, hi, lo]
-            out = simulate(stepped, rho0=unit)
-            worst = max(worst, float(np.max(np.abs(out[0, -1] - expected))))
+    for unit in hermitian_basis(8):
+        expected = u_model @ unit @ u_model.conj().T
+        expected = sum(k @ expected @ k.conj().T for k in damp)
+        # the engine reads and returns states in model order [s, hi, lo]
+        out = simulate(stepped, rho0=unit)
+        worst = max(worst, float(np.max(np.abs(out[0, -1] - expected))))
     assert worst < 1e-12
 
 
@@ -408,6 +410,43 @@ def test_initial_state_on_the_circuit_register_is_rejected():
     assert len(compiled) == 1  # the noise model it is bound to, and no compiled run
 
 
+def test_non_hermitian_initial_state_is_rejected_before_compiling():
+    # the engine holds real Pauli coefficients, which a non-Hermitian state does not have
+    step = _native_evolution(1, 2, 1)
+    compiled: dict = {}
+    unit = np.zeros((8, 8), dtype=complex)
+    unit[0, 1] = 1.0
+    tilted = ground_state(3) + 1e-9j * np.eye(8)
+    for rho0, reach in ((unit, "1.00e+00"), (tilted, "2.00e-09"), (np.full((8, 8), np.nan), "nan")):
+        with pytest.raises(ValueError, match=re.escape(f"initial state is not Hermitian: rho0 - rho0^dag reaches {reach}")):
+            simulate(step, rho0=rho0, compiled=compiled)
+    assert len(compiled) == 1  # the noise model it is bound to, and no compiled run
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_coefficients_are_the_traces_of_explicit_paulis(rng, n):
+    # coefficient (x bits, then z bits) is Tr(P rho) for the label of those bits, built here from the matrices
+    rho = random_density_matrix(rng, 2**n)
+    want = np.empty(4**n)
+    for xs in itertools.product((0, 1), repeat=n):
+        for zs in itertools.product((0, 1), repeat=n):
+            pauli = kron_all([PAULI_BY_BITS[x, z] for x, z in zip(xs, zs)])
+            want[int("".join(map(str, xs + zs)), 2)] = np.trace(pauli @ rho).real
+    got = _to_pauli(rho)
+    assert got.dtype == float and np.max(np.abs(got - want)) < 1e-14
+
+
+def test_ptm_is_real_and_rejects_a_map_that_breaks_hermiticity(rng):
+    u = random_unitary(rng, 4)
+    superop = np.kron(u, u.conj())  # rho -> U rho U^dag, row-major
+    ptm = _ptm(superop)
+    assert ptm.dtype == float
+    assert np.max(np.abs(superop_from_ptm(ptm, 2) - superop)) < 1e-14
+    # rho -> rho diag(1, i): vec(rho B) = (1 x B^T) vec(rho)
+    with pytest.raises(ValueError, match="superoperator has a Pauli transfer matrix with imaginary part 5.00e-01"):
+        _ptm(np.kron(np.eye(2), np.diag([1, 1j])))
+
+
 @pytest.mark.parametrize("xi", [0.0, 1.0])
 def test_reversed_operands_and_mid_circuit_reset_match_bruteforce(xi):
     gates = (
@@ -476,7 +515,7 @@ def _assert_compiled_runs_are_cptp(n_spins, noise, k):
             assert not set(qubits) & set(circuit.aux_qubits)
             assert len(superops) == k
             reduced += any(g.kind == "reset" for g in run)
-            for superop in superops:
+            for superop in superop_from_ptm(superops, len(qubits)):
                 d = math.isqrt(superop.shape[0])
                 assert d == 2 ** len(qubits)
                 identity = np.eye(d).ravel()
@@ -674,7 +713,7 @@ def test_chain_merged_compile_matches_gate_by_gate_product(rng, n_state):
             local = list(dict.fromkeys(q for g in run for q in g.qubits))
             n = len(local)
             assert len(superops) == (1 if noise is None else 3)
-            for j, got in enumerate(superops):
+            for j, got in enumerate(superop_from_ptm(superops, len(kept))):
                 product = np.eye(4**n, dtype=complex)
                 for g in run:
                     at = tuple(local.index(q) for q in g.qubits)
