@@ -10,6 +10,6 @@ against exact integration of the Lindblad master equation.
 __version__ = "0.1.0"
 
 from .pauli import PauliString, PauliSum
-from .model import ModelParams, InitialStateSpec
+from .model import ModelParams
 
-__all__ = ["PauliString", "PauliSum", "ModelParams", "InitialStateSpec", "__version__"]
+__all__ = ["PauliString", "PauliSum", "ModelParams", "__version__"]

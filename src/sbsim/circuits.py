@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .encoding import GRAY
-from .model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_bits
+from .model import ModelParams, hamiltonian_sum, initial_bits
 from .pauli import PauliString
 
 UNITARY_KINDS = ("x", "sx", "rz", "ry", "cx", "cry", "id")
@@ -235,13 +235,12 @@ def evolution_layout(params: ModelParams) -> tuple[int, tuple[int, ...], tuple[i
 
 def assemble_evolution(
     params: ModelParams,
-    spec: InitialStateSpec,
     n_steps: int,
     dt: float | tuple[float, ...],
     order: int = 2,
     code_kind: str = GRAY,
 ) -> Circuit:
-    """Full evolution circuit: preparation, then n_steps of [unitary; collisions].
+    """Full evolution circuit: preparation of ``initial_bits``, then n_steps of [unitary; collisions].
 
     Collisions are omitted entirely for gamma = 0, where the run is a plain
     Hamiltonian simulation.  A barrier follows the preparation and every
@@ -258,8 +257,7 @@ def assemble_evolution(
     width, model_register, aux_for_spin = evolution_layout(params)
 
     # State preparation: X on every 1-bit of the initial basis state.
-    bits = initial_bits(spec, params, code_kind)
-    gates = [Gate("x", (model_register[p],)) for p, bit in enumerate(bits) if bit]
+    gates = [Gate("x", (model_register[p],)) for p, bit in enumerate(initial_bits(params)) if bit]
     gates.append(Gate("barrier"))
 
     if n_steps > 0:

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, metrics, noise, sim, transpile
 from .circuits import MARKER_KINDS, Circuit, assemble_evolution, evolution_layout
 from .encoding import CODE_KINDS, GRAY
-from .model import InitialStateSpec, ModelParams, initial_density_matrix
+from .model import ModelParams, initial_density_matrix
 from .oracle import MAX_SUBSTEPS, evolve_exact, exceeds_substep_cap
 
 _HEADERS = {
@@ -244,10 +244,6 @@ class ExperimentConfig:
             d_ho=self.d_ho,
         )
 
-    def initial_state(self) -> InitialStateSpec:
-        spins = ("up",) if self.n_spins == 1 else ("up",) + ("down",) * (self.n_spins - 1)
-        return InitialStateSpec(spins, 0)
-
     @cached_property
     def calibration_data(self) -> noise.CalibrationData:
         """The calibration, parsed on first use and then kept on this config."""
@@ -272,7 +268,7 @@ class ExperimentConfig:
         key = (order, gamma)
         if key not in self._native_steps:
             self._native_steps[key] = transpile.decompose_native(assemble_evolution(
-                self.model_params(gamma), self.initial_state(), 1, self.step_dts, order, self.code
+                self.model_params(gamma), 1, self.step_dts, order, self.code
             ))
         return self._native_steps[key]
 
@@ -361,8 +357,8 @@ def _tasks(cfg: ExperimentConfig) -> list[dict]:
     return [{"order": o, "gamma": g, "xi": xi, "dt": dt} for o, g, xi in grid for dt in cfg.dt_grid]
 
 
-# Times of the run's dt grids closer than this are one time of the union grid:
-# k * dt of different dt meet only up to rounding (3 * 0.1 against 0.3).
+# Times of the run's dt grids closer than this times the smallest dt are one time of the
+# union grid: k * dt of different dt meet only up to rounding (3 * 0.1 against 0.3).
 _TIME_TOL = 1e-9
 
 
@@ -376,10 +372,11 @@ def _references(cfg: ExperimentConfig, tasks: list[dict]) -> tuple[np.ndarray, d
     gammas = dict.fromkeys(t["gamma"] for t in tasks)
     times = {dt: np.arange(steps_for(cfg.t_final, dt) + 1) * dt for dt in dict.fromkeys(t["dt"] for t in tasks)}
     union = np.sort(np.concatenate(list(times.values())))
-    union = union[np.concatenate(([True], np.diff(union) > _TIME_TOL))]
-    index = {dt: np.searchsorted(union, t - _TIME_TOL) for dt, t in times.items()}
+    tol = _TIME_TOL * min(times)
+    union = union[np.concatenate(([True], np.diff(union) > tol))]
+    index = {dt: np.searchsorted(union, t - tol) for dt, t in times.items()}
     params = tuple(cfg.model_params(g) for g in gammas)
-    rho0 = initial_density_matrix(cfg.initial_state(), params[0], cfg.code)
+    rho0 = initial_density_matrix(params[0])
     states = evolve_exact(rho0, params, union, code_kind=cfg.code)
     return states, {g: b for b, g in enumerate(gammas)}, index
 

@@ -1,9 +1,11 @@
-"""Model parameters, the register layout, dense Hamiltonian, and initial states.
+"""Model parameters, the register layout, dense Hamiltonian, and the initial state.
 
 ``ModelParams`` owns the model register: spin 1 at position 0, the boson
-code bits after it, the other spins after the bosons.  ``initial_bits`` is
-the one place that writes the initial product state onto that register;
-the exact reference projects onto it and the circuit prepares it.
+code bits after it, the other spins after the bosons.  Every run starts in
+one product state: spin 1 excited, every other spin down and the
+oscillator in its ground state, whose code word is all zeros in both
+codes.  ``initial_bits`` is the one place that writes it onto that
+register; the exact reference projects onto it and the circuit prepares it.
 
 Spin basis convention: the excited spin state |up> is the computational
 |1>, matching the -Z/2 term of the encoded Hamiltonian (h = 1), so the jump
@@ -26,10 +28,6 @@ import numpy as np
 from . import encoding
 from .encoding import GRAY
 from .pauli import PauliSum
-
-SPIN_UP = "up"
-SPIN_DOWN = "down"
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -72,20 +70,6 @@ class ModelParams:
         return tuple(range(1, 1 + self.n_boson_qubits))
 
 
-@dataclass(frozen=True)
-class InitialStateSpec:
-    """Pure product initial state: one flag per spin plus an oscillator level."""
-
-    spin_states: tuple[str, ...] = (SPIN_UP,)
-    boson_level: int = 0
-
-    def __post_init__(self) -> None:
-        if any(s not in (SPIN_UP, SPIN_DOWN) for s in self.spin_states):
-            raise ValueError("spin states must be 'up' or 'down'")
-        if self.boson_level < 0:
-            raise ValueError("boson level must be nonnegative")
-
-
 @lru_cache(maxsize=64)
 def hamiltonian_sum(params: ModelParams, code_kind: str = GRAY) -> PauliSum:
     """Encoded Hamiltonian, cached so circuits and the exact reference share one object."""
@@ -96,29 +80,14 @@ def dense_hamiltonian(params: ModelParams, code_kind: str = GRAY) -> np.ndarray:
     return hamiltonian_sum(params, code_kind).to_dense()
 
 
-def initial_bits(spec: InitialStateSpec, params: ModelParams, code_kind: str = GRAY) -> tuple[int, ...]:
-    """Bits of the initial product state on the spin+boson register.
-
-    An excited spin is a 1; the oscillator level is written as its code word.
-    """
-    if len(spec.spin_states) != params.n_spins:
-        raise ValueError("one spin state flag per spin required")
-    if spec.boson_level >= params.d_ho:
-        raise ValueError(f"boson level {spec.boson_level} out of range")
-    bits = [0] * params.register_width
-    for flag, sq in zip(spec.spin_states, params.spin_positions):
-        bits[sq] = int(flag == SPIN_UP)
-    word = encoding.code_bits(spec.boson_level, code_kind, params.n_boson_qubits)
-    for bit, bq in zip(word, params.boson_positions):
-        bits[bq] = bit
-    return tuple(bits)
+def initial_bits(params: ModelParams) -> tuple[int, ...]:
+    """Bits of the initial product state on the spin+boson register: a 1 for spin 1, at position 0."""
+    return (1,) + (0,) * (params.register_width - 1)
 
 
-def initial_density_matrix(
-    spec: InitialStateSpec, params: ModelParams, code_kind: str = GRAY
-) -> np.ndarray:
-    """Rank-one projector onto the product state, on the spin+boson register."""
-    index = int("".join(map(str, initial_bits(spec, params, code_kind))), 2)
+def initial_density_matrix(params: ModelParams) -> np.ndarray:
+    """Rank-one projector onto the initial product state, on the spin+boson register."""
+    index = int("".join(map(str, initial_bits(params))), 2)
     dim = 2**params.register_width
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0

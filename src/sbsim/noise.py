@@ -11,7 +11,9 @@ the model approximately unchanged.
 
 A channel is a plain complex (4^n, 4^n) superoperator array,
 vec(E(rho)) = S vec(rho) on the row-major vectorization (``kraus_superop``'s
-convention), which the engine applies directly; "A then B" is ``B @ A``.
+convention); "A then B" is ``B @ A``.  The engine converts each channel
+stack once per calibration entry to real Pauli transfer matrices
+(``sim._gate_ptm``) and applies those.
 Thermal relaxation is one such matrix: populations relax to the ground
 state with p_reset = 1 - exp(-t/T1) and coherences decay as exp(-t/T2); it
 is completely positive exactly when T2 <= 2 T1.  On two qubits it is the

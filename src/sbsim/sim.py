@@ -147,35 +147,20 @@ def _ptm(superops: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(ptm.real)
 
 
-def _pairs_converted(vectors: np.ndarray, n: int, to_pauli: bool) -> np.ndarray:
-    """Each qubit's four entries of a stack of n-qubit vectors, converted between the two bases.
+def _pairs_converted(vectors: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
+    """Each qubit's four entries of a stack of n-qubit vectors, converted by ``t`` (``_T`` or ``_T_INV``).
 
     ``vectors`` (..., 4^n) holds each qubit's two bits side by side, qubit
     0 last (``_paired``): (row, column) bits of a row-major density matrix,
     or the (x, z) bits of its Pauli label.  One qubit at a time, from qubit
     0, its four entries are converted and moved in front of the stack's
     axes, so that each step reads and writes whole strided rows; the
-    result is a (4,) * n + (stack size,) array, qubit 0 last again.
-    Density matrices come out doubled on each qubit.  Elementwise only, so
-    each vector's bits do not depend on the others.
+    result is a (4,) * n + (stack size,) array, qubit 0 last again.  Each
+    vector's bits do not depend on the others.
     """
     flat = vectors.reshape(-1, 4)
     for _ in range(n):
-        a, b, c, d = flat.T  # each qubit's entries at bits 00, 01, 10 and 11, for every other index
-        out = np.empty((4, len(flat)), dtype=complex)
-        if to_pauli:  # (rho_00, rho_01, rho_10, rho_11) -> (I, Z, X, Y)
-            np.add(a, d, out=out[0])
-            np.subtract(a, d, out=out[1])
-            np.add(b, c, out=out[2])
-            np.subtract(b, c, out=out[3])
-            out[3] *= 1j
-        else:  # (I, Z, X, Y) -> 2 (rho_00, rho_01, rho_10, rho_11)
-            iy = 1j * d
-            np.add(a, b, out=out[0])
-            np.subtract(c, iy, out=out[1])
-            np.add(c, iy, out=out[2])
-            np.subtract(a, b, out=out[3])
-        flat = out.reshape(-1, 4)
+        flat = (t @ flat.T).reshape(-1, 4)
     return flat.reshape((4,) * n + (-1,))
 
 
@@ -188,7 +173,7 @@ def _to_pauli(rho: np.ndarray) -> np.ndarray:
     """The Pauli coefficients Tr(P rho) of a Hermitian state, flat in the engine's bit order (x bits, then z bits)."""
     n = rho.shape[0].bit_length() - 1
     paired = rho.reshape((2,) * (2 * n)).transpose(_paired(n))
-    coeffs = _pairs_converted(np.ascontiguousarray(paired, dtype=complex), n, to_pauli=True)
+    coeffs = _pairs_converted(np.ascontiguousarray(paired, dtype=complex), n, _T)
     return np.ascontiguousarray(coeffs.real.reshape((2,) * (2 * n)).transpose(np.argsort(_paired(n)))).ravel()
 
 
@@ -198,8 +183,7 @@ def _from_pauli(coeffs: np.ndarray, n: int) -> None:
     Each vector holds each qubit's x and z bits side by side, as the
     snapshot gather leaves them; each comes out as a flat (2^n, 2^n) state.
     """
-    converted = _pairs_converted(coeffs, n, to_pauli=False)
-    converted *= 0.5**n
+    converted = _pairs_converted(coeffs, n, _T_INV)
     rows = coeffs.shape[:-1]
     axes = tuple(range(2 * n, 2 * n + len(rows))) + tuple(np.argsort(_paired(n)))
     coeffs.reshape(rows + (2,) * (2 * n))[...] = converted.reshape((2,) * (2 * n) + rows).transpose(axes)

@@ -15,7 +15,7 @@ from conftest import RATE_READINGS, circuit_of, code_permutation, hermitian_basi
 from sbsim import metrics, noise, sim, transpile
 from sbsim.circuits import Gate, assemble_evolution
 from sbsim.encoding import GRAY, encode_hamiltonian
-from sbsim.model import InitialStateSpec, ModelParams, initial_density_matrix
+from sbsim.model import ModelParams, initial_density_matrix
 from sbsim.oracle import evolve_exact
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
@@ -29,18 +29,14 @@ def report(number: int, message: str) -> None:
 
 
 def _run_circuit_traj(params, dt, n_steps, order, xi):
-    circuit = assemble_evolution(params, _init_for(params), n_steps, dt, order, GRAY)
+    circuit = assemble_evolution(params, n_steps, dt, order, GRAY)
     circuit = transpile.decompose_native(circuit)
     model = noise.build_noise_model(noise.jakarta_average_calibration(), xi) if xi > 0 else None
     return sim.simulate(circuit, noise=model)[0]
 
 
-def _init_for(params):
-    return InitialStateSpec(("up",) if params.n_spins == 1 else ("up", "down"), 0)
-
-
 def _exact_traj(params, dt, n_steps):
-    rho0 = initial_density_matrix(_init_for(params), params)
+    rho0 = initial_density_matrix(params)
     return evolve_exact(rho0, params, [k * dt for k in range(n_steps + 1)])
 
 
@@ -66,7 +62,7 @@ def test_c01_collision_channel_exactness():
         for scale in RATE_READINGS.values():
             # the gates on the auxiliary of an assembled one-step circuit, moved to (spin, aux) = (0, 1)
             params = ModelParams(gamma=gamma * scale)
-            circuit = assemble_evolution(params, _init_for(params), 1, dt, 1, GRAY)
+            circuit = assemble_evolution(params, 1, dt, 1, GRAY)
             (aux,) = circuit.aux_qubits
             spin = circuit.model_register[0]
             block = [g for g in circuit.gates if aux in g.qubits]
@@ -98,7 +94,7 @@ def test_c02_oracle_decoupled_decay(reading):
     params = ModelParams(epsilon=0.0, lambda_c=0.0, omega=0.0, gamma=RATE_READINGS[reading])
     rate = params.gamma
     grid = [0.1 * k for k in range(21)]
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     traj = evolve_exact(rho0, params, grid)
     proj_up = np.zeros((8, 8))
     proj_up[4:, 4:] = np.eye(4)
@@ -220,7 +216,7 @@ def test_c08_xi_zero_continuity():
     """xi=0 noisy simulation matches the noiseless path to 1e-10 state distance."""
     params = ModelParams(gamma=1.0)
     circuit = transpile.decompose_native(
-        assemble_evolution(params, InitialStateSpec(), 10, 0.2, 2)
+        assemble_evolution(params, 10, 0.2, 2)
     )
     plain = sim.simulate(circuit)
     zeroed = sim.simulate(

@@ -17,7 +17,7 @@ from sbsim.circuits import (
     collision_angle,
     evolution_layout,
 )
-from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum
+from sbsim.model import ModelParams, hamiltonian_sum
 from sbsim.pauli import PauliString, PauliSum, canonicalize
 from sbsim.transpile import decompose_native
 
@@ -209,7 +209,7 @@ def test_collision_gamma_zero_identity_channel():
 
 
 def test_assemble_zero_steps():
-    c = assemble_evolution(ModelParams(), InitialStateSpec(), 0, 0.2)
+    c = assemble_evolution(ModelParams(), 0, 0.2)
     kinds = [g.kind for g in c.gates]
     assert kinds == ["x", "barrier"]
     assert c.aux_qubits == (3,)
@@ -217,7 +217,7 @@ def test_assemble_zero_steps():
 
 
 def test_assemble_barriers_and_steps():
-    c = assemble_evolution(ModelParams(), InitialStateSpec(), 10, 0.2)
+    c = assemble_evolution(ModelParams(), 10, 0.2)
     assert sum(1 for g in c.gates if g.kind == "barrier") == 11
     assert sum(1 for g in c.gates if g.kind == "reset") == 10
     # resets only touch the aux qubit
@@ -226,7 +226,7 @@ def test_assemble_barriers_and_steps():
 
 def test_assemble_two_spins_collisions_per_step():
     params = ModelParams(n_spins=2, omega=6)
-    c = assemble_evolution(params, InitialStateSpec(("up", "down")), 3, 0.2)
+    c = assemble_evolution(params, 3, 0.2)
     assert c.width == 6
     assert c.aux_qubits == (0, 5)
     assert sum(1 for g in c.gates if g.kind == "cry") == 6  # two collisions per step
@@ -234,21 +234,23 @@ def test_assemble_two_spins_collisions_per_step():
 
 
 def test_assemble_gamma_zero_has_no_collisions():
-    c = assemble_evolution(ModelParams(gamma=0.0), InitialStateSpec(), 5, 0.2)
+    c = assemble_evolution(ModelParams(gamma=0.0), 5, 0.2)
     assert all(g.kind not in ("cry", "reset") for g in c.gates)
 
 
 def test_assemble_ends_with_the_final_barrier():
     for gamma in (0.0, 1.0):
-        c = assemble_evolution(ModelParams(gamma=gamma), InitialStateSpec(), 2, 0.2)
+        c = assemble_evolution(ModelParams(gamma=gamma), 2, 0.2)
         assert c.gates[-1].kind == "barrier"
         assert c.gates[-2].kind != "barrier"
 
 
 def test_assemble_boson_level_preparation():
-    c = assemble_evolution(ModelParams(), InitialStateSpec(("down",), 3), 0, 0.2)
-    x_targets = {g.qubits[0] for g in c.gates if g.kind == "x"}
-    assert x_targets == {0}  # gray(3) = 10 on [b hi, b lo]
+    # the oscillator starts in level 0, whose code word is all zeros: the one X flips spin 1
+    for n_spins in (1, 2):
+        for d_ho in (3, 4, 8):
+            c = assemble_evolution(ModelParams(n_spins=n_spins, d_ho=d_ho), 0, 0.2)
+            assert [g.qubits for g in c.gates if g.kind == "x"] == [(c.model_register[0],)]
 
 
 def test_gate_validation():
@@ -279,7 +281,7 @@ def test_angle_tuples_are_checked_when_built():
     with pytest.raises(ValueError, match=r"angle tuples of lengths \[2, 3\] in one circuit"):
         Circuit(1, (Gate("rz", (0,), (0.1, 0.2)), Gate("ry", (0,), (0.1, 0.2, 0.3))))
     with pytest.raises(ValueError, match="non-empty tuple"):
-        assemble_evolution(ModelParams(), InitialStateSpec(("up",)), 1, ())
+        assemble_evolution(ModelParams(), 1, ())
     assert Circuit(1, (Gate("rz", (0,), (0.1, 0.2)), Gate("rz", (0,), 0.3))).points == 2
     assert Circuit(1, (Gate("rz", (0,), 0.3),)).points is None
 
@@ -306,14 +308,13 @@ def test_dt_tuple_build_stacks_the_bits_of_each_scalar_build(n_spins, order, gam
     # point p of every angle has the bits of the build at dts[p] alone, before and after
     # decomposition; every other gate and the structure are the same
     params = ModelParams(n_spins=n_spins, gamma=gamma)
-    spec = InitialStateSpec(("up", "down")[:n_spins])
     dts = (0.3, 0.1, 0.3, 0.25)
-    stacked = assemble_evolution(params, spec, 2, dts, order)
+    stacked = assemble_evolution(params, 2, dts, order)
     for build in (lambda c: c, decompose_native):
         circuit = build(stacked)
         assert circuit.points == len(dts)
         for p, dt in enumerate(dts):
-            alone = build(assemble_evolution(params, spec, 2, dt, order))
+            alone = build(assemble_evolution(params, 2, dt, order))
             assert alone.points is None
             assert (circuit.width, circuit.model_register) == (alone.width, alone.model_register)
             assert [(g.kind, g.qubits) for g in circuit.gates] == [(g.kind, g.qubits) for g in alone.gates]
@@ -345,7 +346,7 @@ def test_model_register_must_permute_the_non_auxiliary_qubits():
 @pytest.mark.parametrize("n_spins", [1, 2])
 def test_assembled_auxiliaries_are_the_layout_auxiliaries(n_spins):
     params = ModelParams(n_spins=n_spins)
-    c = assemble_evolution(params, InitialStateSpec(("up",) * n_spins), 1, 0.2)
+    c = assemble_evolution(params, 1, 0.2)
     width, model_register, aux_for_spin = evolution_layout(params)
     assert (c.width, c.model_register) == (width, model_register)
     assert c.aux_qubits == aux_for_spin

@@ -767,6 +767,16 @@ def test_each_dt_of_a_two_spin_grid_scores_its_rows_within_1e_14_of_that_dt_alon
             assert all(abs(float(grid_row[i]) - float(alone_row[i])) <= 1e-14 for i in scores)
 
 
+def test_a_dt_below_the_absolute_time_tolerance_scores_each_time_apart(tmp_path):
+    # times of the union grid merge within a tolerance relative to the smallest dt: at dt = 1e-10
+    # each snapshot is scored against the reference at its own time, not against the state at t = 0,
+    # which would read the spin's own decay gamma * t = 1e-9
+    argv = ["trotter_sweep", "--dt", "1e-10", "--t-final", "1e-9", "--gamma", "1", "--order", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "trotter_sweep.csv").read_text().splitlines()
+    assert float(row.split(",")[header.split(",").index("final_infidelity")]) < 1e-12
+
+
 # a sweep scores each t > 0 snapshot once, in one stacked call per grid point: trotter_sweep runs
 # 4 (order, gamma) curves of 20 + 10 + 7 + 5 + 4 steps (20 points), the xi grid 2 orders x 5 xi
 # of 10 steps (10 points)
@@ -883,7 +893,7 @@ def test_calibration_check_and_run_share_the_native_circuits(tmp_path, monkeypat
     assemble = experiments.assemble_evolution
 
     def counted(*args):
-        calls.append(args[3:5])  # (dt values, order)
+        calls.append(args[2:4])  # (dt values, order)
         return assemble(*args)
 
     monkeypatch.setattr(experiments, "assemble_evolution", counted)

@@ -14,7 +14,8 @@ from sbsim.metrics import (
     sqrtm_psd,
     time_averaged_infidelity,
 )
-from sbsim.model import InitialStateSpec, ModelParams, initial_density_matrix
+from sbsim.encoding import GRAY, code_bits
+from sbsim.model import ModelParams, initial_density_matrix
 
 
 def _spin_pair(axis, params):
@@ -108,10 +109,10 @@ def test_time_averaged_infidelity_grid_mismatch(rng):
 
 def test_expectations_on_initial_state():
     params = ModelParams()
-    rho = initial_density_matrix(InitialStateSpec(("up",), 0), params)
+    rho = initial_density_matrix(params)
     assert abs(expectation(rho, boson_number(params))) < 1e-12
     assert abs(expectation(rho, spin_operator("Z", 0, params)) - 1.0) < 1e-12
-    down = initial_density_matrix(InitialStateSpec(("down",), 0), params)
+    down = _pure(np.eye(8)[0])  # spin down, bosons in level 0's code word 00
     assert abs(expectation(down, spin_operator("Z", 0, params)) + 1.0) < 1e-12
 
 
@@ -124,13 +125,14 @@ def test_expectation_maximally_mixed():
 
 def test_expectation_boson_number_counts_levels():
     params = ModelParams()
-    rho = initial_density_matrix(InitialStateSpec(("down",), 2), params)
+    # spin down (bit 0), then level 2's Gray code word on the boson qubits
+    rho = _pure(np.eye(8)[int("0" + "".join(map(str, code_bits(2, GRAY, 2))), 2)])
     assert abs(expectation(rho, boson_number(params)) - 2.0) < 1e-12
 
 
 def test_connected_correlation_product_state_vanishes(rng):
     params = ModelParams(n_spins=2, omega=6)
-    rho = initial_density_matrix(InitialStateSpec(("up", "down"), 0), params)
+    rho = initial_density_matrix(params)
     assert abs(connected_correlation(rho, *_spin_pair("Z", params))) < 1e-10
     assert abs(connected_correlation(rho, *_spin_pair("X", params))) < 1e-10
 

@@ -1,11 +1,10 @@
-"""Model parameters, dense Hamiltonian, jump operators, and initial states."""
+"""Model parameters, dense Hamiltonian, jump operators, and the initial state."""
 
 import numpy as np
 import pytest
 
 from conftest import lindblad_operators
 from sbsim.model import (
-    InitialStateSpec,
     ModelParams,
     dense_hamiltonian,
     hamiltonian_sum,
@@ -76,7 +75,7 @@ def test_two_spin_jump_operators_disjoint():
 
 def test_initial_density_matrix_projector():
     params = ModelParams()
-    rho = initial_density_matrix(InitialStateSpec(("up",), 0), params)
+    rho = initial_density_matrix(params)
     assert abs(np.trace(rho) - 1) < 1e-15
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-15)
     # spin up = |1> on qubit 0, bosons |00>: basis index 100 = 4
@@ -85,25 +84,6 @@ def test_initial_density_matrix_projector():
 
 def test_initial_density_matrix_two_spins():
     params = ModelParams(n_spins=2, omega=6)
-    rho = initial_density_matrix(InitialStateSpec(("up", "down"), 0), params)
-    # register [s1, b1, b0, s2]: index 1000 = 8
+    rho = initial_density_matrix(params)
+    # register [s1, b1, b0, s2], spin 2 down: index 1000 = 8
     assert rho[8, 8] == 1.0
-
-
-def test_initial_density_matrix_boson_level_uses_code():
-    params = ModelParams()
-    rho = initial_density_matrix(InitialStateSpec(("down",), 3), params)
-    # gray(3) = 10 on the boson qubits: index 010 = 2
-    assert rho[2, 2] == 1.0
-
-
-def test_initial_density_matrix_level_out_of_range():
-    with pytest.raises(ValueError):
-        initial_density_matrix(InitialStateSpec(("up",), 4), ModelParams())
-
-
-def test_initial_state_spec_validation():
-    with pytest.raises(ValueError):
-        InitialStateSpec(("sideways",), 0)
-    with pytest.raises(ValueError):
-        initial_density_matrix(InitialStateSpec(("up", "down"), 0), ModelParams())

@@ -14,7 +14,6 @@ from sbsim.circuits import assemble_evolution
 from sbsim.experiments import make_config, run
 from sbsim.encoding import GRAY, STANDARD_BINARY
 from sbsim.model import (
-    InitialStateSpec,
     ModelParams,
     dense_hamiltonian,
     hamiltonian_sum,
@@ -33,7 +32,7 @@ def _expm_reference(rho0, params, t):
 
 def test_unitary_limit_preserves_purity():
     params = ModelParams(gamma=0.0)
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     traj = evolve_exact(rho0, params, [0.0, 0.5, 1.0, 2.0])
     for rho in traj:
         purity = np.trace(rho @ rho).real
@@ -46,7 +45,7 @@ def test_unitary_limit_preserves_purity():
 def test_decoupled_spin_population_decay(reading, decay):
     # lambda = eps = 0: closed-form p_up(t) = exp(-gamma t)
     params = ModelParams(epsilon=0.0, lambda_c=0.0, omega=0.0, gamma=decay)
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     grid = [0.2 * k for k in range(11)]
     traj = evolve_exact(rho0, params, grid)
     proj_up = np.zeros((8, 8))
@@ -84,8 +83,7 @@ DISTINCT_RATES = pytest.mark.parametrize(
 )
 def test_matches_scipy_expm(n_spins, reading, gamma, grid):
     params = ModelParams(gamma=gamma * RATE_READINGS[reading], n_spins=n_spins)
-    spins = ("up",) if n_spins == 1 else ("up", "down")
-    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
+    rho0 = initial_density_matrix(params)
     traj = evolve_exact(rho0, params, grid)
     assert traj.shape == (len(grid), *rho0.shape)
     for t, rho in zip(grid, traj):
@@ -97,8 +95,7 @@ def test_matches_scipy_expm(n_spins, reading, gamma, grid):
 @DISTINCT_RATES
 def test_snapshots_are_density_matrices(n_spins, reading, gamma):
     params = ModelParams(gamma=gamma * RATE_READINGS[reading], n_spins=n_spins)
-    spins = ("up",) if n_spins == 1 else ("up", "down")
-    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
+    rho0 = initial_density_matrix(params)
     for rho in evolve_exact(rho0, params, [0.2 * k for k in range(11)]):
         assert np.array_equal(rho, rho.conj().T)
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -110,8 +107,7 @@ def test_six_qubit_snapshots_are_density_matrices(n_spins, d_ho):
     # the widest register the engine admits, so the widest the oracle is asked for
     params = ModelParams(gamma=1.0, n_spins=n_spins, d_ho=d_ho, omega=6.0 if n_spins == 2 else 4.0)
     assert params.register_width == 6
-    spins = ("up",) if n_spins == 1 else ("up", "down")
-    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), params)
+    rho0 = initial_density_matrix(params)
     traj = evolve_exact(rho0, params, [0.0, 0.05, 0.1])
     assert traj.shape == (3, 64, 64)
     for rho in traj:
@@ -134,12 +130,10 @@ def test_gamma_sweep_unitary_point_matches_expm(tmp_path):
     params = cfg.model_params(0.0)
     dt = cfg.dt_grid[0]
     n_steps = round(cfg.t_final / dt)
-    circuit = assemble_evolution(
-        params, cfg.initial_state(), n_steps, dt, cfg.orders[0], cfg.code
-    )
+    circuit = assemble_evolution(params, n_steps, dt, cfg.orders[0], cfg.code)
     model = noise.build_noise_model(cfg.calibration_data, 0.01)
     simulated = sim.simulate(transpile.decompose_native(circuit), noise=model)[0, -1]
-    rho0 = initial_density_matrix(cfg.initial_state(), params)
+    rho0 = initial_density_matrix(params)
     expected = metrics.infidelity(simulated, _expm_reference(rho0, params, n_steps * dt))
     assert abs(float(row["final_infidelity"]) - expected) < 1e-10
 
@@ -155,7 +149,7 @@ def test_one_plan_per_distinct_interval(monkeypatch, grid, expected):
     plan = oracle._taylor_plan
     monkeypatch.setattr(oracle, "_taylor_plan", lambda x: norms.append(x) or plan(x))
     params = ModelParams(gamma=1.0)
-    evolve_exact(initial_density_matrix(InitialStateSpec(), params), params, grid)
+    evolve_exact(initial_density_matrix(params), params, grid)
     assert len(norms) == len(grid) - 1
     plans = [plan(x) for x in norms]
     assert len(set(plans)) == expected
@@ -167,7 +161,7 @@ def test_one_plan_per_distinct_interval(monkeypatch, grid, expected):
 
 def test_grid_validation():
     params = ModelParams()
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     with pytest.raises(ValueError):
         evolve_exact(rho0, params, [0.5, 1.0])
     with pytest.raises(ValueError):
@@ -176,7 +170,7 @@ def test_grid_validation():
 
 def test_drift_checks_reject_unphysical_states():
     params = ModelParams()
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     with pytest.raises(RuntimeError, match="trace drift"):
         evolve_exact(2 * rho0, params, [0.0, 0.1])
     skew = np.zeros_like(rho0)
@@ -187,7 +181,7 @@ def test_drift_checks_reject_unphysical_states():
 
 def test_only_the_paper_collision_rate_convention_is_accepted():
     params = ModelParams()
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     with pytest.raises(ValueError, match="rate convention must be 'paper-collision', got 'eq2-literal'"):
         evolve_exact(rho0, params, [0.0, 0.1], "eq2-literal")
 
@@ -257,8 +251,7 @@ def test_generator_action_equals_the_dense_generator(rng, params, reading):
 @pytest.mark.parametrize("n_spins", [1, 2])
 def test_stacked_member_equals_member_evolved_alone(n_spins, reading):
     members = tuple(ModelParams(gamma=g * RATE_READINGS[reading], n_spins=n_spins, omega=6.0) for g in (0.0, 0.5, 2.5))
-    spins = ("up",) if n_spins == 1 else ("up", "down")
-    rho0 = initial_density_matrix(InitialStateSpec(spins, 0), members[0])
+    rho0 = initial_density_matrix(members[0])
     grid = [0.0, 0.1, 0.3, 0.7]
     stacked = evolve_exact(rho0, members, grid)
     assert stacked.shape == (3, 4, *rho0.shape)
@@ -268,7 +261,7 @@ def test_stacked_member_equals_member_evolved_alone(n_spins, reading):
 
 def test_stacked_models_must_share_one_register():
     params = ModelParams()
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     with pytest.raises(ValueError, match="one register"):
         evolve_exact(rho0, (params, ModelParams(d_ho=8)), [0.0, 0.1])
     with pytest.raises(ValueError, match="at least one model"):
@@ -282,7 +275,7 @@ def test_union_grid_reference_equals_the_per_dt_reference():
     assert states.shape[:2] == (2, 22)  # 0, 0.1, ..., 2.0, and 2.1 from dt 0.3's seven steps
     for gamma in cfg.gamma:
         params = cfg.model_params(gamma)
-        rho0 = initial_density_matrix(cfg.initial_state(), params)
+        rho0 = initial_density_matrix(params)
         for dt in cfg.dt_grid:
             grid = [k * dt for k in range(experiments.steps_for(cfg.t_final, dt) + 1)]
             alone = evolve_exact(rho0, params, grid)

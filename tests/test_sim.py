@@ -29,7 +29,7 @@ from sbsim.circuits import (
     assemble_evolution,
 )
 from sbsim.metrics import fidelity, time_averaged_infidelity
-from sbsim.model import InitialStateSpec, ModelParams, hamiltonian_sum, initial_density_matrix
+from sbsim.model import ModelParams, hamiltonian_sum, initial_density_matrix
 from sbsim.noise import (
     CalibrationData,
     GateCalibration,
@@ -41,6 +41,7 @@ from sbsim.noise import (
 from sbsim.oracle import evolve_exact
 from sbsim.pauli import embed_operator
 from sbsim.sim import (
+    MAX_SIM_WIDTH,
     _compile,
     _ptm,
     _runs,
@@ -93,11 +94,16 @@ def test_partial_trace_of_product_state(rng):
     np.testing.assert_allclose(partial_trace(rho, (2, 0), 3), kron_all([c, a]), atol=1e-13)
 
 
-def test_empty_circuit_returns_input():
-    rho = np.diag([0.25, 0.75]).astype(complex)
-    snapshots = simulate(Circuit(1, (Gate("barrier"),)), rho0=rho)
-    assert snapshots.shape == (1, 1, 2, 2)
-    np.testing.assert_allclose(snapshots[0, -1], rho)
+@pytest.mark.parametrize("n", range(1, MAX_SIM_WIDTH + 1))
+def test_empty_circuit_returns_input(rng, n):
+    # into the Pauli basis, through the register gather and back: a full-rank complex state in a
+    # permuted register comes out as it went in
+    rho = random_density_matrix(rng, 2**n)
+    rho = (rho + rho.conj().T) / 2
+    register = tuple(range(1, n)) + (0,)  # model qubit k on circuit qubit k + 1, the last on 0
+    snapshots = simulate(Circuit(n, (Gate("barrier"),), register), rho0=rho)
+    assert snapshots.shape == (1, 1, 2**n, 2**n)
+    assert np.max(np.abs(snapshots[0, -1] - rho)) < 1e-15
 
 
 def test_width_limit():
@@ -120,11 +126,11 @@ def test_collision_block_on_excited_spin():
 
 def test_noiseless_circuit_approaches_reference_as_dt_shrinks():
     params = ModelParams()
-    rho0 = initial_density_matrix(InitialStateSpec(), params)
+    rho0 = initial_density_matrix(params)
     errors = []
     for dt in (0.2, 0.05):
         n = round(1.0 / dt)
-        circuit = assemble_evolution(params, InitialStateSpec(), n, dt, order=2)
+        circuit = assemble_evolution(params, n, dt, order=2)
         snaps = simulate(circuit)[0]
         exact = evolve_exact(rho0, params, [dt * k for k in range(n + 1)])
         errors.append(time_averaged_infidelity(snaps, exact))
@@ -138,7 +144,7 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
     # unitary], on each operator of a Hermitian basis
     params = ModelParams()
     dt = 0.25
-    circuit = assemble_evolution(params, InitialStateSpec(), 1, dt, order=1)
+    circuit = assemble_evolution(params, 1, dt, order=1)
     from conftest import circuit_unitary
 
     h = hamiltonian_sum(params)
@@ -164,8 +170,7 @@ def test_one_step_channel_equals_damping_after_trotter_unitary():
 
 def _native_evolution(n_spins: int, order: int, n_steps: int, d_ho: int = 4, dt=0.2):
     params = ModelParams(n_spins=n_spins, omega=6.0 if n_spins == 2 else 4.0, d_ho=d_ho)
-    spec = InitialStateSpec(("up", "down")[:n_spins])
-    return decompose_native(assemble_evolution(params, spec, n_steps, dt, order))
+    return decompose_native(assemble_evolution(params, n_steps, dt, order))
 
 
 def _with_final_barrier(circuit: Circuit) -> Circuit:
@@ -563,7 +568,7 @@ def test_noise_requires_native_circuit():
 def test_xi_zero_model_equals_no_model():
     # a member at xi = 0 is exactly the identity channel, so it equals the noiseless run bit for bit
     params = ModelParams()
-    circuit = decompose_native(assemble_evolution(params, InitialStateSpec(), 3, 0.2))
+    circuit = decompose_native(assemble_evolution(params, 3, 0.2))
     cal = jakarta_average_calibration()
     plain = simulate(circuit)
     nulled = simulate(circuit, noise=build_noise_model(cal, 0.0))
@@ -583,7 +588,7 @@ def test_xi_zero_member_of_a_noisy_stack_equals_no_model(n_spins):
 
 def test_transpiled_equals_ir_noiseless():
     params = ModelParams(n_spins=2, omega=6)
-    circuit = assemble_evolution(params, InitialStateSpec(("up", "down")), 2, 0.2)
+    circuit = assemble_evolution(params, 2, 0.2)
     native = decompose_native(circuit)
     rho_a = simulate(circuit)[0, -1]
     rho_b = simulate(native)[0, -1]

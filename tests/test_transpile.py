@@ -5,7 +5,7 @@ import pytest
 
 from conftest import circuit_of, circuit_unitary
 from sbsim.circuits import Circuit, Gate, _collision_gates, assemble_evolution
-from sbsim.model import InitialStateSpec, ModelParams
+from sbsim.model import ModelParams
 from sbsim.sim import gate_unitary, simulate
 from sbsim.transpile import (
     JAKARTA,
@@ -60,7 +60,7 @@ def test_collision_block_decomposes_to_two_cx_plus_singles():
 def test_decompose_preserves_circuit_channel(rng):
     # state-level agreement on the assembled (unitary + reset) circuit
     params = ModelParams()
-    c = assemble_evolution(params, InitialStateSpec(), 2, 0.3, order=1)
+    c = assemble_evolution(params, 2, 0.3, order=1)
     native = decompose_native(c)
     rho_ir = simulate(c)[0, -1]  # the circuit ends with a barrier: the final state
     rho_native = simulate(native)[0, -1]
@@ -101,7 +101,7 @@ def test_route_on_jakarta_distance_two():
 
 def test_route_cx_count_never_decreases():
     params = ModelParams()
-    native = decompose_native(assemble_evolution(params, InitialStateSpec(), 3, 0.2))
+    native = decompose_native(assemble_evolution(params, 3, 0.2))
     before = count_gates(native).cx
     routed = route(native, JAKARTA)
     assert count_gates(routed.circuit).cx >= before
